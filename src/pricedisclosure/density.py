@@ -1,9 +1,10 @@
 """Price density estimation: truncated Gaussian KDE and parametric fits.
 
 Every estimator exposes the same surface: ``pdf``, ``cdf``, ``quantile``,
-``support_low`` and ``sample_min``. Prices are positive, so all densities
-are truncated at zero and renormalized; for families already supported on
-[0, inf) the truncation is a no-op.
+``support_low``, ``effective_low``, ``feature_scale`` and ``sample_min``.
+Prices are positive, so all densities are truncated at zero and
+renormalized; for families already supported on [0, inf) the truncation
+is a no-op.
 """
 
 from __future__ import annotations
@@ -26,6 +27,16 @@ _MAX_ITER = 200
 _FIT_TOL = 1e-9
 QUANTILE_TOL = 1e-6
 
+# KDE sums run in row blocks of at most this many (point, sample) doubles,
+# so memory stays flat however many points one call asks for.
+KDE_BLOCK_DOUBLES = 2**18
+
+# Mass a density may leave below its effective lower bound: Phi(-12) ~ 2e-33,
+# far below double-precision eps. For the KDE that bound is
+# sample_min - TAIL_SIGMAS * h; for a parametric fit, its TAIL_MASS quantile.
+TAIL_SIGMAS = 12.0
+TAIL_MASS = float(special.ndtr(-TAIL_SIGMAS))
+
 
 def _as_sample(values) -> np.ndarray:
     x = np.asarray(values, dtype=float).ravel()
@@ -43,6 +54,14 @@ class Density:
 
     support_low: float = 0.0
     sample_min: float | None = None
+    # Width of the narrowest feature of the density, or None when unknown;
+    # sets how finely quadrature must probe it.
+    feature_scale: float | None = None
+
+    @property
+    def effective_low(self) -> float:
+        """Lower integration bound: the mass below it is under double eps."""
+        return self.support_low
 
     def pdf(self, y):
         raise NotImplementedError
@@ -89,6 +108,9 @@ class UniformDensity(Density):
         self.support_low = self.low
         self.sample_min = self.low
 
+    def __repr__(self) -> str:
+        return f"UniformDensity(low={self.low!r}, high={self.high!r})"
+
     def pdf(self, y):
         y = np.asarray(y, dtype=float)
         out = np.where((y >= self.low) & (y <= self.high), 1.0 / (self.high - self.low), 0.0)
@@ -132,19 +154,41 @@ class KernelDensity(Density):
         self._below_zero = float(np.mean(special.ndtr(-x / self.bandwidth)))
         self._mass_above_zero = 1.0 - self._below_zero
 
+    @property
+    def feature_scale(self) -> float:
+        return self.bandwidth
+
+    @property
+    def effective_low(self) -> float:
+        return max(0.0, self.sample_min - TAIL_SIGMAS * self.bandwidth)
+
+    def __repr__(self) -> str:
+        return f"KernelDensity(n={self.sample.size}, bandwidth={self.bandwidth!r})"
+
+    def _kernel_mean(self, y: np.ndarray, kernel) -> np.ndarray:
+        """Mean of ``kernel((y - sample) / h)`` over the sample, per point,
+        in row blocks; each row is the same sum a dense matrix gives."""
+        out = np.empty(y.size)
+        rows = max(1, KDE_BLOCK_DOUBLES // self.sample.size)
+        for start in range(0, y.size, rows):
+            z = (y[start : start + rows, None] - self.sample[None, :]) / self.bandwidth
+            out[start : start + rows] = np.mean(kernel(z), axis=1)
+        return out
+
     def pdf(self, y):
         y = np.asarray(y, dtype=float)
-        z = (np.atleast_1d(y)[:, None] - self.sample[None, :]) / self.bandwidth
-        raw = np.mean(np.exp(-0.5 * z * z), axis=1) / (self.bandwidth * _SQRT_2PI)
-        out = np.where(np.atleast_1d(y) >= 0.0, raw / self._mass_above_zero, 0.0)
+        points = np.atleast_1d(y)
+        raw = self._kernel_mean(points, lambda z: np.exp(-0.5 * z * z))
+        raw = raw / (self.bandwidth * _SQRT_2PI)
+        out = np.where(points >= 0.0, raw / self._mass_above_zero, 0.0)
         return out if y.ndim else float(out[0])
 
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
-        z = (np.atleast_1d(y)[:, None] - self.sample[None, :]) / self.bandwidth
-        raw = np.mean(special.ndtr(z), axis=1)
+        points = np.atleast_1d(y)
+        raw = self._kernel_mean(points, special.ndtr)
         out = np.clip((raw - self._below_zero) / self._mass_above_zero, 0.0, 1.0)
-        out = np.where(np.atleast_1d(y) >= 0.0, out, 0.0)
+        out = np.where(points >= 0.0, out, 0.0)
         return out if y.ndim else float(out[0])
 
     def _quantile_hint(self) -> float:
@@ -154,26 +198,47 @@ class KernelDensity(Density):
 class ParametricDensity(Density):
     """A fitted family truncated at zero with renormalization."""
 
-    def __init__(self, family: str, params: dict[str, float], dist, sample_min: float | None):
+    def __init__(
+        self,
+        family: str,
+        params: dict[str, float],
+        dist,
+        sample_min: float | None,
+        sample_size: int | None = None,
+    ):
         self.family = family
         self.params = dict(params)
         self.dist = dist
         self.sample_min = sample_min
-        below = float(dist.cdf(0.0))
+        self.sample_size = sample_size
+        # Far below the mode some families (gumbel) overflow an inner exp
+        # on the way to a cdf or pdf whose limit, 0, is exact.
+        with np.errstate(over="ignore"):
+            below = float(dist.cdf(0.0))
         if below >= 1.0 - 1e-300:
             raise FitError(f"{family}: no probability mass above zero")
         self._below_zero = below
         self._mass_above_zero = 1.0 - below
 
+    def __repr__(self) -> str:
+        return f"ParametricDensity(family={self.family!r}, n={self.sample_size})"
+
+    @property
+    def effective_low(self) -> float:
+        low = float(self.dist.ppf(TAIL_MASS))
+        return low if low > self.support_low else self.support_low
+
     def pdf(self, y):
         y = np.asarray(y, dtype=float)
-        raw = self.dist.pdf(np.atleast_1d(y)) / self._mass_above_zero
+        with np.errstate(over="ignore"):
+            raw = self.dist.pdf(np.atleast_1d(y)) / self._mass_above_zero
         out = np.where(np.atleast_1d(y) >= 0.0, raw, 0.0)
         return out if y.ndim else float(out[0])
 
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
-        raw = (self.dist.cdf(np.atleast_1d(y)) - self._below_zero) / self._mass_above_zero
+        with np.errstate(over="ignore"):
+            raw = (self.dist.cdf(np.atleast_1d(y)) - self._below_zero) / self._mass_above_zero
         out = np.where(np.atleast_1d(y) >= 0.0, np.clip(raw, 0.0, 1.0), 0.0)
         return out if y.ndim else float(out[0])
 
@@ -423,7 +488,7 @@ def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
     if best is None:
         raise FitError("no family could be fit: " + "; ".join(f"{c.family}: {c.reason}" for c in candidates))
     density = ParametricDensity(
-        best.family, best.params, _frozen_dist(best.family, best.params), float(x.min())
+        best.family, best.params, _frozen_dist(best.family, best.params), float(x.min()), n
     )
     return FitReport(tuple(candidates), best.family, density)
 

@@ -24,6 +24,10 @@ from .quadrature import adaptive_simpson
 AGREEMENT_TOL_ABS = 1e-6
 AGREEMENT_TOL_REL = 1e-4
 
+# Forced bisection levels for a density without a feature scale, and the cap
+# for one with it: 4 * 2**8 + 1 = 1025 abscissae in the first pass.
+MAX_FORCED_DEPTH = 8
+
 
 class Decision(enum.Enum):
     TERMINATE = "terminate"
@@ -99,45 +103,67 @@ def min_order_cdf(density: Density, n_new: int, y):
     return out if y_arr.ndim else float(out)
 
 
+def forced_depth(width: float, scale: float | None) -> int:
+    """Bisection levels to force on an interval of ``width`` so that the
+    first probe grid is at most ``scale / 16`` apart: a density bump of
+    that width cannot fall between probes. Capped at MAX_FORCED_DEPTH,
+    which is also the depth when the scale is unknown."""
+    if scale is None:
+        return MAX_FORCED_DEPTH
+    return min(max(math.ceil(math.log2(4.0 * width / scale)), 0), MAX_FORCED_DEPTH)
+
+
 def critical_cost(density: Density, q: float, n_new: int) -> CriticalCost:
     """Expected saving from one more query given best price ``q``.
 
-    Computes the expectation integral of (q - y) against the minimum-order
-    density and its integration-by-parts twin (the integrated minimum-order
-    cdf), checks they agree within max(1e-6, 1e-4 * value), and returns the
-    twin, whose integrand is smoother.
+    Integrates, in one adaptive Simpson pass over shared abscissae, the
+    expectation of (q - y) against the minimum-order density and its
+    integration-by-parts twin (the integrated minimum-order cdf), so the
+    density's pdf and cdf are evaluated once per abscissa. The domain runs
+    from the density's effective lower bound, below which its mass is under
+    double eps, to ``q``; the forced refinement depth follows the ratio of
+    that width to the density's feature scale. The two forms must agree
+    within max(1e-6, 1e-4 * value); the twin, whose integrand is smoother,
+    is returned. A failure raises :class:`NumericalError` naming q, n_new,
+    the interval, the forced depth and the density.
     """
     n = _check_n(n_new)
     q = float(q)
     if not math.isfinite(q):
         raise ValidationError(f"q must be finite, got {q}")
-    low = density.support_low
-    if q < low:
-        raise ValidationError(f"q={q} lies below the support lower bound {low}")
+    if q < density.support_low:
+        raise ValidationError(f"q={q} lies below the support lower bound {density.support_low}")
+    low = density.effective_low
     if q <= low:
         return CriticalCost(0.0, q, n, 0.0)
+    depth = forced_depth(q - low, density.feature_scale)
 
-    def integrated_cdf_form(y: np.ndarray) -> np.ndarray:
-        sf = 1.0 - np.asarray(density.cdf(y), dtype=float)
-        return 1.0 - sf**n
-
-    def expectation_form(y: np.ndarray) -> np.ndarray:
+    def both_forms(y: np.ndarray) -> np.ndarray:
+        # sf**n from sf = 1 - cdf carries n times the rounding of 1 - cdf,
+        # enough at large n to keep panels from ever meeting tol; the log
+        # form keeps the relative accuracy of cdf itself.
         f = np.asarray(density.pdf(y), dtype=float)
-        sf = 1.0 - np.asarray(density.cdf(y), dtype=float)
-        return (q - y) * n * f * sf ** (n - 1)
+        with np.errstate(divide="ignore"):
+            log_sf = np.log1p(-np.asarray(density.cdf(y), dtype=float))
+        sf_rest = np.exp((n - 1) * log_sf) if n > 1 else np.ones_like(log_sf)
+        return np.stack([-np.expm1(n * log_sf), (q - y) * n * f * sf_rest])
 
-    # The expectation integrand can be a narrow bump just below q that a
-    # coarse probe would miss entirely; force eight refinement levels.
-    dual, err_dual = adaptive_simpson(integrated_cdf_form, low, q, min_depth=8)
-    direct, err_direct = adaptive_simpson(expectation_form, low, q, min_depth=8)
+    def context() -> str:
+        return f"q={q}, n_new={n}, interval [{low}, {q}], forced depth {depth}, {density!r}"
+
+    try:
+        values, errors = adaptive_simpson(both_forms, low, q, min_depth=depth)
+    except NumericalError as exc:
+        raise NumericalError(f"{exc}; {context()}", error_estimate=exc.error_estimate) from exc
+    dual, direct = float(values[0]), float(values[1])
     gap = abs(dual - direct)
     if gap > max(AGREEMENT_TOL_ABS, AGREEMENT_TOL_REL * abs(dual)):
         raise NumericalError(
-            f"integral forms disagree: {dual} vs {direct} (gap {gap})",
+            f"integral forms disagree: {dual} vs {direct} (gap {gap}); {context()}",
             error_estimate=gap,
         )
     value = min(max(dual, 0.0), q)
-    return CriticalCost(value, q, n, err_dual + err_direct)
+    return CriticalCost(value, q, n, float(errors[0] + errors[1]))
 
 
 def decide(state: SearcherState, cost: CriticalCost) -> Decision:

@@ -1,13 +1,16 @@
 """Density estimation: KDE, parametric MLE with BIC selection, quantiles,
 and equal-mass price generation."""
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from pricedisclosure.data import builtin_dataset
 from pricedisclosure.density import (
     FAMILIES,
+    KDE_BLOCK_DOUBLES,
     KernelDensity,
     UniformDensity,
     equal_mass_prices,
@@ -231,3 +234,44 @@ def test_equal_mass_validation():
     bare.sample_min = None
     with pytest.raises(ValidationError):
         equal_mass_prices(bare, 3)
+
+
+def test_blocked_kde_sums_equal_one_dense_block():
+    rng = np.random.default_rng(17)
+    d = fit_kde(rng.lognormal(5.0, 0.3, 5000))
+    y = np.linspace(0.0, 400.0, 1025)
+    assert y.size * d.sample.size > KDE_BLOCK_DOUBLES  # several blocks
+    z = (y[:, None] - d.sample[None, :]) / d.bandwidth
+    dense_pdf = np.mean(np.exp(-0.5 * z * z), axis=1) / (d.bandwidth * np.sqrt(2.0 * np.pi))
+    dense_cdf = np.mean(special.ndtr(z), axis=1)
+    assert np.array_equal(d.pdf(y), dense_pdf / d._mass_above_zero)
+    assert np.array_equal(
+        d.cdf(y), np.clip((dense_cdf - d._below_zero) / d._mass_above_zero, 0.0, 1.0)
+    )
+
+
+def test_kde_effective_low_and_feature_scale():
+    d = fit_kde([297.0] * 10 + [297.01] * 10)
+    assert d.feature_scale == d.bandwidth
+    assert d.effective_low == 297.0 - 12.0 * d.bandwidth
+    assert d.cdf(d.effective_low) < 1e-30
+    assert fit_kde([0.5, 1.0, 40.0]).effective_low == 0.0
+    u = UniformDensity(0.25, 1.0)
+    assert u.effective_low == u.support_low and u.feature_scale is None
+
+
+@pytest.mark.parametrize("name", ["printer", "mouse", "monitor", "camera"])
+def test_parametric_fits_leak_no_warnings(name):
+    # Gumbel's cdf overflows an inner exp far below its mode, where the
+    # limit 0 is exact; none of that may reach the caller. A gumbel fit to
+    # a one-cent cluster puts zero thousands of scales below the mode.
+    values = np.sort(builtin_dataset(name).values())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = [fit_parametric(values[:size]) for size in range(10, 31)]
+        tight = fit_parametric(np.repeat([values[0], values[0] + 0.01], 10), families=("gumbel",))
+        for report in fits + [tight]:
+            d = report.density
+            grid = np.linspace(0.0, d.sample_min + 10.0, 257)
+            assert np.all(np.isfinite(d.pdf(grid))) and np.all(np.isfinite(d.cdf(grid)))
+            assert d.cdf(0.0) == 0.0

@@ -79,3 +79,49 @@ def test_error_estimate_reported_on_failure():
             lambda y: np.sqrt(np.abs(y)), 0.0, 1.0, tol=1e-14, max_depth=3
         )
     assert info.value.error_estimate > 0.0
+
+
+def test_vector_integrand_rows_match_scalar_runs():
+    # exp(c*y) for c = 1, 1.0001 need the same refinement, so the shared
+    # pass accepts every panel where each scalar run does.
+    rates = np.array([1.0, 1.0001])
+    rows, errs = adaptive_simpson(lambda y: np.exp(rates[:, None] * y), 0.0, 2.0, min_depth=2)
+    assert rows.shape == errs.shape == (2,)
+    for rate, value, err in zip(rates, rows, errs):
+        assert (value, err) == adaptive_simpson(lambda y: np.exp(rate * y), 0.0, 2.0, min_depth=2)
+
+
+def test_vector_integrand_refines_until_every_row_converges():
+    # Row 0 is a cubic, exact on one panel; row 1 needs refinement, and
+    # row 0 is carried along on the finer panels.
+    rows, _ = adaptive_simpson(lambda y: np.stack([y**3, np.sqrt(y)]), 0.0, 1.0, tol=1e-8)
+    assert abs(rows[0] - 0.25) < 1e-12
+    assert abs(rows[1] - 2.0 / 3.0) < 1e-7
+
+
+def test_forced_levels_cost_one_integrand_call():
+    sizes = []
+
+    def cubic(y):
+        sizes.append(y.size)
+        return y**3
+
+    value, _ = adaptive_simpson(cubic, 0.0, 2.0, min_depth=8)
+    assert sizes == [4 * 2**8 + 1]
+    assert abs(value - 4.0) < 1e-12
+
+    def root(y):
+        sizes.append(y.size)
+        return np.sqrt(y)
+
+    sizes.clear()
+    adaptive_simpson(root, 0.0, 1.0, tol=1e-8, min_depth=8)
+    assert sizes[0] == 1025 and len(sizes) > 1
+    assert all(size < 1025 for size in sizes[1:])
+
+
+def test_min_depth_validated_before_integrand_is_called():
+    calls = []
+    with pytest.raises(ValidationError):
+        adaptive_simpson(lambda y: calls.append(y) or y, 1.0, 1.0, min_depth=41, max_depth=40)
+    assert calls == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pricedisclosure.data import PriceEntry, PriceList
-from pricedisclosure.density import UniformDensity, fit_kde
+from pricedisclosure.density import UniformDensity, fit_estimator, fit_kde
 from pricedisclosure.errors import NumericalError, ValidationError
 from pricedisclosure.search import (
     CriticalCost,
@@ -13,6 +13,7 @@ from pricedisclosure.search import (
     critical_cost,
     decide,
     expected_new_prices,
+    forced_depth,
     improvement_upper_bound,
     interval_subset_count,
     min_order_cdf,
@@ -165,3 +166,62 @@ def test_critical_cost_monotone_in_q_and_n():
     assert all(a <= b + 1e-9 for a, b in zip(costs_q, costs_q[1:]))
     costs_n = [critical_cost(d, 6.0, n).value for n in (1, 2, 5, 12, 25)]
     assert all(a <= b + 1e-9 for a, b in zip(costs_n, costs_n[1:]))
+
+
+def test_forced_depth_follows_scale():
+    assert forced_depth(12.0, 1.0) == 6  # 4 * 12 = 48 -> 2**6 = 64 panels
+    assert forced_depth(1e6, 1.0) == 8  # capped
+    assert forced_depth(1e-3, 1.0) == 0
+    assert forced_depth(1.0, None) == 8
+
+
+def _tie_heavy(rng, size=30):
+    distinct = np.round(rng.uniform(20.0, 600.0) + rng.uniform(0.0, 3.0, rng.integers(2, 6)), 2)
+    return rng.choice(distinct, size=size)
+
+
+@pytest.mark.parametrize("estimator", ["kde", "parametric"])
+def test_near_duplicate_prices_give_a_finite_cost(estimator):
+    # The KDE's bandwidth (0.0025) is far below q/256: on [0, q] the
+    # direct form's probe grid missed the bump and the forms disagreed.
+    prices = np.array([297.0] * 10 + [297.01] * 10)
+    cost = critical_cost(fit_estimator(prices, estimator), 297.0, 18)
+    assert np.isfinite(cost.value) and 0.0 < cost.value < 297.0
+
+
+@pytest.mark.parametrize("estimator", ["kde", "parametric"])
+def test_tie_heavy_lists_at_any_scale_and_extreme_n(estimator):
+    # 2-5 distinct prices within $3, rescaled down and up, with n_new
+    # from a single draw to 100000: both forms must converge and agree.
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        prices = _tie_heavy(rng)
+        for scale in (1.0, 1e-2, 1e3):
+            x = prices * scale
+            density = fit_estimator(x, estimator)
+            q = float(x.min())
+            costs = [critical_cost(density, q, n).value for n in (1, 1000, 100000)]
+            assert all(np.isfinite(c) and 0.0 <= c <= q for c in costs)
+            assert costs[0] <= costs[1] <= costs[2]
+
+
+def test_numerical_error_names_its_inputs():
+    d = fit_kde([297.0] * 10 + [297.01] * 10)
+    d.pdf = lambda y: np.full(np.shape(y), np.nan)
+    with pytest.raises(NumericalError) as info:
+        critical_cost(d, 297.0, 18)
+    message = str(info.value)
+    low = d.effective_low
+    for part in ("not finite", "q=297.0", "n_new=18", f"interval [{low}, 297.0]",
+                 f"forced depth {forced_depth(297.0 - low, d.bandwidth)}", "n=20",
+                 f"bandwidth={d.bandwidth!r}"):
+        assert part in message, part
+
+
+def test_disagreeing_forms_name_their_inputs():
+    d = fit_kde([10.0, 12.0, 15.0, 18.0, 22.0])
+    pdf = d.pdf
+    d.pdf = lambda y: 2.0 * pdf(y)
+    with pytest.raises(NumericalError, match=r"forms disagree.*q=14\.0, n_new=3, .*n=5") as info:
+        critical_cost(d, 14.0, 3)
+    assert info.value.error_estimate > 0.0
