@@ -423,21 +423,50 @@ def _fit_gumbel(x: np.ndarray) -> dict[str, float]:
     return {"loc": loc, "scale": beta}
 
 
-def _frozen_dist(family: str, params: dict[str, float]):
+class _FixedDist:
+    """A scipy distribution at fixed parameters.
+
+    Calls the shared module-level generator (``stats.norm`` and so on) with
+    the stored args and kwds, exactly as a frozen distribution forwards
+    them, but without the new generator instance every freeze builds: that
+    set-up (docstring formatting, argument parsers) cost more than a fit.
+    """
+
+    __slots__ = ("gen", "args", "kwds")
+
+    def __init__(self, gen, *args, **kwds):
+        self.gen = gen
+        self.args = args
+        self.kwds = kwds
+
+    def pdf(self, x):
+        return self.gen.pdf(x, *self.args, **self.kwds)
+
+    def logpdf(self, x):
+        return self.gen.logpdf(x, *self.args, **self.kwds)
+
+    def cdf(self, x):
+        return self.gen.cdf(x, *self.args, **self.kwds)
+
+    def ppf(self, q):
+        return self.gen.ppf(q, *self.args, **self.kwds)
+
+
+def _family_dist(family: str, params: dict[str, float]) -> _FixedDist:
     if family == "normal":
-        return stats.norm(loc=params["loc"], scale=params["scale"])
+        return _FixedDist(stats.norm, loc=params["loc"], scale=params["scale"])
     if family == "lognormal":
-        return stats.lognorm(s=params["sigma"], scale=math.exp(params["mu"]))
+        return _FixedDist(stats.lognorm, s=params["sigma"], scale=math.exp(params["mu"]))
     if family == "exponential":
-        return stats.expon(scale=params["scale"])
+        return _FixedDist(stats.expon, scale=params["scale"])
     if family == "gamma":
-        return stats.gamma(params["shape"], scale=params["scale"])
+        return _FixedDist(stats.gamma, params["shape"], scale=params["scale"])
     if family == "weibull":
-        return stats.weibull_min(params["shape"], scale=params["scale"])
+        return _FixedDist(stats.weibull_min, params["shape"], scale=params["scale"])
     if family == "logistic":
-        return stats.logistic(loc=params["loc"], scale=params["scale"])
+        return _FixedDist(stats.logistic, loc=params["loc"], scale=params["scale"])
     if family == "gumbel":
-        return stats.gumbel_r(loc=params["loc"], scale=params["scale"])
+        return _FixedDist(stats.gumbel_r, loc=params["loc"], scale=params["scale"])
     raise ValidationError(f"unknown family {family!r}")
 
 
@@ -471,7 +500,7 @@ def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
     for family in families:
         try:
             params = _FITTERS[family](x)
-            dist = _frozen_dist(family, params)
+            dist = _family_dist(family, params)
             loglik = float(np.sum(dist.logpdf(x)))
             if not np.isfinite(loglik):
                 raise FitError("non-finite likelihood")
@@ -488,7 +517,7 @@ def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
     if best is None:
         raise FitError("no family could be fit: " + "; ".join(f"{c.family}: {c.reason}" for c in candidates))
     density = ParametricDensity(
-        best.family, best.params, _frozen_dist(best.family, best.params), float(x.min()), n
+        best.family, best.params, _family_dist(best.family, best.params), float(x.min()), n
     )
     return FitReport(tuple(candidates), best.family, density)
 

@@ -134,6 +134,33 @@ def test_mle_recovers_generating_parameters(family, seed, sampler, params):
         assert report.density.params[key] == pytest.approx(want, rel=0.08), key
 
 
+_FROZEN = {
+    "normal": lambda p: stats.norm(loc=p["loc"], scale=p["scale"]),
+    "lognormal": lambda p: stats.lognorm(s=p["sigma"], scale=np.exp(p["mu"])),
+    "exponential": lambda p: stats.expon(scale=p["scale"]),
+    "gamma": lambda p: stats.gamma(p["shape"], scale=p["scale"]),
+    "weibull": lambda p: stats.weibull_min(p["shape"], scale=p["scale"]),
+    "logistic": lambda p: stats.logistic(loc=p["loc"], scale=p["scale"]),
+    "gumbel": lambda p: stats.gumbel_r(loc=p["loc"], scale=p["scale"]),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fitted_dist_equals_frozen_scipy_bitwise(family):
+    # The fitted density evaluates its family through the shared scipy
+    # generator; every value must equal what a frozen distribution gives.
+    x = np.random.default_rng(23).gamma(4.0, 3.0, 50)
+    d = fit_parametric(x, families=(family,)).density
+    frozen = _FROZEN[family](d.params)
+    y = np.concatenate([[0.0, 1e-300, 1e-9], np.linspace(x.min(), x.max(), 101), [1e3, 1e6, 1e300]])
+    levels = np.array([0.0, 1e-300, 1e-33, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-12, 1.0])
+    with np.errstate(all="ignore"):
+        for method, points in (("pdf", y), ("cdf", y), ("logpdf", y), ("ppf", levels)):
+            view, ref = getattr(d.dist, method)(points), getattr(frozen, method)(points)
+            assert np.array_equal(view, ref, equal_nan=True), method
+            assert getattr(d.dist, method)(points[3]) == getattr(frozen, method)(points[3]), method
+
+
 def test_single_family_is_always_chosen():
     rng = np.random.default_rng(3)
     report = fit_parametric(rng.normal(10.0, 1.0, 100), families=("normal",))
