@@ -401,23 +401,23 @@ def _fit_logistic(x: np.ndarray) -> dict[str, float]:
 
 
 def _fit_gumbel(x: np.ndarray) -> dict[str, float]:
-    sigma = float(np.std(x, ddof=0))
-    if sigma <= 0:
-        raise FitError("zero spread")
-    beta = sigma * math.sqrt(6.0) / math.pi
+    # The ML scale solves beta = mean - sum(x w) / sum(w) with
+    # w = exp(-(x - min) / beta). In units of spread = mean - min, with
+    # u = (x - min) / spread, that is g(b) = b - 1 + sum(u w) / sum(w) = 0,
+    # w = exp(-u / b) <= 1. g is increasing (g' = 1 + Var_w(u) / b^2),
+    # negative as b -> 0 and nonnegative at b = 1, so [1e-9, 1] brackets
+    # the root at any price scale.
     x_min = float(x.min())
-    mean_x = float(np.mean(x))
-    for _ in range(_MAX_ITER):
-        w = np.exp(-(x - x_min) / beta)
-        beta_new = mean_x - float(np.sum(x * w) / np.sum(w))
-        if beta_new <= 0:
-            raise FitError("scale iteration left the domain")
-        if abs(beta_new - beta) <= _FIT_TOL * (1.0 + beta):
-            beta = beta_new
-            break
-        beta = beta_new
-    else:
-        raise FitError("scale iteration did not converge")
+    spread = float(np.mean(x - x_min))
+    if spread <= 0:
+        raise FitError("zero spread")
+    u = (x - x_min) / spread
+
+    def g(b: float) -> float:
+        w = np.exp(-u / b)
+        return b - 1.0 + float(np.sum(u * w) / np.sum(w))
+
+    beta = spread * float(optimize.brentq(g, 1e-9, 1.0, xtol=1e-12, rtol=1e-12, maxiter=_MAX_ITER))
     w = np.exp(-(x - x_min) / beta)
     loc = x_min - beta * math.log(float(np.mean(w)))
     return {"loc": loc, "scale": beta}
