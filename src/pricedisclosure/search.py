@@ -84,22 +84,32 @@ def _check_n(n_new: int) -> int:
     return n
 
 
+def _min_order(density: Density, n: int, y, weight=1.0):
+    """Cdf, and ``weight`` times pdf, of the minimum of ``n`` i.i.d. draws
+    at ``y``: ``1 - sf**n`` and ``weight * n * pdf * sf**(n - 1)``.
+
+    sf**n from sf = 1 - cdf carries n times the rounding of 1 - cdf, enough
+    at large n to swamp small values and keep quadrature panels from ever
+    meeting tol; the log form keeps the relative accuracy of cdf itself.
+    """
+    f = np.asarray(density.pdf(y), dtype=float)
+    with np.errstate(divide="ignore"):
+        log_sf = np.log1p(-np.asarray(density.cdf(y), dtype=float))
+    sf_rest = np.exp((n - 1) * log_sf) if n > 1 else np.ones_like(log_sf)
+    return -np.expm1(n * log_sf), weight * n * f * sf_rest
+
+
 def min_order_pdf(density: Density, n_new: int, y):
     """Density of the minimum of ``n_new`` i.i.d. draws at ``y``."""
-    n = _check_n(n_new)
     y_arr = np.asarray(y, dtype=float)
-    pdf = np.asarray(density.pdf(y_arr), dtype=float)
-    sf = 1.0 - np.asarray(density.cdf(y_arr), dtype=float)
-    out = n * pdf * sf ** (n - 1)
+    _, out = _min_order(density, _check_n(n_new), y_arr)
     return out if y_arr.ndim else float(out)
 
 
 def min_order_cdf(density: Density, n_new: int, y):
     """Probability that the minimum of ``n_new`` i.i.d. draws is <= ``y``."""
-    n = _check_n(n_new)
     y_arr = np.asarray(y, dtype=float)
-    sf = 1.0 - np.asarray(density.cdf(y_arr), dtype=float)
-    out = 1.0 - sf**n
+    out, _ = _min_order(density, _check_n(n_new), y_arr)
     return out if y_arr.ndim else float(out)
 
 
@@ -139,14 +149,7 @@ def critical_cost(density: Density, q: float, n_new: int) -> CriticalCost:
     depth = forced_depth(q - low, density.feature_scale)
 
     def both_forms(y: np.ndarray) -> np.ndarray:
-        # sf**n from sf = 1 - cdf carries n times the rounding of 1 - cdf,
-        # enough at large n to keep panels from ever meeting tol; the log
-        # form keeps the relative accuracy of cdf itself.
-        f = np.asarray(density.pdf(y), dtype=float)
-        with np.errstate(divide="ignore"):
-            log_sf = np.log1p(-np.asarray(density.cdf(y), dtype=float))
-        sf_rest = np.exp((n - 1) * log_sf) if n > 1 else np.ones_like(log_sf)
-        return np.stack([-np.expm1(n * log_sf), (q - y) * n * f * sf_rest])
+        return np.stack(_min_order(density, n, y, weight=q - y))
 
     def context() -> str:
         return f"q={q}, n_new={n}, interval [{low}, {q}], forced depth {depth}, {density!r}"

@@ -53,6 +53,18 @@ def test_min_order_cdf_dominance_in_n():
         assert np.all(hi >= lo)
 
 
+def test_min_order_log_form_at_large_n():
+    # 1 - (1 - y)**n loses most digits of a small y; the log form keeps them.
+    n = 100000
+    for y in (1e-7, 1e-5, 1e-3):
+        cdf = -np.expm1(n * np.log1p(-y))
+        pdf = n * np.exp((n - 1) * np.log1p(-y))
+        assert min_order_cdf(UNIT, n, y) == pytest.approx(cdf, rel=1e-14, abs=0.0)
+        assert min_order_pdf(UNIT, n, y) == pytest.approx(pdf, rel=1e-14, abs=0.0)
+        vector = np.array([y, y])
+        assert np.array_equal(min_order_cdf(UNIT, n, vector), [min_order_cdf(UNIT, n, y)] * 2)
+
+
 def test_min_order_pdf_is_cdf_derivative():
     d = fit_kde([10.0, 12.0, 15.0, 18.0, 22.0])
     h = 1e-5
