@@ -22,6 +22,13 @@ from .errors import NumericalError, ValidationError
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
+# Most panels one refinement level may hold. Panels that cannot meet their
+# budget double every level, so without a cap an integrand that never
+# converges asks for millions of abscissae before max_depth stops it. The
+# largest worklist the test suite and the benchmark workloads reach is 1014
+# panels (a tie-heavy list at n_new = 100000); the cap leaves 19 times that.
+MAX_PANELS = 20_000
+
 
 def adaptive_simpson(
     f: Integrand,
@@ -39,15 +46,18 @@ def adaptive_simpson(
     ``(k,)``, arrays of length ``m`` for one returning ``(m, k)``, and
     ``(0.0, 0.0)`` for an empty interval, where ``f`` is never called. Raises
     :class:`NumericalError` if any subinterval fails to converge within
-    ``max_depth`` bisections. ``min_depth`` forces that many bisection
+    ``max_depth`` bisections, or as soon as the next level's worklist would
+    exceed ``MAX_PANELS``. ``min_depth`` forces that many bisection
     levels before convergence may be accepted: integrands whose mass sits
     in a narrow bump can look identically zero to the coarse probe, and
     the forced refinement keeps such bumps from being skipped over. The
     ``4 * 2**min_depth + 1`` abscissae of the forced levels are evaluated
-    in one integrand call.
+    in one integrand call; ``2**min_depth`` may not exceed ``MAX_PANELS``.
     """
     if not 0 <= min_depth <= max_depth:
         raise ValidationError(f"need 0 <= min_depth <= max_depth, got {min_depth}, {max_depth}")
+    if 2**min_depth > MAX_PANELS:
+        raise ValidationError(f"min_depth {min_depth} forces more than MAX_PANELS={MAX_PANELS} panels")
     if a == b:
         return 0.0, 0.0
     sign = 1.0
@@ -82,10 +92,12 @@ def adaptive_simpson(
         err = (s_left + s_right - whole) / 15.0
         converged = np.abs(err) <= budget
         done = converged if converged.ndim == 1 else converged.all(axis=0)
-        if depth == max_depth and not done.all():
+        unfinished = int(np.count_nonzero(~done))
+        if unfinished and (depth == max_depth or 2 * unfinished > MAX_PANELS):
             pending = np.sum(np.abs(err[..., ~done]), axis=-1)
             raise NumericalError(
-                f"adaptive Simpson did not converge at depth {max_depth}",
+                f"adaptive Simpson did not converge at depth {depth}: {unfinished} panels "
+                f"pending (max_depth {max_depth}, MAX_PANELS {MAX_PANELS})",
                 error_estimate=float(np.max(err_total + pending)),
             )
         # compress keeps each row contiguous, so a row sums exactly as it

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pricedisclosure.errors import NumericalError, ValidationError
-from pricedisclosure.quadrature import adaptive_simpson
+from pricedisclosure.quadrature import MAX_PANELS, adaptive_simpson
 
 
 def test_cubic_is_exact():
@@ -125,3 +125,21 @@ def test_min_depth_validated_before_integrand_is_called():
     with pytest.raises(ValidationError):
         adaptive_simpson(lambda y: calls.append(y) or y, 1.0, 1.0, min_depth=41, max_depth=40)
     assert calls == []
+
+
+def test_worklist_cap_stops_a_noise_integrand_early():
+    # Seeded noise never converges; every panel stays active, and the
+    # worklist doubles each level until the cap, far below max_depth.
+    rng = np.random.default_rng(29)
+    asked = []
+
+    def noise(y):
+        asked.append(y.size)
+        return rng.standard_normal(y.size)
+
+    with pytest.raises(NumericalError, match="MAX_PANELS") as info:
+        adaptive_simpson(noise, 0.0, 1.0)
+    assert sum(asked) < 4 * MAX_PANELS
+    assert info.value.error_estimate > 0.0
+    with pytest.raises(ValidationError):
+        adaptive_simpson(noise, 0.0, 1.0, min_depth=MAX_PANELS.bit_length())
