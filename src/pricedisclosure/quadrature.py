@@ -92,9 +92,10 @@ def adaptive_simpson(
         err = (s_left + s_right - whole) / 15.0
         converged = np.abs(err) <= budget
         done = converged if converged.ndim == 1 else converged.all(axis=0)
-        unfinished = int(np.count_nonzero(~done))
+        active = ~done
+        unfinished = int(np.count_nonzero(active))
         if unfinished and (depth == max_depth or 2 * unfinished > MAX_PANELS):
-            pending = np.sum(np.abs(err[..., ~done]), axis=-1)
+            pending = np.sum(np.abs(err[..., active]), axis=-1)
             raise NumericalError(
                 f"adaptive Simpson did not converge at depth {depth}: {unfinished} panels "
                 f"pending (max_depth {max_depth}, MAX_PANELS {MAX_PANELS})",
@@ -105,8 +106,7 @@ def adaptive_simpson(
         accepted = np.compress(done, s_left + s_right + err, axis=-1)
         total += np.sum(accepted, axis=-1)
         err_total += np.sum(np.abs(np.compress(done, err, axis=-1)), axis=-1)
-        active = ~done
-        if not active.any():
+        if not unfinished:
             break
         half = budget[active] / 2.0
         xa, xm, xb, fa, fm, fb, whole, budget = (
