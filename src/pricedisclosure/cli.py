@@ -112,10 +112,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         }
     hi = density.quantile(1.0 - 1e-6)
     grid_y = np.linspace(density.support_low, hi, 512)
-    payload["grid"] = [
-        [float(y), float(density.pdf(float(y))), float(density.cdf(float(y)))]
-        for y in grid_y
-    ]
+    payload["grid"] = np.column_stack([grid_y, density.pdf(grid_y), density.cdf(grid_y)]).tolist()
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -25,6 +25,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 _MAX_ITER = 200
 _FIT_TOL = 1e-9
+# The gamma shape equation is solved once its residual is within this many
+# ulps of log(shape), the precision its terms are computed to.
+_GAMMA_RESIDUAL_ULPS = 4
 QUANTILE_TOL = 1e-6
 
 # KDE sums run in row blocks of at most this many (point, sample) doubles,
@@ -127,12 +130,34 @@ class UniformDensity(Density):
         return self.low + p * (self.high - self.low)
 
 
+def _linear_percentile(ordered: np.ndarray, level: float) -> float:
+    """np.percentile's default (linear) rule on a sorted sample, with the
+    same arithmetic: numpy's ``_lerp`` interpolates from the upper neighbour
+    when the fraction is at least one half."""
+    last = ordered.size - 1
+    index = level * last
+    below = math.floor(index)
+    t = index - below
+    a = float(ordered[below])
+    b = float(ordered[min(below + 1, last)])
+    diff = b - a
+    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+
+
 def silverman_bandwidth(x: np.ndarray) -> float:
-    """Silverman's rule of thumb with an IQR guard and a zero-spread fallback."""
+    """Silverman's rule of thumb with an IQR guard and a zero-spread fallback.
+
+    Equal bit for bit to ``np.std(x, ddof=1)`` and ``np.percentile(x, [75,
+    25])`` in the formula, at a fraction of their fixed cost per call."""
     n = x.size
-    sigma = float(np.std(x, ddof=1)) if n > 1 else 0.0
-    q75, q25 = np.percentile(x, [75.0, 25.0])
-    iqr = float(q75 - q25)
+    if n > 1:
+        # np.std's own steps: pairwise sums in sample order
+        d = x - np.add.reduce(x) / n
+        sigma = math.sqrt(np.add.reduce(d * d) / (n - 1))
+    else:
+        sigma = 0.0
+    ordered = np.sort(x)
+    iqr = _linear_percentile(ordered, 0.75) - _linear_percentile(ordered, 0.25)
     candidates = [s for s in (sigma, iqr / 1.34) if s > 0.0]
     if not candidates:
         return max(0.01 * float(np.mean(x)), 0.01)
@@ -168,27 +193,35 @@ class KernelDensity(Density):
     def _kernel_mean(self, y: np.ndarray, kernel) -> np.ndarray:
         """Mean of ``kernel((y - sample) / h)`` over the sample, per point,
         in row blocks; each row is the same sum a dense matrix gives."""
+        n = self.sample.size
+        rows = max(1, KDE_BLOCK_DOUBLES // n)
+        if y.size <= rows:
+            # np.mean's arithmetic without its per-call set-up
+            return np.add.reduce(kernel((y[:, None] - self.sample) / self.bandwidth), axis=1) / n
         out = np.empty(y.size)
-        rows = max(1, KDE_BLOCK_DOUBLES // self.sample.size)
         for start in range(0, y.size, rows):
-            z = (y[start : start + rows, None] - self.sample[None, :]) / self.bandwidth
-            out[start : start + rows] = np.mean(kernel(z), axis=1)
+            z = (y[start : start + rows, None] - self.sample) / self.bandwidth
+            out[start : start + rows] = np.add.reduce(kernel(z), axis=1) / n
         return out
 
     def pdf(self, y):
         y = np.asarray(y, dtype=float)
         points = np.atleast_1d(y)
         raw = self._kernel_mean(points, lambda z: np.exp(-0.5 * z * z))
-        raw = raw / (self.bandwidth * _SQRT_2PI)
-        out = np.where(points >= 0.0, raw / self._mass_above_zero, 0.0)
+        out = raw / (self.bandwidth * _SQRT_2PI) / self._mass_above_zero
+        inside = points >= 0.0
+        if not inside.all():
+            out = np.where(inside, out, 0.0)
         return out if y.ndim else float(out[0])
 
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
         points = np.atleast_1d(y)
         raw = self._kernel_mean(points, special.ndtr)
-        out = np.clip((raw - self._below_zero) / self._mass_above_zero, 0.0, 1.0)
-        out = np.where(points >= 0.0, out, 0.0)
+        out = np.minimum(np.maximum((raw - self._below_zero) / self._mass_above_zero, 0.0), 1.0)
+        inside = points >= 0.0
+        if not inside.all():
+            out = np.where(inside, out, 0.0)
         return out if y.ndim else float(out[0])
 
     def _quantile_hint(self) -> float:
@@ -230,9 +263,17 @@ class ParametricDensity(Density):
 
     def pdf(self, y):
         y = np.asarray(y, dtype=float)
-        with np.errstate(over="ignore"):
-            raw = self.dist.pdf(np.atleast_1d(y)) / self._mass_above_zero
-        out = np.where(np.atleast_1d(y) >= 0.0, raw, 0.0)
+        points = np.atleast_1d(y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = self.dist.pdf(points)
+            # Far in a tail a kernel can meet inf * 0 (weibull with a huge
+            # shape: x**(c-1) * exp(-x**c)); the density's limit there is 0,
+            # which exp(logpdf) gives.
+            lost = np.isnan(raw)
+            if lost.any():
+                lost &= ~np.isnan(points)
+                raw[lost] = np.exp(self.dist.logpdf(points[lost]))
+        out = np.where(points >= 0.0, raw / self._mass_above_zero, 0.0)
         return out if y.ndim else float(out[0])
 
     def cdf(self, y):
@@ -335,6 +376,10 @@ def _fit_gamma(x: np.ndarray) -> dict[str, float]:
         if abs(k_new - k) <= _FIT_TOL * (1.0 + k):
             k = k_new
             break
+        # On a tight cluster s is tiny and k huge: the residual bottoms out
+        # at the rounding of log k, and the steps it drives alternate.
+        if abs(f) <= _GAMMA_RESIDUAL_ULPS * math.ulp(math.log(k)):
+            break
         k = k_new
     else:
         raise FitError("shape iteration did not converge")
@@ -426,30 +471,80 @@ def _fit_gumbel(x: np.ndarray) -> dict[str, float]:
 class _FixedDist:
     """A scipy distribution at fixed parameters.
 
-    Calls the shared module-level generator (``stats.norm`` and so on) with
-    the stored args and kwds, exactly as a frozen distribution forwards
-    them, but without the new generator instance every freeze builds: that
-    set-up (docstring formatting, argument parsers) cost more than a fit.
+    Parses the arguments of the shared module-level generator
+    (``stats.norm`` and so on) once, then evaluates through its
+    ``_pdf``/``_logpdf``/``_cdf``/``_ppf`` kernels with the support masks,
+    ``badvalue``, NaN and bound handling of ``rv_continuous``'s public
+    methods, so every value equals the public method's bit for bit. A
+    frozen distribution would build a generator instance per freeze, and a
+    public call parses and broadcasts its arguments every time; both cost
+    several times the kernels on the short arrays a fit evaluates.
     """
 
-    __slots__ = ("gen", "args", "kwds")
+    __slots__ = ("gen", "shapes", "loc", "scale", "valid")
 
     def __init__(self, gen, *args, **kwds):
+        shapes, loc, scale = gen._parse_args(*args, **kwds)
         self.gen = gen
-        self.args = args
-        self.kwds = kwds
+        self.loc = np.asarray(loc)
+        self.scale = np.asarray(scale)
+        # One-element arrays: the form argsreduce hands the kernels
+        self.shapes = tuple(np.atleast_1d(np.asarray(a)) for a in shapes)
+        self.valid = bool(gen._argcheck(*self.shapes) & (self.scale > 0) & (self.loc == self.loc))
+
+    def _points(self, x):
+        """Points in the generator's standard form, (x - loc) / scale."""
+        x = np.asarray(x)
+        return np.asarray((x - self.loc) / self.scale, dtype=np.promote_types(x.dtype, np.float64))
+
+    @staticmethod
+    def _result(out):
+        return out[()] if out.ndim == 0 else out
+
+    def _evaluate(self, kernel, x, cond, out):
+        """Fill ``out`` where ``cond`` holds, as rv_continuous does: NaN
+        points get ``badvalue``, the rest keep the fill."""
+        if not self.valid:
+            out.fill(self.gen.badvalue)
+            return self._result(out)
+        np.putmask(out, np.isnan(x), self.gen.badvalue)
+        if cond.any():
+            np.place(out, cond, kernel(x[cond], *self.shapes))
+        return self._result(out)
 
     def pdf(self, x):
-        return self.gen.pdf(x, *self.args, **self.kwds)
+        x = self._points(x)
+        return self._evaluate(
+            lambda z, *shapes: self.gen._pdf(z, *shapes) / self.scale,
+            x, self.gen._support_mask(x, *self.shapes), np.zeros(x.shape, x.dtype),
+        )
 
     def logpdf(self, x):
-        return self.gen.logpdf(x, *self.args, **self.kwds)
+        x = self._points(x)
+        log_scale = np.log(np.atleast_1d(self.scale))
+        return self._evaluate(
+            lambda z, *shapes: self.gen._logpdf(z, *shapes) - log_scale,
+            x, self.gen._support_mask(x, *self.shapes), np.full(x.shape, -np.inf, x.dtype),
+        )
 
     def cdf(self, x):
-        return self.gen.cdf(x, *self.args, **self.kwds)
+        x = self._points(x)
+        out = np.zeros(x.shape, x.dtype)
+        np.place(out, x >= self.gen._get_support(*self.shapes)[1], 1.0)
+        return self._evaluate(self.gen._cdf, x, self.gen._open_support_mask(x, *self.shapes), out)
 
     def ppf(self, q):
-        return self.gen.ppf(q, *self.args, **self.kwds)
+        q = np.asarray(q)
+        out = np.full(q.shape, self.gen.badvalue)
+        if not self.valid:
+            return self._result(out)
+        a, b = self.gen._get_support(*self.shapes)
+        np.place(out, q == 0, np.atleast_1d(a * self.scale + self.loc))
+        np.place(out, q == 1, np.atleast_1d(b * self.scale + self.loc))
+        cond = (0 < q) & (q < 1)
+        if cond.any():
+            np.place(out, cond, self.gen._ppf(q[cond], *self.shapes) * self.scale + self.loc)
+        return self._result(out)
 
 
 def _family_dist(family: str, params: dict[str, float]) -> _FixedDist:

@@ -95,10 +95,8 @@ def evaluate_subset(subset: PriceList, n_new: int, estimator: str = "kde") -> Cr
 
 def evaluate_subset_uncached(subset: PriceList, n_new: int, estimator: str = "kde") -> CriticalCost:
     """Same computation as :func:`evaluate_subset` without memoization;
-    used by the benchmark harness so timings measure real work."""
-    values = subset.values()
-    density = fit_estimator(values, estimator)
-    return critical_cost(density, float(values.min()), int(n_new))
+    used to time real work (``disclose --deadline-ms``)."""
+    return _evaluate_cents.__wrapped__(tuple(sorted(e.cents for e in subset.entries)), int(n_new), estimator)
 
 
 def _present(prices: PriceList, indices) -> PriceList:

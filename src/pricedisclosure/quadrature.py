@@ -65,31 +65,35 @@ def adaptive_simpson(
         a, b = b, a
         sign = -1.0
 
+    # The worklist: abscissae (xa, lm, xm, rm, xb) per panel as the rows of
+    # x, shape (5, panels), and the integrand there as v, shape (..., 5,
+    # panels). Panels of one level share their depth, hence one budget.
     panels = 2**min_depth
     grid = np.linspace(a, b, 4 * panels + 1)
     values = np.asarray(f(grid), dtype=float)
     if not np.all(np.isfinite(values)):
         raise NumericalError(f"integrand not finite on [{a}, {b}]")
-    xa, lm, xm, rm = (grid[i : i + 4 * panels : 4] for i in range(4))
-    xb = grid[4::4]
-    fa, flm, fm, frm = (values[..., i : i + 4 * panels : 4] for i in range(4))
-    fb = values[..., 4::4]
-    whole = (xb - xa) / 6.0 * (fa + 4.0 * fm + fb)
-    budget = np.full(panels, tol / panels)
+    x = np.empty((5, panels))
+    x[:4] = grid[:-1].reshape(panels, 4).T
+    x[4] = grid[4::4]
+    v = np.empty(values.shape[:-1] + (5, panels))
+    v[..., :4, :] = np.swapaxes(values[..., :-1].reshape(values.shape[:-1] + (panels, 4)), -1, -2)
+    v[..., 4, :] = values[..., 4::4]
+    whole = (x[4] - x[0]) / 6.0 * (v[..., 0, :] + 4.0 * v[..., 2, :] + v[..., 4, :])
+    budget = tol / panels
 
     total = np.zeros(values.shape[:-1])
     err_total = np.zeros(values.shape[:-1])
     for depth in range(min_depth, max_depth + 1):
         if depth > min_depth:
-            count = lm.size
-            mid_vals = np.asarray(f(np.concatenate([lm, rm])), dtype=float)
+            mid_vals = np.asarray(f(x[1::2].ravel()), dtype=float)
             if not np.all(np.isfinite(mid_vals)):
                 raise NumericalError("integrand not finite during refinement")
-            flm = mid_vals[..., :count]
-            frm = mid_vals[..., count:]
-        s_left = (xm - xa) / 6.0 * (fa + 4.0 * flm + fm)
-        s_right = (xb - xm) / 6.0 * (fm + 4.0 * frm + fb)
-        err = (s_left + s_right - whole) / 15.0
+            v[..., 1::2, :] = mid_vals.reshape(v.shape[:-2] + (2, -1))
+        # Both halves at once: row 0 is [xa, xm], row 1 is [xm, xb]
+        halves = (x[2::2] - x[:3:2]) / 6.0 * (v[..., :3:2, :] + 4.0 * v[..., 1::2, :] + v[..., 2::2, :])
+        pair = halves[..., 0, :] + halves[..., 1, :]
+        err = (pair - whole) / 15.0
         converged = np.abs(err) <= budget
         done = converged if converged.ndim == 1 else converged.all(axis=0)
         active = ~done
@@ -103,24 +107,22 @@ def adaptive_simpson(
             )
         # compress keeps each row contiguous, so a row sums exactly as it
         # would in a scalar run
-        accepted = np.compress(done, s_left + s_right + err, axis=-1)
+        accepted = np.compress(done, pair + err, axis=-1)
         total += np.sum(accepted, axis=-1)
         err_total += np.sum(np.abs(np.compress(done, err, axis=-1)), axis=-1)
         if not unfinished:
             break
-        half = budget[active] / 2.0
-        xa, xm, xb, fa, fm, fb, whole, budget = (
-            np.concatenate([xa[active], xm[active]]),
-            np.concatenate([lm[active], rm[active]]),
-            np.concatenate([xm[active], xb[active]]),
-            np.concatenate([fa[..., active], fm[..., active]], axis=-1),
-            np.concatenate([flm[..., active], frm[..., active]], axis=-1),
-            np.concatenate([fm[..., active], fb[..., active]], axis=-1),
-            np.concatenate([s_left[..., active], s_right[..., active]], axis=-1),
-            np.concatenate([half, half]),
-        )
-        lm = 0.5 * (xa + xm)
-        rm = 0.5 * (xm + xb)
+        # Children, every left half before every right half: [xa, lm, xm]
+        # and [xm, rm, xb] become the (xa, xm, xb) rows of the next level.
+        budget /= 2.0
+        whole = halves[..., active].reshape(halves.shape[:-2] + (-1,))
+        x_kept = x[:, active]
+        x = np.empty((5, 2 * unfinished))
+        np.concatenate([x_kept[:3], x_kept[2:]], axis=1, out=x[::2])
+        np.multiply(0.5, x[:3:2] + x[2::2], out=x[1::2])
+        v_kept = v[..., active]
+        v = np.empty(v.shape[:-1] + (2 * unfinished,))
+        np.concatenate([v_kept[..., :3, :], v_kept[..., 2:, :]], axis=-1, out=v[..., ::2, :])
     if total.ndim == 0:
         return sign * float(total), float(err_total)
     return sign * total, err_total

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from pricedisclosure.cli import main
-from pricedisclosure.data import PriceEntry, PriceList, write_prices
+from pricedisclosure.data import PriceEntry, PriceList, load_prices, write_prices
+from pricedisclosure.density import fit_kde, fit_parametric
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,18 @@ def test_fit_parametric_json(capsys, small_csv):
         "normal", "lognormal", "exponential", "gamma", "weibull", "logistic", "gumbel"
     }
     assert len(payload["candidates"]) == 7
+
+
+@pytest.mark.parametrize("method", ["kde", "parametric"])
+def test_fit_grid_equals_per_point_values(capsys, small_csv, method):
+    # The grid is evaluated in two array calls; every row must carry the
+    # bits of one scalar pdf and cdf call at its point.
+    code, out, _ = run(capsys, "fit", "--data", small_csv, "--method", method)
+    assert code == 0
+    values = load_prices(small_csv).values()
+    density = fit_kde(values) if method == "kde" else fit_parametric(values).density
+    grid = json.loads(out)["grid"]
+    assert grid == [[y, density.pdf(y), density.cdf(y)] for y, _, _ in grid]
 
 
 def test_simulate_csv(capsys, small_csv, tmp_path):

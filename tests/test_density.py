@@ -1,6 +1,7 @@
 """Density estimation: KDE, parametric MLE with BIC selection, quantiles,
 and equal-mass price generation."""
 
+import math
 import warnings
 
 import numpy as np
@@ -51,13 +52,27 @@ def test_kde_zero_spread_bandwidth_fallback():
     assert d.bandwidth == max(0.01 * 100.0, 0.01)
 
 
+def _silverman_reference(x):
+    """The rule written with numpy's own std and percentile."""
+    n = x.size
+    sigma = float(np.std(x, ddof=1)) if n > 1 else 0.0
+    q75, q25 = np.percentile(x, [75.0, 25.0])
+    candidates = [s for s in (sigma, float(q75 - q25) / 1.34) if s > 0.0]
+    if not candidates:
+        return max(0.01 * float(np.mean(x)), 0.01)
+    return 0.9 * min(candidates) * n ** (-0.2)
+
+
 def test_silverman_formula():
     rng = np.random.default_rng(11)
-    x = rng.lognormal(3.0, 0.4, size=200)
-    sigma = np.std(x, ddof=1)
-    iqr = np.subtract(*np.percentile(x, [75, 25]))
-    expected = 0.9 * min(sigma, iqr / 1.34) * 200 ** (-0.2)
-    assert silverman_bandwidth(x) == pytest.approx(expected, rel=1e-12)
+    samples = [rng.lognormal(3.0, 0.4, size=200)]
+    for n in (1, 2, 3, 4, 5, 7, 30, 103, 1000):
+        samples.append(rng.lognormal(5.0, 0.3, size=n))
+        samples.append(rng.choice([297.0, 297.01, 299.5], size=n))  # ties
+    samples.append(np.full(6, 42.0))  # zero spread
+    for x in samples:
+        for scaled in (x, x * 1e-2, x * 1e3):
+            assert silverman_bandwidth(scaled) == _silverman_reference(scaled), scaled.size
 
 
 def test_kde_cdf_boundaries():
@@ -145,20 +160,71 @@ _FROZEN = {
 }
 
 
+_EDGE_LISTS = {
+    "one_cent": np.repeat([297.0, 297.01], 15),  # weibull shape ~7e4, gamma shape ~3.5e9
+    "outlier": np.append(np.full(29, 50.0), 5000.0),
+}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_fitted_dist_equals_frozen_scipy_bitwise(family):
     # The fitted density evaluates its family through the shared scipy
-    # generator; every value must equal what a frozen distribution gives.
-    x = np.random.default_rng(23).gamma(4.0, 3.0, 50)
-    d = fit_parametric(x, families=(family,)).density
-    frozen = _FROZEN[family](d.params)
-    y = np.concatenate([[0.0, 1e-300, 1e-9], np.linspace(x.min(), x.max(), 101), [1e3, 1e6, 1e300]])
-    levels = np.array([0.0, 1e-300, 1e-33, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-12, 1.0])
+    # generator's kernels; every value must equal what a frozen
+    # distribution gives, NaN and out-of-support points included.
+    draw = np.random.default_rng(23).gamma(4.0, 3.0, 50)
+    levels = np.array([0.0, 1e-300, 1e-33, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-12, 1.0, -0.5, 1.5, np.nan])
+    for x in (draw, *_EDGE_LISTS.values()):
+        d = fit_parametric(x, families=(family,)).density
+        frozen = _FROZEN[family](d.params)
+        y = np.concatenate([
+            [0.0, 1e-300, 1e-9],
+            np.linspace(x.min(), x.max(), 101),
+            [1e3, 1e6, 1e300],
+            np.linspace(0.0, 2.0 * x.max(), 257),
+            [-1e300, -5.0, -1e-300, -0.0, np.nan, np.inf, -np.inf],
+        ])
+        with np.errstate(all="ignore"):
+            for method, points in (("pdf", y), ("cdf", y), ("logpdf", y), ("ppf", levels)):
+                view, ref = getattr(d.dist, method)(points), getattr(frozen, method)(points)
+                assert np.array_equal(view, ref, equal_nan=True), method
+                for i in (3, -3, -1):
+                    one, want = getattr(d.dist, method)(points[i]), getattr(frozen, method)(points[i])
+                    assert type(one) is type(want), method
+                    assert one == want or (np.isnan(one) and np.isnan(want)), (method, points[i])
+
+
+def test_weibull_far_tail_pdf_is_zero_not_nan():
+    # A huge shape makes the kernel x**(c-1) * exp(-x**c) meet inf * 0
+    # above ~1.015x the scale; the density there is 0. Finite values keep
+    # the bits of the distribution's own pdf.
+    x = _EDGE_LISTS["one_cent"]
+    grid = np.linspace(0.0, 2.0 * x.max(), 257)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = fit_parametric(x, families=("weibull",)).density
+        assert d.params["shape"] > 7e4
+        pdf = d.pdf(grid)
     with np.errstate(all="ignore"):
-        for method, points in (("pdf", y), ("cdf", y), ("logpdf", y), ("ppf", levels)):
-            view, ref = getattr(d.dist, method)(points), getattr(frozen, method)(points)
-            assert np.array_equal(view, ref, equal_nan=True), method
-            assert getattr(d.dist, method)(points[3]) == getattr(frozen, method)(points[3]), method
+        raw = d.dist.pdf(grid)
+    lost = np.isnan(raw)
+    assert lost.sum() > 100 and np.all(grid[lost] > 1.01 * d.params["scale"])
+    assert np.all(pdf[lost] == 0.0)
+    assert np.array_equal(pdf[~lost], raw[~lost] / d._mass_above_zero)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-2, 1e3])
+def test_gamma_fits_a_one_cent_cluster(scale):
+    # The shape is ~3.5e9; Newton's residual log k - digamma(k) - s sits at
+    # the rounding of log k, and its steps would alternate forever.
+    x = _EDGE_LISTS["one_cent"] * scale
+    report = fit_parametric(x)
+    gamma = next(c for c in report.candidates if c.family == "gamma")
+    assert not gamma.skipped, gamma.reason
+    k = gamma.params["shape"]
+    s = float(np.log(np.mean(x)) - np.mean(np.log(x)))
+    residual = math.log(k) - float(special.digamma(k)) - s
+    assert abs(residual) <= 4 * math.ulp(math.log(k))
+    assert report.best_family == "weibull"
 
 
 def test_single_family_is_always_chosen():
@@ -303,17 +369,23 @@ def test_equal_mass_validation():
 
 
 def test_blocked_kde_sums_equal_one_dense_block():
+    # 5000 samples take several row blocks, 30 one; either way each row is
+    # the dense matrix's np.mean, truncated with np.clip and np.where.
     rng = np.random.default_rng(17)
-    d = fit_kde(rng.lognormal(5.0, 0.3, 5000))
-    y = np.linspace(0.0, 400.0, 1025)
-    assert y.size * d.sample.size > KDE_BLOCK_DOUBLES  # several blocks
-    z = (y[:, None] - d.sample[None, :]) / d.bandwidth
-    dense_pdf = np.mean(np.exp(-0.5 * z * z), axis=1) / (d.bandwidth * np.sqrt(2.0 * np.pi))
-    dense_cdf = np.mean(special.ndtr(z), axis=1)
-    assert np.array_equal(d.pdf(y), dense_pdf / d._mass_above_zero)
-    assert np.array_equal(
-        d.cdf(y), np.clip((dense_cdf - d._below_zero) / d._mass_above_zero, 0.0, 1.0)
-    )
+    y = np.concatenate([np.linspace(0.0, 400.0, 1025), [-3.0, np.nan, -np.inf, np.inf]])
+    for size in (5000, 30):
+        d = fit_kde(rng.lognormal(5.0, 0.3, size))
+        assert (y.size * d.sample.size > KDE_BLOCK_DOUBLES) == (size == 5000)
+        z = (y[:, None] - d.sample[None, :]) / d.bandwidth
+        dense_pdf = np.mean(np.exp(-0.5 * z * z), axis=1) / (d.bandwidth * np.sqrt(2.0 * np.pi))
+        dense_cdf = np.mean(special.ndtr(z), axis=1)
+        inside = y >= 0.0
+        assert np.array_equal(d.pdf(y), np.where(inside, dense_pdf / d._mass_above_zero, 0.0))
+        assert np.array_equal(
+            d.cdf(y),
+            np.where(inside, np.clip((dense_cdf - d._below_zero) / d._mass_above_zero, 0.0, 1.0), 0.0),
+        )
+        assert np.array_equal(d.pdf(y[:1025]), dense_pdf[:1025] / d._mass_above_zero)
 
 
 def test_kde_effective_low_and_feature_scale():

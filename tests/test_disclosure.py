@@ -60,6 +60,11 @@ def test_evaluate_subset_is_pure_and_cached():
     assert a.value == b.value
     uncached = evaluate_subset_uncached(SMALL, 5)
     assert uncached.value == a.value
+    # Both paths fit the sorted sample, so an unsorted list agrees bit for bit.
+    cents = np.random.default_rng(7).permutation([e.cents for e in SMALL.entries])
+    shuffled = make_prices([int(c) for c in cents])
+    for estimator in ("kde", "parametric"):
+        assert evaluate_subset_uncached(shuffled, 5, estimator) == evaluate_subset(shuffled, 5, estimator)
 
 
 def test_evaluate_singleton_positive():

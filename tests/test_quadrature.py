@@ -143,3 +143,56 @@ def test_worklist_cap_stops_a_noise_integrand_early():
     assert info.value.error_estimate > 0.0
     with pytest.raises(ValidationError):
         adaptive_simpson(noise, 0.0, 1.0, min_depth=MAX_PANELS.bit_length())
+
+
+def _reference_simpson(f, a, b, tol=1e-8, min_depth=0, max_depth=40):
+    """The worklist as separate per-abscissa arrays, each level's children
+    concatenated one array at a time: the arithmetic adaptive_simpson must
+    reproduce bit for bit (error paths left out)."""
+    panels = 2**min_depth
+    grid = np.linspace(a, b, 4 * panels + 1)
+    values = np.asarray(f(grid), dtype=float)
+    xa, lm, xm, rm = (grid[i : i + 4 * panels : 4] for i in range(4))
+    xb = grid[4::4]
+    fa, flm, fm, frm = (values[..., i : i + 4 * panels : 4] for i in range(4))
+    fb = values[..., 4::4]
+    whole = (xb - xa) / 6.0 * (fa + 4.0 * fm + fb)
+    budget = np.full(panels, tol / panels)
+    total = np.zeros(values.shape[:-1])
+    err_total = np.zeros(values.shape[:-1])
+    for depth in range(min_depth, max_depth + 1):
+        if depth > min_depth:
+            mid = np.asarray(f(np.concatenate([lm, rm])), dtype=float)
+            flm, frm = mid[..., : lm.size], mid[..., lm.size :]
+        s_left = (xm - xa) / 6.0 * (fa + 4.0 * flm + fm)
+        s_right = (xb - xm) / 6.0 * (fm + 4.0 * frm + fb)
+        err = (s_left + s_right - whole) / 15.0
+        converged = np.abs(err) <= budget
+        done = converged if converged.ndim == 1 else converged.all(axis=0)
+        total += np.sum(np.compress(done, s_left + s_right + err, axis=-1), axis=-1)
+        err_total += np.sum(np.abs(np.compress(done, err, axis=-1)), axis=-1)
+        active = ~done
+        if not active.any():
+            return total, err_total
+        keep = lambda *rows: [np.concatenate([r[..., active] for r in pair], axis=-1) for pair in rows]
+        xa, xm, xb, fa, fm, fb, whole = keep(
+            (xa, xm), (lm, rm), (xm, xb), (fa, fm), (flm, frm), (fm, fb), (s_left, s_right)
+        )
+        budget = np.concatenate([budget[active] / 2.0] * 2)
+        lm, rm = 0.5 * (xa + xm), 0.5 * (xm + xb)
+    raise AssertionError("reference did not converge")
+
+
+@pytest.mark.parametrize("min_depth", [0, 1, 3, 8])
+def test_worklist_matches_reference_bitwise(min_depth):
+    rates = np.array([1.0, 1.0001, 3.0])
+    cases = [
+        (np.exp, 0.0, 2.0, 1e-10),
+        (lambda y: np.sqrt(np.abs(y)), 0.0, 1.0, 1e-6),
+        (lambda y: np.exp(-0.5 * ((y - 260.0) / 2.0) ** 2), 0.0, 300.0, 1e-9),
+        (lambda y: np.stack([np.sqrt(y), np.exp(rates[:, None] * y).sum(axis=0)]), 0.0, 1.0, 1e-6),
+    ]
+    for f, a, b, tol in cases:
+        value, err = adaptive_simpson(f, a, b, tol=tol, min_depth=min_depth)
+        ref_value, ref_err = _reference_simpson(f, a, b, tol=tol, min_depth=min_depth)
+        assert np.array_equal(value, ref_value) and np.array_equal(err, ref_err)
