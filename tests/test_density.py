@@ -151,7 +151,7 @@ def test_mle_recovers_generating_parameters(family, seed, sampler, params):
 
 _FROZEN = {
     "normal": lambda p: stats.norm(loc=p["loc"], scale=p["scale"]),
-    "lognormal": lambda p: stats.lognorm(s=p["sigma"], scale=np.exp(p["mu"])),
+    "lognormal": lambda p: stats.lognorm(s=p["sigma"], scale=math.exp(p["mu"])),
     "exponential": lambda p: stats.expon(scale=p["scale"]),
     "gamma": lambda p: stats.gamma(p["shape"], scale=p["scale"]),
     "weibull": lambda p: stats.weibull_min(p["shape"], scale=p["scale"]),

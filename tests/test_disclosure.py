@@ -1,8 +1,11 @@
 """Subset-selection strategies: oracle, Monte-Carlo, interval, minimal."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from pricedisclosure import disclosure
 from pricedisclosure.data import PriceEntry, PriceList
 from pricedisclosure.disclosure import (
     DisclosureConstraints,
@@ -65,6 +68,16 @@ def test_evaluate_subset_is_pure_and_cached():
     shuffled = make_prices([int(c) for c in cents])
     for estimator in ("kde", "parametric"):
         assert evaluate_subset_uncached(shuffled, 5, estimator) == evaluate_subset(shuffled, 5, estimator)
+
+
+def test_uncached_evaluation_bypasses_a_wrapped_cache(monkeypatch):
+    # A wrapper over the cache, as a tracer installs, must not route the
+    # uncached path through it.
+    clear_evaluation_cache()
+    cached = disclosure._evaluate_cents
+    monkeypatch.setattr(disclosure, "_evaluate_cents", functools.wraps(cached)(lambda *a: cached(*a)))
+    evaluate_subset_uncached(SMALL, 5)
+    assert cached.cache_info().currsize == 0
 
 
 def test_evaluate_singleton_positive():
