@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -211,17 +212,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         raise ValidationError("config needs a 'data' path or a 'builtin' name")
     estimator = raw.pop("estimator", "kde")
-    allowed = {
-        "csa_listing_mean",
-        "overlap_rate",
-        "rho",
-        "initial_set_size_n",
-        "trials",
-        "base_seed",
-        "stated_minimum",
-        "csa_draw_count",
-        "product_id",
-    }
+    allowed = {f.name for f in dataclasses.fields(MarketConfig)} - {"true_density", "estimator"}
     unknown = sorted(set(raw) - allowed)
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")

@@ -1,15 +1,29 @@
 """Subset-selection strategies for price disclosure.
 
 A disclosing agent must publish at least ``rho`` of its ``n`` prices,
-always including the minimum. Every strategy below searches for the subset
+always including the minimum. Every strategy searches for the subset
 whose fitted density yields the lowest critical cost, i.e. the disclosure
-that makes further querying look least worthwhile:
+that makes further querying look least worthwhile. The strategies differ
+only in the candidates they generate; one loop, ``_select``, evaluates
+them all:
 
-- ``brute_force_disclose``: exhaustive oracle, guarded by a candidate cap.
-- ``monte_carlo_disclose``: seeded random subsets under an iteration budget.
-- ``interval_disclose``: the minimum joined with every contiguous run of
-  the ascending-sorted remaining prices.
+- ``brute_force_disclose``: every allowed subset, guarded by a cap.
+- ``monte_carlo_disclose``: seeded random subsets under a budget.
+- ``interval_disclose``: the minimum plus each contiguous sorted run.
 - ``minimal_disclose``: ascending prefixes only, plus the full set.
+- ``full_disclose``: everything; the baseline.
+
+A candidate is a boolean row over the prices in ascending order (ties by
+position), so column 0 is the minimum and a row's cents come out sorted,
+ready as the evaluation-cache key. Rows come in blocks of at most
+``MASK_BLOCK_BYTES`` mask bytes, so memory stays bounded however many
+candidates a method has. The winner is the first strict minimum; brute
+force breaks cost ties by sorted prices instead.
+
+A failing candidate aborts the whole run: its ``NumericalError`` is
+re-raised naming the method and the candidate's size and prices, with
+the original error estimate. Skipping it could return a subset that is
+not the method's answer.
 
 Results are deterministic: the randomized strategy derives iteration i's
 draws from (seed, i) via a counter-based generator, so any budget's run is
@@ -18,6 +32,7 @@ a prefix of a larger budget's run and worker counts never matter.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -26,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PriceList
+from .data import PriceList, format_cents
 from .density import fit_estimator
-from .errors import InfeasibleError, ValidationError
-from .search import CriticalCost, critical_cost, subset_count
+from .errors import InfeasibleError, NumericalError, ValidationError
+from .search import CriticalCost, critical_cost
 
 BRUTE_FORCE_GUARD = 5_000_000
 
@@ -38,6 +53,10 @@ METHODS = ("brute_force", "monte_carlo", "interval", "minimal", "full")
 # Cents-multiset evaluations repeat heavily across strategies and trials;
 # the cache buys large speedups at a bounded memory cost.
 _CACHE_SIZE = 200_000
+
+# Candidates are generated in blocks whose boolean masks take at most this
+# many bytes (at least one row per block).
+MASK_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -104,56 +123,105 @@ def evaluate_subset_uncached(subset: PriceList, n_new: int, estimator: str = "kd
 _evaluate_cents_uncached = _evaluate_cents.__wrapped__
 
 
-def _present(prices: PriceList, indices) -> PriceList:
-    """Subset in ascending price order (ties by original position)."""
-    cents = prices.cents_array()
-    ordered = sorted(indices, key=lambda i: (cents[i], i))
-    return prices.subset(ordered)
+def _improvement_trace(costs, best: float, first_index: int) -> list[tuple[int, float]]:
+    """(evaluation_index, best_so_far) at every strict improvement on
+    ``best``; ``costs[0]`` has evaluation index ``first_index``."""
+    running = np.minimum.accumulate(np.concatenate(([best], costs)))
+    improved = np.flatnonzero(running[1:] < running[:-1])
+    return [(first_index + int(i), float(running[i + 1])) for i in improved]
 
 
-def _improvement_trace(costs, start_index: int = 1, incumbent: float | None = None):
-    """(evaluation_index, best_so_far) at every strict improvement."""
-    trace: list[tuple[int, float]] = []
-    best = incumbent
-    if incumbent is not None:
-        trace.append((start_index - 1, incumbent))
-    for offset, cost in enumerate(costs):
-        if best is None or cost < best:
-            best = cost
-            trace.append((start_index + offset, best))
-    return tuple(trace)
+def _block_costs(method: str, cents: np.ndarray, n_new: int, estimator: str, block) -> np.ndarray:
+    """Cost of every candidate row of ``block``, each distinct row looked
+    up once, in order of first appearance."""
+    packed = np.packbits(block, axis=1)
+    # One opaque item per packed row: np.unique(axis=0) gives the same
+    # answer at several times the fixed cost per block.
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    costs = np.empty(first.size)
+    appearance = np.argsort(first)
+    for u, row in zip(appearance.tolist(), block[first[appearance]]):
+        key = tuple(cents[row].tolist())
+        try:
+            costs[u] = _evaluate_cents(key, n_new, estimator).value
+        except NumericalError as exc:
+            listed = " ".join(map(format_cents, key))
+            message = f"{method} candidate of {len(key)} prices ({listed}) failed: {exc}"
+            raise NumericalError(message, exc.error_estimate) from exc
+    return costs[inverse.ravel()]
+
+
+def _select(method, prices, blocks, n_new, estimator, *, incumbent=False, by_cents=False,
+            workers=1, **fields) -> DisclosureResult:
+    """Evaluate candidate blocks and keep the best (see the module doc).
+
+    With ``incumbent`` the first row seeds the search uncounted, at trace
+    index 0; otherwise candidate i has index i + 1. ``by_cents`` breaks
+    cost ties by sorted cents and keeps no trace. With ``workers > 1``
+    each block is split into contiguous shares evaluated in parallel.
+    """
+    order = prices.ascending_order()
+    cents = prices.cents_array()[order]
+    evaluate = functools.partial(_block_costs, method, cents, int(n_new), estimator)
+    best_key, winner, trace, rows = (math.inf,), None, [], 0
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for block in blocks:
+            shares = np.array_split(block, min(workers, len(block)))
+            costs = np.concatenate(list((pool.map if pool else map)(evaluate, shares)))
+            lowest = np.flatnonzero(costs == costs.min())
+            if by_cents:
+                key, i = min(((costs[j], tuple(cents[block[j]].tolist())), j) for j in lowest)
+            else:
+                key, i = (costs[lowest[0]],), lowest[0]
+                trace += _improvement_trace(costs, best_key[0], rows + (not incumbent))
+            if key < best_key:
+                best_key, winner = key, order[block[i]]
+            rows += len(block)
+    subset = prices.subset(winner)
+    return DisclosureResult(
+        subset=subset,
+        critical_cost=evaluate_subset(subset, n_new, estimator),
+        method=method,
+        subsets_evaluated=rows - incumbent,
+        trace=tuple(trace),
+        **fields,
+    )
+
+
+def _row_ranges(count: int, n: int):
+    """(start, stop) row spans whose n-column masks fit MASK_BLOCK_BYTES."""
+    step = max(1, MASK_BLOCK_BYTES // n)
+    return ((lo, min(lo + step, count)) for lo in range(0, count, step))
+
+
+def _picked_rows(n: int, picked: np.ndarray) -> np.ndarray:
+    """Column 0 joined with the columns listed in each row of ``picked``."""
+    block = np.zeros((len(picked), n), dtype=bool)
+    block[:, 0] = True
+    np.put_along_axis(block, picked, True, axis=1)
+    return block
 
 
 def full_disclose(prices: PriceList, n_new: int, estimator: str = "kde") -> DisclosureResult:
     """Disclose everything; the baseline every strategy must beat."""
-    cost = evaluate_subset(prices, n_new, estimator)
-    return DisclosureResult(
-        subset=_present(prices, range(len(prices))),
-        critical_cost=cost,
-        method="full",
-        subsets_evaluated=1,
-        trace=((1, cost.value),),
-    )
+    return _select("full", prices, [np.ones((1, len(prices)), dtype=bool)], n_new, estimator)
 
 
-def _brute_candidates(pool: tuple[int, ...], sizes, offset: int, step: int):
-    """Round-robin share of the combination stream for one worker."""
+def _interval_rows(n: int, rho: int, cap: int):
+    """Column 0 with each contiguous run of the other columns, smallest
+    size first; the full set is the single largest run."""
+    for k in range(rho, cap + 1):
+        for lo, hi in _row_ranges(n - k + 1, n):
+            yield _picked_rows(n, np.arange(lo + 1, hi + 1)[:, None] + np.arange(k - 1))
+
+
+def _brute_rows(n: int, sizes):
+    """Every combination of the columns after 0, one size after another."""
     for k in sizes:
-        yield from itertools.islice(itertools.combinations(pool, k - 1), offset, None, step)
-
-
-def _brute_worker(args):
-    cents, min_index, pool, sizes, offset, step, n_new, estimator = args
-    best_key = None
-    best_combo = None
-    for combo in _brute_candidates(pool, sizes, offset, step):
-        subset_cents = tuple(sorted((cents[min_index],) + tuple(cents[i] for i in combo)))
-        cost = _evaluate_cents(subset_cents, n_new, estimator).value
-        key = (cost, subset_cents)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_combo = combo
-    return best_key, best_combo
+        combos = itertools.combinations(range(1, n), k - 1)
+        for lo, hi in _row_ranges(math.comb(n - 1, k - 1), n):
+            yield _picked_rows(n, np.array(list(itertools.islice(combos, hi - lo)), dtype=np.intp))
 
 
 def brute_force_disclose(
@@ -170,49 +238,15 @@ def brute_force_disclose(
     hence of the worker count.
     """
     n = len(prices)
-    cap = constraints.size_cap(n)
-    sizes = range(constraints.rho, cap + 1)
+    sizes = range(constraints.rho, constraints.size_cap(n) + 1)
     total = sum(math.comb(n - 1, k - 1) for k in sizes)
     if total > BRUTE_FORCE_GUARD:
         raise InfeasibleError(
             f"brute force refused: subset_count gives {total} candidates, "
             f"guard is {BRUTE_FORCE_GUARD}"
         )
-    min_index = prices.min_index
-    cents = tuple(int(c) for c in prices.cents_array())
-    pool = tuple(i for i in range(n) if i != min_index)
-    n_new = int(n_new)
-
-    if workers > 1:
-        tasks = [
-            (cents, min_index, pool, tuple(sizes), w, workers, n_new, estimator)
-            for w in range(workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            results = list(pool_exec.map(_brute_worker, tasks))
-    else:
-        results = [_brute_worker((cents, min_index, pool, tuple(sizes), 0, 1, n_new, estimator))]
-
-    best_key, best_combo = min(
-        (r for r in results if r[0] is not None), key=lambda r: r[0]
-    )
-    indices = (min_index,) + best_combo
-    subset = _present(prices, indices)
-    return DisclosureResult(
-        subset=subset,
-        critical_cost=evaluate_subset(subset, n_new, estimator),
-        method="brute_force",
-        subsets_evaluated=total,
-    )
-
-
-def _interval_candidates(order: np.ndarray, rho: int, cap: int):
-    """All (minimum + contiguous ascending run) index tuples, smallest size
-    first; the full set appears as the single largest run."""
-    n = order.size
-    for k in range(rho, cap + 1):
-        for start in range(1, n - k + 2):
-            yield (int(order[0]), *(int(i) for i in order[start : start + k - 1]))
+    rows = _brute_rows(n, sizes)
+    return _select("brute_force", prices, rows, n_new, estimator, by_cents=True, workers=workers)
 
 
 def interval_disclose(
@@ -224,29 +258,8 @@ def interval_disclose(
     """Evaluate the minimum joined with every contiguous run of the sorted
     remaining prices; quadratically fewer candidates than brute force."""
     n = len(prices)
-    cap = constraints.size_cap(n)
-    order = prices.ascending_order()
-    cents = prices.cents_array()
-    n_new = int(n_new)
-    best_key = None
-    best_indices = None
-    costs = []
-    for indices in _interval_candidates(order, constraints.rho, cap):
-        subset_cents = tuple(sorted(int(cents[i]) for i in indices))
-        cost = _evaluate_cents(subset_cents, n_new, estimator).value
-        costs.append(cost)
-        key = (cost, len(costs))
-        if best_key is None or cost < best_key[0]:
-            best_key = key
-            best_indices = indices
-    subset = _present(prices, best_indices)
-    return DisclosureResult(
-        subset=subset,
-        critical_cost=evaluate_subset(subset, n_new, estimator),
-        method="interval",
-        subsets_evaluated=len(costs),
-        trace=_improvement_trace(costs),
-    )
+    rows = _interval_rows(n, constraints.rho, constraints.size_cap(n))
+    return _select("interval", prices, rows, n_new, estimator)
 
 
 def minimal_disclose(
@@ -259,43 +272,34 @@ def minimal_disclose(
     the number of allowed sizes. The full set seeds the incumbent."""
     n = len(prices)
     cap = constraints.size_cap(n)
-    order = prices.ascending_order()
-    cents = prices.cents_array()
-    n_new = int(n_new)
-    candidates: list[tuple[int, ...]] = []
-    if cap == n:
-        candidates.append(tuple(int(i) for i in order))
-    for k in range(constraints.rho, min(n - 1, cap) + 1):
-        candidates.append(tuple(int(i) for i in order[:k]))
-    best_key = None
-    best_indices = None
-    costs = []
-    for indices in candidates:
-        subset_cents = tuple(sorted(int(cents[i]) for i in indices))
-        cost = _evaluate_cents(subset_cents, n_new, estimator).value
-        costs.append(cost)
-        if best_key is None or cost < best_key[0]:
-            best_key = (cost, len(costs))
-            best_indices = indices
-    subset = _present(prices, best_indices)
-    return DisclosureResult(
-        subset=subset,
-        critical_cost=evaluate_subset(subset, n_new, estimator),
-        method="minimal",
-        subsets_evaluated=len(costs),
-        trace=_improvement_trace(costs),
-    )
+    sizes = np.array(([n] if cap == n else []) + list(range(constraints.rho, min(n - 1, cap) + 1)))
+    rows = (np.arange(n) < sizes[lo:hi, None] for lo, hi in _row_ranges(sizes.size, n))
+    return _select("minimal", prices, rows, n_new, estimator)
 
 
-def _raw_words(seed: int, rows: int, cols: int) -> np.ndarray:
-    """Counter-based tableau of uint64 words: row i is iteration i's
-    randomness, and smaller tableaux are exact prefixes of larger ones."""
+def _monte_carlo_rows(order: np.ndarray, cap: int, k_lo: int, k_hi: int, budget: int, seed: int):
+    """The incumbent (the ``cap`` cheapest prices), then one row per
+    iteration: a size k uniform in [k_lo, k_hi] and k-1 distinct
+    non-minimum prices by partial Fisher-Yates, joined with the minimum."""
+    n = order.size
+    yield (np.arange(n) < cap)[None]
+    # The shuffle runs over the non-minimum listings in input order, held
+    # as their columns.
+    pool = np.argsort(order)[np.delete(np.arange(n), order[0])]
     gen = np.random.Generator(np.random.Philox(key=seed))
-    return gen.integers(0, 2**64, size=(rows, cols), dtype=np.uint64, endpoint=False)
-
-
-def _decode_mask(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if (mask >> i) & 1)
+    for lo, hi in _row_ranges(budget, n):
+        # One row of n-1 words per iteration: word 0 picks k, the rest
+        # drive the partial shuffle. Fixed row width keeps the stream
+        # iteration-indexed, and drawing it in blocks gives the same words.
+        words = gen.integers(0, 2**64, size=(hi - lo, n - 1), dtype=np.uint64)
+        k = (words[:, 0] % np.uint64(k_hi - k_lo + 1)).astype(np.int64) + k_lo
+        idx = np.tile(pool, (hi - lo, 1))
+        for j in range(int(k.max()) - 1):
+            ar = np.flatnonzero(j < k - 1)
+            rr = j + (words[ar, j + 1] % np.uint64(n - 1 - j)).astype(np.int64)
+            idx[ar, j], idx[ar, rr] = idx[ar, rr], idx[ar, j]
+        # Undrawn slots point at column 0, which every row holds anyway.
+        yield _picked_rows(n, np.where(np.arange(n - 1) < (k - 1)[:, None], idx, 0))
 
 
 def monte_carlo_disclose(
@@ -319,102 +323,14 @@ def monte_carlo_disclose(
     budget = int(budget)
     if budget < 1:
         raise ValidationError(f"budget must be at least 1, got {budget}")
-    n_new = int(n_new)
     seed = int(seed)
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    min_index = prices.min_index
-    cents = prices.cents_array()
-
-    if cap == n:
-        incumbent_indices = tuple(range(n))
-    else:
-        order = prices.ascending_order()
-        incumbent_indices = tuple(int(i) for i in order[:cap])
-    incumbent_cents = tuple(sorted(int(cents[i]) for i in incumbent_indices))
-    incumbent_cost = _evaluate_cents(incumbent_cents, n_new, estimator).value
-
     k_lo, k_hi = constraints.rho, min(n - 1, cap)
-    if k_lo > k_hi:
-        subset = _present(prices, incumbent_indices)
-        return DisclosureResult(
-            subset=subset,
-            critical_cost=evaluate_subset(subset, n_new, estimator),
-            method="monte_carlo",
-            subsets_evaluated=0,
-            seed=seed,
-            trace=((0, incumbent_cost),),
-            warning=f"no room to sample: rho={k_lo} exceeds n-1={n - 1}",
-        )
-
-    # One row of n-1 words per iteration: word 0 picks k, the rest drive the
-    # partial shuffle. Fixed row width keeps the stream iteration-indexed.
-    words = _raw_words(seed, budget, n - 1)
-    k_col = (words[:, 0] % np.uint64(k_hi - k_lo + 1)).astype(np.int64) + k_lo
-    pool = np.array([i for i in range(n) if i != min_index], dtype=np.int64)
-    idx = np.tile(pool, (budget, 1))
-    rows = np.arange(budget)
-    max_draws = int(k_col.max()) - 1
-    for j in range(max_draws):
-        active = j < k_col - 1
-        r = j + (words[:, j + 1] % np.uint64(n - 1 - j)).astype(np.int64)
-        ar = rows[active]
-        rr = r[active]
-        tmp = idx[ar, j].copy()
-        idx[ar, j] = idx[ar, rr]
-        idx[ar, rr] = tmp
-
-    if n <= 64:
-        masks = np.full(budget, np.uint64(1) << np.uint64(min_index), dtype=np.uint64)
-        for j in range(max_draws):
-            bit = np.uint64(1) << idx[:, j].astype(np.uint64)
-            masks |= np.where(j < k_col - 1, bit, np.uint64(0))
-        unique_masks, inverse = np.unique(masks, return_inverse=True)
-        unique_costs = np.empty(unique_masks.size, dtype=float)
-        for u, mask in enumerate(unique_masks):
-            key = tuple(sorted(int(cents[i]) for i in _decode_mask(int(mask), n)))
-            unique_costs[u] = _evaluate_cents(key, n_new, estimator).value
-        costs = unique_costs[inverse.ravel()]
-
-        def subset_of(i: int) -> tuple[int, ...]:
-            return _decode_mask(int(masks[i]), n)
-
-    else:
-        iter_indices = [
-            (min_index, *(int(v) for v in idx[i, : k_col[i] - 1])) for i in range(budget)
-        ]
-        costs = np.array(
-            [
-                _evaluate_cents(tuple(sorted(int(cents[j]) for j in chosen)), n_new, estimator).value
-                for chosen in iter_indices
-            ],
-            dtype=float,
-        )
-
-        def subset_of(i: int) -> tuple[int, ...]:
-            return iter_indices[i]
-
-    best_so_far = np.minimum(np.minimum.accumulate(costs), incumbent_cost)
-    final_best = float(best_so_far[-1])
-    if final_best < incumbent_cost:
-        winner_iter = int(np.argmax(costs == final_best))
-        winner_indices = subset_of(winner_iter)
-    else:
-        winner_indices = incumbent_indices
-
-    trace: list[tuple[int, float]] = [(0, incumbent_cost)]
-    improved = np.flatnonzero(best_so_far < np.concatenate(([incumbent_cost], best_so_far[:-1])))
-    for i in improved:
-        trace.append((int(i) + 1, float(best_so_far[i])))
-
-    subset = _present(prices, winner_indices)
-    return DisclosureResult(
-        subset=subset,
-        critical_cost=evaluate_subset(subset, n_new, estimator),
-        method="monte_carlo",
-        subsets_evaluated=budget,
-        seed=seed,
-        trace=tuple(trace),
+    warning = f"no room to sample: rho={k_lo} exceeds n-1={n - 1}" if k_lo > k_hi else ""
+    rows = _monte_carlo_rows(prices.ascending_order(), cap, k_lo, k_hi, 0 if warning else budget, seed)
+    return _select(
+        "monte_carlo", prices, rows, n_new, estimator, incumbent=True, seed=seed, warning=warning
     )
 
 

@@ -32,6 +32,10 @@ class NumericalError(PriceDisclosureError):
         super().__init__(message)
         self.error_estimate = error_estimate
 
+    def __reduce__(self):
+        # Keep the estimate when the error crosses a process boundary.
+        return type(self), (str(self), self.error_estimate)
+
 
 class InfeasibleError(PriceDisclosureError):
     """Exhaustive enumeration refused: candidate count exceeds the guard."""

@@ -25,13 +25,11 @@ from .disclosure import (
     DisclosureConstraints,
     METHODS,
     _evaluate_cents,
-    brute_force_disclose,
-    interval_disclose,
-    minimal_disclose,
+    disclose,
     monte_carlo_disclose,
 )
 from .errors import ValidationError
-from .search import expected_new_prices, interval_subset_count, minimal_subset_count
+from .search import expected_new_prices
 
 # Stream roles for per-trial seed derivation.
 _ROLE_MC_SELECT = 0
@@ -159,6 +157,12 @@ def _trial_worker(args) -> tuple[int, dict]:
     return trial, out
 
 
+def _mean_and_std_error(costs: tuple[float, ...]) -> tuple[float, float]:
+    mean = float(np.mean(costs))
+    se = float(np.std(costs, ddof=1) / np.sqrt(len(costs))) if len(costs) > 1 else 0.0
+    return mean, se
+
+
 def simulate_kth_position(
     cfg: MarketConfig,
     position_k: int,
@@ -184,7 +188,6 @@ def simulate_kth_position(
         raise ValidationError("monte_carlo simulation needs at least one budget")
 
     initial = generate_initial_prices(cfg)
-    n = len(initial)
     n_new = cfg.resolved_draw_count()
     constraints = DisclosureConstraints(rho=cfg.rho)
     trials = cfg.resolved_trials(position_k)
@@ -192,20 +195,11 @@ def simulate_kth_position(
     # Disclosed sets for the deterministic strategies, computed once.
     subsets: dict[str, PriceList] = {"full": initial}
     natural_counts: dict[str, int] = {"full": 1}
-    if "interval" in methods:
-        res = interval_disclose(initial, constraints, n_new, cfg.estimator)
-        subsets["interval"] = res.subset
-        natural_counts["interval"] = res.subsets_evaluated
-    if "minimal" in methods:
-        res = minimal_disclose(initial, constraints, n_new, cfg.estimator)
-        subsets["minimal"] = res.subset
-        natural_counts["minimal"] = res.subsets_evaluated
-    if "brute_force" in methods:
-        res = brute_force_disclose(initial, constraints, n_new, cfg.estimator, workers)
-        subsets["brute_force"] = res.subset
-        natural_counts["brute_force"] = res.subsets_evaluated
-
-    mc_budgets = budgets if "monte_carlo" in methods else ()
+    for method in ("interval", "minimal", "brute_force"):
+        if method in methods:
+            res = disclose(initial, method, constraints, n_new, cfg.estimator, workers=workers)
+            subsets[method] = res.subset
+            natural_counts[method] = res.subsets_evaluated
 
     # Per-trial costs. At k = 1 deterministic pooled costs are constant, so
     # only the randomized strategy needs the full trial loop.
@@ -214,7 +208,7 @@ def simulate_kth_position(
     needed = max(det_trials, mc_trials)
 
     tasks = [
-        (cfg, t, position_k, mc_budgets if t < mc_trials else (), subsets, n_new)
+        (cfg, t, position_k, budgets if t < mc_trials else (), subsets, n_new)
         for t in range(needed)
     ]
     if workers > 1 and len(tasks) > 1:
@@ -226,50 +220,28 @@ def simulate_kth_position(
     def det_costs(method: str) -> tuple[float, ...]:
         return tuple(results[t][method] for t in range(det_trials))
 
-    full_costs = det_costs("full")
-    full_set_cost = float(np.mean(full_costs))
+    full_set_cost = float(np.mean(det_costs("full")))
 
     reports: list[SimulationReport] = []
     for method in methods:
         if method == "monte_carlo":
-            curve = []
-            per_point = []
-            for bi, budget in enumerate(budgets):
-                costs = tuple(results[t]["monte_carlo"][bi] for t in range(mc_trials))
-                mean = float(np.mean(costs))
-                se = (
-                    float(np.std(costs, ddof=1) / np.sqrt(len(costs)))
-                    if len(costs) > 1
-                    else 0.0
-                )
-                curve.append((budget, mean, se))
-                per_point.append(costs)
-            reports.append(
-                SimulationReport(
-                    method="monte_carlo",
-                    curve=tuple(curve),
-                    full_set_cost=full_set_cost,
-                    position_k=position_k,
-                    trials=mc_trials,
-                    base_seed=cfg.base_seed,
-                    trial_costs=tuple(per_point),
-                )
-            )
+            points = [
+                (budget, tuple(results[t]["monte_carlo"][bi] for t in range(mc_trials)))
+                for bi, budget in enumerate(budgets)
+            ]
         else:
-            costs = det_costs(method)
-            mean = float(np.mean(costs))
-            se = float(np.std(costs, ddof=1) / np.sqrt(len(costs))) if len(costs) > 1 else 0.0
-            reports.append(
-                SimulationReport(
-                    method=method,
-                    curve=((natural_counts[method], mean, se),),
-                    full_set_cost=full_set_cost,
-                    position_k=position_k,
-                    trials=det_trials,
-                    base_seed=cfg.base_seed,
-                    trial_costs=(costs,),
-                )
+            points = [(natural_counts[method], det_costs(method))]
+        reports.append(
+            SimulationReport(
+                method=method,
+                curve=tuple((budget, *_mean_and_std_error(costs)) for budget, costs in points),
+                full_set_cost=full_set_cost,
+                position_k=position_k,
+                trials=mc_trials if method == "monte_carlo" else det_trials,
+                base_seed=cfg.base_seed,
+                trial_costs=tuple(costs for _, costs in points),
             )
+        )
     return reports
 
 

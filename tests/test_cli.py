@@ -1,7 +1,11 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import csv
+import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import pytest
 from pricedisclosure.cli import main
 from pricedisclosure.data import PriceEntry, PriceList, load_prices, write_prices
 from pricedisclosure.density import fit_kde, fit_parametric
+from pricedisclosure.simulator import MarketConfig
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +230,49 @@ def test_bench_counts_repeatable(capsys, small_csv, tmp_path):
             rows = list(csv.reader(handle))
         read.append([(r[0], r[1]) for r in rows[1:]])
     assert read[0] == read[1] == [("monte_carlo", "40")]
+
+
+def test_simulate_accepts_every_market_config_field(capsys, tmp_path):
+    values = {
+        "csa_listing_mean": 20.6, "overlap_rate": 0.12, "rho": 3, "initial_set_size_n": 6,
+        "trials": 2, "base_seed": 4, "stated_minimum": 297.0, "csa_draw_count": 3,
+        "product_id": "printer",
+    }
+    fields = {f.name for f in dataclasses.fields(MarketConfig)}
+    assert set(values) == fields - {"true_density", "estimator"}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"builtin": "printer", "estimator": "kde", **values}))
+    code, out, err = run(capsys, "simulate", "--config", str(config), "--methods", "full")
+    assert code == 0, err
+    assert out.startswith("seed: 4\n")
+
+    config.write_text(json.dumps({"builtin": "printer", "true_density": 1}))
+    code, _, err = run(capsys, "simulate", "--config", str(config), "--methods", "full")
+    assert code == 1
+    assert "unknown config keys: true_density" in err
+
+
+def readme_examples():
+    """(argv, expected stdout lines) of README's shell examples."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"```\n(\$ pricedisclosure .*?)```", text, flags=re.S):
+        command, *lines = block.replace("\\\n", " ").rstrip("\n").split("\n")
+        examples.append((shlex.split(command)[2:], lines))
+    return examples
+
+
+def test_readme_cli_examples(capsys):
+    examples = {argv[0]: (argv, lines) for argv, lines in readme_examples()}
+    assert {"critical-cost", "disclose", "counts"} <= set(examples)
+    for command in ("critical-cost", "disclose", "counts"):
+        argv, expected = examples[command]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        got = out.splitlines()
+        assert len(got) == len(expected), command
+        for line, want in zip(got, expected):
+            if want.endswith(" ..."):
+                assert line.startswith(want[:-3]), (line, want)
+            else:
+                assert line == want

@@ -1,6 +1,10 @@
 """Subset-selection strategies: oracle, Monte-Carlo, interval, minimal."""
 
 import functools
+import itertools
+import pickle
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from pricedisclosure.disclosure import (
     minimal_disclose,
     monte_carlo_disclose,
 )
-from pricedisclosure.errors import InfeasibleError, ValidationError
+from pricedisclosure.errors import InfeasibleError, NumericalError, ValidationError
 from pricedisclosure.search import interval_subset_count, subset_count
 
 
@@ -242,7 +246,7 @@ def test_monte_carlo_matches_oracle_at_large_budget():
 
 
 def test_monte_carlo_wide_instance_fallback_path():
-    # n > 64 exercises the non-bitmask bookkeeping; determinism must hold.
+    # n > 64: masks wider than one 64-bit word; determinism must hold.
     prices = seeded_prices(70, seed=99, scale=40000)
     constraints = DisclosureConstraints(rho=60)
     a = monte_carlo_disclose(prices, constraints, 5, budget=25, seed=6)
@@ -263,3 +267,142 @@ def test_rho_larger_than_n_rejected():
     prices = make_prices([100, 200])
     with pytest.raises(ValidationError):
         interval_disclose(prices, RHO3, 5)
+
+
+# ---------------------------------------------------------------- pipeline
+# A cheap stand-in for the evaluation with many exact ties: it depends only
+# on the sorted cents, like the real one, so every method can be checked
+# against a plain enumeration of its candidates in the documented order.
+
+
+def stub_cost(cents, n_new, estimator):
+    return SimpleNamespace(value=float((sum(cents) // 7 + 3 * len(cents)) % 5))
+
+
+def stub_prices(n, seed):
+    rng = np.random.default_rng(seed)
+    cents = rng.choice([300, 301, 450, 452, 460, 500, 777, 1000], size=n)
+    return PriceList("p", tuple(PriceEntry(f"s{i}", int(c)) for i, c in enumerate(cents)))
+
+
+def reference_select(prices, candidates, incumbent=False, by_cents=False):
+    """(entries, trace, count) of the first strict minimum, or for brute
+    force the smallest (cost, sorted cents); entries sorted by (cents, index)."""
+    cents = prices.cents_array()
+    best_key, best, trace = None, None, []
+    for position, indices in enumerate(candidates):
+        key_cents = tuple(sorted(int(cents[i]) for i in indices))
+        cost = stub_cost(key_cents, 0, "").value
+        key = (cost, key_cents) if by_cents else (cost,)
+        if best_key is None or key < best_key:
+            best_key, best = key, indices
+            trace.append((position + (not incumbent), cost))
+    entries = tuple(prices.entries[i] for i in sorted(best, key=lambda i: (cents[i], i)))
+    return entries, () if by_cents else tuple(trace), len(candidates) - incumbent
+
+
+def reference_candidates(prices, method, rho, cap, budget=0, seed=0):
+    n = len(prices)
+    order = [int(i) for i in prices.ascending_order()]
+    low = prices.min_index
+    pool = [i for i in range(n) if i != low]
+    if method == "full":
+        return [tuple(range(n))]
+    if method == "interval":
+        return [(order[0], *order[s : s + k - 1]) for k in range(rho, cap + 1) for s in range(1, n - k + 2)]
+    if method == "minimal":
+        prefixes = [tuple(order[:k]) for k in range(rho, min(n - 1, cap) + 1)]
+        return ([tuple(order)] if cap == n else []) + prefixes
+    if method == "brute_force":
+        return [(low, *c) for k in range(rho, cap + 1) for c in itertools.combinations(pool, k - 1)]
+    # monte_carlo: the incumbent, then one partial Fisher-Yates per iteration.
+    candidates = [tuple(order[:cap])]
+    if rho > min(n - 1, cap):
+        return candidates
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    words = gen.integers(0, 2**64, size=(budget, n - 1), dtype=np.uint64, endpoint=False)
+    for row in words:
+        k = int(row[0]) % (min(n - 1, cap) - rho + 1) + rho
+        idx = list(pool)
+        for j in range(k - 1):
+            r = j + int(row[j + 1]) % (n - 1 - j)
+            idx[j], idx[r] = idx[r], idx[j]
+        candidates.append((low, *idx[: k - 1]))
+    return candidates
+
+
+PIPELINE_CASES = [
+    # (n, seed, rho, max_size)
+    (9, 1, 3, None),
+    (9, 2, 2, 5),
+    (8, 3, 8, None),
+    (8, 4, 7, None),
+    (10, 5, 1, 4),
+    (70, 6, 55, None),
+    (70, 7, 60, 66),
+]
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1, 30])
+@pytest.mark.parametrize("case", PIPELINE_CASES)
+def test_pipeline_matches_reference_enumeration(monkeypatch, case, block_bytes):
+    n, seed, rho, max_size = case
+    monkeypatch.setattr(disclosure, "_evaluate_cents", stub_cost)
+    if block_bytes is not None:
+        monkeypatch.setattr(disclosure, "MASK_BLOCK_BYTES", block_bytes)
+    prices = stub_prices(n, seed)
+    constraints = DisclosureConstraints(rho=rho, max_size=max_size)
+    cap = constraints.size_cap(n)
+    for method in ("full", "interval", "minimal", "brute_force", "monte_carlo"):
+        if method == "brute_force" and n > 12:
+            continue
+        budget = 300 if n < 64 else 40
+        result = disclose(prices, method, constraints, 5, budget=budget, seed=seed)
+        candidates = reference_candidates(prices, method, rho, n if method == "full" else cap, budget, seed)
+        entries, trace, count = reference_select(
+            prices, candidates, incumbent=method == "monte_carlo", by_cents=method == "brute_force"
+        )
+        assert result.subset.entries == entries, method
+        assert result.trace == trace, method
+        assert result.subsets_evaluated == count, method
+        assert result.critical_cost.value == stub_cost(
+            tuple(sorted(e.cents for e in entries)), 5, "kde").value
+
+
+def test_interval_memory_stays_bounded(monkeypatch):
+    # 76,636 candidates over 400 prices: one dense mask would be 30.7 MB.
+    monkeypatch.setattr(disclosure, "_evaluate_cents", stub_cost)
+    # Cents below 257 are interned ints, so the traced allocations are the
+    # masks and the run stays fast under tracemalloc; ties are fine here.
+    prices = make_prices([100 + (7 * i) % 150 for i in range(400)])
+    constraints = DisclosureConstraints(rho=10)
+    tracemalloc.start()
+    try:
+        result = interval_disclose(prices, constraints, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.subsets_evaluated == interval_subset_count(400, 10) == 76_636
+    assert peak < 8_000_000
+
+
+def test_failing_candidate_aborts_and_is_named(monkeypatch):
+    prices = make_prices([100, 250, 300, 420, 555])
+    # Both methods meet (100, 300, 420) first; the error must name it.
+    bad = {(100, 300, 420), (100, 420, 555)}
+
+    def evaluate(cents, n_new, estimator):
+        if cents in bad:
+            raise NumericalError("integral forms disagree", error_estimate=0.25)
+        return stub_cost(cents, n_new, estimator)
+
+    monkeypatch.setattr(disclosure, "_evaluate_cents", evaluate)
+    for method in ("interval", "brute_force"):
+        with pytest.raises(NumericalError) as info:
+            disclose(prices, method, RHO3, 4)
+        message = str(info.value)
+        assert message.startswith(f"{method} candidate of 3 prices (1.00 3.00 4.20) failed")
+        assert "integral forms disagree" in message
+        assert info.value.error_estimate == 0.25
+    # Brute-force workers send the error back pickled; the estimate survives.
+    assert pickle.loads(pickle.dumps(info.value)).error_estimate == 0.25
