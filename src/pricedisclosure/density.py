@@ -2,6 +2,8 @@
 
 Every estimator exposes the same surface: ``pdf``, ``cdf``, ``quantile``,
 ``support_low``, ``effective_low``, ``feature_scale`` and ``sample_min``.
+``pdf`` and ``cdf`` take a point or an array of points, and ``quantile``
+a level or an array of levels, inverted by one bisection for all of them.
 Prices are positive, so all densities are truncated at zero and
 renormalized; for families already supported on [0, inf) the truncation
 is a no-op.
@@ -52,6 +54,13 @@ def _as_sample(values) -> np.ndarray:
     return x
 
 
+def _as_levels(p) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValidationError(f"quantile levels must be in [0, 1], got {p}")
+    return p
+
+
 class Density:
     """Common quantile machinery; subclasses provide pdf and cdf."""
 
@@ -76,28 +85,29 @@ class Density:
         """A price scale likely to bracket most of the mass."""
         raise NotImplementedError
 
-    def quantile(self, p: float) -> float:
-        """Smallest y with cdf(y) >= p, located to within 1e-6 by bisection."""
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"quantile level must be in [0, 1], got {p}")
-        if p == 0.0:
-            return self.support_low
-        lo = self.support_low
-        span = max(self._quantile_hint() - lo, 1.0)
-        hi = lo + span
+    def quantile(self, p):
+        """Smallest y with cdf(y) >= p, per level, located to within 1e-6 by
+        one bisection over all levels; a level gives a float, an array of
+        levels an array, as with pdf and cdf. Level 0 maps to support_low."""
+        p = _as_levels(p)
+        low = self.support_low
+        cap = low + max(self._quantile_hint() - low, 1.0)
+        top = float(np.max(p, initial=0.0))
         for _ in range(200):
-            if self.cdf(hi) >= p:
+            if self.cdf(cap) >= top:
                 break
-            hi = lo + 2.0 * (hi - lo)
+            cap = low + 2.0 * (cap - low)
         else:
-            raise NumericalError(f"quantile bracket expansion failed for p={p}")
-        while hi - lo > QUANTILE_TOL:
+            raise NumericalError(f"quantile bracket expansion failed for p={top}")
+        lo = np.full(p.shape, low)
+        hi = np.full(p.shape, cap)
+        while float(np.max(hi - lo, initial=0.0)) > QUANTILE_TOL:
             mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < p:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            below = np.asarray(self.cdf(mid)) < p
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        out = np.where(p == 0.0, low, 0.5 * (lo + hi))
+        return out if out.ndim else float(out)
 
 
 class UniformDensity(Density):
@@ -124,10 +134,9 @@ class UniformDensity(Density):
         out = np.clip((y - self.low) / (self.high - self.low), 0.0, 1.0)
         return out if out.ndim else float(out)
 
-    def quantile(self, p: float) -> float:
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"quantile level must be in [0, 1], got {p}")
-        return self.low + p * (self.high - self.low)
+    def quantile(self, p):
+        out = self.low + _as_levels(p) * (self.high - self.low)
+        return out if out.ndim else float(out)
 
 
 def _linear_percentile(ordered: np.ndarray, level: float) -> float:
@@ -311,31 +320,8 @@ class FitReport:
 
 
 def quantile_array(density: Density, p) -> np.ndarray:
-    """Vectorized :meth:`Density.quantile`: bisection on a whole array of
-    levels at once, to the same 1e-6 tolerance."""
-    p = np.asarray(p, dtype=float)
-    if p.size == 0:
-        return p.copy()
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise ValidationError("quantile levels must be in [0, 1]")
-    low = density.support_low
-    span = max(density._quantile_hint() - low, 1.0)
-    hi_cap = low + span
-    top = float(p.max())
-    for _ in range(200):
-        if density.cdf(hi_cap) >= top:
-            break
-        hi_cap = low + 2.0 * (hi_cap - low)
-    else:
-        raise NumericalError(f"quantile bracket expansion failed for p={top}")
-    lo = np.full(p.shape, low)
-    hi = np.full(p.shape, hi_cap)
-    while float(np.max(hi - lo)) > QUANTILE_TOL:
-        mid = 0.5 * (lo + hi)
-        below = np.asarray(density.cdf(mid)) < p
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    """:meth:`Density.quantile` of an array of levels, as an array."""
+    return np.asarray(density.quantile(p))
 
 
 def fit_kde(values, bandwidth: float | None = None) -> KernelDensity:
@@ -663,10 +649,8 @@ def equal_mass_prices(
             f"mass step 1/{n - 1} from cdf({q0})={base:.6f} is unreachable "
             f"within the support"
         )
-    prices = np.empty(n, dtype=float)
-    prices[0] = q0
-    for i in range(1, n):
-        prices[i] = density.quantile(min(base + i * step, cap))
+    levels = np.minimum(base + np.arange(1, n) * step, cap)
+    prices = np.concatenate(([q0], quantile_array(density, levels)))
     if np.any(np.diff(prices) <= 0):
         raise GenerationError("generated prices are not strictly increasing")
     return prices

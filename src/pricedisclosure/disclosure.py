@@ -65,14 +65,11 @@ class DisclosureConstraints:
     always included."""
 
     rho: int
-    must_include_min: bool = True
     max_size: int | None = None
 
     def __post_init__(self):
         if self.rho < 1:
             raise ValidationError(f"rho must be at least 1, got {self.rho}")
-        if not self.must_include_min:
-            raise ValidationError("the minimum price must always be disclosed")
         if self.max_size is not None and self.max_size < self.rho:
             raise ValidationError(
                 f"max_size {self.max_size} is below rho {self.rho}"

@@ -100,16 +100,19 @@ def _trial_rng(base_seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_derive_seed(base_seed, *path)))
 
 
+def _rounded_list(cfg: MarketConfig, source: str, prices: np.ndarray) -> PriceList:
+    """Float prices rounded half up to whole cents, at least one cent."""
+    entries = tuple(PriceEntry(source, max(1, int(np.floor(p * 100.0 + 0.5)))) for p in prices)
+    return PriceList(cfg.product_id, entries)
+
+
 def generate_initial_prices(cfg: MarketConfig) -> PriceList:
     """The disclosing agent's n prices: equal mass between neighbors,
     anchored at the stated minimum (or the density's sample minimum)."""
     floats = equal_mass_prices(
         cfg.true_density, cfg.initial_set_size_n, q0=cfg.stated_minimum
     )
-    entries = tuple(
-        PriceEntry("generated", max(1, int(np.floor(p * 100.0 + 0.5)))) for p in floats
-    )
-    return PriceList(cfg.product_id, entries)
+    return _rounded_list(cfg, "generated", floats)
 
 
 def draw_csa_listing(cfg: MarketConfig, rng: np.random.Generator) -> PriceList:
@@ -117,11 +120,7 @@ def draw_csa_listing(cfg: MarketConfig, rng: np.random.Generator) -> PriceList:
     density, N being the overlap-discounted expected yield."""
     n_draw = cfg.resolved_draw_count()
     levels = rng.random(n_draw)
-    prices = quantile_array(cfg.true_density, levels)
-    entries = tuple(
-        PriceEntry("csa-draw", max(1, int(np.floor(p * 100.0 + 0.5)))) for p in prices
-    )
-    return PriceList(cfg.product_id, entries)
+    return _rounded_list(cfg, "csa-draw", quantile_array(cfg.true_density, levels))
 
 
 def _pooled_cost(

@@ -123,9 +123,22 @@ def test_quantile_array_matches_scalar():
     levels = np.array([0.01, 0.25, 0.5, 0.9, 0.999])
     vect = quantile_array(d, levels)
     scal = np.array([d.quantile(p) for p in levels])
-    assert np.allclose(vect, scal, atol=2e-6)
+    assert np.array_equal(vect, scal)
     with pytest.raises(ValidationError):
         quantile_array(d, [0.5, 1.2])
+
+
+def test_quantile_array_of_uniform_is_the_closed_form():
+    d = UniformDensity(0.0, 1.0)
+    assert np.array_equal(quantile_array(d, [0.25, 0.5]), [0.25, 0.5])
+    assert isinstance(d.quantile(0.25), float)
+
+
+@pytest.mark.parametrize("estimator", ["kde", "parametric"])
+def test_quantile_level_zero_is_support_low(estimator):
+    d = fit_estimator(builtin_dataset("printer").values(), estimator)
+    assert quantile_array(d, [0.0, 0.5])[0] == d.support_low
+    assert d.quantile(0.0) == d.support_low
 
 
 @pytest.mark.parametrize(
@@ -345,6 +358,18 @@ def test_equal_mass_printer_kde():
     assert np.all(np.diff(prices) > 0)
     gaps = np.diff([d.cdf(q) for q in prices])
     assert np.max(np.abs(gaps[:-1] - 1.0 / 29.0)) < 1e-4
+
+
+@pytest.mark.parametrize("estimator", ["kde", "parametric"])
+@pytest.mark.parametrize("name", ["printer", "mouse", "monitor", "camera"])
+def test_equal_mass_prices_are_the_per_level_quantiles(name, estimator):
+    d = fit_estimator(builtin_dataset(name).values(), estimator)
+    n, cap = 20, 1.0 - 1e-6
+    base = float(d.cdf(d.sample_min))
+    levels = [min(base + i * (1.0 / (n - 1)), cap) for i in range(1, n)]
+    prices = equal_mass_prices(d, n)
+    assert prices[0] == d.sample_min
+    assert np.array_equal(prices[1:], [d.quantile(p) for p in levels])
 
 
 def test_equal_mass_unreachable_step():

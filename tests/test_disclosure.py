@@ -52,8 +52,6 @@ def test_constraints_validation():
     with pytest.raises(ValidationError):
         DisclosureConstraints(rho=0)
     with pytest.raises(ValidationError):
-        DisclosureConstraints(rho=3, must_include_min=False)
-    with pytest.raises(ValidationError):
         DisclosureConstraints(rho=3, max_size=2)
     with pytest.raises(ValidationError):
         DisclosureConstraints(rho=9).size_cap(8)
