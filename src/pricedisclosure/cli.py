@@ -20,12 +20,7 @@ import numpy as np
 
 from .data import builtin_dataset, format_cents, load_prices
 from .density import ESTIMATORS, fit_estimator, fit_kde, fit_parametric
-from .disclosure import (
-    DisclosureConstraints,
-    disclose,
-    evaluate_subset_uncached,
-    clear_evaluation_cache,
-)
+from .disclosure import DisclosureConstraints, clear_evaluation_cache, disclose, evaluate_subset
 from .errors import PriceDisclosureError, ValidationError
 from .search import critical_cost, interval_subset_count, minimal_subset_count, subset_count
 from .simulator import MarketConfig, simulate_kth_position
@@ -66,8 +61,27 @@ def _parse_method(name: str) -> str:
     return method
 
 
-def _parse_method_list(text: str) -> tuple[str, ...]:
-    return tuple(_parse_method(part.strip()) for part in text.split(","))
+def _comma_list(convert):
+    """An argparse type: a comma list, each part read by ``convert``."""
+
+    def parse(text: str) -> tuple:
+        return tuple(convert(part.strip()) for part in text.split(","))
+
+    parse.__name__ = convert.__name__  # argparse names it, as in "invalid int value"
+    return parse
+
+
+def _positive(convert):
+    """An argparse type: ``convert`` the text and require a finite value above 0."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it, as in "invalid int value"
+    return parse
 
 
 def _write_csv(path: str | None, header, rows) -> None:
@@ -160,7 +174,8 @@ def _calibrate_budget(prices, n_new: int, estimator: str, deadline_ms: float) ->
     t0 = time.perf_counter()
     repeats = 0
     while time.perf_counter() - t0 < 0.2:
-        evaluate_subset_uncached(prices, n_new, estimator)
+        clear_evaluation_cache()
+        evaluate_subset(prices, n_new, estimator)
         repeats += 1
     per_eval = (time.perf_counter() - t0) / repeats
     return max(1, int(deadline_ms / 1000.0 / per_eval))
@@ -228,10 +243,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = MarketConfig(
         true_density=fit_estimator(values, estimator), estimator=estimator, **defaults
     )
-    methods = args.methods
-    budgets = tuple(int(b) for b in args.budgets.split(",")) if args.budgets else ()
     print(f"seed: {cfg.base_seed}")
-    reports = simulate_kth_position(cfg, args.position, methods, budgets, workers=args.workers)
+    reports = simulate_kth_position(cfg, args.position, args.methods, args.budgets, workers=args.workers)
     rows = []
     for report in reports:
         for (budget, mean, se) in report.curve:
@@ -326,32 +339,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_di.add_argument("--n-new", type=int, required=True)
     p_di.add_argument("--estimator", choices=ESTIMATORS, default="kde")
     p_di.add_argument("--budget", type=int, default=None)
-    p_di.add_argument("--deadline-ms", type=float, default=None)
+    p_di.add_argument("--deadline-ms", type=_positive(float), default=None)
     p_di.add_argument("--seed", type=int, default=0)
     p_di.add_argument("--max-size", type=int, default=None)
     p_di.add_argument("--trace", metavar="CSV", default=None)
-    p_di.add_argument("--workers", type=int, default=1)
+    p_di.add_argument("--workers", type=_positive(int), default=1)
     p_di.set_defaults(func=_cmd_disclose)
 
     p_sim = sub.add_parser("simulate", help="run position-k market experiments")
     p_sim.add_argument("--config", required=True, metavar="JSON")
     p_sim.add_argument("--position", type=int, default=1)
-    p_sim.add_argument("--methods", type=_parse_method_list, required=True, help="comma list, e.g. mc,interval,full")
-    p_sim.add_argument("--budgets", default="", help="comma list of iteration budgets")
+    p_sim.add_argument("--methods", type=_comma_list(_parse_method), required=True, help="comma list, e.g. mc,interval,full")
+    p_sim.add_argument("--budgets", type=_comma_list(int), default=(), help="comma list of iteration budgets")
     p_sim.add_argument("--seed", type=int, default=None, help="override config base_seed")
     p_sim.add_argument("--out", metavar="CSV", default=None)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=_positive(int), default=1)
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_bench = sub.add_parser("bench", help="time per-subset evaluation by method")
     _add_data_args(p_bench)
-    p_bench.add_argument("--methods", type=_parse_method_list, default=("interval", "minimal", "full"))
+    p_bench.add_argument("--methods", type=_comma_list(_parse_method), default=("interval", "minimal", "full"))
     p_bench.add_argument("--rho", type=int, required=True)
     p_bench.add_argument("--n-new", type=int, required=True)
     p_bench.add_argument("--estimator", choices=ESTIMATORS, default="kde")
     p_bench.add_argument("--budget", type=int, default=None)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--workers", type=int, default=1)
+    p_bench.add_argument("--workers", type=_positive(int), default=1)
     p_bench.add_argument("--out", metavar="CSV", default=None)
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -42,6 +42,8 @@ KDE_BLOCK_DOUBLES = 2**18
 TAIL_SIGMAS = 12.0
 TAIL_MASS = float(special.ndtr(-TAIL_SIGMAS))
 
+_TAIL_TOL = 1e-6  # equal_mass_prices' top level is at most 1 - _TAIL_TOL
+
 
 def _as_sample(values) -> np.ndarray:
     x = np.asarray(values, dtype=float).ravel()
@@ -612,33 +614,26 @@ def fit_estimator(values, estimator: str) -> Density:
     raise ValidationError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
 
 
-def equal_mass_prices(
-    density: Density,
-    n: int,
-    q0: float | None = None,
-    tail_tol: float = 1e-6,
-) -> np.ndarray:
+def equal_mass_prices(density: Density, n: int, q0: float | None = None) -> np.ndarray:
     """Generate ``n`` strictly increasing prices with equal mass between
     neighbors.
 
     The first price is ``q0`` itself (the estimator's sample minimum when
     not given); price i sits at quantile level F(q0) + i/(n-1), so every
     consecutive pair encloses exactly 1/(n-1) probability mass. The top
-    level is capped at 1 - tail_tol: an unbounded support would otherwise
+    level is capped at 1 - _TAIL_TOL: an unbounded support would otherwise
     put the last price at infinity. If any level below the top would need
     mass beyond the cap, the step is unreachable and generation fails.
     """
     if n < 2:
         raise ValidationError(f"need at least 2 prices, got {n}")
-    if not 0.0 < tail_tol < 1.0:
-        raise ValidationError(f"tail_tol must be in (0, 1), got {tail_tol}")
     if q0 is None:
         q0 = density.sample_min
     if q0 is None:
         raise ValidationError("q0 not given and the density has no sample minimum")
     q0 = float(q0)
     base = float(density.cdf(q0))
-    cap = 1.0 - tail_tol
+    cap = 1.0 - _TAIL_TOL
     if base >= cap:
         raise GenerationError(
             f"no probability mass above q0={q0} (cdf already {base:.6f})"

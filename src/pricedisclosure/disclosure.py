@@ -27,7 +27,8 @@ not the method's answer.
 
 Results are deterministic: the randomized strategy derives iteration i's
 draws from (seed, i) via a counter-based generator, so any budget's run is
-a prefix of a larger budget's run and worker counts never matter.
+a prefix of a larger budget's run and worker counts never matter. A
+budget's winner is a longer run's last ``trace_subsets`` entry within it.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ class DisclosureResult:
     seed: int | None = None
     trace: tuple[tuple[int, float], ...] = ()
     warning: str = ""
+    # The subset each trace entry improved to; empty when there is no trace.
+    trace_subsets: tuple[PriceList, ...] = ()
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -107,25 +110,6 @@ def evaluate_subset(subset: PriceList, n_new: int, estimator: str = "kde") -> Cr
     """Critical cost of a disclosed set: fit a density to it, take q as its
     minimum. Pure in the value multiset, so results are memoized."""
     return _evaluate_cents(tuple(sorted(e.cents for e in subset.entries)), int(n_new), estimator)
-
-
-def evaluate_subset_uncached(subset: PriceList, n_new: int, estimator: str = "kde") -> CriticalCost:
-    """Same computation as :func:`evaluate_subset` without memoization;
-    used to time real work (``disclose --deadline-ms``)."""
-    return _evaluate_cents_uncached(tuple(sorted(e.cents for e in subset.entries)), int(n_new), estimator)
-
-
-# Bound at import: a wrapper later installed over _evaluate_cents (the
-# benchmark's tracer is one) has the cache itself as its __wrapped__.
-_evaluate_cents_uncached = _evaluate_cents.__wrapped__
-
-
-def _improvement_trace(costs, best: float, first_index: int) -> list[tuple[int, float]]:
-    """(evaluation_index, best_so_far) at every strict improvement on
-    ``best``; ``costs[0]`` has evaluation index ``first_index``."""
-    running = np.minimum.accumulate(np.concatenate(([best], costs)))
-    improved = np.flatnonzero(running[1:] < running[:-1])
-    return [(first_index + int(i), float(running[i + 1])) for i in improved]
 
 
 def _block_costs(method: str, cents: np.ndarray, n_new: int, estimator: str, block) -> np.ndarray:
@@ -161,7 +145,7 @@ def _select(method, prices, blocks, n_new, estimator, *, incumbent=False, by_cen
     order = prices.ascending_order()
     cents = prices.cents_array()[order]
     evaluate = functools.partial(_block_costs, method, cents, int(n_new), estimator)
-    best_key, winner, trace, rows = (math.inf,), None, [], 0
+    best_key, winner, trace, trace_subsets, rows = (math.inf,), None, [], [], 0
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for block in blocks:
             shares = np.array_split(block, min(workers, len(block)))
@@ -171,7 +155,10 @@ def _select(method, prices, blocks, n_new, estimator, *, incumbent=False, by_cen
                 key, i = min(((costs[j], tuple(cents[block[j]].tolist())), j) for j in lowest)
             else:
                 key, i = (costs[lowest[0]],), lowest[0]
-                trace += _improvement_trace(costs, best_key[0], rows + (not incumbent))
+                running = np.minimum.accumulate(np.concatenate((best_key, costs)))
+                for j in np.flatnonzero(running[1:] < running[:-1]):
+                    trace.append((rows + (not incumbent) + int(j), float(running[j + 1])))
+                    trace_subsets.append(prices.subset(order[block[j]]))
             if key < best_key:
                 best_key, winner = key, order[block[i]]
             rows += len(block)
@@ -182,6 +169,7 @@ def _select(method, prices, blocks, n_new, estimator, *, incumbent=False, by_cen
         method=method,
         subsets_evaluated=rows - incumbent,
         trace=tuple(trace),
+        trace_subsets=tuple(trace_subsets),
         **fields,
     )
 
@@ -234,6 +222,8 @@ def brute_force_disclose(
     sequence, which makes the result independent of enumeration order and
     hence of the worker count.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     n = len(prices)
     sizes = range(constraints.rho, constraints.size_cap(n) + 1)
     total = sum(math.comb(n - 1, k - 1) for k in sizes)
@@ -342,6 +332,8 @@ def disclose(
     workers: int = 1,
 ) -> DisclosureResult:
     """Dispatch by method name; randomized methods require budget and seed."""
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
     if method == "brute_force":
         return brute_force_disclose(prices, constraints, n_new, estimator, workers)
     if method == "monte_carlo":

@@ -24,8 +24,8 @@ from .density import Density, equal_mass_prices, quantile_array
 from .disclosure import (
     DisclosureConstraints,
     METHODS,
-    _evaluate_cents,
     disclose,
+    evaluate_subset,
     monte_carlo_disclose,
 )
 from .errors import ValidationError
@@ -34,8 +34,6 @@ from .search import expected_new_prices
 # Stream roles for per-trial seed derivation.
 _ROLE_MC_SELECT = 0
 _ROLE_CSA_DRAWS = 1
-
-DETERMINISTIC_METHODS = ("brute_force", "interval", "minimal", "full")
 
 
 @dataclass(frozen=True)
@@ -123,36 +121,29 @@ def draw_csa_listing(cfg: MarketConfig, rng: np.random.Generator) -> PriceList:
     return _rounded_list(cfg, "csa-draw", quantile_array(cfg.true_density, levels))
 
 
-def _pooled_cost(
-    subset: PriceList, extra_cents: tuple[int, ...], n_new: int, estimator: str
-) -> float:
-    cents = tuple(sorted(tuple(e.cents for e in subset.entries) + extra_cents))
-    return _evaluate_cents(cents, n_new, estimator).value
-
-
-def _csa_draw_cents(cfg: MarketConfig, trial: int, position_k: int) -> tuple[int, ...]:
-    cents: list[int] = []
-    for j in range(position_k - 1):
-        rng = _trial_rng(cfg.base_seed, trial, _ROLE_CSA_DRAWS, j)
-        cents.extend(e.cents for e in draw_csa_listing(cfg, rng).entries)
-    return tuple(cents)
-
-
 def _trial_worker(args) -> tuple[int, dict]:
     (cfg, trial, position_k, mc_budgets, subsets, n_new) = args
-    extra = _csa_draw_cents(cfg, trial, position_k)
-    out: dict = {}
-    for method, subset in subsets.items():
-        out[method] = _pooled_cost(subset, extra, n_new, cfg.estimator)
+    # The listings of the k-1 competitors the searcher has already queried.
+    drawn = tuple(
+        entry
+        for j in range(position_k - 1)
+        for entry in draw_csa_listing(cfg, _trial_rng(cfg.base_seed, trial, _ROLE_CSA_DRAWS, j)).entries
+    )
+
+    def pooled_cost(subset: PriceList) -> float:
+        pooled = PriceList(cfg.product_id, subset.entries + drawn)
+        return evaluate_subset(pooled, n_new, cfg.estimator).value
+
+    out = {method: pooled_cost(subset) for method, subset in subsets.items()}
     if mc_budgets:
+        # One run to the largest budget. Each budget's run is its prefix, so
+        # budget b's winner is the last trace entry with index <= b.
         seed = _derive_seed(cfg.base_seed, trial, _ROLE_MC_SELECT)
-        initial = subsets["full"]
         constraints = DisclosureConstraints(rho=cfg.rho)
-        per_budget = []
-        for budget in mc_budgets:
-            res = monte_carlo_disclose(initial, constraints, n_new, budget, seed, cfg.estimator)
-            per_budget.append(_pooled_cost(res.subset, extra, n_new, cfg.estimator))
-        out["monte_carlo"] = tuple(per_budget)
+        res = monte_carlo_disclose(subsets["full"], constraints, n_new, max(mc_budgets), seed, cfg.estimator)
+        out["monte_carlo"] = tuple(
+            pooled_cost(res.trace_subsets[sum(i <= b for i, _ in res.trace) - 1]) for b in mc_budgets
+        )
     return trial, out
 
 
@@ -172,7 +163,8 @@ def simulate_kth_position(
     """Run the disclosure-vs-search experiment at queue position k.
 
     Deterministic strategies are evaluated once per trial on the pooled
-    set; the randomized strategy is rerun per (trial, budget). At k = 1
+    set; the randomized strategy runs once per trial, to the largest
+    budget, and every budget reads its winner from that run. At k = 1
     there is nothing to pool and no trial randomness for deterministic
     strategies, so those collapse to a single trial.
     """
@@ -185,6 +177,10 @@ def simulate_kth_position(
     budgets = tuple(int(b) for b in budgets)
     if "monte_carlo" in methods and not budgets:
         raise ValidationError("monte_carlo simulation needs at least one budget")
+    if any(b < 1 for b in budgets):
+        raise ValidationError(f"budget must be at least 1, got {min(budgets)}")
+    if workers < 1:
+        raise ValidationError(f"workers must be at least 1, got {workers}")
 
     initial = generate_initial_prices(cfg)
     n_new = cfg.resolved_draw_count()

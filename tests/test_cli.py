@@ -57,6 +57,48 @@ def test_usage_errors_exit_2(capsys, small_csv):
     assert code == 2
 
 
+def test_bad_workers_and_budgets_exit_2(capsys, small_csv, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": small_csv, "rho": 3, "initial_set_size_n": 8, "trials": 2}))
+    simulate = ["simulate", "--config", str(config), "--methods", "mc,full"]
+    for workers in ("0", "-2", "two"):
+        for argv in (
+            ["disclose", "--data", small_csv, "--method", "brute", "--rho", "3", "--n-new", "5"],
+            simulate + ["--budgets", "10"],
+            ["bench", "--data", small_csv, "--rho", "3", "--n-new", "5"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv + ["--workers", workers])
+            assert info.value.code == 2
+            assert "--workers" in capsys.readouterr().err
+    for budgets in ("10,,25", "10,x", ""):
+        with pytest.raises(SystemExit) as info:
+            main(simulate + ["--budgets", budgets])
+        assert info.value.code == 2
+        assert "--budgets" in capsys.readouterr().err
+    # An integer budget below 1 is the library's to reject.
+    code, _, err = run(capsys, *simulate, "--budgets", "0,5")
+    assert code == 1
+    assert "budget must be at least 1, got 0" in err
+
+
+def test_disclose_deadline_calibrates_a_budget(capsys, small_csv):
+    argv = ["disclose", "--data", small_csv, "--method", "mc", "--rho", "3", "--n-new", "5"]
+    code, out, _ = run(capsys, *argv, "--deadline-ms", "50")
+    assert code == 0
+    budget = int(re.search(r"^calibrated budget: (\d+) ", out, flags=re.M).group(1))
+    assert budget >= 1
+    assert f"\nevaluations: {budget}\n" in out
+    code, _, err = run(capsys, *argv, "--deadline-ms", "50", "--budget", "10")
+    assert code == 2
+    assert "mutually exclusive" in err
+    for deadline in ("0", "-5", "nan", "inf"):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--deadline-ms", deadline])
+        assert info.value.code == 2
+        assert "--deadline-ms" in capsys.readouterr().err
+
+
 def test_computation_errors_exit_1(capsys, small_csv):
     code, _, err = run(
         capsys, "disclose", "--builtin", "printer", "--method", "brute", "--rho", "10",

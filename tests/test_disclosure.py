@@ -1,6 +1,5 @@
 """Subset-selection strategies: oracle, Monte-Carlo, interval, minimal."""
 
-import functools
 import itertools
 import pickle
 import tracemalloc
@@ -17,7 +16,6 @@ from pricedisclosure.disclosure import (
     clear_evaluation_cache,
     disclose,
     evaluate_subset,
-    evaluate_subset_uncached,
     full_disclose,
     interval_disclose,
     minimal_disclose,
@@ -63,23 +61,18 @@ def test_evaluate_subset_is_pure_and_cached():
     a = evaluate_subset(SMALL, 5)
     b = evaluate_subset(SMALL.subset(list(range(len(SMALL)))), 5)
     assert a.value == b.value
-    uncached = evaluate_subset_uncached(SMALL, 5)
-    assert uncached.value == a.value
-    # Both paths fit the sorted sample, so an unsorted list agrees bit for bit.
+    # A recomputation after clearing the cache carries the same bits, and an
+    # unsorted list is evaluated as its sorted prices.
     cents = np.random.default_rng(7).permutation([e.cents for e in SMALL.entries])
     shuffled = make_prices([int(c) for c in cents])
     for estimator in ("kde", "parametric"):
-        assert evaluate_subset_uncached(shuffled, 5, estimator) == evaluate_subset(shuffled, 5, estimator)
-
-
-def test_uncached_evaluation_bypasses_a_wrapped_cache(monkeypatch):
-    # A wrapper over the cache, as a tracer installs, must not route the
-    # uncached path through it.
-    clear_evaluation_cache()
-    cached = disclosure._evaluate_cents
-    monkeypatch.setattr(disclosure, "_evaluate_cents", functools.wraps(cached)(lambda *a: cached(*a)))
-    evaluate_subset_uncached(SMALL, 5)
-    assert cached.cache_info().currsize == 0
+        for prices in (SMALL, shuffled):
+            cached = evaluate_subset(prices, 5, estimator)
+            clear_evaluation_cache()
+            fresh = evaluate_subset(prices, 5, estimator)
+            assert disclosure._evaluate_cents.cache_info().misses == 1
+            assert repr(fresh) == repr(cached)
+        assert repr(evaluate_subset(shuffled, 5, estimator)) == repr(evaluate_subset(SMALL, 5, estimator))
 
 
 def test_evaluate_singleton_positive():
@@ -208,6 +201,23 @@ def test_monte_carlo_budget_prefix_stability():
     assert long.critical_cost.value <= short.critical_cost.value + 1e-12
 
 
+@pytest.mark.parametrize("estimator", ["kde", "parametric"])
+def test_every_budget_run_is_a_prefix_of_a_longer_run(estimator):
+    # What the simulator relies on: a budget-b run ends where a longer run's
+    # trace stood at its last entry with index <= b.
+    prices = seeded_prices(12, seed=21)
+    for seed in (0, 1, 2):
+        long = monte_carlo_disclose(prices, RHO3, 5, budget=60, seed=seed, estimator=estimator)
+        assert len(long.trace_subsets) == len(long.trace) >= 1
+        for budget in range(1, 61):
+            short = monte_carlo_disclose(prices, RHO3, 5, budget=budget, seed=seed, estimator=estimator)
+            last = max(j for j, (i, _) in enumerate(long.trace) if i <= budget)
+            assert short.subset == long.trace_subsets[last]
+            assert short.critical_cost.value == long.trace[last][1]
+            assert short.trace == long.trace[: last + 1]
+            assert short.trace_subsets == long.trace_subsets[: last + 1]
+
+
 def test_monte_carlo_trace_nonincreasing_and_bounded_by_full():
     res = monte_carlo_disclose(SMALL, RHO3, 5, budget=500, seed=11)
     costs = [c for _, c in res.trace]
@@ -261,6 +271,15 @@ def test_dispatch_validation():
         disclose(SMALL, "monte_carlo", RHO3, 5)  # missing budget and seed
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_rejected(workers):
+    with pytest.raises(ValidationError, match="workers must be at least 1"):
+        brute_force_disclose(SMALL, RHO3, 5, workers=workers)
+    for method in ("brute_force", "interval"):
+        with pytest.raises(ValidationError, match="workers must be at least 1"):
+            disclose(SMALL, method, RHO3, 5, workers=workers)
+
+
 def test_rho_larger_than_n_rejected():
     prices = make_prices([100, 200])
     with pytest.raises(ValidationError):
@@ -284,10 +303,15 @@ def stub_prices(n, seed):
 
 
 def reference_select(prices, candidates, incumbent=False, by_cents=False):
-    """(entries, trace, count) of the first strict minimum, or for brute
-    force the smallest (cost, sorted cents); entries sorted by (cents, index)."""
+    """(entries, trace, entries at each trace entry, count) of the first
+    strict minimum, or for brute force the smallest (cost, sorted cents),
+    which keeps no trace; entries sorted by (cents, index)."""
     cents = prices.cents_array()
-    best_key, best, trace = None, None, []
+
+    def entries(indices):
+        return tuple(prices.entries[i] for i in sorted(indices, key=lambda i: (cents[i], i)))
+
+    best_key, best, trace, improved_to = None, None, [], []
     for position, indices in enumerate(candidates):
         key_cents = tuple(sorted(int(cents[i]) for i in indices))
         cost = stub_cost(key_cents, 0, "").value
@@ -295,8 +319,10 @@ def reference_select(prices, candidates, incumbent=False, by_cents=False):
         if best_key is None or key < best_key:
             best_key, best = key, indices
             trace.append((position + (not incumbent), cost))
-    entries = tuple(prices.entries[i] for i in sorted(best, key=lambda i: (cents[i], i)))
-    return entries, () if by_cents else tuple(trace), len(candidates) - incumbent
+            improved_to.append(entries(indices))
+    if by_cents:
+        trace, improved_to = [], []
+    return entries(best), tuple(trace), tuple(improved_to), len(candidates) - incumbent
 
 
 def reference_candidates(prices, method, rho, cap, budget=0, seed=0):
@@ -357,11 +383,12 @@ def test_pipeline_matches_reference_enumeration(monkeypatch, case, block_bytes):
         budget = 300 if n < 64 else 40
         result = disclose(prices, method, constraints, 5, budget=budget, seed=seed)
         candidates = reference_candidates(prices, method, rho, n if method == "full" else cap, budget, seed)
-        entries, trace, count = reference_select(
+        entries, trace, improved_to, count = reference_select(
             prices, candidates, incumbent=method == "monte_carlo", by_cents=method == "brute_force"
         )
         assert result.subset.entries == entries, method
         assert result.trace == trace, method
+        assert tuple(s.entries for s in result.trace_subsets) == improved_to, method
         assert result.subsets_evaluated == count, method
         assert result.critical_cost.value == stub_cost(
             tuple(sorted(e.cents for e in entries)), 5, "kde").value

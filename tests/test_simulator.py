@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pricedisclosure import simulator
 from pricedisclosure.data import builtin_dataset
 from pricedisclosure.density import UniformDensity, fit_kde
 from pricedisclosure.disclosure import evaluate_subset
@@ -14,7 +15,6 @@ from pricedisclosure.simulator import (
     simulate_first_position,
     simulate_kth_position,
     size_effect_experiment,
-    _csa_draw_cents,
     _trial_rng,
     _ROLE_CSA_DRAWS,
 )
@@ -122,7 +122,7 @@ def test_seed_reproducibility_and_worker_invariance(printer_cfg):
 def test_kth_position_pools_draws(printer_cfg):
     # Recompute one trial by hand: pooled critical cost of the disclosed
     # set union the trial's drawn listing must match the report.
-    from pricedisclosure.data import PriceEntry, PriceList
+    from pricedisclosure.data import PriceList
     from pricedisclosure.disclosure import DisclosureConstraints, interval_disclose
 
     reports = simulate_kth_position(printer_cfg, 2, ("interval",), budgets=())
@@ -131,23 +131,45 @@ def test_kth_position_pools_draws(printer_cfg):
     disclosed = interval_disclose(
         initial, DisclosureConstraints(rho=10), 18, "kde"
     ).subset
-    extra = _csa_draw_cents(printer_cfg, 0, 2)
-    pooled = PriceList(
-        "printer",
-        disclosed.entries + tuple(PriceEntry("csa-draw", c) for c in extra),
-    )
+    drawn = draw_csa_listing(printer_cfg, _trial_rng(17, 0, _ROLE_CSA_DRAWS, 0))
+    pooled = PriceList("printer", disclosed.entries + drawn.entries)
     assert report.trial_costs[0][0] == pytest.approx(
         evaluate_subset(pooled, 18).value, abs=1e-12
     )
 
 
-def test_simulate_validation(printer_cfg):
+@pytest.mark.parametrize("position_k", [1, 2])
+def test_budgets_read_from_one_run_equal_single_budget_runs(printer_cfg, position_k):
+    # Every budget is read from one run to the largest; unsorted and repeated
+    # budgets must give each budget's own simulation bit for bit.
+    def bits(report):
+        return [[c.hex() for c in costs] for costs in report.trial_costs]
+
+    single = {
+        b: simulate_kth_position(printer_cfg, position_k, ("monte_carlo",), (b,))[0] for b in (10, 25)
+    }
+    for budgets in ((25, 10), (10, 10)):
+        report = simulate_kth_position(printer_cfg, position_k, ("monte_carlo",), budgets)[0]
+        assert [point[0] for point in report.curve] == list(budgets)
+        assert bits(report) == [bits(single[b])[0] for b in budgets]
+        assert report.curve == tuple(single[b].curve[0] for b in budgets)
+
+
+def test_simulate_validation(printer_cfg, monkeypatch):
     with pytest.raises(ValidationError):
         simulate_kth_position(printer_cfg, 0, ("full",))
     with pytest.raises(ValidationError):
         simulate_kth_position(printer_cfg, 1, ("quantum",))
     with pytest.raises(ValidationError):
         simulate_kth_position(printer_cfg, 1, ("monte_carlo",), budgets=())
+    # Only the largest budget runs, so a bad smaller one must be caught
+    # before any trial.
+    monkeypatch.setattr(simulator, "_trial_worker", None)
+    with pytest.raises(ValidationError, match="budget must be at least 1, got 0"):
+        simulate_kth_position(printer_cfg, 1, ("monte_carlo",), budgets=(5, 0))
+    for workers in (0, -2):
+        with pytest.raises(ValidationError, match="workers must be at least 1"):
+            simulate_kth_position(printer_cfg, 2, ("monte_carlo", "full"), budgets=(5,), workers=workers)
 
 
 def test_size_effect_rows(printer_cfg):
