@@ -170,7 +170,19 @@ def _cmd_critical_cost(args: argparse.Namespace) -> int:
     return 0
 
 
-def _calibrate_budget(prices, n_new: int, estimator: str, deadline_ms: float) -> int:
+def _calibrate_budget(prices, constraints, n_new: int, estimator: str, deadline_ms: float) -> int:
+    """The Monte Carlo budget that fits the deadline, timed on a stand-in
+    of the middle candidate size round((k_lo + k_hi) / 2), since sizes are
+    uniform in [k_lo, k_hi] = [rho, min(n-1, cap)]. Like the minimum plus
+    random others, its prices spread evenly in rank from the cheapest to
+    the dearest: the cheapest alone are a tight cluster that evaluates
+    faster, and a budget timed on them overshoots the deadline. With no
+    room to sample, the full list, the only candidate evaluated."""
+    n = len(prices)
+    k_lo, k_hi = constraints.rho, min(n - 1, constraints.size_cap(n))
+    if k_lo <= k_hi:
+        ranks = np.linspace(0, n - 1, round((k_lo + k_hi) / 2)).round().astype(int)
+        prices = prices.subset(prices.ascending_order()[ranks])
     t0 = time.perf_counter()
     repeats = 0
     while time.perf_counter() - t0 < 0.2:
@@ -190,7 +202,7 @@ def _cmd_disclose(args: argparse.Namespace) -> int:
         if args.deadline_ms is not None:
             if budget is not None:
                 raise UsageError("--budget and --deadline-ms are mutually exclusive")
-            budget = _calibrate_budget(prices, args.n_new, args.estimator, args.deadline_ms)
+            budget = _calibrate_budget(prices, constraints, args.n_new, args.estimator, args.deadline_ms)
             print(f"calibrated budget: {budget} (deadline-based, nondeterministic)")
         elif budget is None:
             raise UsageError("monte_carlo needs --budget or --deadline-ms")

@@ -7,6 +7,12 @@ a level or an array of levels, inverted by one bisection for all of them.
 Prices are positive, so all densities are truncated at zero and
 renormalized; for families already supported on [0, inf) the truncation
 is a no-op.
+
+A parametric fit is paid once per candidate disclosure, so the fitters
+reduce with ``np.add.reduce``, the ufunc behind ``np.sum``, ``np.mean``
+and ``np.std``: the same bits without the wrappers' per-call cost. The
+families are evaluated through scipy's kernels, directly when every point
+lies inside the support.
 """
 
 from __future__ import annotations
@@ -155,18 +161,23 @@ def _linear_percentile(ordered: np.ndarray, level: float) -> float:
     return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
 
+def _mean_std(x: np.ndarray, ddof: int) -> tuple[float, float]:
+    """``np.mean(x)`` and ``np.std(x, ddof=ddof)`` bit for bit, through
+    np.std's own steps (pairwise sums in sample order) without the per-call
+    cost of numpy's reduction wrappers."""
+    n = x.size
+    mean = np.add.reduce(x) / n
+    d = x - mean
+    return float(mean), math.sqrt(np.add.reduce(d * d) / (n - ddof))
+
+
 def silverman_bandwidth(x: np.ndarray) -> float:
     """Silverman's rule of thumb with an IQR guard and a zero-spread fallback.
 
     Equal bit for bit to ``np.std(x, ddof=1)`` and ``np.percentile(x, [75,
     25])`` in the formula, at a fraction of their fixed cost per call."""
     n = x.size
-    if n > 1:
-        # np.std's own steps: pairwise sums in sample order
-        d = x - np.add.reduce(x) / n
-        sigma = math.sqrt(np.add.reduce(d * d) / (n - 1))
-    else:
-        sigma = 0.0
+    sigma = _mean_std(x, 1)[1] if n > 1 else 0.0
     ordered = np.sort(x)
     iqr = _linear_percentile(ordered, 0.75) - _linear_percentile(ordered, 0.25)
     candidates = [s for s in (sigma, iqr / 1.34) if s > 0.0]
@@ -331,32 +342,33 @@ def fit_kde(values, bandwidth: float | None = None) -> KernelDensity:
 
 
 def _fit_normal(x: np.ndarray) -> dict[str, float]:
-    scale = float(np.std(x, ddof=0))
+    loc, scale = _mean_std(x, 0)
     if scale <= 0:
         raise FitError("zero spread")
-    return {"loc": float(np.mean(x)), "scale": scale}
+    return {"loc": loc, "scale": scale}
 
 
 def _fit_lognormal(x: np.ndarray) -> dict[str, float]:
-    logs = np.log(x)
-    sigma = float(np.std(logs, ddof=0))
+    mu, sigma = _mean_std(np.log(x), 0)
     if sigma <= 0:
         raise FitError("zero spread")
-    return {"mu": float(np.mean(logs)), "sigma": sigma}
+    return {"mu": mu, "sigma": sigma}
 
 
 def _fit_exponential(x: np.ndarray) -> dict[str, float]:
-    return {"scale": float(np.mean(x))}
+    return {"scale": float(np.add.reduce(x) / x.size)}
 
 
 def _fit_gamma(x: np.ndarray) -> dict[str, float]:
-    s = float(np.log(np.mean(x)) - np.mean(np.log(x)))
+    mean = np.add.reduce(x) / x.size
+    s = float(np.log(mean) - np.add.reduce(np.log(x)) / x.size)
     if s <= 1e-12:
         raise FitError("zero spread")
     k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     for _ in range(_MAX_ITER):
         f = math.log(k) - float(special.digamma(k)) - s
-        fprime = 1.0 / k - float(special.polygamma(1, k))
+        # trigamma: polygamma(1, k) is 1.0 * gamma(2.0) * zeta(2, k)
+        fprime = 1.0 / k - float(special.zeta(2.0, k))
         step = f / fprime
         k_new = k - step
         if k_new <= 0:
@@ -371,51 +383,58 @@ def _fit_gamma(x: np.ndarray) -> dict[str, float]:
         k = k_new
     else:
         raise FitError("shape iteration did not converge")
-    return {"shape": k, "scale": float(np.mean(x)) / k}
+    return {"shape": k, "scale": float(mean) / k}
 
 
 def _fit_weibull(x: np.ndarray) -> dict[str, float]:
     # Work on x / max(x) so powers stay bounded; the shape is scale-invariant.
+    n = x.size
     xn = x / float(x.max())
     log_xn = np.log(xn)
-    mean_log = float(np.mean(log_xn))
+    mean_log = float(np.add.reduce(log_xn) / n)
 
     def profile(c: float) -> float:
         w = xn**c
-        return float(np.sum(w * log_xn) / np.sum(w)) - 1.0 / c - mean_log
+        return float(np.add.reduce(w * log_xn) / np.add.reduce(w)) - 1.0 / c - mean_log
 
     lo, hi = 1e-2, 1e2
+    f_lo, f_hi = profile(lo), profile(hi)
     for _ in range(20):
-        if profile(lo) < 0:
+        if f_lo < 0:
             break
         lo /= 2.0
+        f_lo = profile(lo)
     for _ in range(20):
-        if profile(hi) > 0:
+        if f_hi > 0:
             break
         hi *= 2.0
-    if not (profile(lo) < 0 < profile(hi)):
+        f_hi = profile(hi)
+    if not (f_lo < 0 < f_hi):
         raise FitError("no bracket for shape")
     c = float(optimize.brentq(profile, lo, hi, xtol=1e-12, rtol=1e-12, maxiter=_MAX_ITER))
-    scale = float(np.mean(xn**c) ** (1.0 / c)) * float(x.max())
+    scale = float((np.add.reduce(xn**c) / n) ** (1.0 / c)) * float(x.max())
     return {"shape": c, "scale": scale}
 
 
 def _fit_logistic(x: np.ndarray) -> dict[str, float]:
     n = x.size
-    loc = float(np.mean(x))
-    scale = float(np.std(x, ddof=0)) * math.sqrt(3.0) / math.pi
+    loc, std = _mean_std(x, 0)
+    scale = std * math.sqrt(3.0) / math.pi
     if scale <= 0:
         raise FitError("zero spread")
     for _ in range(_MAX_ITER):
         z = (x - loc) / scale
         u = np.tanh(0.5 * z)
         fp = special.expit(z) * special.expit(-z)
-        eq1 = float(np.sum(u))
-        eq2 = float(np.sum(z * u)) - n
-        j11 = -2.0 / scale * float(np.sum(fp))
-        j12 = -2.0 / scale * float(np.sum(z * fp))
-        j21 = -1.0 / scale * float(np.sum(u + 2.0 * z * fp))
-        j22 = -1.0 / scale * float(np.sum(z * u + 2.0 * z * z * fp))
+        # One row-wise reduce; each row is the pairwise sum np.sum gives.
+        terms = np.array([u, z * u, fp, z * fp, u + 2.0 * z * fp, z * u + 2.0 * z * z * fp])
+        s_u, s_zu, s_fp, s_zfp, s_21, s_22 = np.add.reduce(terms, axis=1).tolist()
+        eq1 = s_u
+        eq2 = s_zu - n
+        j11 = -2.0 / scale * s_fp
+        j12 = -2.0 / scale * s_zfp
+        j21 = -1.0 / scale * s_21
+        j22 = -1.0 / scale * s_22
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-300:
             raise FitError("singular step")
@@ -440,19 +459,20 @@ def _fit_gumbel(x: np.ndarray) -> dict[str, float]:
     # w = exp(-u / b) <= 1. g is increasing (g' = 1 + Var_w(u) / b^2),
     # negative as b -> 0 and nonnegative at b = 1, so [1e-9, 1] brackets
     # the root at any price scale.
+    n = x.size
     x_min = float(x.min())
-    spread = float(np.mean(x - x_min))
+    spread = float(np.add.reduce(x - x_min) / n)
     if spread <= 0:
         raise FitError("zero spread")
     u = (x - x_min) / spread
 
     def g(b: float) -> float:
         w = np.exp(-u / b)
-        return b - 1.0 + float(np.sum(u * w) / np.sum(w))
+        return b - 1.0 + float(np.add.reduce(u * w) / np.add.reduce(w))
 
     beta = spread * float(optimize.brentq(g, 1e-9, 1.0, xtol=1e-12, rtol=1e-12, maxiter=_MAX_ITER))
     w = np.exp(-(x - x_min) / beta)
-    loc = x_min - beta * math.log(float(np.mean(w)))
+    loc = x_min - beta * math.log(float(np.add.reduce(w) / n))
     return {"loc": loc, "scale": beta}
 
 
@@ -489,12 +509,18 @@ class _FixedDist:
     def _result(out):
         return out[()] if out.ndim == 0 else out
 
-    def _evaluate(self, kernel, x, cond, out):
-        """Fill ``out`` where ``cond`` holds, as rv_continuous does: NaN
-        points get ``badvalue``, the rest keep the fill."""
+    def _evaluate(self, kernel, x, cond, fill):
+        """The kernel where ``cond`` holds, as rv_continuous gives it: NaN
+        points get ``badvalue`` and the rest ``fill(out)``'s values. When
+        every point of an array satisfies ``cond`` (so none is NaN) no
+        mask is left to apply, and the kernel's own array is the result."""
+        if self.valid and x.ndim and cond.all():
+            return kernel(x, *self.shapes)
+        out = np.empty(x.shape, x.dtype)
         if not self.valid:
             out.fill(self.gen.badvalue)
             return self._result(out)
+        fill(out)
         np.putmask(out, np.isnan(x), self.gen.badvalue)
         if cond.any():
             np.place(out, cond, kernel(x[cond], *self.shapes))
@@ -504,7 +530,7 @@ class _FixedDist:
         x = self._points(x)
         return self._evaluate(
             lambda z, *shapes: self.gen._pdf(z, *shapes) / self.scale,
-            x, self.gen._support_mask(x, *self.shapes), np.zeros(x.shape, x.dtype),
+            x, self.gen._support_mask(x, *self.shapes), lambda out: out.fill(0.0),
         )
 
     def logpdf(self, x):
@@ -512,14 +538,18 @@ class _FixedDist:
         log_scale = np.log(np.atleast_1d(self.scale))
         return self._evaluate(
             lambda z, *shapes: self.gen._logpdf(z, *shapes) - log_scale,
-            x, self.gen._support_mask(x, *self.shapes), np.full(x.shape, -np.inf, x.dtype),
+            x, self.gen._support_mask(x, *self.shapes), lambda out: out.fill(-np.inf),
         )
 
     def cdf(self, x):
         x = self._points(x)
-        out = np.zeros(x.shape, x.dtype)
-        np.place(out, x >= self.gen._get_support(*self.shapes)[1], 1.0)
-        return self._evaluate(self.gen._cdf, x, self.gen._open_support_mask(x, *self.shapes), out)
+        top = self.gen._get_support(*self.shapes)[1]
+
+        def fill(out):
+            out.fill(0.0)
+            np.place(out, x >= top, 1.0)
+
+        return self._evaluate(self.gen._cdf, x, self.gen._open_support_mask(x, *self.shapes), fill)
 
     def ppf(self, q):
         q = np.asarray(q)
@@ -584,7 +614,7 @@ def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
         try:
             params = _FITTERS[family](x)
             dist = _family_dist(family, params)
-            loglik = float(np.sum(dist.logpdf(x)))
+            loglik = float(np.add.reduce(dist.logpdf(x)))
             if not np.isfinite(loglik):
                 raise FitError("non-finite likelihood")
         except FitError as exc:
@@ -596,12 +626,10 @@ def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
         candidate = FitCandidate(family, params, loglik, bic)
         candidates.append(candidate)
         if best is None or bic < best.bic:
-            best = candidate
+            best, best_dist = candidate, dist
     if best is None:
         raise FitError("no family could be fit: " + "; ".join(f"{c.family}: {c.reason}" for c in candidates))
-    density = ParametricDensity(
-        best.family, best.params, _family_dist(best.family, best.params), float(x.min()), n
-    )
+    density = ParametricDensity(best.family, best.params, best_dist, float(x.min()), n)
     return FitReport(tuple(candidates), best.family, density)
 
 

@@ -5,11 +5,13 @@ import dataclasses
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pricedisclosure import cli
 from pricedisclosure.cli import main
 from pricedisclosure.data import PriceEntry, PriceList, load_prices, write_prices
 from pricedisclosure.density import fit_kde, fit_parametric
@@ -97,6 +99,29 @@ def test_disclose_deadline_calibrates_a_budget(capsys, small_csv):
             main(argv + ["--deadline-ms", deadline])
         assert info.value.code == 2
         assert "--deadline-ms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra,size", [(("--rho", "3"), 7), (("--rho", "3", "--max-size", "5"), 4), (("--rho", "12"), 12)]
+)
+def test_deadline_calibrates_on_a_middle_sized_candidate(capsys, monkeypatch, small_csv, extra, size):
+    # Monte Carlo sizes are uniform in [rho, min(n-1, cap)]: calibration
+    # times round((lo + hi) / 2) prices spread from the cheapest to the
+    # dearest, or the whole list when there is no room to sample.
+    seen = []
+
+    def timed(prices, n_new, estimator):
+        seen.append(prices.cents_array())
+        time.sleep(0.001)
+
+    monkeypatch.setattr(cli, "evaluate_subset", timed)
+    argv = ["disclose", "--data", small_csv, "--method", "mc", "--n-new", "5", *extra]
+    code, out, _ = run(capsys, *argv, "--deadline-ms", "5")
+    assert code == 0 and "calibrated budget: " in out
+    cents = load_prices(small_csv).cents_array()
+    assert seen and all(len(c) == size for c in seen)
+    assert seen[0].min() == cents.min() and seen[0].max() == cents.max()
+    assert len(set(seen[0].tolist())) == size
 
 
 def test_computation_errors_exit_1(capsys, small_csv):

@@ -6,10 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import optimize, special, stats
 
 from pricedisclosure.data import builtin_dataset
 from pricedisclosure.density import (
+    _FIT_TOL,
+    _GAMMA_RESIDUAL_ULPS,
+    _MAX_ITER,
     FAMILIES,
     KDE_BLOCK_DOUBLES,
     KernelDensity,
@@ -206,6 +209,26 @@ def test_fitted_dist_equals_frozen_scipy_bitwise(family):
                     assert one == want or (np.isnan(one) and np.isnan(want)), (method, points[i])
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_in_support_arrays_equal_frozen_scipy_bitwise(family):
+    # Arrays wholly inside the support, as a fit's own sample and the
+    # quadrature grid are, go straight to the scipy kernel; the values must
+    # still be the frozen distribution's, and a 0-d point keeps its type.
+    draw = np.random.default_rng(29).gamma(4.0, 3.0, 50)
+    for x in (draw, *_EDGE_LISTS.values(), np.array([3.0, 3.01])):
+        d = fit_parametric(x, families=(family,)).density
+        frozen = _FROZEN[family](d.params)
+        grid = np.linspace(d.effective_low, x.min(), 257)
+        with np.errstate(all="ignore"):
+            for points in (x, grid, grid.reshape(1, -1, 1)):
+                for method in ("pdf", "cdf", "logpdf"):
+                    view, ref = getattr(d.dist, method)(points), getattr(frozen, method)(points)
+                    assert view.shape == ref.shape and np.array_equal(view, ref, equal_nan=True), method
+            for method in ("pdf", "cdf", "logpdf"):
+                one, want = getattr(d.dist, method)(np.asarray(x[0])), getattr(frozen, method)(x[0])
+                assert type(one) is type(want) and one == want, method
+
+
 def test_weibull_far_tail_pdf_is_zero_not_nan():
     # A huge shape makes the kernel x**(c-1) * exp(-x**c) meet inf * 0
     # above ~1.015x the scale; the density there is 0. Finite values keep
@@ -238,6 +261,179 @@ def test_gamma_fits_a_one_cent_cluster(scale):
     residual = math.log(k) - float(special.digamma(k)) - s
     assert abs(residual) <= 4 * math.ulp(math.log(k))
     assert report.best_family == "weibull"
+
+
+def _reference_normal(x):
+    scale = float(np.std(x, ddof=0))
+    if scale <= 0:
+        raise FitError("zero spread")
+    return {"loc": float(np.mean(x)), "scale": scale}
+
+
+def _reference_lognormal(x):
+    logs = np.log(x)
+    sigma = float(np.std(logs, ddof=0))
+    if sigma <= 0:
+        raise FitError("zero spread")
+    return {"mu": float(np.mean(logs)), "sigma": sigma}
+
+
+def _reference_exponential(x):
+    return {"scale": float(np.mean(x))}
+
+
+def _reference_gamma(x):
+    s = float(np.log(np.mean(x)) - np.mean(np.log(x)))
+    if s <= 1e-12:
+        raise FitError("zero spread")
+    k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    for _ in range(_MAX_ITER):
+        f = math.log(k) - float(special.digamma(k)) - s
+        fprime = 1.0 / k - float(special.polygamma(1, k))
+        k_new = k - f / fprime
+        if k_new <= 0:
+            k_new = k / 2.0
+        if abs(k_new - k) <= _FIT_TOL * (1.0 + k):
+            k = k_new
+            break
+        if abs(f) <= _GAMMA_RESIDUAL_ULPS * math.ulp(math.log(k)):
+            break
+        k = k_new
+    else:
+        raise FitError("shape iteration did not converge")
+    return {"shape": k, "scale": float(np.mean(x)) / k}
+
+
+def _reference_weibull(x):
+    xn = x / float(x.max())
+    log_xn = np.log(xn)
+    mean_log = float(np.mean(log_xn))
+
+    def profile(c):
+        w = xn**c
+        return float(np.sum(w * log_xn) / np.sum(w)) - 1.0 / c - mean_log
+
+    lo, hi = 1e-2, 1e2
+    for _ in range(20):
+        if profile(lo) < 0:
+            break
+        lo /= 2.0
+    for _ in range(20):
+        if profile(hi) > 0:
+            break
+        hi *= 2.0
+    if not (profile(lo) < 0 < profile(hi)):
+        raise FitError("no bracket for shape")
+    c = float(optimize.brentq(profile, lo, hi, xtol=1e-12, rtol=1e-12, maxiter=_MAX_ITER))
+    return {"shape": c, "scale": float(np.mean(xn**c) ** (1.0 / c)) * float(x.max())}
+
+
+def _reference_logistic(x):
+    n = x.size
+    loc = float(np.mean(x))
+    scale = float(np.std(x, ddof=0)) * math.sqrt(3.0) / math.pi
+    if scale <= 0:
+        raise FitError("zero spread")
+    for _ in range(_MAX_ITER):
+        z = (x - loc) / scale
+        u = np.tanh(0.5 * z)
+        fp = special.expit(z) * special.expit(-z)
+        eq1 = float(np.sum(u))
+        eq2 = float(np.sum(z * u)) - n
+        j11 = -2.0 / scale * float(np.sum(fp))
+        j12 = -2.0 / scale * float(np.sum(z * fp))
+        j21 = -1.0 / scale * float(np.sum(u + 2.0 * z * fp))
+        j22 = -1.0 / scale * float(np.sum(z * u + 2.0 * z * z * fp))
+        det = j11 * j22 - j12 * j21
+        if abs(det) < 1e-300:
+            raise FitError("singular step")
+        d_loc = (-eq1 * j22 + eq2 * j12) / det
+        d_scale = (-j11 * eq2 + j21 * eq1) / det
+        while scale + d_scale <= 0:
+            d_loc /= 2.0
+            d_scale /= 2.0
+        loc += d_loc
+        scale += d_scale
+        if max(abs(eq1), abs(eq2)) <= _FIT_TOL * n and math.hypot(d_loc, d_scale) <= _FIT_TOL * (
+            1.0 + scale
+        ):
+            return {"loc": loc, "scale": scale}
+    raise FitError("location-scale iteration did not converge")
+
+
+def _reference_gumbel(x):
+    x_min = float(x.min())
+    spread = float(np.mean(x - x_min))
+    if spread <= 0:
+        raise FitError("zero spread")
+    u = (x - x_min) / spread
+
+    def g(b):
+        w = np.exp(-u / b)
+        return b - 1.0 + float(np.sum(u * w) / np.sum(w))
+
+    beta = spread * float(optimize.brentq(g, 1e-9, 1.0, xtol=1e-12, rtol=1e-12, maxiter=_MAX_ITER))
+    w = np.exp(-(x - x_min) / beta)
+    return {"loc": x_min - beta * math.log(float(np.mean(w))), "scale": beta}
+
+
+_REFERENCE_FITTERS = {
+    "normal": _reference_normal,
+    "lognormal": _reference_lognormal,
+    "exponential": _reference_exponential,
+    "gamma": _reference_gamma,
+    "weibull": _reference_weibull,
+    "logistic": _reference_logistic,
+    "gumbel": _reference_gumbel,
+}
+
+
+def _hex_row(family, params, loglik, bic, skipped, reason):
+    """A candidate's fields with every float in hex, so == is bitwise."""
+    return family, {k: v.hex() for k, v in params.items()}, loglik.hex(), bic.hex(), skipped, reason
+
+
+def _reference_candidates(x):
+    """fit_parametric's candidates through numpy's reduction wrappers,
+    polygamma and frozen scipy distributions, as _hex_row tuples."""
+    rows = []
+    for family in FAMILIES:
+        try:
+            params = _REFERENCE_FITTERS[family](x)
+            with np.errstate(all="ignore"):
+                loglik = float(np.sum(_FROZEN[family](params).logpdf(x)))
+            if not np.isfinite(loglik):
+                raise FitError("non-finite likelihood")
+        except FitError as exc:
+            rows.append(_hex_row(family, {}, math.nan, math.nan, True, str(exc)))
+            continue
+        bic = len(params) * math.log(x.size) - 2.0 * loglik
+        rows.append(_hex_row(family, params, loglik, bic, False, ""))
+    return rows
+
+
+def test_fitters_equal_the_numpy_wrapper_reference_bitwise():
+    # The fitters reduce with np.add.reduce and take trigamma from zeta;
+    # every candidate field must keep the bits of np.mean / np.std /
+    # np.sum / polygamma, on ordinary, clustered, tiny and large lists.
+    rng = np.random.default_rng(41)
+    lists = [rng.lognormal(5.0, 0.3, n) for n in (2, 3, 7, 30, 103, 1000)]
+    lists += [np.array(pair) for pair in ([3.0, 3.01], [1.0, 2.0], [297.0, 5000.0], [5.0, 5.0])]
+    lists += [rng.choice([297.0, 297.01, 299.5], size=n) for n in (5, 30, 103)]  # tie-heavy
+    lists += list(_EDGE_LISTS.values())
+    for name in ("printer", "mouse", "monitor", "camera"):
+        values = builtin_dataset(name).values()
+        ordered = np.sort(values)
+        lists += [values[:12], values[:30], ordered[:10], ordered[:30], values]
+    for x in lists:
+        for scaled in (x, x * 1e-2, x * 1e3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = fit_parametric(scaled)
+            got = [
+                _hex_row(c.family, c.params, c.loglik, c.bic, c.skipped, c.reason) for c in report.candidates
+            ]
+            assert got == _reference_candidates(scaled), scaled
 
 
 def test_single_family_is_always_chosen():
