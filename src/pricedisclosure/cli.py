@@ -148,25 +148,22 @@ def _cmd_critical_cost(args: argparse.Namespace) -> int:
         return 0
     if args.start is None or args.stop is None or args.step is None:
         raise UsageError("--sweep needs --from, --to, and --step")
-    if args.step <= 0:
-        raise UsageError(f"--step must be positive, got {args.step}")
     if args.sweep == "q":
         if args.n_new is None:
             raise UsageError("--n-new is required when sweeping q")
-        points = np.arange(args.start, args.stop + 1e-12, args.step)
-        rows = []
-        for q in points:
-            cost = critical_cost(density, float(q), args.n_new)
-            rows.append((float(q), cost.value, cost.integration_error_estimate))
-        _write_csv(args.out, ("q", "critical_cost", "error_estimate"), rows)
+        points = ((float(q), args.n_new) for q in np.arange(args.start, args.stop + 1e-12, args.step))
     else:
         if args.q is None:
             raise UsageError("--q is required when sweeping n")
-        rows = []
-        for n in range(int(args.start), int(args.stop) + 1, int(args.step)):
-            cost = critical_cost(density, args.q, n)
-            rows.append((n, cost.value, cost.integration_error_estimate))
-        _write_csv(args.out, ("n_new", "critical_cost", "error_estimate"), rows)
+        if not all(v.is_integer() for v in (args.start, args.stop, args.step)):
+            raise UsageError("--from, --to and --step must be integers when sweeping n")
+        points = ((args.q, n) for n in range(int(args.start), int(args.stop) + 1, int(args.step)))
+    swept = 0 if args.sweep == "q" else 1
+    rows = []
+    for point in points:
+        cost = critical_cost(density, *point)
+        rows.append((point[swept], cost.value, cost.integration_error_estimate))
+    _write_csv(args.out, (("q", "n_new")[swept], "critical_cost", "error_estimate"), rows)
     return 0
 
 
@@ -328,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a density and dump a plot-ready grid")
     _add_data_args(p_fit)
     p_fit.add_argument("--method", choices=ESTIMATORS, default="kde")
-    p_fit.add_argument("--bandwidth", type=float, default=None)
+    p_fit.add_argument("--bandwidth", type=_positive(float), default=None)
     p_fit.add_argument("--out", metavar="JSON", default=None)
     p_fit.set_defaults(func=_cmd_fit)
 
@@ -340,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cc.add_argument("--sweep", choices=("q", "n"), default=None)
     p_cc.add_argument("--from", dest="start", type=float, default=None)
     p_cc.add_argument("--to", dest="stop", type=float, default=None)
-    p_cc.add_argument("--step", type=float, default=None)
+    p_cc.add_argument("--step", type=_positive(float), default=None)
     p_cc.add_argument("--out", metavar="CSV", default=None)
     p_cc.set_defaults(func=_cmd_critical_cost)
 

@@ -10,9 +10,9 @@ is a no-op.
 
 A parametric fit is paid once per candidate disclosure, so the fitters
 reduce with ``np.add.reduce``, the ufunc behind ``np.sum``, ``np.mean``
-and ``np.std``: the same bits without the wrappers' per-call cost. The
-families are evaluated through scipy's kernels, directly when every point
-lies inside the support.
+and ``np.std``: the same bits without the wrappers' per-call cost. A
+fitted family is evaluated by scipy's kernel when every point lies inside
+its support, and by scipy's own public method otherwise.
 """
 
 from __future__ import annotations
@@ -193,8 +193,8 @@ class KernelDensity(Density):
         x = _as_sample(sample)
         self.sample = x
         self.bandwidth = float(bandwidth) if bandwidth is not None else silverman_bandwidth(x)
-        if self.bandwidth <= 0:
-            raise ValidationError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValidationError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         self.sample_min = float(x.min())
         # Untruncated mixture mass below zero, computed with the same
         # expression cdf() uses so that cdf(0.0) is exactly zero.
@@ -480,20 +480,23 @@ class _FixedDist:
     """A scipy distribution at fixed parameters.
 
     Parses the arguments of the shared module-level generator
-    (``stats.norm`` and so on) once, then evaluates through its
-    ``_pdf``/``_logpdf``/``_cdf``/``_ppf`` kernels with the support masks,
-    ``badvalue``, NaN and bound handling of ``rv_continuous``'s public
-    methods, so every value equals the public method's bit for bit. A
-    frozen distribution would build a generator instance per freeze, and a
-    public call parses and broadcasts its arguments every time; both cost
-    several times the kernels on the short arrays a fit evaluates.
+    (``stats.norm`` and so on) once. ``rv_continuous``'s public methods
+    hand a point to the ``_pdf``/``_logpdf``/``_cdf``/``_ppf`` kernel only
+    when the parameters are valid and the point is inside the support (a
+    level, inside (0, 1)). When every point is, this class returns the
+    kernel's values in the input's shape, the public method's bits; any
+    other input goes to the public method at the fit's arguments, so scipy
+    is the only masked path. A frozen distribution would build a generator
+    instance per freeze, and a public call parses and broadcasts its
+    arguments every time; both cost several times the kernels on the short
+    arrays a fit evaluates.
     """
 
-    __slots__ = ("gen", "shapes", "loc", "scale", "valid")
+    __slots__ = ("gen", "args", "kwds", "shapes", "loc", "scale", "valid")
 
     def __init__(self, gen, *args, **kwds):
         shapes, loc, scale = gen._parse_args(*args, **kwds)
-        self.gen = gen
+        self.gen, self.args, self.kwds = gen, args, kwds
         self.loc = np.asarray(loc)
         self.scale = np.asarray(scale)
         # One-element arrays: the form argsreduce hands the kernels
@@ -501,68 +504,41 @@ class _FixedDist:
         self.valid = bool(gen._argcheck(*self.shapes) & (self.scale > 0) & (self.loc == self.loc))
 
     def _points(self, x):
-        """Points in the generator's standard form, (x - loc) / scale."""
+        """The points, and at least 1-d in the generator's standard form
+        (x - loc) / scale, as argsreduce hands them to a kernel."""
         x = np.asarray(x)
-        return np.asarray((x - self.loc) / self.scale, dtype=np.promote_types(x.dtype, np.float64))
+        z = np.asarray((x - self.loc) / self.scale, dtype=np.promote_types(x.dtype, np.float64))
+        return x, np.atleast_1d(z)
 
     @staticmethod
-    def _result(out):
-        return out[()] if out.ndim == 0 else out
-
-    def _evaluate(self, kernel, x, cond, fill):
-        """The kernel where ``cond`` holds, as rv_continuous gives it: NaN
-        points get ``badvalue`` and the rest ``fill(out)``'s values. When
-        every point of an array satisfies ``cond`` (so none is NaN) no
-        mask is left to apply, and the kernel's own array is the result."""
-        if self.valid and x.ndim and cond.all():
-            return kernel(x, *self.shapes)
-        out = np.empty(x.shape, x.dtype)
-        if not self.valid:
-            out.fill(self.gen.badvalue)
-            return self._result(out)
-        fill(out)
-        np.putmask(out, np.isnan(x), self.gen.badvalue)
-        if cond.any():
-            np.place(out, cond, kernel(x[cond], *self.shapes))
-        return self._result(out)
+    def _shaped(x, out):
+        """Kernel values in the input's shape; a 0-d point gives np.float64."""
+        return out if x.ndim else out[0]
 
     def pdf(self, x):
-        x = self._points(x)
-        return self._evaluate(
-            lambda z, *shapes: self.gen._pdf(z, *shapes) / self.scale,
-            x, self.gen._support_mask(x, *self.shapes), lambda out: out.fill(0.0),
-        )
+        x, z = self._points(x)
+        if self.valid and self.gen._support_mask(z, *self.shapes).all():
+            return self._shaped(x, self.gen._pdf(z, *self.shapes) / self.scale)
+        return self.gen.pdf(x, *self.args, **self.kwds)
 
     def logpdf(self, x):
-        x = self._points(x)
-        log_scale = np.log(np.atleast_1d(self.scale))
-        return self._evaluate(
-            lambda z, *shapes: self.gen._logpdf(z, *shapes) - log_scale,
-            x, self.gen._support_mask(x, *self.shapes), lambda out: out.fill(-np.inf),
-        )
+        x, z = self._points(x)
+        if self.valid and self.gen._support_mask(z, *self.shapes).all():
+            return self._shaped(x, self.gen._logpdf(z, *self.shapes) - np.log(self.scale))
+        return self.gen.logpdf(x, *self.args, **self.kwds)
 
     def cdf(self, x):
-        x = self._points(x)
-        top = self.gen._get_support(*self.shapes)[1]
-
-        def fill(out):
-            out.fill(0.0)
-            np.place(out, x >= top, 1.0)
-
-        return self._evaluate(self.gen._cdf, x, self.gen._open_support_mask(x, *self.shapes), fill)
+        x, z = self._points(x)
+        if self.valid and self.gen._open_support_mask(z, *self.shapes).all():
+            return self._shaped(x, self.gen._cdf(z, *self.shapes))
+        return self.gen.cdf(x, *self.args, **self.kwds)
 
     def ppf(self, q):
         q = np.asarray(q)
-        out = np.full(q.shape, self.gen.badvalue)
-        if not self.valid:
-            return self._result(out)
-        a, b = self.gen._get_support(*self.shapes)
-        np.place(out, q == 0, np.atleast_1d(a * self.scale + self.loc))
-        np.place(out, q == 1, np.atleast_1d(b * self.scale + self.loc))
-        cond = (0 < q) & (q < 1)
-        if cond.any():
-            np.place(out, cond, self.gen._ppf(q[cond], *self.shapes) * self.scale + self.loc)
-        return self._result(out)
+        levels = np.atleast_1d(q)
+        if self.valid and ((0 < levels) & (levels < 1)).all():
+            return self._shaped(q, self.gen._ppf(levels, *self.shapes) * self.scale + self.loc)
+        return self.gen.ppf(q, *self.args, **self.kwds)
 
 
 def _family_dist(family: str, params: dict[str, float]) -> _FixedDist:

@@ -57,6 +57,23 @@ def test_usage_errors_exit_2(capsys, small_csv):
         capsys, "disclose", "--data", small_csv, "--method", "mc", "--rho", "3", "--n-new", "5"
     )
     assert code == 2
+    # a sweep over n_new needs integral end points and step
+    sweep_n = ["critical-cost", "--data", small_csv, "--q", "140", "--sweep", "n"]
+    for start, stop, step in (("1.7", "10", "2"), ("2", "10.5", "2"), ("2", "10", "0.5")):
+        code, out, err = run(capsys, *sweep_n, "--from", start, "--to", stop, "--step", step)
+        assert (code, out) == (2, "")
+        assert "usage error: --from, --to and --step must be integers" in err
+    for step in ("0", "-2", "nan", "inf"):
+        with pytest.raises(SystemExit) as info:
+            main(["critical-cost", "--data", small_csv, "--n-new", "5", "--sweep", "q",
+                  "--from", "120", "--to", "140", "--step", step])
+        assert info.value.code == 2
+        assert "--step" in capsys.readouterr().err
+    for bandwidth in ("0", "-1", "nan", "inf"):
+        with pytest.raises(SystemExit) as info:
+            main(["fit", "--data", small_csv, "--bandwidth", bandwidth])
+        assert info.value.code == 2
+        assert "--bandwidth" in capsys.readouterr().err
 
 
 def test_bad_workers_and_budgets_exit_2(capsys, small_csv, tmp_path):

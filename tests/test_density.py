@@ -15,6 +15,7 @@ from pricedisclosure.density import (
     _MAX_ITER,
     FAMILIES,
     KDE_BLOCK_DOUBLES,
+    TAIL_MASS,
     KernelDensity,
     UniformDensity,
     equal_mass_prices,
@@ -26,6 +27,7 @@ from pricedisclosure.density import (
 )
 from pricedisclosure.errors import FitError, GenerationError, ValidationError
 from pricedisclosure.quadrature import adaptive_simpson
+from pricedisclosure.search import critical_cost
 
 
 def test_uniform_stub_closed_forms():
@@ -48,6 +50,12 @@ def test_uniform_stub_validation():
 def test_kde_single_point_kernel_symmetry():
     d = fit_kde([100.0])
     assert d.pdf(90.0) == pytest.approx(d.pdf(110.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan, math.inf])
+def test_kde_rejects_a_nonpositive_or_nonfinite_bandwidth(bandwidth):
+    with pytest.raises(ValidationError, match="bandwidth must be positive and finite"):
+        fit_kde([100.0, 120.0], bandwidth=bandwidth)
 
 
 def test_kde_zero_spread_bandwidth_fallback():
@@ -185,10 +193,13 @@ _EDGE_LISTS = {
 @pytest.mark.parametrize("family", FAMILIES)
 def test_fitted_dist_equals_frozen_scipy_bitwise(family):
     # The fitted density evaluates its family through the shared scipy
-    # generator's kernels; every value must equal what a frozen
-    # distribution gives, NaN and out-of-support points included.
+    # generator's kernels or public methods; every value must equal what a
+    # frozen distribution gives, NaN and out-of-support points included,
+    # and so must the 0-d cdf(0.0) and ppf levels every evaluation makes.
     draw = np.random.default_rng(23).gamma(4.0, 3.0, 50)
-    levels = np.array([0.0, 1e-300, 1e-33, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-12, 1.0, -0.5, 1.5, np.nan])
+    levels = np.array(
+        [0.0, 1e-300, 1e-33, 1e-6, TAIL_MASS, 0.01, 0.5, 0.99, 1.0 - 1e-12, 1.0, -0.5, 1.5, np.nan]
+    )
     for x in (draw, *_EDGE_LISTS.values()):
         d = fit_parametric(x, families=(family,)).density
         frozen = _FROZEN[family](d.params)
@@ -200,13 +211,15 @@ def test_fitted_dist_equals_frozen_scipy_bitwise(family):
             [-1e300, -5.0, -1e-300, -0.0, np.nan, np.inf, -np.inf],
         ])
         with np.errstate(all="ignore"):
-            for method, points in (("pdf", y), ("cdf", y), ("logpdf", y), ("ppf", levels)):
+            for method, points, scalars in (
+                ("pdf", y, ()), ("cdf", y, (0.0,)), ("logpdf", y, ()), ("ppf", levels, (TAIL_MASS, 0.99)),
+            ):
                 view, ref = getattr(d.dist, method)(points), getattr(frozen, method)(points)
                 assert np.array_equal(view, ref, equal_nan=True), method
-                for i in (3, -3, -1):
-                    one, want = getattr(d.dist, method)(points[i]), getattr(frozen, method)(points[i])
+                for point in (points[3], points[-3], points[-1], *scalars):
+                    one, want = getattr(d.dist, method)(point), getattr(frozen, method)(point)
                     assert type(one) is type(want), method
-                    assert one == want or (np.isnan(one) and np.isnan(want)), (method, points[i])
+                    assert one == want or (np.isnan(one) and np.isnan(want)), (method, point)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -227,6 +240,37 @@ def test_in_support_arrays_equal_frozen_scipy_bitwise(family):
             for method in ("pdf", "cdf", "logpdf"):
                 one, want = getattr(d.dist, method)(np.asarray(x[0])), getattr(frozen, method)(x[0])
                 assert type(one) is type(want) and one == want, method
+
+
+_GENERATORS = (
+    stats.norm, stats.lognorm, stats.expon, stats.gamma, stats.weibull_min, stats.logistic, stats.gumbel_r,
+)
+_SUPPORT_FROM_ZERO = ("lognormal", "exponential", "gamma", "weibull")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_an_evaluation_calls_scipy_public_methods_only_at_the_support_edge(family, monkeypatch):
+    # A fit and a critical cost hand every point to scipy's kernels except
+    # cdf(0.0) where the support starts at zero: the kernel does not take
+    # that point, so it goes to scipy's public method.
+    calls = []
+
+    def counted(gen, method):
+        public = getattr(gen, method)
+
+        def call(x, *args, **kwds):
+            calls.append((method, np.asarray(x).tolist()))
+            return public(x, *args, **kwds)
+
+        return call
+
+    for gen in _GENERATORS:
+        for method in ("pdf", "cdf", "ppf", "logpdf"):
+            monkeypatch.setattr(gen, method, counted(gen, method))
+    x = np.random.default_rng(37).gamma(4.0, 3.0, 30)
+    d = fit_parametric(x, families=(family,)).density
+    critical_cost(d, float(np.median(x)), 10)
+    assert calls == ([("cdf", 0.0)] if family in _SUPPORT_FROM_ZERO else [])
 
 
 def test_weibull_far_tail_pdf_is_zero_not_nan():
