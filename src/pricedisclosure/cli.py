@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -20,7 +21,7 @@ import numpy as np
 
 from .data import builtin_dataset, format_cents, load_prices
 from .density import ESTIMATORS, fit_estimator, fit_kde, fit_parametric
-from .disclosure import DisclosureConstraints, clear_evaluation_cache, disclose, evaluate_subset
+from .disclosure import METHODS, DisclosureConstraints, clear_evaluation_cache, disclose, evaluate_subset
 from .errors import PriceDisclosureError, ValidationError
 from .search import critical_cost, interval_subset_count, minimal_subset_count, subset_count
 from .simulator import MarketConfig, simulate_kth_position
@@ -29,15 +30,9 @@ class UsageError(Exception):
     """Flag combinations argparse cannot express; exits with code 2."""
 
 
-METHOD_ALIASES = {
-    "brute": "brute_force",
-    "brute_force": "brute_force",
-    "mc": "monte_carlo",
-    "monte_carlo": "monte_carlo",
-    "interval": "interval",
-    "minimal": "minimal",
-    "full": "full",
-}
+METHOD_ALIASES = {**{m: m for m in METHODS}, "brute": "brute_force", "mc": "monte_carlo"}
+
+_COUNTS = {"subsets": subset_count, "interval": interval_subset_count, "minimal": minimal_subset_count}
 
 
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
@@ -151,6 +146,8 @@ def _cmd_critical_cost(args: argparse.Namespace) -> int:
     if args.sweep == "q":
         if args.n_new is None:
             raise UsageError("--n-new is required when sweeping q")
+        if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+            raise UsageError("--from and --to must be finite when sweeping q")
         points = ((float(q), args.n_new) for q in np.arange(args.start, args.stop + 1e-12, args.step))
     else:
         if args.q is None:
@@ -306,12 +303,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:
-    if args.kind == "subsets":
-        print(subset_count(args.n, args.rho))
-    elif args.kind == "interval":
-        print(interval_subset_count(args.n, args.rho))
-    else:
-        print(minimal_subset_count(args.n, args.rho))
+    print(_COUNTS[args.kind](args.n, args.rho))
     return 0
 
 
@@ -380,9 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_counts = sub.add_parser("counts", help="candidate-set sizes")
     p_counts.add_argument("--n", type=int, required=True)
     p_counts.add_argument("--rho", type=int, required=True)
-    p_counts.add_argument(
-        "--kind", choices=("subsets", "interval", "minimal"), default="subsets"
-    )
+    p_counts.add_argument("--kind", choices=tuple(_COUNTS), default="subsets")
     p_counts.set_defaults(func=_cmd_counts)
     return parser
 

@@ -6,13 +6,16 @@ Every estimator exposes the same surface: ``pdf``, ``cdf``, ``quantile``,
 a level or an array of levels, inverted by one bisection for all of them.
 Prices are positive, so all densities are truncated at zero and
 renormalized; for families already supported on [0, inf) the truncation
-is a no-op.
+is a no-op, and such a fit's mass below zero is 0 by its support, with
+no cdf call.
 
 A parametric fit is paid once per candidate disclosure, so the fitters
 reduce with ``np.add.reduce``, the ufunc behind ``np.sum``, ``np.mean``
 and ``np.std``: the same bits without the wrappers' per-call cost. A
 fitted family is evaluated by scipy's kernel when every point lies inside
-its support, and by scipy's own public method otherwise.
+its support, and by scipy's own public method otherwise. One table row
+per family holds its fitter, its scipy generator and the map from its
+fitted parameters to the generator's arguments.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import numpy as np
 from scipy import optimize, special, stats
 
 from .errors import FitError, GenerationError, NumericalError, ValidationError
-
-FAMILIES = ("normal", "lognormal", "exponential", "gamma", "weibull", "logistic", "gumbel")
 
 ESTIMATORS = ("kde", "parametric")
 
@@ -266,10 +267,13 @@ class ParametricDensity(Density):
         self.dist = dist
         self.sample_min = sample_min
         self.sample_size = sample_size
-        # Far below the mode some families (gumbel) overflow an inner exp
-        # on the way to a cdf or pdf whose limit, 0, is exact.
-        with np.errstate(over="ignore"):
-            below = float(dist.cdf(0.0))
+        if dist.gen.a * dist.scale + dist.loc >= 0.0:
+            below = 0.0  # the support starts at or above zero
+        else:
+            # Far below the mode some families (gumbel) overflow an inner
+            # exp on the way to a cdf or pdf whose limit, 0, is exact.
+            with np.errstate(over="ignore"):
+                below = float(dist.cdf(0.0))
         if below >= 1.0 - 1e-300:
             raise FitError(f"{family}: no probability mass above zero")
         self._below_zero = below
@@ -479,28 +483,28 @@ def _fit_gumbel(x: np.ndarray) -> dict[str, float]:
 class _FixedDist:
     """A scipy distribution at fixed parameters.
 
-    Parses the arguments of the shared module-level generator
-    (``stats.norm`` and so on) once. ``rv_continuous``'s public methods
-    hand a point to the ``_pdf``/``_logpdf``/``_cdf``/``_ppf`` kernel only
-    when the parameters are valid and the point is inside the support (a
-    level, inside (0, 1)). When every point is, this class returns the
-    kernel's values in the input's shape, the public method's bits; any
-    other input goes to the public method at the fit's arguments, so scipy
-    is the only masked path. A frozen distribution would build a generator
-    instance per freeze, and a public call parses and broadcasts its
-    arguments every time; both cost several times the kernels on the short
-    arrays a fit evaluates.
+    Holds a family's shared module-level generator with the shape
+    arguments, ``loc`` and ``scale`` its table row maps the fitted
+    parameters to, so nothing is parsed per fit. ``rv_continuous``'s public
+    methods hand a point to the ``_pdf``/``_logpdf``/``_cdf``/``_ppf``
+    kernel only when the parameters are valid and the point is inside the
+    support (a level, inside (0, 1)). When every point is, this class
+    returns the kernel's values in the input's shape, the public method's
+    bits; any other input goes to the public method at the fit's
+    arguments, so scipy is the only masked path. A frozen distribution
+    would build a generator instance per freeze, and a public call parses
+    and broadcasts its arguments every time; both cost several times the
+    kernels on the short arrays a fit evaluates.
     """
 
-    __slots__ = ("gen", "args", "kwds", "shapes", "loc", "scale", "valid")
+    __slots__ = ("gen", "args", "shapes", "loc", "scale", "valid")
 
-    def __init__(self, gen, *args, **kwds):
-        shapes, loc, scale = gen._parse_args(*args, **kwds)
-        self.gen, self.args, self.kwds = gen, args, kwds
+    def __init__(self, gen, args: tuple[float, ...], loc: float, scale: float):
+        self.gen, self.args = gen, args
         self.loc = np.asarray(loc)
         self.scale = np.asarray(scale)
         # One-element arrays: the form argsreduce hands the kernels
-        self.shapes = tuple(np.atleast_1d(np.asarray(a)) for a in shapes)
+        self.shapes = tuple(np.atleast_1d(np.asarray(a)) for a in args)
         self.valid = bool(gen._argcheck(*self.shapes) & (self.scale > 0) & (self.loc == self.loc))
 
     def _points(self, x):
@@ -519,55 +523,41 @@ class _FixedDist:
         x, z = self._points(x)
         if self.valid and self.gen._support_mask(z, *self.shapes).all():
             return self._shaped(x, self.gen._pdf(z, *self.shapes) / self.scale)
-        return self.gen.pdf(x, *self.args, **self.kwds)
+        return self.gen.pdf(x, *self.args, loc=self.loc, scale=self.scale)
 
     def logpdf(self, x):
         x, z = self._points(x)
         if self.valid and self.gen._support_mask(z, *self.shapes).all():
             return self._shaped(x, self.gen._logpdf(z, *self.shapes) - np.log(self.scale))
-        return self.gen.logpdf(x, *self.args, **self.kwds)
+        return self.gen.logpdf(x, *self.args, loc=self.loc, scale=self.scale)
 
     def cdf(self, x):
         x, z = self._points(x)
         if self.valid and self.gen._open_support_mask(z, *self.shapes).all():
             return self._shaped(x, self.gen._cdf(z, *self.shapes))
-        return self.gen.cdf(x, *self.args, **self.kwds)
+        return self.gen.cdf(x, *self.args, loc=self.loc, scale=self.scale)
 
     def ppf(self, q):
         q = np.asarray(q)
         levels = np.atleast_1d(q)
         if self.valid and ((0 < levels) & (levels < 1)).all():
             return self._shaped(q, self.gen._ppf(levels, *self.shapes) * self.scale + self.loc)
-        return self.gen.ppf(q, *self.args, **self.kwds)
+        return self.gen.ppf(q, *self.args, loc=self.loc, scale=self.scale)
 
 
-def _family_dist(family: str, params: dict[str, float]) -> _FixedDist:
-    if family == "normal":
-        return _FixedDist(stats.norm, loc=params["loc"], scale=params["scale"])
-    if family == "lognormal":
-        return _FixedDist(stats.lognorm, s=params["sigma"], scale=math.exp(params["mu"]))
-    if family == "exponential":
-        return _FixedDist(stats.expon, scale=params["scale"])
-    if family == "gamma":
-        return _FixedDist(stats.gamma, params["shape"], scale=params["scale"])
-    if family == "weibull":
-        return _FixedDist(stats.weibull_min, params["shape"], scale=params["scale"])
-    if family == "logistic":
-        return _FixedDist(stats.logistic, loc=params["loc"], scale=params["scale"])
-    if family == "gumbel":
-        return _FixedDist(stats.gumbel_r, loc=params["loc"], scale=params["scale"])
-    raise ValidationError(f"unknown family {family!r}")
-
-
-_FITTERS = {
-    "normal": _fit_normal,
-    "lognormal": _fit_lognormal,
-    "exponential": _fit_exponential,
-    "gamma": _fit_gamma,
-    "weibull": _fit_weibull,
-    "logistic": _fit_logistic,
-    "gumbel": _fit_gumbel,
+# One row per family: its fitter, its scipy generator, and the map from the
+# fitted parameters to the generator's (shape args, loc, scale).
+_FAMILIES = {
+    "normal": (_fit_normal, stats.norm, lambda p: ((), p["loc"], p["scale"])),
+    "lognormal": (_fit_lognormal, stats.lognorm, lambda p: ((p["sigma"],), 0.0, math.exp(p["mu"]))),
+    "exponential": (_fit_exponential, stats.expon, lambda p: ((), 0.0, p["scale"])),
+    "gamma": (_fit_gamma, stats.gamma, lambda p: ((p["shape"],), 0.0, p["scale"])),
+    "weibull": (_fit_weibull, stats.weibull_min, lambda p: ((p["shape"],), 0.0, p["scale"])),
+    "logistic": (_fit_logistic, stats.logistic, lambda p: ((), p["loc"], p["scale"])),
+    "gumbel": (_fit_gumbel, stats.gumbel_r, lambda p: ((), p["loc"], p["scale"])),
 }
+
+FAMILIES = tuple(_FAMILIES)
 
 
 def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
@@ -581,15 +571,16 @@ def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
     if x.size < 2:
         raise ValidationError("parametric fitting needs at least 2 observations")
     for family in families:
-        if family not in _FITTERS:
+        if family not in _FAMILIES:
             raise ValidationError(f"unknown family {family!r}")
     n = x.size
     candidates: list[FitCandidate] = []
     best: FitCandidate | None = None
     for family in families:
+        fit, gen, gen_args = _FAMILIES[family]
         try:
-            params = _FITTERS[family](x)
-            dist = _family_dist(family, params)
+            params = fit(x)
+            dist = _FixedDist(gen, *gen_args(params))
             loglik = float(np.add.reduce(dist.logpdf(x)))
             if not np.isfinite(loglik):
                 raise FitError("non-finite likelihood")

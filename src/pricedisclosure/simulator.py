@@ -64,11 +64,11 @@ class MarketConfig:
             raise ValidationError(f"base_seed must be nonnegative, got {self.base_seed}")
         if self.trials is not None and self.trials < 1:
             raise ValidationError(f"trials must be positive, got {self.trials}")
+        if self.csa_draw_count is not None and self.csa_draw_count < 1:
+            raise ValidationError(f"csa_draw_count must be positive, got {self.csa_draw_count}")
 
     def resolved_draw_count(self) -> int:
         if self.csa_draw_count is not None:
-            if self.csa_draw_count < 1:
-                raise ValidationError(f"csa_draw_count must be positive, got {self.csa_draw_count}")
             return self.csa_draw_count
         return expected_new_prices(self.csa_listing_mean, self.overlap_rate)
 

@@ -69,6 +69,12 @@ def test_usage_errors_exit_2(capsys, small_csv):
                   "--from", "120", "--to", "140", "--step", step])
         assert info.value.code == 2
         assert "--step" in capsys.readouterr().err
+    # a sweep over q needs finite end points
+    sweep_q = ["critical-cost", "--data", small_csv, "--n-new", "5", "--sweep", "q", "--step", "5"]
+    for start, stop in (("nan", "140"), ("120", "inf"), ("-inf", "140")):
+        code, out, err = run(capsys, *sweep_q, f"--from={start}", f"--to={stop}")
+        assert (code, out) == (2, "")
+        assert "usage error: --from and --to must be finite when sweeping q" in err
     for bandwidth in ("0", "-1", "nan", "inf"):
         with pytest.raises(SystemExit) as info:
             main(["fit", "--data", small_csv, "--bandwidth", bandwidth])

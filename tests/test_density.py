@@ -188,6 +188,7 @@ _EDGE_LISTS = {
     "one_cent": np.repeat([297.0, 297.01], 15),  # weibull shape ~7e4, gamma shape ~3.5e9
     "outlier": np.append(np.full(29, 50.0), 5000.0),
 }
+_SUPPORT_FROM_ZERO = ("lognormal", "exponential", "gamma", "weibull")
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -196,6 +197,8 @@ def test_fitted_dist_equals_frozen_scipy_bitwise(family):
     # generator's kernels or public methods; every value must equal what a
     # frozen distribution gives, NaN and out-of-support points included,
     # and so must the 0-d cdf(0.0) and ppf levels every evaluation makes.
+    # The mass below zero is the frozen cdf(0.0) too, though families on
+    # [0, inf) take it from their support.
     draw = np.random.default_rng(23).gamma(4.0, 3.0, 50)
     levels = np.array(
         [0.0, 1e-300, 1e-33, 1e-6, TAIL_MASS, 0.01, 0.5, 0.99, 1.0 - 1e-12, 1.0, -0.5, 1.5, np.nan]
@@ -211,6 +214,9 @@ def test_fitted_dist_equals_frozen_scipy_bitwise(family):
             [-1e300, -5.0, -1e-300, -0.0, np.nan, np.inf, -np.inf],
         ])
         with np.errstate(all="ignore"):
+            assert d._below_zero.hex() == float(frozen.cdf(0.0)).hex()
+            if x is draw:
+                assert (d._below_zero > 0.0) == (family not in _SUPPORT_FROM_ZERO)
             for method, points, scalars in (
                 ("pdf", y, ()), ("cdf", y, (0.0,)), ("logpdf", y, ()), ("ppf", levels, (TAIL_MASS, 0.99)),
             ):
@@ -245,14 +251,14 @@ def test_in_support_arrays_equal_frozen_scipy_bitwise(family):
 _GENERATORS = (
     stats.norm, stats.lognorm, stats.expon, stats.gamma, stats.weibull_min, stats.logistic, stats.gumbel_r,
 )
-_SUPPORT_FROM_ZERO = ("lognormal", "exponential", "gamma", "weibull")
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_an_evaluation_calls_scipy_public_methods_only_at_the_support_edge(family, monkeypatch):
-    # A fit and a critical cost hand every point to scipy's kernels except
-    # cdf(0.0) where the support starts at zero: the kernel does not take
-    # that point, so it goes to scipy's public method.
+def test_an_evaluation_calls_no_scipy_public_method(family, monkeypatch):
+    # A fit and a critical cost hand every point to scipy's kernels. The
+    # one point a kernel does not take, cdf(0.0) where the support starts
+    # at zero, is never asked for: the support alone says the mass below
+    # zero is 0.
     calls = []
 
     def counted(gen, method):
@@ -270,7 +276,12 @@ def test_an_evaluation_calls_scipy_public_methods_only_at_the_support_edge(famil
     x = np.random.default_rng(37).gamma(4.0, 3.0, 30)
     d = fit_parametric(x, families=(family,)).density
     critical_cost(d, float(np.median(x)), 10)
-    assert calls == ([("cdf", 0.0)] if family in _SUPPORT_FROM_ZERO else [])
+    assert calls == []
+
+
+def test_fit_parametric_rejects_an_unknown_family():
+    with pytest.raises(ValidationError, match="unknown family 'cauchy'"):
+        fit_parametric([10.0, 12.0, 15.0], families=("cauchy",))
 
 
 def test_weibull_far_tail_pdf_is_zero_not_nan():

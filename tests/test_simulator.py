@@ -45,6 +45,9 @@ def test_config_validation():
         MarketConfig(true_density=d, csa_listing_mean=5.0, rho=31)
     with pytest.raises(ValidationError):
         MarketConfig(true_density=d, csa_listing_mean=5.0, trials=0)
+    for count in (0, -3):
+        with pytest.raises(ValidationError, match=f"csa_draw_count must be positive, got {count}"):
+            MarketConfig(true_density=d, csa_listing_mean=5.0, csa_draw_count=count)
 
 
 def test_resolved_draw_count(printer_cfg):
