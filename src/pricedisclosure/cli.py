@@ -9,10 +9,12 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -80,15 +82,11 @@ def _positive(convert):
 
 
 def _write_csv(path: str | None, header, rows) -> None:
-    handle = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
-    try:
+    with open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    finally:
-        if path:
-            handle.close()
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -225,7 +223,12 @@ def _cmd_disclose(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.config, encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+            raise ValidationError(f"config {args.config}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"config {args.config}: expected a JSON object")
     if "builtin" in raw:
         prices = builtin_dataset(raw.pop("builtin"))
     elif "data" in raw:
@@ -251,21 +254,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     print(f"seed: {cfg.base_seed}")
     reports = simulate_kth_position(cfg, args.position, args.methods, args.budgets, workers=args.workers)
-    rows = []
-    for report in reports:
-        for (budget, mean, se) in report.curve:
-            rows.append(
-                (
-                    report.method,
-                    report.position_k,
-                    budget,
-                    mean,
-                    se,
-                    report.full_set_cost,
-                    report.trials,
-                    report.base_seed,
-                )
-            )
+    rows = [
+        (r.method, r.position_k, budget, mean, se, r.full_set_cost, r.trials, r.base_seed)
+        for r in reports
+        for budget, mean, se in r.curve
+    ]
     _write_csv(
         args.out,
         ("method", "position_k", "budget", "mean_cost", "std_error", "full_set_cost", "trials", "seed"),
@@ -381,11 +374,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Whoever read stdout has gone: Python's documented recipe points
+        # stdout at devnull, so the final flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except PriceDisclosureError as exc:
+    except (PriceDisclosureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,12 +2,12 @@
 
 Every estimator exposes the same surface: ``pdf``, ``cdf``, ``quantile``,
 ``support_low``, ``effective_low``, ``feature_scale`` and ``sample_min``.
-``pdf`` and ``cdf`` take a point or an array of points, and ``quantile``
-a level or an array of levels, inverted by one bisection for all of them.
-Prices are positive, so all densities are truncated at zero and
-renormalized; for families already supported on [0, inf) the truncation
-is a no-op, and such a fit's mass below zero is 0 by its support, with
-no cdf call.
+``pdf``, ``cdf`` and ``quantile`` keep the point contract of ``pointwise``,
+and ``quantile`` inverts the cdf by one bisection for all its levels.
+Prices are positive, so both estimators are truncated at zero, by the one
+mask of ``_above_zero``, and renormalized; for families already supported
+on [0, inf) the truncation is a no-op, and such a fit's mass below zero is
+0 by its support, with no cdf call.
 
 A parametric fit is paid once per candidate disclosure, so the fitters
 reduce with ``np.add.reduce``, the ufunc behind ``np.sum``, ``np.mean``
@@ -20,6 +20,8 @@ fitted parameters to the generator's arguments.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -63,11 +65,33 @@ def _as_sample(values) -> np.ndarray:
     return x
 
 
-def _as_levels(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
+def _as_levels(p: np.ndarray) -> np.ndarray:
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValidationError(f"quantile levels must be in [0, 1], got {p}")
     return p
+
+
+def pointwise(fn):
+    """The point contract: the last argument is a point or an array of any
+    shape, ``fn`` gets it as a 1-d float array and returns a value per point,
+    and the caller gets a float for a point, else an array of that shape."""
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if kwargs:  # some given by name: put each in its place
+            args = signature.bind(*args, **kwargs).args
+        y = np.asarray(args[-1], dtype=float)
+        out = fn(*args[:-1], y.ravel())
+        return out.reshape(y.shape) if y.ndim else float(out[0])
+
+    return wrapper
+
+
+def _above_zero(points: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The truncation at zero: ``out`` where a point is at or above it, else 0."""
+    inside = points >= 0.0
+    return out if inside.all() else np.where(inside, out, 0.0)
 
 
 class Density:
@@ -94,10 +118,10 @@ class Density:
         """A price scale likely to bracket most of the mass."""
         raise NotImplementedError
 
+    @pointwise
     def quantile(self, p):
         """Smallest y with cdf(y) >= p, per level, located to within 1e-6 by
-        one bisection over all levels; a level gives a float, an array of
-        levels an array, as with pdf and cdf. Level 0 maps to support_low."""
+        one bisection over all levels. Level 0 maps to support_low."""
         p = _as_levels(p)
         low = self.support_low
         cap = low + max(self._quantile_hint() - low, 1.0)
@@ -112,11 +136,10 @@ class Density:
         hi = np.full(p.shape, cap)
         while float(np.max(hi - lo, initial=0.0)) > QUANTILE_TOL:
             mid = 0.5 * (lo + hi)
-            below = np.asarray(self.cdf(mid)) < p
+            below = self.cdf(mid) < p
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-        out = np.where(p == 0.0, low, 0.5 * (lo + hi))
-        return out if out.ndim else float(out)
+        return np.where(p == 0.0, low, 0.5 * (lo + hi))
 
 
 class UniformDensity(Density):
@@ -133,19 +156,17 @@ class UniformDensity(Density):
     def __repr__(self) -> str:
         return f"UniformDensity(low={self.low!r}, high={self.high!r})"
 
+    @pointwise
     def pdf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.where((y >= self.low) & (y <= self.high), 1.0 / (self.high - self.low), 0.0)
-        return out if out.ndim else float(out)
+        return np.where((y >= self.low) & (y <= self.high), 1.0 / (self.high - self.low), 0.0)
 
+    @pointwise
     def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.clip((y - self.low) / (self.high - self.low), 0.0, 1.0)
-        return out if out.ndim else float(out)
+        return np.clip((y - self.low) / (self.high - self.low), 0.0, 1.0)
 
+    @pointwise
     def quantile(self, p):
-        out = self.low + _as_levels(p) * (self.high - self.low)
-        return out if out.ndim else float(out)
+        return self.low + _as_levels(p) * (self.high - self.low)
 
 
 def _linear_percentile(ordered: np.ndarray, level: float) -> float:
@@ -227,25 +248,16 @@ class KernelDensity(Density):
             out[start : start + rows] = np.add.reduce(kernel(z), axis=1) / n
         return out
 
+    @pointwise
     def pdf(self, y):
-        y = np.asarray(y, dtype=float)
-        points = np.atleast_1d(y)
-        raw = self._kernel_mean(points, lambda z: np.exp(-0.5 * z * z))
-        out = raw / (self.bandwidth * _SQRT_2PI) / self._mass_above_zero
-        inside = points >= 0.0
-        if not inside.all():
-            out = np.where(inside, out, 0.0)
-        return out if y.ndim else float(out[0])
+        raw = self._kernel_mean(y, lambda z: np.exp(-0.5 * z * z))
+        return _above_zero(y, raw / (self.bandwidth * _SQRT_2PI) / self._mass_above_zero)
 
+    @pointwise
     def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        points = np.atleast_1d(y)
-        raw = self._kernel_mean(points, special.ndtr)
-        out = np.minimum(np.maximum((raw - self._below_zero) / self._mass_above_zero, 0.0), 1.0)
-        inside = points >= 0.0
-        if not inside.all():
-            out = np.where(inside, out, 0.0)
-        return out if y.ndim else float(out[0])
+        raw = self._kernel_mean(y, special.ndtr)
+        cdf = (raw - self._below_zero) / self._mass_above_zero
+        return _above_zero(y, np.minimum(np.maximum(cdf, 0.0), 1.0))
 
     def _quantile_hint(self) -> float:
         return float(self.sample.max() + 10.0 * self.bandwidth)
@@ -287,27 +299,24 @@ class ParametricDensity(Density):
         low = float(self.dist.ppf(TAIL_MASS))
         return low if low > self.support_low else self.support_low
 
+    @pointwise
     def pdf(self, y):
-        y = np.asarray(y, dtype=float)
-        points = np.atleast_1d(y)
         with np.errstate(over="ignore", invalid="ignore"):
-            raw = self.dist.pdf(points)
+            raw = self.dist.pdf(y)
             # Far in a tail a kernel can meet inf * 0 (weibull with a huge
             # shape: x**(c-1) * exp(-x**c)); the density's limit there is 0,
             # which exp(logpdf) gives.
             lost = np.isnan(raw)
             if lost.any():
-                lost &= ~np.isnan(points)
-                raw[lost] = np.exp(self.dist.logpdf(points[lost]))
-        out = np.where(points >= 0.0, raw / self._mass_above_zero, 0.0)
-        return out if y.ndim else float(out[0])
+                lost &= ~np.isnan(y)
+                raw[lost] = np.exp(self.dist.logpdf(y[lost]))
+        return _above_zero(y, raw / self._mass_above_zero)
 
+    @pointwise
     def cdf(self, y):
-        y = np.asarray(y, dtype=float)
         with np.errstate(over="ignore"):
-            raw = (self.dist.cdf(np.atleast_1d(y)) - self._below_zero) / self._mass_above_zero
-        out = np.where(np.atleast_1d(y) >= 0.0, np.clip(raw, 0.0, 1.0), 0.0)
-        return out if y.ndim else float(out[0])
+            cdf = (self.dist.cdf(y) - self._below_zero) / self._mass_above_zero
+        return _above_zero(y, np.minimum(np.maximum(cdf, 0.0), 1.0))
 
     def _quantile_hint(self) -> float:
         hint = float(self.dist.ppf(0.99))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PriceList
-from .density import Density
+from .density import Density, pointwise
 from .errors import NumericalError, ValidationError
 from .quadrature import adaptive_simpson
 
@@ -92,25 +92,23 @@ def _min_order(density: Density, n: int, y, weight=1.0):
     at large n to swamp small values and keep quadrature panels from ever
     meeting tol; the log form keeps the relative accuracy of cdf itself.
     """
-    f = np.asarray(density.pdf(y), dtype=float)
+    f = density.pdf(y)
     with np.errstate(divide="ignore"):
-        log_sf = np.log1p(-np.asarray(density.cdf(y), dtype=float))
+        log_sf = np.log1p(-density.cdf(y))
     sf_rest = np.exp((n - 1) * log_sf) if n > 1 else np.ones_like(log_sf)
     return -np.expm1(n * log_sf), weight * n * f * sf_rest
 
 
+@pointwise
 def min_order_pdf(density: Density, n_new: int, y):
     """Density of the minimum of ``n_new`` i.i.d. draws at ``y``."""
-    y_arr = np.asarray(y, dtype=float)
-    _, out = _min_order(density, _check_n(n_new), y_arr)
-    return out if y_arr.ndim else float(out)
+    return _min_order(density, _check_n(n_new), y)[1]
 
 
+@pointwise
 def min_order_cdf(density: Density, n_new: int, y):
     """Probability that the minimum of ``n_new`` i.i.d. draws is <= ``y``."""
-    y_arr = np.asarray(y, dtype=float)
-    out, _ = _min_order(density, _check_n(n_new), y_arr)
-    return out if y_arr.ndim else float(out)
+    return _min_order(density, _check_n(n_new), y)[0]
 
 
 def forced_depth(width: float, scale: float | None) -> int:

@@ -14,6 +14,9 @@ whole experiments reproducible and worker-count-invariant.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -51,6 +54,17 @@ class MarketConfig:
     product_id: str = "market"
 
     def __post_init__(self):
+        # A numeric field takes its declared type (numpy's too, bools not),
+        # a real one only a finite value.
+        for f in dataclasses.fields(self):
+            declared, _, optional = f.type.partition(" | ")
+            kind = {"int": numbers.Integral, "float": numbers.Real}.get(declared)
+            value = getattr(self, f.name)
+            if kind is None or (optional and value is None):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind) or not -math.inf < value < math.inf:
+                noun = "an integer" if declared == "int" else "a finite number"
+                raise ValidationError(f"{f.name} must be {noun}, got {value!r}")
         if not 0.0 <= self.overlap_rate < 1.0:
             raise ValidationError(f"overlap_rate must be in [0, 1), got {self.overlap_rate}")
         if self.csa_listing_mean <= 0:
@@ -121,8 +135,9 @@ def draw_csa_listing(cfg: MarketConfig, rng: np.random.Generator) -> PriceList:
     return _rounded_list(cfg, "csa-draw", quantile_array(cfg.true_density, levels))
 
 
-def _trial_worker(args) -> tuple[int, dict]:
-    (cfg, trial, position_k, mc_budgets, subsets, n_new) = args
+def _trial_worker(cfg, position_k, n_new, subsets, trial, budgets) -> dict[str, tuple[float, ...]]:
+    """One trial's pooled costs per method: a 1-tuple for each disclosed
+    subset and, given budgets, one Monte Carlo cost per budget."""
     # The listings of the k-1 competitors the searcher has already queried.
     drawn = tuple(
         entry
@@ -134,17 +149,17 @@ def _trial_worker(args) -> tuple[int, dict]:
         pooled = PriceList(cfg.product_id, subset.entries + drawn)
         return evaluate_subset(pooled, n_new, cfg.estimator).value
 
-    out = {method: pooled_cost(subset) for method, subset in subsets.items()}
-    if mc_budgets:
+    out = {method: (pooled_cost(subset),) for method, subset in subsets.items()}
+    if budgets:
         # One run to the largest budget. Each budget's run is its prefix, so
         # budget b's winner is the last trace entry with index <= b.
         seed = _derive_seed(cfg.base_seed, trial, _ROLE_MC_SELECT)
         constraints = DisclosureConstraints(rho=cfg.rho)
-        res = monte_carlo_disclose(subsets["full"], constraints, n_new, max(mc_budgets), seed, cfg.estimator)
+        res = monte_carlo_disclose(subsets["full"], constraints, n_new, max(budgets), seed, cfg.estimator)
         out["monte_carlo"] = tuple(
-            pooled_cost(res.trace_subsets[sum(i <= b for i, _ in res.trace) - 1]) for b in mc_budgets
+            pooled_cost(res.trace_subsets[sum(i <= b for i, _ in res.trace) - 1]) for b in budgets
         )
-    return trial, out
+    return out
 
 
 def _mean_and_std_error(costs: tuple[float, ...]) -> tuple[float, float]:
@@ -187,57 +202,43 @@ def simulate_kth_position(
     constraints = DisclosureConstraints(rho=cfg.rho)
     trials = cfg.resolved_trials(position_k)
 
-    # Disclosed sets for the deterministic strategies, computed once.
+    # Per method: its curve points and its trial count. At k = 1
+    # deterministic pooled costs are constant, so they take one trial.
+    det_trials = 1 if position_k == 1 else trials
     subsets: dict[str, PriceList] = {"full": initial}
-    natural_counts: dict[str, int] = {"full": 1}
+    plan = {"full": ((1,), det_trials)}
     for method in ("interval", "minimal", "brute_force"):
         if method in methods:
             res = disclose(initial, method, constraints, n_new, cfg.estimator, workers=workers)
             subsets[method] = res.subset
-            natural_counts[method] = res.subsets_evaluated
-
-    # Per-trial costs. At k = 1 deterministic pooled costs are constant, so
-    # only the randomized strategy needs the full trial loop.
-    det_trials = 1 if position_k == 1 else trials
-    mc_trials = trials if "monte_carlo" in methods else 0
-    needed = max(det_trials, mc_trials)
-
-    tasks = [
-        (cfg, t, position_k, budgets if t < mc_trials else (), subsets, n_new)
-        for t in range(needed)
-    ]
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_trial_worker, tasks, chunksize=8))
+            plan[method] = ((res.subsets_evaluated,), det_trials)
+    if "monte_carlo" in methods:
+        plan["monte_carlo"] = (budgets, trials)
     else:
-        results = dict(map(_trial_worker, tasks))
+        budgets = ()
 
-    def det_costs(method: str) -> tuple[float, ...]:
-        return tuple(results[t][method] for t in range(det_trials))
-
-    full_set_cost = float(np.mean(det_costs("full")))
-
-    reports: list[SimulationReport] = []
-    for method in methods:
-        if method == "monte_carlo":
-            points = [
-                (budget, tuple(results[t]["monte_carlo"][bi] for t in range(mc_trials)))
-                for bi, budget in enumerate(budgets)
-            ]
-        else:
-            points = [(natural_counts[method], det_costs(method))]
-        reports.append(
-            SimulationReport(
-                method=method,
-                curve=tuple((budget, *_mean_and_std_error(costs)) for budget, costs in points),
-                full_set_cost=full_set_cost,
-                position_k=position_k,
-                trials=mc_trials if method == "monte_carlo" else det_trials,
-                base_seed=cfg.base_seed,
-                trial_costs=tuple(costs for _, costs in points),
-            )
+    work = functools.partial(_trial_worker, cfg, position_k, n_new, subsets, budgets=budgets)
+    count = max(n for _, n in plan.values())
+    if workers > 1 and count > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(work, range(count), chunksize=8))
+    else:
+        runs = list(map(work, range(count)))
+    # Per method and curve point, the cost in each of the method's trials.
+    costs = {m: tuple(zip(*(run[m] for run in runs[:n]))) for m, (_, n) in plan.items()}
+    full_set_cost = float(np.mean(costs["full"][0]))
+    return [
+        SimulationReport(
+            method=m,
+            curve=tuple((point, *_mean_and_std_error(c)) for point, c in zip(plan[m][0], costs[m])),
+            full_set_cost=full_set_cost,
+            position_k=position_k,
+            trials=plan[m][1],
+            base_seed=cfg.base_seed,
+            trial_costs=costs[m],
         )
-    return reports
+        for m in methods
+    ]
 
 
 def simulate_first_position(cfg: MarketConfig, methods, budgets=(), workers: int = 1):

@@ -3,8 +3,11 @@
 import csv
 import dataclasses
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -291,6 +294,53 @@ def test_simulate_bad_config_exits_1(capsys, tmp_path):
     )
     assert code == 1
     assert "unknown config keys" in err
+
+
+def test_simulate_config_of_the_wrong_type_exits_1(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"builtin": "mouse", "trials": 2.5}))
+    code, out, err = run(capsys, "simulate", "--config", str(config), "--methods", "mc", "--budgets", "5")
+    assert (code, out, err) == (1, "", "error: trials must be an integer, got 2.5\n")
+
+
+def test_file_errors_exit_1_without_a_traceback(capsys, small_csv, tmp_path):
+    missing = tmp_path / "missing.json"
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"builtin": "mouse",')
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1, 2]")
+    unwritable = str(tmp_path / "no" / "such" / "dir" / "out.csv")
+    disclose = ["disclose", "--data", small_csv, "--method", "full", "--rho", "3", "--n-new", "5"]
+    cases = [
+        (["simulate", "--config", str(missing), "--methods", "full"], "No such file"),
+        (["simulate", "--config", str(malformed), "--methods", "full"], f"config {malformed}: Expecting"),
+        (["simulate", "--config", str(listed), "--methods", "full"], "expected a JSON object"),
+        (disclose + ["--trace", unwritable], "No such file"),
+        (["critical-cost", "--data", small_csv, "--sweep", "n", "--q", "200", "--from", "1",
+          "--to", "2", "--step", "1", "--out", unwritable], "No such file"),
+        (["fit", "--data", small_csv, "--out", unwritable], "No such file"),
+    ]
+    for argv, message in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1, (argv, err)
+
+
+def test_closed_stdout_exits_1_quietly():
+    # The pipe's read end is closed before the child starts, so its first
+    # write to stdout fails however fast it runs.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pricedisclosure.cli", "counts", "--n", "5", "--rho", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_bench_csv(capsys, small_csv, tmp_path):

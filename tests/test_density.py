@@ -27,7 +27,7 @@ from pricedisclosure.density import (
 )
 from pricedisclosure.errors import FitError, GenerationError, ValidationError
 from pricedisclosure.quadrature import adaptive_simpson
-from pricedisclosure.search import critical_cost
+from pricedisclosure.search import critical_cost, min_order_cdf, min_order_pdf
 
 
 def test_uniform_stub_closed_forms():
@@ -689,3 +689,44 @@ def test_parametric_fits_leak_no_warnings(name):
             grid = np.linspace(0.0, d.sample_min + 10.0, 257)
             assert np.all(np.isfinite(d.pdf(grid))) and np.all(np.isfinite(d.cdf(grid)))
             assert d.cdf(0.0) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["kde", "blocked_kde", "parametric", "uniform"])
+def test_point_contract_holds_for_every_shape(kind):
+    # Any shape gives the raveled call's values in that shape, bit for bit;
+    # a point gives a float. 600 samples put an (n, 1) array of points past
+    # one KDE row block.
+    values = builtin_dataset("printer").values()
+    if kind == "blocked_kde":
+        values = np.random.default_rng(5).lognormal(5.0, 0.3, 600)
+    d = {
+        "kde": fit_kde,
+        "blocked_kde": fit_kde,
+        "parametric": lambda v: fit_parametric(v).density,
+        "uniform": lambda v: UniformDensity(0.9 * v.min(), 1.1 * v.max()),
+    }[kind](values)
+    n = values.size
+    assert (kind == "blocked_kde") == (n * n > KDE_BLOCK_DOUBLES)
+    functions = {
+        "pdf": d.pdf,
+        "cdf": d.cdf,
+        "quantile": d.quantile,
+        "min_order_pdf": lambda y: min_order_pdf(d, 18, y),
+        "min_order_cdf": lambda y: min_order_cdf(d, 18, y),
+    }
+    for name, fn in functions.items():
+        low, high = (0.0, 1.0) if name == "quantile" else (-0.1 * values.max(), 1.5 * values.max())
+        for shape in ((2, 3), (n, 1), (1, n), (2, 2, 2)):
+            y = np.linspace(low, high, math.prod(shape)).reshape(shape)
+            got = fn(y)
+            assert got.shape == shape, (name, shape)
+            assert np.array_equal(got, fn(y.ravel()).reshape(shape), equal_nan=True), (name, shape)
+        point = 0.3 if name == "quantile" else float(np.median(values))
+        want = fn(np.array([point]))[0]
+        for form in (point, np.float64(point), np.array(point)):
+            got = fn(form)
+            assert type(got) is float and got == want, (name, form)
+    # The point may also be given by name.
+    assert d.pdf(y=values[0]) == d.pdf(values[0])
+    assert d.quantile(p=[0.5]) == d.quantile([0.5])
+    assert min_order_cdf(d, y=values[0], n_new=18) == min_order_cdf(d, 18, values[0])

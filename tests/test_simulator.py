@@ -1,5 +1,7 @@
 """Market simulation protocols: first-position, k-th position, size effect."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,30 @@ def test_config_validation():
     for count in (0, -3):
         with pytest.raises(ValidationError, match=f"csa_draw_count must be positive, got {count}"):
             MarketConfig(true_density=d, csa_listing_mean=5.0, csa_draw_count=count)
+    # Integral fields take integers, numpy's too; real fields take finite
+    # ints or floats; neither takes a bool or a string.
+    for field, value, noun in (
+        ("rho", 10.0, "an integer"),
+        ("initial_set_size_n", "30", "an integer"),
+        ("trials", 2.5, "an integer"),
+        ("trials", True, "an integer"),
+        ("base_seed", np.float64(1.0), "an integer"),
+        ("csa_draw_count", False, "an integer"),
+        ("csa_listing_mean", "5", "a finite number"),
+        ("csa_listing_mean", float("inf"), "a finite number"),
+        ("overlap_rate", "0.1", "a finite number"),
+        ("stated_minimum", True, "a finite number"),
+        ("stated_minimum", float("nan"), "a finite number"),
+    ):
+        kwargs = {"csa_listing_mean": 5.0, field: value}
+        with pytest.raises(ValidationError, match=re.escape(f"{field} must be {noun}, got {value!r}")):
+            MarketConfig(true_density=d, **kwargs)
+    cfg = MarketConfig(
+        true_density=d, csa_listing_mean=5, overlap_rate=np.float32(0.25), rho=np.int64(2),
+        initial_set_size_n=np.int32(4), trials=np.uint8(3), base_seed=np.int64(7),
+        stated_minimum=np.int64(0), csa_draw_count=np.int16(2),
+    )
+    assert cfg.resolved_trials(1) == 3 and cfg.resolved_draw_count() == 2
 
 
 def test_resolved_draw_count(printer_cfg):
