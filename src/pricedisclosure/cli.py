@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +40,15 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--data", metavar="CSV", help="price list CSV file")
     group.add_argument("--builtin", metavar="NAME", help="bundled dataset name")
+
+
+def _add_selection_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--rho", type=int, required=True)
+    parser.add_argument("--n-new", type=int, required=True)
+    parser.add_argument("--estimator", choices=ESTIMATORS, default="kde")
+    parser.add_argument("--budget", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workers", type=_positive(int), default=1)
 
 
 def _load_data(args: argparse.Namespace):
@@ -81,12 +89,12 @@ def _positive(convert):
     return parse
 
 
-def _write_csv(path: str | None, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") if path else contextlib.nullcontext(sys.stdout) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+def _write_csv(handle, header, rows) -> None:
+    """Write CSV to ``handle``, or to stdout when it is None."""
+    writer = csv.writer(handle or sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -121,11 +129,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     hi = density.quantile(1.0 - 1e-6)
     grid_y = np.linspace(density.support_low, hi, 512)
     payload["grid"] = np.column_stack([grid_y, density.pdf(grid_y), density.cdf(grid_y)]).tolist()
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    print(json.dumps(payload, indent=2), file=args.out)
     return 0
 
 
@@ -136,8 +140,8 @@ def _cmd_critical_cost(args: argparse.Namespace) -> int:
         if args.q is None or args.n_new is None:
             raise UsageError("--q and --n-new are required without --sweep")
         cost = critical_cost(density, args.q, args.n_new)
-        print(f"critical_cost: {cost.value!r}")
-        print(f"error_estimate: {cost.integration_error_estimate!r}")
+        print(f"critical_cost: {cost.value!r}", file=args.out)
+        print(f"error_estimate: {cost.integration_error_estimate!r}", file=args.out)
         return 0
     if args.start is None or args.stop is None or args.step is None:
         raise UsageError("--sweep needs --from, --to, and --step")
@@ -185,6 +189,12 @@ def _calibrate_budget(prices, constraints, n_new: int, estimator: str, deadline_
     return max(1, int(deadline_ms / 1000.0 / per_eval))
 
 
+def _disclose(args: argparse.Namespace, prices, method: str, constraints, budget: int | None):
+    """The one ``disclose`` call of the disclose and bench commands."""
+    return disclose(prices, method, constraints, args.n_new, estimator=args.estimator,
+                    budget=budget, seed=args.seed, workers=args.workers)
+
+
 def _cmd_disclose(args: argparse.Namespace) -> int:
     prices = _load_data(args)
     method = args.method
@@ -199,16 +209,7 @@ def _cmd_disclose(args: argparse.Namespace) -> int:
         elif budget is None:
             raise UsageError("monte_carlo needs --budget or --deadline-ms")
         print(f"seed: {args.seed}")
-    result = disclose(
-        prices,
-        method,
-        constraints,
-        args.n_new,
-        estimator=args.estimator,
-        budget=budget,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    result = _disclose(args, prices, method, constraints, budget)
     disclosed = " ".join(format_cents(e.cents) for e in result.subset.entries)
     print(f"method: {result.method}")
     print(f"disclosed ({len(result.subset)} prices): {disclosed}")
@@ -274,16 +275,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for method in args.methods:
         clear_evaluation_cache()
         t0 = time.perf_counter()
-        result = disclose(
-            prices,
-            method,
-            constraints,
-            args.n_new,
-            estimator=args.estimator,
-            budget=args.budget,
-            seed=args.seed,
-            workers=args.workers,
-        )
+        result = _disclose(args, prices, method, constraints, args.budget)
         elapsed = time.perf_counter() - t0
         count = max(result.subsets_evaluated, 1)
         rows.append((method, result.subsets_evaluated, elapsed, elapsed / count))
@@ -329,15 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_di = sub.add_parser("disclose", help="choose a subset of prices to publish")
     _add_data_args(p_di)
     p_di.add_argument("--method", type=_parse_method, required=True)
-    p_di.add_argument("--rho", type=int, required=True)
-    p_di.add_argument("--n-new", type=int, required=True)
-    p_di.add_argument("--estimator", choices=ESTIMATORS, default="kde")
-    p_di.add_argument("--budget", type=int, default=None)
+    _add_selection_args(p_di)
     p_di.add_argument("--deadline-ms", type=_positive(float), default=None)
-    p_di.add_argument("--seed", type=int, default=0)
     p_di.add_argument("--max-size", type=int, default=None)
     p_di.add_argument("--trace", metavar="CSV", default=None)
-    p_di.add_argument("--workers", type=_positive(int), default=1)
     p_di.set_defaults(func=_cmd_disclose)
 
     p_sim = sub.add_parser("simulate", help="run position-k market experiments")
@@ -353,12 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="time per-subset evaluation by method")
     _add_data_args(p_bench)
     p_bench.add_argument("--methods", type=_comma_list(_parse_method), default=("interval", "minimal", "full"))
-    p_bench.add_argument("--rho", type=int, required=True)
-    p_bench.add_argument("--n-new", type=int, required=True)
-    p_bench.add_argument("--estimator", choices=ESTIMATORS, default="kde")
-    p_bench.add_argument("--budget", type=int, default=None)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--workers", type=_positive(int), default=1)
+    _add_selection_args(p_bench)
     p_bench.add_argument("--out", metavar="CSV", default=None)
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -374,7 +356,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        with contextlib.ExitStack() as outputs:
+            # Every output file is opened (created or truncated) before any
+            # work, so a bad path fails at once; None stands for stdout.
+            for dest in ("out", "trace"):
+                if dest in vars(args):
+                    path = getattr(args, dest)
+                    setattr(args, dest, outputs.enter_context(open(path, "w", encoding="utf-8", newline="")) if path else None)
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

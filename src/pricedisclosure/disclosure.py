@@ -334,6 +334,7 @@ def disclose(
     """Dispatch by method name; randomized methods require budget and seed."""
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
+    constraints.size_cap(len(prices))  # rho must fit the list, whatever the method
     if method == "brute_force":
         return brute_force_disclose(prices, constraints, n_new, estimator, workers)
     if method == "monte_carlo":

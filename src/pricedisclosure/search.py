@@ -190,23 +190,25 @@ def improvement_upper_bound(k: int, j: int) -> float:
     return j / (k * (k + j))
 
 
-def subset_count(n: int, rho: int) -> int:
-    """Number of disclosable subsets: contain the minimum, size at least rho."""
+def _check_rho(n: int, rho: int) -> None:
     if not 1 <= rho <= n:
         raise ValidationError(f"need 1 <= rho <= n, got rho={rho}, n={n}")
+
+
+def subset_count(n: int, rho: int) -> int:
+    """Number of disclosable subsets: contain the minimum, size at least rho."""
+    _check_rho(n, rho)
     return sum(math.comb(n - 1, k - 1) for k in range(rho, n + 1))
 
 
 def interval_subset_count(n: int, rho: int) -> int:
     """Candidates the interval strategy evaluates; triangular in n - rho."""
-    if not 1 <= rho <= n:
-        raise ValidationError(f"need 1 <= rho <= n, got rho={rho}, n={n}")
+    _check_rho(n, rho)
     m = n - rho + 1
     return m * (m + 1) // 2
 
 
 def minimal_subset_count(n: int, rho: int) -> int:
     """Candidates the prefix-only strategy evaluates, full set included."""
-    if not 1 <= rho <= n:
-        raise ValidationError(f"need 1 <= rho <= n, got rho={rho}, n={n}")
+    _check_rho(n, rho)
     return n - rho + 1

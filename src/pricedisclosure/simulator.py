@@ -74,6 +74,8 @@ class MarketConfig:
                 f"need 1 <= rho <= initial_set_size_n, got rho={self.rho}, "
                 f"n={self.initial_set_size_n}"
             )
+        if self.stated_minimum is not None and self.stated_minimum <= 0:
+            raise ValidationError(f"stated_minimum must be positive, got {self.stated_minimum}")
         if self.base_seed < 0:
             raise ValidationError(f"base_seed must be nonnegative, got {self.base_seed}")
         if self.trials is not None and self.trials < 1:

@@ -163,7 +163,7 @@ def test_computation_errors_exit_1(capsys, small_csv):
     assert "no such file" in err
 
 
-def test_critical_cost_single(capsys, small_csv):
+def test_critical_cost_single(capsys, small_csv, tmp_path):
     code, out, _ = run(
         capsys, "critical-cost", "--data", small_csv, "--q", "120", "--n-new", "6"
     )
@@ -173,6 +173,13 @@ def test_critical_cost_single(capsys, small_csv):
     err_est = float(lines[1].split(":")[1])
     assert 0.0 <= value <= 120.0
     assert err_est >= 0.0
+    # --out takes the same two lines, with or without --sweep
+    out_path = tmp_path / "cost.txt"
+    code, printed, _ = run(
+        capsys, "critical-cost", "--data", small_csv, "--q", "120", "--n-new", "6", "--out", str(out_path)
+    )
+    assert (code, printed) == (0, "")
+    assert out_path.read_text() == out
 
 
 def test_critical_cost_sweep_csv(capsys, small_csv, tmp_path):
@@ -303,26 +310,39 @@ def test_simulate_config_of_the_wrong_type_exits_1(capsys, tmp_path):
     assert (code, out, err) == (1, "", "error: trials must be an integer, got 2.5\n")
 
 
-def test_file_errors_exit_1_without_a_traceback(capsys, small_csv, tmp_path):
+def test_file_errors_exit_1_without_a_traceback(capsys, monkeypatch, small_csv, tmp_path):
+    # An unwritable output fails before any work: none of these may run.
+    for name in ("fit_kde", "fit_parametric", "fit_estimator", "critical_cost", "disclose",
+                 "simulate_kth_position"):
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} ran before the output file was opened")
+        monkeypatch.setattr(cli, name, refuse)
     missing = tmp_path / "missing.json"
     malformed = tmp_path / "malformed.json"
     malformed.write_text('{"builtin": "mouse",')
     listed = tmp_path / "listed.json"
     listed.write_text("[1, 2]")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": small_csv, "rho": 3, "initial_set_size_n": 8, "trials": 2}))
     unwritable = str(tmp_path / "no" / "such" / "dir" / "out.csv")
     disclose = ["disclose", "--data", small_csv, "--method", "full", "--rho", "3", "--n-new", "5"]
     cases = [
         (["simulate", "--config", str(missing), "--methods", "full"], "No such file"),
         (["simulate", "--config", str(malformed), "--methods", "full"], f"config {malformed}: Expecting"),
         (["simulate", "--config", str(listed), "--methods", "full"], "expected a JSON object"),
+        (["simulate", "--config", str(config), "--methods", "full", "--out", unwritable], "No such file"),
         (disclose + ["--trace", unwritable], "No such file"),
         (["critical-cost", "--data", small_csv, "--sweep", "n", "--q", "200", "--from", "1",
           "--to", "2", "--step", "1", "--out", unwritable], "No such file"),
+        (["critical-cost", "--data", small_csv, "--q", "200", "--n-new", "5", "--out", unwritable],
+         "No such file"),
         (["fit", "--data", small_csv, "--out", unwritable], "No such file"),
+        (["fit", "--data", small_csv, "--method", "parametric", "--out", unwritable], "No such file"),
+        (["bench", "--data", small_csv, "--rho", "3", "--n-new", "5", "--out", unwritable], "No such file"),
     ]
     for argv, message in cases:
-        code, _, err = run(capsys, *argv)
-        assert code == 1, argv
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
         assert err.startswith("error: ") and message in err and err.count("\n") == 1, (argv, err)
 
 

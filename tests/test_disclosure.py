@@ -284,6 +284,10 @@ def test_rho_larger_than_n_rejected():
     prices = make_prices([100, 200])
     with pytest.raises(ValidationError):
         interval_disclose(prices, RHO3, 5)
+    # Every method, the full set included, rejects rho above the list size.
+    for method in disclosure.METHODS:
+        with pytest.raises(ValidationError, match="rho 3 exceeds the list size 2"):
+            disclose(prices, method, RHO3, 5, budget=10, seed=0)
 
 
 # ---------------------------------------------------------------- pipeline

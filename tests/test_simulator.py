@@ -50,6 +50,9 @@ def test_config_validation():
     for count in (0, -3):
         with pytest.raises(ValidationError, match=f"csa_draw_count must be positive, got {count}"):
             MarketConfig(true_density=d, csa_listing_mean=5.0, csa_draw_count=count)
+    for minimum in (0, -5):
+        with pytest.raises(ValidationError, match=f"stated_minimum must be positive, got {minimum}"):
+            MarketConfig(true_density=d, csa_listing_mean=5.0, stated_minimum=minimum)
     # Integral fields take integers, numpy's too; real fields take finite
     # ints or floats; neither takes a bool or a string.
     for field, value, noun in (
@@ -71,7 +74,7 @@ def test_config_validation():
     cfg = MarketConfig(
         true_density=d, csa_listing_mean=5, overlap_rate=np.float32(0.25), rho=np.int64(2),
         initial_set_size_n=np.int32(4), trials=np.uint8(3), base_seed=np.int64(7),
-        stated_minimum=np.int64(0), csa_draw_count=np.int16(2),
+        stated_minimum=np.int64(1), csa_draw_count=np.int16(2),
     )
     assert cfg.resolved_trials(1) == 3 and cfg.resolved_draw_count() == 2
 
