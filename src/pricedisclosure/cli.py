@@ -157,6 +157,8 @@ def _cmd_critical_cost(args: argparse.Namespace) -> int:
         if not all(v.is_integer() for v in (args.start, args.stop, args.step)):
             raise UsageError("--from, --to and --step must be integers when sweeping n")
         points = ((args.q, n) for n in range(int(args.start), int(args.stop) + 1, int(args.step)))
+    if args.start > args.stop:
+        raise UsageError(f"--from {args.start} is above --to {args.stop}: the sweep is empty")
     swept = 0 if args.sweep == "q" else 1
     rows = []
     for point in points:
@@ -271,6 +273,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     prices = _load_data(args)
     constraints = DisclosureConstraints(rho=args.rho)
+    if "monte_carlo" in args.methods and args.budget is None:
+        raise UsageError("monte_carlo needs --budget")
     rows = []
     for method in args.methods:
         clear_evaluation_cache()

@@ -1,10 +1,13 @@
-"""Adaptive Simpson integration, vectorized over the interval worklist.
+"""Adaptive Gauss-Kronrod (G7/K15) integration, vectorized over the panels.
 
-The integrand must map a numpy array of abscissae to an array of values;
-each refinement level then costs a single integrand call, which keeps
-per-integral overhead low when the integrand itself is vectorized numpy.
-The forced levels (``min_depth``) bisect every panel regardless, so their
-abscissae form one uniform grid that is evaluated in a single call.
+Each panel is sampled at the 15 Kronrod nodes, of which the odd-numbered
+seven are the Gauss nodes: the K15 sum is the panel's value and
+``|K15 - G7|`` its error estimate (QUADPACK's QAG strategy, Piessens et al.
+1983). The integrand must map a numpy array of abscissae to an array of
+values; every panel of one refinement level is evaluated in a single
+integrand call, which keeps per-integral overhead low when the integrand
+itself is vectorized numpy. The nodes are interior, so the integrand is
+never evaluated at the interval's ends.
 
 An integrand may also return several rows at once, shape ``(m, k)`` for
 ``k`` abscissae: every row is integrated over the same abscissae, and a
@@ -24,40 +27,73 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 
 # Most panels one refinement level may hold. Panels that cannot meet their
 # budget double every level, so without a cap an integrand that never
-# converges asks for millions of abscissae before max_depth stops it. The
-# largest worklist the test suite and the benchmark workloads reach is 1014
-# panels (a tie-heavy list at n_new = 100000); the cap leaves 19 times that.
+# converges asks for millions of abscissae before max_depth stops it. Outside
+# the tests of this module, the largest worklist the test suite and the
+# benchmark workloads reach is 32 panels, critical_cost's largest starting
+# count: no refinement level has held more. The cap leaves 625 times that.
 MAX_PANELS = 20_000
 
+# The 15 Kronrod nodes on [-1, 1] in ascending order and their weights; the
+# nodes at odd positions are the 7 Gauss-Legendre nodes, with _GAUSS_WEIGHTS.
+_HALF_NODES = np.array([
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+])
+_HALF_KRONROD = np.array([
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+])
+_NODES = np.concatenate([-_HALF_NODES, [0.0], _HALF_NODES[::-1]])
+_KRONROD_WEIGHTS = np.concatenate([_HALF_KRONROD, [0.209482141084727828012999174891714], _HALF_KRONROD[::-1]])
+_GAUSS_WEIGHTS = np.array([
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+    0.381830050505118944950369775488975,
+    0.279705391489276667901467771423780,
+    0.129484966168869693270611432679082,
+])
 
-def adaptive_simpson(
+
+def adaptive_gauss_kronrod(
     f: Integrand,
     a: float,
     b: float,
     *,
     tol: float = 1e-8,
     max_depth: int = 40,
-    min_depth: int = 0,
+    panels: int = 1,
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
 
-    Returns ``(value, error_estimate)`` where the value includes the
-    Richardson correction term: floats for an integrand returning shape
-    ``(k,)``, arrays of length ``m`` for one returning ``(m, k)``, and
-    ``(0.0, 0.0)`` for an empty interval, where ``f`` is never called. Raises
-    :class:`NumericalError` if any subinterval fails to converge within
-    ``max_depth`` bisections, or as soon as the next level's worklist would
-    exceed ``MAX_PANELS``. ``min_depth`` forces that many bisection
-    levels before convergence may be accepted: integrands whose mass sits
-    in a narrow bump can look identically zero to the coarse probe, and
-    the forced refinement keeps such bumps from being skipped over. The
-    ``4 * 2**min_depth + 1`` abscissae of the forced levels are evaluated
-    in one integrand call; ``2**min_depth`` may not exceed ``MAX_PANELS``.
+    Returns ``(value, error_estimate)``, the summed K15 values and
+    ``|K15 - G7|`` of the accepted panels: floats for an integrand returning
+    shape ``(k,)``, arrays of length ``m`` for one returning ``(m, k)``, and
+    ``(0.0, 0.0)`` for an empty interval, where ``f`` is never called. The
+    integration starts from ``panels`` equal panels, each with the budget
+    ``tol / panels``; a panel that misses its budget is halved, and so is
+    the budget. Integrands whose mass sits in a narrow bump can look
+    identically zero to one coarse panel, so a caller that knows the
+    width of its integrand's features starts with panels no wider than a
+    few of them. The ``15 * panels`` starting abscissae are evaluated in one
+    integrand call; ``panels`` may not exceed ``MAX_PANELS``. Raises
+    :class:`NumericalError` on a non-finite integrand value, if any panel
+    fails to converge within ``max_depth`` halvings, or as soon as the next
+    level's worklist would exceed ``MAX_PANELS``.
     """
-    if not 0 <= min_depth <= max_depth:
-        raise ValidationError(f"need 0 <= min_depth <= max_depth, got {min_depth}, {max_depth}")
-    if 2**min_depth > MAX_PANELS:
-        raise ValidationError(f"min_depth {min_depth} forces more than MAX_PANELS={MAX_PANELS} panels")
+    if not 1 <= panels <= MAX_PANELS:
+        raise ValidationError(f"need 1 <= panels <= MAX_PANELS={MAX_PANELS}, got {panels}")
     if a == b:
         return 0.0, 0.0
     sign = 1.0
@@ -65,64 +101,47 @@ def adaptive_simpson(
         a, b = b, a
         sign = -1.0
 
-    # The worklist: abscissae (xa, lm, xm, rm, xb) per panel as the rows of
-    # x, shape (5, panels), and the integrand there as v, shape (..., 5,
-    # panels). Panels of one level share their depth, hence one budget.
-    panels = 2**min_depth
-    grid = np.linspace(a, b, 4 * panels + 1)
-    values = np.asarray(f(grid), dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise NumericalError(f"integrand not finite on [{a}, {b}]")
-    x = np.empty((5, panels))
-    x[:4] = grid[:-1].reshape(panels, 4).T
-    x[4] = grid[4::4]
-    v = np.empty(values.shape[:-1] + (5, panels))
-    v[..., :4, :] = np.swapaxes(values[..., :-1].reshape(values.shape[:-1] + (panels, 4)), -1, -2)
-    v[..., 4, :] = values[..., 4::4]
-    whole = (x[4] - x[0]) / 6.0 * (v[..., 0, :] + 4.0 * v[..., 2, :] + v[..., 4, :])
+    # The worklist: each panel's ends. Panels of one level share their
+    # depth, hence one budget.
+    edges = np.linspace(a, b, panels + 1)
+    lo, hi = edges[:-1], edges[1:]
     budget = tol / panels
-
-    total = np.zeros(values.shape[:-1])
-    err_total = np.zeros(values.shape[:-1])
-    for depth in range(min_depth, max_depth + 1):
-        if depth > min_depth:
-            mid_vals = np.asarray(f(x[1::2].ravel()), dtype=float)
-            if not np.all(np.isfinite(mid_vals)):
-                raise NumericalError("integrand not finite during refinement")
-            v[..., 1::2, :] = mid_vals.reshape(v.shape[:-2] + (2, -1))
-        # Both halves at once: row 0 is [xa, xm], row 1 is [xm, xb]
-        halves = (x[2::2] - x[:3:2]) / 6.0 * (v[..., :3:2, :] + 4.0 * v[..., 1::2, :] + v[..., 2::2, :])
-        pair = halves[..., 0, :] + halves[..., 1, :]
-        err = (pair - whole) / 15.0
-        converged = np.abs(err) <= budget
+    total = err_total = 0.0
+    for depth in range(max_depth + 1):
+        center = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        x = center[:, None] + half[:, None] * _NODES
+        values = np.asarray(f(x.ravel()), dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise NumericalError(f"integrand not finite on [{a}, {b}] at depth {depth}")
+        # (..., panels, 15): each panel's nodes are contiguous, so a row
+        # reduces exactly as it would in a scalar run
+        v = values.reshape(values.shape[:-1] + x.shape)
+        kronrod = half * np.add.reduce(v * _KRONROD_WEIGHTS, axis=-1)
+        err = np.abs(kronrod - half * np.add.reduce(v[..., 1::2] * _GAUSS_WEIGHTS, axis=-1))
+        converged = err <= budget
         done = converged if converged.ndim == 1 else converged.all(axis=0)
         active = ~done
         unfinished = int(np.count_nonzero(active))
         if unfinished and (depth == max_depth or 2 * unfinished > MAX_PANELS):
-            pending = np.sum(np.abs(err[..., active]), axis=-1)
+            pending = np.sum(err[..., active], axis=-1)
             raise NumericalError(
-                f"adaptive Simpson did not converge at depth {depth}: {unfinished} panels "
+                f"adaptive Gauss-Kronrod did not converge at depth {depth}: {unfinished} panels "
                 f"pending (max_depth {max_depth}, MAX_PANELS {MAX_PANELS})",
                 error_estimate=float(np.max(err_total + pending)),
             )
-        # compress keeps each row contiguous, so a row sums exactly as it
-        # would in a scalar run
-        accepted = np.compress(done, pair + err, axis=-1)
-        total += np.sum(accepted, axis=-1)
-        err_total += np.sum(np.abs(np.compress(done, err, axis=-1)), axis=-1)
+        total = total + np.sum(np.compress(done, kronrod, axis=-1), axis=-1)
+        err_total = err_total + np.sum(np.compress(done, err, axis=-1), axis=-1)
         if not unfinished:
             break
-        # Children, every left half before every right half: [xa, lm, xm]
-        # and [xm, rm, xb] become the (xa, xm, xb) rows of the next level.
+        # Children, every left half before every right half.
         budget /= 2.0
-        whole = halves[..., active].reshape(halves.shape[:-2] + (-1,))
-        x_kept = x[:, active]
-        x = np.empty((5, 2 * unfinished))
-        np.concatenate([x_kept[:3], x_kept[2:]], axis=1, out=x[::2])
-        np.multiply(0.5, x[:3:2] + x[2::2], out=x[1::2])
-        v_kept = v[..., active]
-        v = np.empty(v.shape[:-1] + (2 * unfinished,))
-        np.concatenate([v_kept[..., :3, :], v_kept[..., 2:, :]], axis=-1, out=v[..., ::2, :])
-    if total.ndim == 0:
+        mid = center[active]
+        lo, hi = np.concatenate([lo[active], mid]), np.concatenate([mid, hi[active]])
+    if np.ndim(total) == 0:
         return sign * float(total), float(err_total)
     return sign * total, err_total
+
+
+# A second name for the same function: perfbench/spans.py binds its quadrature span to it.
+adaptive_simpson = adaptive_gauss_kronrod

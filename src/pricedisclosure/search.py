@@ -18,15 +18,15 @@ import numpy as np
 from .data import PriceList
 from .density import Density, pointwise
 from .errors import NumericalError, ValidationError
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_gauss_kronrod
 
 # Two integral forms of the expected saving must agree this closely.
 AGREEMENT_TOL_ABS = 1e-6
 AGREEMENT_TOL_REL = 1e-4
 
-# Forced bisection levels for a density without a feature scale, and the cap
-# for one with it: 4 * 2**8 + 1 = 1025 abscissae in the first pass.
-MAX_FORCED_DEPTH = 8
+# Starting panels for a density without a feature scale, and the cap for one
+# with it: 15 * 32 = 480 abscissae in the first pass.
+MAX_STARTING_PANELS = 32
 
 
 class Decision(enum.Enum):
@@ -111,29 +111,31 @@ def min_order_cdf(density: Density, n_new: int, y):
     return _min_order(density, _check_n(n_new), y)[0]
 
 
-def forced_depth(width: float, scale: float | None) -> int:
-    """Bisection levels to force on an interval of ``width`` so that the
-    first probe grid is at most ``scale / 16`` apart: a density bump of
-    that width cannot fall between probes. Capped at MAX_FORCED_DEPTH,
-    which is also the depth when the scale is unknown."""
+def starting_panels(width: float, scale: float | None) -> int:
+    """Quadrature panels to start from on an interval of ``width``: the
+    least power of two that makes no panel wider than ``2 * scale``. The
+    nodes are then at most ``0.21 * scale`` apart, so a density bump of
+    that width cannot fall between them. Capped at MAX_STARTING_PANELS,
+    which is also the count when the scale is unknown."""
     if scale is None:
-        return MAX_FORCED_DEPTH
-    return min(max(math.ceil(math.log2(4.0 * width / scale)), 0), MAX_FORCED_DEPTH)
+        return MAX_STARTING_PANELS
+    return min(2 ** max(math.ceil(math.log2(width / (2.0 * scale))), 0), MAX_STARTING_PANELS)
 
 
 def critical_cost(density: Density, q: float, n_new: int) -> CriticalCost:
     """Expected saving from one more query given best price ``q``.
 
-    Integrates, in one adaptive Simpson pass over shared abscissae, the
-    expectation of (q - y) against the minimum-order density and its
+    Integrates, in one adaptive Gauss-Kronrod pass over shared abscissae,
+    the expectation of (q - y) against the minimum-order density and its
     integration-by-parts twin (the integrated minimum-order cdf), so the
     density's pdf and cdf are evaluated once per abscissa. The domain runs
     from the density's effective lower bound, below which its mass is under
-    double eps, to ``q``; the forced refinement depth follows the ratio of
-    that width to the density's feature scale. The two forms must agree
-    within max(1e-6, 1e-4 * value); the twin, whose integrand is smoother,
-    is returned. A failure raises :class:`NumericalError` naming q, n_new,
-    the interval, the forced depth and the density.
+    double eps, to ``q``; the starting panel count follows the ratio of
+    that width to the density's feature scale (:func:`starting_panels`). The
+    two forms must agree within max(1e-6, 1e-4 * value); the twin, whose
+    integrand is smoother, is returned. A failure raises
+    :class:`NumericalError` naming q, n_new, the interval, the starting
+    panels and the density.
     """
     n = _check_n(n_new)
     q = float(q)
@@ -144,16 +146,16 @@ def critical_cost(density: Density, q: float, n_new: int) -> CriticalCost:
     low = density.effective_low
     if q <= low:
         return CriticalCost(0.0, q, n, 0.0)
-    depth = forced_depth(q - low, density.feature_scale)
+    panels = starting_panels(q - low, density.feature_scale)
 
     def both_forms(y: np.ndarray) -> np.ndarray:
         return np.stack(_min_order(density, n, y, weight=q - y))
 
     def context() -> str:
-        return f"q={q}, n_new={n}, interval [{low}, {q}], forced depth {depth}, {density!r}"
+        return f"q={q}, n_new={n}, interval [{low}, {q}], {panels} starting panels, {density!r}"
 
     try:
-        values, errors = adaptive_simpson(both_forms, low, q, min_depth=depth)
+        values, errors = adaptive_gauss_kronrod(both_forms, low, q, panels=panels)
     except NumericalError as exc:
         raise NumericalError(f"{exc}; {context()}", error_estimate=exc.error_estimate) from exc
     dual, direct = float(values[0]), float(values[1])

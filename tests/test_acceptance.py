@@ -23,7 +23,7 @@ from pricedisclosure.disclosure import (
     minimal_disclose,
     monte_carlo_disclose,
 )
-from pricedisclosure.quadrature import adaptive_simpson
+from pricedisclosure.quadrature import adaptive_gauss_kronrod
 from pricedisclosure.search import (
     critical_cost,
     improvement_upper_bound,
@@ -144,9 +144,9 @@ def test_criterion_04_critical_cost_analytic(capfd):
         def big_f_n(y):
             return min_order_cdf(density, n, y)
 
-        dual, _ = adaptive_simpson(big_f_n, 0.0, q, min_depth=8)
-        direct, _ = adaptive_simpson(
-            lambda y: (q - np.asarray(y)) * f_n(y), 0.0, q, min_depth=8
+        dual, _ = adaptive_gauss_kronrod(big_f_n, 0.0, q, panels=32)
+        direct, _ = adaptive_gauss_kronrod(
+            lambda y: (q - np.asarray(y)) * f_n(y), 0.0, q, panels=32
         )
         worst_gap = max(worst_gap, abs(dual - direct))
     elapsed = time.perf_counter() - t0

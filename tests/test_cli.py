@@ -78,6 +78,11 @@ def test_usage_errors_exit_2(capsys, small_csv):
         code, out, err = run(capsys, *sweep_q, f"--from={start}", f"--to={stop}")
         assert (code, out) == (2, "")
         assert "usage error: --from and --to must be finite when sweeping q" in err
+    # a swapped range is an empty sweep, not a header-only CSV
+    for sweep in (sweep_q, sweep_n + ["--step", "2"]):
+        code, out, err = run(capsys, *sweep, "--from", "140", "--to", "120")
+        assert (code, out) == (2, "")
+        assert "usage error: --from 140.0 is above --to 120.0" in err
     for bandwidth in ("0", "-1", "nan", "inf"):
         with pytest.raises(SystemExit) as info:
             main(["fit", "--data", small_csv, "--bandwidth", bandwidth])
@@ -390,6 +395,15 @@ def test_bench_counts_repeatable(capsys, small_csv, tmp_path):
             rows = list(csv.reader(handle))
         read.append([(r[0], r[1]) for r in rows[1:]])
     assert read[0] == read[1] == [("monte_carlo", "40")]
+
+
+def test_bench_monte_carlo_without_budget_is_a_usage_error(capsys, small_csv):
+    # checked before any method runs, so the interval timing is not wasted
+    code, out, err = run(
+        capsys, "bench", "--data", small_csv, "--methods", "interval,mc", "--rho", "3", "--n-new", "5"
+    )
+    assert (code, out) == (2, "")
+    assert "usage error: monte_carlo needs --budget" in err
 
 
 def test_simulate_accepts_every_market_config_field(capsys, tmp_path):

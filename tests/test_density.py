@@ -26,7 +26,7 @@ from pricedisclosure.density import (
     silverman_bandwidth,
 )
 from pricedisclosure.errors import FitError, GenerationError, ValidationError
-from pricedisclosure.quadrature import adaptive_simpson
+from pricedisclosure.quadrature import adaptive_gauss_kronrod
 from pricedisclosure.search import critical_cost, min_order_cdf, min_order_pdf
 
 
@@ -109,8 +109,8 @@ def test_fitted_density_normalizes(name):
     values = builtin_dataset(name).values()
     for density in (fit_kde(values), fit_parametric(values).density):
         ymax = density.quantile(1.0 - 1e-8)
-        total, _ = adaptive_simpson(
-            density.pdf, density.support_low, ymax, tol=1e-9, min_depth=8
+        total, _ = adaptive_gauss_kronrod(
+            density.pdf, density.support_low, ymax, tol=1e-9, panels=32
         )
         assert abs(total - 1.0) < 1e-6
 

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from pricedisclosure.data import PriceEntry, PriceList
+from pricedisclosure.data import BUILTIN_MANIFESTS, PriceEntry, PriceList, builtin_dataset
 from pricedisclosure.density import UniformDensity, fit_estimator, fit_kde
 from pricedisclosure.errors import NumericalError, ValidationError
 from pricedisclosure.search import (
@@ -13,12 +14,12 @@ from pricedisclosure.search import (
     critical_cost,
     decide,
     expected_new_prices,
-    forced_depth,
     improvement_upper_bound,
     interval_subset_count,
     min_order_cdf,
     min_order_pdf,
     minimal_subset_count,
+    starting_panels,
     subset_count,
 )
 
@@ -180,11 +181,40 @@ def test_critical_cost_monotone_in_q_and_n():
     assert all(a <= b + 1e-9 for a, b in zip(costs_n, costs_n[1:]))
 
 
-def test_forced_depth_follows_scale():
-    assert forced_depth(12.0, 1.0) == 6  # 4 * 12 = 48 -> 2**6 = 64 panels
-    assert forced_depth(1e6, 1.0) == 8  # capped
-    assert forced_depth(1e-3, 1.0) == 0
-    assert forced_depth(1.0, None) == 8
+def test_starting_panels_follow_scale():
+    assert starting_panels(12.0, 1.0) == 8  # 12 / 2 = 6 -> 2**3 panels
+    assert starting_panels(16.0, 1.0) == 8  # panels exactly 2 wide
+    assert starting_panels(16.01, 1.0) == 16
+    assert starting_panels(1e6, 1.0) == 32  # capped
+    assert starting_panels(1e-3, 1.0) == 1
+    assert starting_panels(1.0, None) == 32
+
+
+def test_critical_cost_matches_a_tight_reference_integral():
+    # critical_cost returns the integral of the minimum-order cdf
+    # 1 - (1 - F)**n over [effective_low, q]; scipy's quad, at a relative
+    # tolerance near its floor, gives that integral independently.
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for name in sorted(BUILTIN_MANIFESTS):
+        values = builtin_dataset(name).values()
+        for _ in range(2):
+            subset = rng.choice(values, size=int(rng.integers(10, 31)), replace=False)
+            for scale in (1e-2, 1.0, 1e3):
+                x = subset * scale
+                q = float(x.min())
+                for estimator in ("kde", "parametric"):
+                    density = fit_estimator(x, estimator)
+                    for n in (1, 18, 1000, 100000):
+                        def big_f_n(y, n=n):
+                            return -np.expm1(n * np.log1p(-density.cdf(y)))
+
+                        reference, _ = integrate.quad(
+                            big_f_n, density.effective_low, q, epsabs=0.0, epsrel=2e-14, limit=500
+                        )
+                        value = critical_cost(density, q, n).value
+                        worst = max(worst, abs(value - reference) / reference)
+    assert worst <= 1e-12
 
 
 def _tie_heavy(rng, size=30):
@@ -225,7 +255,7 @@ def test_numerical_error_names_its_inputs():
     message = str(info.value)
     low = d.effective_low
     for part in ("not finite", "q=297.0", "n_new=18", f"interval [{low}, 297.0]",
-                 f"forced depth {forced_depth(297.0 - low, d.bandwidth)}", "n=20",
+                 f"{starting_panels(297.0 - low, d.bandwidth)} starting panels", "n=20",
                  f"bandwidth={d.bandwidth!r}"):
         assert part in message, part
 
