@@ -162,7 +162,9 @@ def load_prices(path: str | Path) -> PriceList:
         raise DatasetNotFoundError(f"no such file: {path}")
     entries: list[PriceEntry] = []
     product_id: str | None = None
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8"
+    # exports put first.
+    with path.open("r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         for line_no, row in enumerate(reader, start=1):
             if line_no == 1:

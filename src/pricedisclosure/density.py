@@ -218,9 +218,9 @@ class KernelDensity(Density):
         if not 0 < self.bandwidth < math.inf:
             raise ValidationError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         self.sample_min = float(x.min())
-        # Untruncated mixture mass below zero, computed with the same
-        # expression cdf() uses so that cdf(0.0) is exactly zero.
-        self._below_zero = float(np.mean(special.ndtr(-x / self.bandwidth)))
+        # Untruncated mixture mass below zero: cdf()'s own sum at 0, so
+        # cdf(0.0) is exactly zero.
+        self._below_zero = float(self._kernel_mean(np.zeros(1), special.ndtr)[0])
         self._mass_above_zero = 1.0 - self._below_zero
 
     @property
@@ -239,9 +239,6 @@ class KernelDensity(Density):
         in row blocks; each row is the same sum a dense matrix gives."""
         n = self.sample.size
         rows = max(1, KDE_BLOCK_DOUBLES // n)
-        if y.size <= rows:
-            # np.mean's arithmetic without its per-call set-up
-            return np.add.reduce(kernel((y[:, None] - self.sample) / self.bandwidth), axis=1) / n
         out = np.empty(y.size)
         for start in range(0, y.size, rows):
             z = (y[start : start + rows, None] - self.sample) / self.bandwidth

@@ -17,13 +17,14 @@ A candidate is a boolean row over the prices in ascending order (ties by
 position), so column 0 is the minimum and a row's cents come out sorted,
 ready as the evaluation-cache key. Rows come in blocks of at most
 ``MASK_BLOCK_BYTES`` mask bytes, so memory stays bounded however many
-candidates a method has. The winner is the first strict minimum; brute
-force breaks cost ties by sorted prices instead.
+candidates a method has. Every method keeps the first strict minimum in
+its candidate order, which is the last entry of its trace of
+improvements.
 
-A failing candidate aborts the whole run: its ``NumericalError`` is
-re-raised naming the method and the candidate's size and prices, with
-the original error estimate. Skipping it could return a subset that is
-not the method's answer.
+A failing candidate aborts the whole run: its error is re-raised, as the
+same type, naming the method and the candidate's size and prices; a
+``NumericalError`` keeps its error estimate. Skipping it could return a
+subset that is not the method's answer.
 
 Results are deterministic: the randomized strategy derives iteration i's
 draws from (seed, i) via a counter-based generator, so any budget's run is
@@ -44,7 +45,7 @@ import numpy as np
 
 from .data import PriceList, format_cents
 from .density import fit_estimator
-from .errors import InfeasibleError, NumericalError, ValidationError
+from .errors import InfeasibleError, NumericalError, PriceDisclosureError, ValidationError
 from .search import CriticalCost, critical_cost
 
 BRUTE_FORCE_GUARD = 5_000_000
@@ -126,43 +127,37 @@ def _block_costs(method: str, cents: np.ndarray, n_new: int, estimator: str, blo
         key = tuple(cents[row].tolist())
         try:
             costs[u] = _evaluate_cents(key, n_new, estimator).value
-        except NumericalError as exc:
+        except PriceDisclosureError as exc:
             listed = " ".join(map(format_cents, key))
             message = f"{method} candidate of {len(key)} prices ({listed}) failed: {exc}"
-            raise NumericalError(message, exc.error_estimate) from exc
+            estimate = (exc.error_estimate,) if isinstance(exc, NumericalError) else ()
+            raise type(exc)(message, *estimate) from exc
     return costs[inverse.ravel()]
 
 
-def _select(method, prices, blocks, n_new, estimator, *, incumbent=False, by_cents=False,
-            workers=1, **fields) -> DisclosureResult:
+def _select(method, prices, blocks, n_new, estimator, *, incumbent=False, workers=1,
+            **fields) -> DisclosureResult:
     """Evaluate candidate blocks and keep the best (see the module doc).
 
     With ``incumbent`` the first row seeds the search uncounted, at trace
-    index 0; otherwise candidate i has index i + 1. ``by_cents`` breaks
-    cost ties by sorted cents and keeps no trace. With ``workers > 1``
+    index 0; otherwise candidate i has index i + 1. With ``workers > 1``
     each block is split into contiguous shares evaluated in parallel.
     """
     order = prices.ascending_order()
     cents = prices.cents_array()[order]
     evaluate = functools.partial(_block_costs, method, cents, int(n_new), estimator)
-    best_key, winner, trace, trace_subsets, rows = (math.inf,), None, [], [], 0
+    best, trace, trace_subsets, rows = math.inf, [], [], 0
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for block in blocks:
             shares = np.array_split(block, min(workers, len(block)))
             costs = np.concatenate(list((pool.map if pool else map)(evaluate, shares)))
-            lowest = np.flatnonzero(costs == costs.min())
-            if by_cents:
-                key, i = min(((costs[j], tuple(cents[block[j]].tolist())), j) for j in lowest)
-            else:
-                key, i = (costs[lowest[0]],), lowest[0]
-                running = np.minimum.accumulate(np.concatenate((best_key, costs)))
-                for j in np.flatnonzero(running[1:] < running[:-1]):
-                    trace.append((rows + (not incumbent) + int(j), float(running[j + 1])))
-                    trace_subsets.append(prices.subset(order[block[j]]))
-            if key < best_key:
-                best_key, winner = key, order[block[i]]
+            running = np.minimum.accumulate(np.concatenate(([best], costs)))
+            for j in np.flatnonzero(running[1:] < running[:-1]):
+                trace.append((rows + (not incumbent) + int(j), float(running[j + 1])))
+                trace_subsets.append(prices.subset(order[block[j]]))
+            best = running[-1]
             rows += len(block)
-    subset = prices.subset(winner)
+    subset = trace_subsets[-1]
     return DisclosureResult(
         subset=subset,
         critical_cost=evaluate_subset(subset, n_new, estimator),
@@ -218,9 +213,11 @@ def brute_force_disclose(
 ) -> DisclosureResult:
     """Exhaustive oracle over every allowed subset.
 
-    Ties on cost go to the lexicographically smallest sorted price
-    sequence, which makes the result independent of enumeration order and
-    hence of the worker count.
+    Candidates run over the sorted prices, fewer prices first and then in
+    lexicographic order; ``workers`` evaluate contiguous shares of each
+    block. So the sequence of candidate prices, and with it the winner,
+    depends on neither the input order nor the worker count. A tie at
+    equal cost goes to the earlier candidate, as in every method.
     """
     if workers < 1:
         raise ValidationError(f"workers must be at least 1, got {workers}")
@@ -233,7 +230,7 @@ def brute_force_disclose(
             f"guard is {BRUTE_FORCE_GUARD}"
         )
     rows = _brute_rows(n, sizes)
-    return _select("brute_force", prices, rows, n_new, estimator, by_cents=True, workers=workers)
+    return _select("brute_force", prices, rows, n_new, estimator, workers=workers)
 
 
 def interval_disclose(
@@ -256,7 +253,8 @@ def minimal_disclose(
     estimator: str = "kde",
 ) -> DisclosureResult:
     """Evaluate ascending prefixes only: the cheapest strategy, linear in
-    the number of allowed sizes. The full set seeds the incumbent."""
+    the number of allowed sizes. The full set, when allowed, comes first
+    and is counted, at trace index 1."""
     n = len(prices)
     cap = constraints.size_cap(n)
     sizes = np.array(([n] if cap == n else []) + list(range(constraints.rho, min(n - 1, cap) + 1)))

@@ -231,6 +231,23 @@ def test_disclose_mc_seed_echo_and_reproducibility(capsys, small_csv, tmp_path):
     assert first == second
 
 
+def test_disclose_brute_trace_ends_at_the_winner(capsys, small_csv, tmp_path):
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run(
+        capsys, "disclose", "--data", small_csv, "--method", "brute", "--rho", "9",
+        "--n-new", "5", "--trace", str(trace),
+    )
+    assert code == 0
+    with trace.open() as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["evaluation_index", "best_cost"]
+    indices = [int(i) for i, _ in rows[1:]]
+    costs = [float(c) for _, c in rows[1:]]
+    assert indices and indices == sorted(set(indices)) and indices[0] == 1
+    assert all(b < a for a, b in zip(costs, costs[1:]))
+    assert f"critical_cost: {costs[-1]!r}\n" in out
+
+
 def test_fit_json(capsys, small_csv, tmp_path):
     out_path = tmp_path / "fit.json"
     code, _, _ = run(capsys, "fit", "--data", small_csv, "--out", str(out_path))

@@ -78,6 +78,15 @@ def test_load_write_round_trip(tmp_path):
     assert again == original
 
 
+def test_load_accepts_a_utf8_byte_order_mark(tmp_path):
+    # Spreadsheets save "CSV UTF-8" with the bytes EF BB BF first.
+    plain = tmp_path / "plain.csv"
+    write_prices(builtin_dataset("mouse"), plain)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_prices(marked) == load_prices(plain)
+
+
 def test_load_errors(tmp_path):
     with pytest.raises(DatasetNotFoundError):
         load_prices(tmp_path / "missing.csv")

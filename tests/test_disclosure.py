@@ -170,6 +170,12 @@ def test_brute_force_worker_invariance():
     assert sorted_cents(serial) == sorted_cents(parallel)
     assert serial.critical_cost.value == parallel.critical_cost.value
     assert serial.subsets_evaluated == parallel.subsets_evaluated
+    # One trace of improvements, whatever the worker count; the winner is
+    # its last entry.
+    assert serial.trace == parallel.trace
+    assert serial.trace_subsets == parallel.trace_subsets
+    assert serial.trace_subsets[-1] == serial.subset
+    assert serial.trace[-1][1] == serial.critical_cost.value
 
 
 def test_brute_force_input_order_invariance():
@@ -306,26 +312,21 @@ def stub_prices(n, seed):
     return PriceList("p", tuple(PriceEntry(f"s{i}", int(c)) for i, c in enumerate(cents)))
 
 
-def reference_select(prices, candidates, incumbent=False, by_cents=False):
+def reference_select(prices, candidates, incumbent=False):
     """(entries, trace, entries at each trace entry, count) of the first
-    strict minimum, or for brute force the smallest (cost, sorted cents),
-    which keeps no trace; entries sorted by (cents, index)."""
+    strict minimum; entries sorted by (cents, index)."""
     cents = prices.cents_array()
 
     def entries(indices):
         return tuple(prices.entries[i] for i in sorted(indices, key=lambda i: (cents[i], i)))
 
-    best_key, best, trace, improved_to = None, None, [], []
+    best_cost, best, trace, improved_to = None, None, [], []
     for position, indices in enumerate(candidates):
-        key_cents = tuple(sorted(int(cents[i]) for i in indices))
-        cost = stub_cost(key_cents, 0, "").value
-        key = (cost, key_cents) if by_cents else (cost,)
-        if best_key is None or key < best_key:
-            best_key, best = key, indices
+        cost = stub_cost(tuple(sorted(int(cents[i]) for i in indices)), 0, "").value
+        if best_cost is None or cost < best_cost:
+            best_cost, best = cost, indices
             trace.append((position + (not incumbent), cost))
             improved_to.append(entries(indices))
-    if by_cents:
-        trace, improved_to = [], []
     return entries(best), tuple(trace), tuple(improved_to), len(candidates) - incumbent
 
 
@@ -342,7 +343,9 @@ def reference_candidates(prices, method, rho, cap, budget=0, seed=0):
         prefixes = [tuple(order[:k]) for k in range(rho, min(n - 1, cap) + 1)]
         return ([tuple(order)] if cap == n else []) + prefixes
     if method == "brute_force":
-        return [(low, *c) for k in range(rho, cap + 1) for c in itertools.combinations(pool, k - 1)]
+        # Combinations of the sorted columns: sizes ascending, then lexicographic.
+        sizes = range(rho, cap + 1)
+        return [(order[0], *c) for k in sizes for c in itertools.combinations(order[1:], k - 1)]
     # monte_carlo: the incumbent, then one partial Fisher-Yates per iteration.
     candidates = [tuple(order[:cap])]
     if rho > min(n - 1, cap):
@@ -388,7 +391,7 @@ def test_pipeline_matches_reference_enumeration(monkeypatch, case, block_bytes):
         result = disclose(prices, method, constraints, 5, budget=budget, seed=seed)
         candidates = reference_candidates(prices, method, rho, n if method == "full" else cap, budget, seed)
         entries, trace, improved_to, count = reference_select(
-            prices, candidates, incumbent=method == "monte_carlo", by_cents=method == "brute_force"
+            prices, candidates, incumbent=method == "monte_carlo"
         )
         assert result.subset.entries == entries, method
         assert result.trace == trace, method
@@ -417,6 +420,14 @@ def test_interval_memory_stays_bounded(monkeypatch):
 
 def test_failing_candidate_aborts_and_is_named(monkeypatch):
     prices = make_prices([100, 250, 300, 420, 555])
+    # Any package error is named, not only a NumericalError: at rho 1 the
+    # minimum alone is a candidate, and no parametric family fits it.
+    for method in ("interval", "minimal", "monte_carlo", "brute_force"):
+        with pytest.raises(ValidationError) as info:
+            disclose(prices, method, DisclosureConstraints(rho=1), 4, "parametric", budget=50, seed=0)
+        message = str(info.value)
+        assert message.startswith(f"{method} candidate of 1 prices (1.00) failed"), message
+        assert message.endswith("parametric fitting needs at least 2 observations")
     # Both methods meet (100, 300, 420) first; the error must name it.
     bad = {(100, 300, 420), (100, 420, 555)}
 
