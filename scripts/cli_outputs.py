@@ -1,13 +1,16 @@
 """Print the output of every benchmark CLI call, one JSON line per call.
 
-For each seed and each workload in ``perfbench.inputs.WORKLOADS``, the
-workload's inputs are written to a temporary directory and every call and
-helper of every group runs through ``pricedisclosure.cli.main``, with the
-evaluation cache cleared first, as the benchmark does. Each line holds the
-seed, the workload, the argv, the exit code, stdout and stderr, with the
-temporary directory written as ``<tmp>``. The code under test is the
-checkout this script sits in, so comparing two checkouts' output with
-``cmp`` checks that a change keeps the CLI's bytes:
+First, ``fit --method kde`` and ``fit --method parametric`` on each
+bundled dataset, whose printed bandwidth, log-likelihoods and BICs no
+benchmark call shows. Then, for each seed and each workload in
+``perfbench.inputs.WORKLOADS``, the workload's inputs are written to a
+temporary directory and every call and helper of every group runs
+through ``pricedisclosure.cli.main``, with the evaluation cache cleared
+first, as the benchmark does. Each line holds the seed (null for the fit
+calls), the workload (``fit`` for them), the argv, the exit code, stdout
+and stderr, with the temporary directory written as ``<tmp>``. The code
+under test is the checkout this script sits in, so comparing two
+checkouts' output with ``cmp`` checks that a change keeps the CLI's bytes:
 
     python3 scripts/cli_outputs.py 3 11 > outputs.jsonl
 """
@@ -25,20 +28,30 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 from perfbench.inputs import WORKLOADS  # noqa: E402
 from perfbench.workloads import build  # noqa: E402
 from pricedisclosure import cli, disclosure  # noqa: E402
+from pricedisclosure.data import BUILTIN_MANIFESTS  # noqa: E402
+from pricedisclosure.density import ESTIMATORS  # noqa: E402
+
+
+def run(seed: int | None, workload: str, argv: list[str]) -> dict:
+    """One CLI call from a cold evaluation cache, as a JSON-ready line."""
+    disclosure.clear_evaluation_cache()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"seed": seed, "workload": workload, "argv": argv, "code": code,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def main(seeds: list[int]) -> None:
+    for name in sorted(BUILTIN_MANIFESTS):
+        for method in ESTIMATORS:
+            print(json.dumps(run(None, "fit", ["fit", "--builtin", name, "--method", method])), flush=True)
     for seed in seeds:
         for name in WORKLOADS:
             with tempfile.TemporaryDirectory() as tmp:
                 for group in build(name, seed).materialise(Path(tmp)):
                     for call in group.calls + group.helpers:
-                        disclosure.clear_evaluation_cache()
-                        out, err = io.StringIO(), io.StringIO()
-                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                            code = cli.main(call.argv)
-                        line = {"seed": seed, "workload": name, "argv": call.argv, "code": code,
-                                "stdout": out.getvalue(), "stderr": err.getvalue()}
+                        line = run(seed, name, call.argv)
                         print(json.dumps(line).replace(tmp, "<tmp>"), flush=True)
 
 

@@ -98,6 +98,8 @@ def _write_csv(handle, header, rows) -> None:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    if args.method != "kde" and args.bandwidth is not None:
+        raise UsageError(f"--bandwidth applies to --method kde only, not {args.method}")
     prices = _load_data(args)
     values = prices.values()
     if args.method == "kde":

@@ -11,11 +11,13 @@ on [0, inf) the truncation is a no-op, and such a fit's mass below zero is
 
 A parametric fit is paid once per candidate disclosure, so the fitters
 reduce with ``np.add.reduce``, the ufunc behind ``np.sum``, ``np.mean``
-and ``np.std``: the same bits without the wrappers' per-call cost. A
-fitted family is evaluated by scipy's kernel when every point lies inside
-its support, and by scipy's own public method otherwise. One table row
-per family holds its fitter, its scipy generator and the map from its
-fitted parameters to the generator's arguments.
+and ``np.std``: the same bits without the wrappers' per-call cost. One
+table row per family holds its fitter, its scipy generator, the map from
+its fitted parameters to the generator's arguments and the generator's
+standardized log-density kernel. A fit scores every family by that kernel
+alone, and builds a scipy distribution only for the BIC winner. The
+fitted density is evaluated by scipy's kernel when every point lies
+inside its support, and by scipy's own public method otherwise.
 """
 
 from __future__ import annotations
@@ -487,7 +489,8 @@ def _fit_gumbel(x: np.ndarray) -> dict[str, float]:
 
 
 class _FixedDist:
-    """A scipy distribution at fixed parameters.
+    """A scipy distribution at fixed parameters: the BIC winner's, built
+    once per fit. Every family is scored by ``_loglik``, without one.
 
     Holds a family's shared module-level generator with the shape
     arguments, ``loc`` and ``scale`` its table row maps the fitted
@@ -551,16 +554,47 @@ class _FixedDist:
         return self.gen.ppf(q, *self.args, loc=self.loc, scale=self.scale)
 
 
-# One row per family: its fitter, its scipy generator, and the map from the
-# fitted parameters to the generator's (shape args, loc, scale).
+def _lognorm_logpdf(z, s):
+    """scipy's ``lognorm._logpdf`` without its ``z != 0`` mask, which costs
+    several times the expression and which a positive sample never needs;
+    the same bits wherever z > 0. At z = 0 it gives NaN, not -inf: both
+    score as a non-finite likelihood."""
+    return -np.log(z) ** 2 / (2 * s**2) - np.log(s * z * np.sqrt(2 * np.pi))
+
+
+def _loglik(x: np.ndarray, logpdf, args: tuple[float, ...], loc: float, scale: float) -> float:
+    """Log-likelihood of ``x`` under a family's standardized log-density
+    ``logpdf`` at its generator arguments: ``_FixedDist.logpdf``'s arithmetic,
+    in its order, summed as ``np.sum`` would, without building a
+    distribution. Raises :class:`FitError` on a non-finite likelihood.
+    Arguments scipy rejects (a shape or scale not above zero, a NaN loc)
+    raise before any arithmetic: a public ``logpdf`` would give NaN. At any
+    other arguments a positive sample lies inside the family's support,
+    or at a NaN point whose kernel value is NaN too."""
+    if scale > 0 and loc == loc and all(a > 0 for a in args):
+        # One-element shape arrays: the form argsreduce hands the kernels
+        shapes = [np.array([a]) for a in args]
+        loglik = float(np.add.reduce(logpdf((x - loc) / scale, *shapes) - np.log(scale)))
+        if math.isfinite(loglik):
+            return loglik
+    raise FitError("non-finite likelihood")
+
+
+# One row per family: its fitter, its scipy generator, the map from the
+# fitted parameters to the generator's (shape args, loc, scale), and the
+# generator's standardized log-density kernel that scores the fit.
 _FAMILIES = {
-    "normal": (_fit_normal, stats.norm, lambda p: ((), p["loc"], p["scale"])),
-    "lognormal": (_fit_lognormal, stats.lognorm, lambda p: ((p["sigma"],), 0.0, math.exp(p["mu"]))),
-    "exponential": (_fit_exponential, stats.expon, lambda p: ((), 0.0, p["scale"])),
-    "gamma": (_fit_gamma, stats.gamma, lambda p: ((p["shape"],), 0.0, p["scale"])),
-    "weibull": (_fit_weibull, stats.weibull_min, lambda p: ((p["shape"],), 0.0, p["scale"])),
-    "logistic": (_fit_logistic, stats.logistic, lambda p: ((), p["loc"], p["scale"])),
-    "gumbel": (_fit_gumbel, stats.gumbel_r, lambda p: ((), p["loc"], p["scale"])),
+    "normal": (_fit_normal, stats.norm, lambda p: ((), p["loc"], p["scale"]), stats.norm._logpdf),
+    "lognormal": (
+        _fit_lognormal, stats.lognorm, lambda p: ((p["sigma"],), 0.0, math.exp(p["mu"])), _lognorm_logpdf
+    ),
+    "exponential": (_fit_exponential, stats.expon, lambda p: ((), 0.0, p["scale"]), stats.expon._logpdf),
+    "gamma": (_fit_gamma, stats.gamma, lambda p: ((p["shape"],), 0.0, p["scale"]), stats.gamma._logpdf),
+    "weibull": (
+        _fit_weibull, stats.weibull_min, lambda p: ((p["shape"],), 0.0, p["scale"]), stats.weibull_min._logpdf
+    ),
+    "logistic": (_fit_logistic, stats.logistic, lambda p: ((), p["loc"], p["scale"]), stats.logistic._logpdf),
+    "gumbel": (_fit_gumbel, stats.gumbel_r, lambda p: ((), p["loc"], p["scale"]), stats.gumbel_r._logpdf),
 }
 
 FAMILIES = tuple(_FAMILIES)
@@ -571,7 +605,8 @@ def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
 
     Families that cannot be fit (zero spread, failed iteration, non-finite
     likelihood) are recorded as skipped with a reason; if every family is
-    skipped a :class:`FitError` is raised.
+    skipped a :class:`FitError` is raised. Each family is scored by its
+    log-density kernel; only the winner is built into a scipy distribution.
     """
     x = _as_sample(values)
     if x.size < 2:
@@ -583,13 +618,10 @@ def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
     candidates: list[FitCandidate] = []
     best: FitCandidate | None = None
     for family in families:
-        fit, gen, gen_args = _FAMILIES[family]
+        fit, _, gen_args, logpdf = _FAMILIES[family]
         try:
             params = fit(x)
-            dist = _FixedDist(gen, *gen_args(params))
-            loglik = float(np.add.reduce(dist.logpdf(x)))
-            if not np.isfinite(loglik):
-                raise FitError("non-finite likelihood")
+            loglik = _loglik(x, logpdf, *gen_args(params))
         except FitError as exc:
             candidates.append(
                 FitCandidate(family, {}, float("nan"), float("nan"), skipped=True, reason=str(exc))
@@ -599,10 +631,12 @@ def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
         candidate = FitCandidate(family, params, loglik, bic)
         candidates.append(candidate)
         if best is None or bic < best.bic:
-            best, best_dist = candidate, dist
+            best = candidate
     if best is None:
         raise FitError("no family could be fit: " + "; ".join(f"{c.family}: {c.reason}" for c in candidates))
-    density = ParametricDensity(best.family, best.params, best_dist, float(x.min()), n)
+    _, gen, gen_args, _ = _FAMILIES[best.family]
+    dist = _FixedDist(gen, *gen_args(best.params))
+    density = ParametricDensity(best.family, best.params, dist, float(x.min()), n)
     return FitReport(tuple(candidates), best.family, density)
 
 

@@ -66,6 +66,22 @@ _GAUSS_WEIGHTS = np.array([
 ])
 
 
+def _linspace(a: float, b: float, panels: int) -> np.ndarray:
+    """``np.linspace(a, b, panels + 1)`` by its own arithmetic, without its
+    per-call cost."""
+    delta = b - a
+    step = delta / panels
+    edges = np.arange(panels + 1.0)
+    if step == 0:  # a subnormal width: np.linspace scales the other way round
+        edges /= panels
+        edges *= delta
+    else:
+        edges *= step
+    edges += a
+    edges[-1] = b
+    return edges
+
+
 def adaptive_gauss_kronrod(
     f: Integrand,
     a: float,
@@ -103,7 +119,7 @@ def adaptive_gauss_kronrod(
 
     # The worklist: each panel's ends. Panels of one level share their
     # depth, hence one budget.
-    edges = np.linspace(a, b, panels + 1)
+    edges = _linspace(a, b, panels)
     lo, hi = edges[:-1], edges[1:]
     budget = tol / panels
     total = err_total = 0.0
@@ -121,19 +137,21 @@ def adaptive_gauss_kronrod(
         err = np.abs(kronrod - half * np.add.reduce(v[..., 1::2] * _GAUSS_WEIGHTS, axis=-1))
         converged = err <= budget
         done = converged if converged.ndim == 1 else converged.all(axis=0)
+        if done.all():  # the whole level, as the first level usually is
+            total = total + np.add.reduce(kronrod, axis=-1)
+            err_total = err_total + np.add.reduce(err, axis=-1)
+            break
         active = ~done
         unfinished = int(np.count_nonzero(active))
-        if unfinished and (depth == max_depth or 2 * unfinished > MAX_PANELS):
-            pending = np.sum(err[..., active], axis=-1)
+        if depth == max_depth or 2 * unfinished > MAX_PANELS:
+            pending = np.add.reduce(err[..., active], axis=-1)
             raise NumericalError(
                 f"adaptive Gauss-Kronrod did not converge at depth {depth}: {unfinished} panels "
                 f"pending (max_depth {max_depth}, MAX_PANELS {MAX_PANELS})",
                 error_estimate=float(np.max(err_total + pending)),
             )
-        total = total + np.sum(np.compress(done, kronrod, axis=-1), axis=-1)
-        err_total = err_total + np.sum(np.compress(done, err, axis=-1), axis=-1)
-        if not unfinished:
-            break
+        total = total + np.add.reduce(np.compress(done, kronrod, axis=-1), axis=-1)
+        err_total = err_total + np.add.reduce(np.compress(done, err, axis=-1), axis=-1)
         # Children, every left half before every right half.
         budget /= 2.0
         mid = center[active]

@@ -88,6 +88,10 @@ def test_usage_errors_exit_2(capsys, small_csv):
             main(["fit", "--data", small_csv, "--bandwidth", bandwidth])
         assert info.value.code == 2
         assert "--bandwidth" in capsys.readouterr().err
+    # a parametric fit has no bandwidth to take
+    code, out, err = run(capsys, "fit", "--data", small_csv, "--method", "parametric", "--bandwidth", "5")
+    assert (code, out) == (2, "")
+    assert "usage error: --bandwidth applies to --method kde only, not parametric" in err
 
 
 def test_bad_workers_and_budgets_exit_2(capsys, small_csv, tmp_path):

@@ -10,12 +10,14 @@ from scipy import optimize, special, stats
 
 from pricedisclosure.data import builtin_dataset
 from pricedisclosure.density import (
+    _FAMILIES,
     _FIT_TOL,
     _GAMMA_RESIDUAL_ULPS,
     _MAX_ITER,
     FAMILIES,
     KDE_BLOCK_DOUBLES,
     TAIL_MASS,
+    _FixedDist,
     KernelDensity,
     UniformDensity,
     equal_mass_prices,
@@ -253,30 +255,70 @@ _GENERATORS = (
 )
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_an_evaluation_calls_no_scipy_public_method(family, monkeypatch):
+@pytest.mark.parametrize(
+    "families",
+    [pytest.param((family,), id=family) for family in FAMILIES] + [pytest.param(FAMILIES, id="all")],
+)
+def test_an_evaluation_calls_no_scipy_public_method(families, monkeypatch):
     # A fit and a critical cost hand every point to scipy's kernels. The
     # one point a kernel does not take, cdf(0.0) where the support starts
     # at zero, is never asked for: the support alone says the mass below
-    # zero is 0.
+    # zero is 0. A fit scores each family by its kernel alone and builds
+    # one distribution, the winner's.
     calls = []
 
-    def counted(gen, method):
-        public = getattr(gen, method)
+    def counted(owner, method):
+        public = getattr(owner, method)
 
-        def call(x, *args, **kwds):
-            calls.append((method, np.asarray(x).tolist()))
-            return public(x, *args, **kwds)
+        def call(*args, **kwds):
+            calls.append(method)
+            return public(*args, **kwds)
 
         return call
 
     for gen in _GENERATORS:
         for method in ("pdf", "cdf", "ppf", "logpdf"):
             monkeypatch.setattr(gen, method, counted(gen, method))
+    monkeypatch.setattr(_FixedDist, "logpdf", counted(_FixedDist, "logpdf"))
+    built = []
+    init = _FixedDist.__init__
+
+    def counted_init(self, gen, *args):
+        built.append(gen.name)
+        init(self, gen, *args)
+
+    monkeypatch.setattr(_FixedDist, "__init__", counted_init)
     x = np.random.default_rng(37).gamma(4.0, 3.0, 30)
-    d = fit_parametric(x, families=(family,)).density
-    critical_cost(d, float(np.median(x)), 10)
+    report = fit_parametric(x, families=families)
+    critical_cost(report.density, float(np.median(x)), 10)
     assert calls == []
+    assert built == [report.density.dist.gen.name]
+    assert report.best_family == ("gamma" if families == FAMILIES else families[0])
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        pytest.param("normal", {"loc": 10.0, "scale": -1.0}, id="negative_scale"),
+        pytest.param("logistic", {"loc": math.nan, "scale": 2.0}, id="nan_loc"),
+        pytest.param("gamma", {"shape": 0.0, "scale": 3.0}, id="zero_shape"),
+        pytest.param("weibull", {"shape": -2.0, "scale": 3.0}, id="negative_shape"),
+        pytest.param("lognormal", {"mu": 2.0, "sigma": math.nan}, id="nan_shape"),
+        pytest.param("exponential", {"scale": 0.0}, id="zero_scale"),
+    ],
+)
+def test_invalid_fitted_parameters_are_skipped_without_warnings(family, params, monkeypatch):
+    # Parameters scipy would reject (a shape or scale not above zero, a NaN
+    # loc) score as a non-finite likelihood before any arithmetic on them:
+    # a zero scale divides nothing by zero.
+    _, *row = _FAMILIES[family]
+    monkeypatch.setitem(_FAMILIES, family, (lambda x: dict(params), *row))
+    x = np.random.default_rng(43).gamma(4.0, 3.0, 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = fit_parametric(x, families=(family, "gumbel"))
+    assert [(c.family, c.reason) for c in report.skipped()] == [(family, "non-finite likelihood")]
+    assert report.best_family == "gumbel"
 
 
 def test_fit_parametric_rejects_an_unknown_family():

@@ -11,6 +11,7 @@ from pricedisclosure.quadrature import (
     _KRONROD_WEIGHTS,
     _NODES,
     MAX_PANELS,
+    _linspace,
     adaptive_gauss_kronrod,
 )
 
@@ -186,6 +187,16 @@ def _reference_gauss_kronrod(f, a, b, tol=1e-8, panels=1, max_depth=40):
     total = sum(part[0] for part in parts)
     err = sum(part[1] for part in parts)
     return total, err, np.sort(np.concatenate(evaluated))
+
+
+def test_starting_edges_equal_np_linspace_bitwise():
+    # Subnormal widths take np.linspace's other order of operations.
+    ends = [
+        (0.0, 1.0), (0.3, 123.7), (-5.0, 1e-300), (297.0, 297.01), (1e-3, 1e300), (0.0, 5e-324), (1e-310, 1.2e-310)
+    ]
+    for a, b in ends:
+        for panels in (1, 2, 3, 7, 32, 1000, MAX_PANELS):
+            assert np.array_equal(_linspace(a, b, panels), np.linspace(a, b, panels + 1)), (a, b, panels)
 
 
 @pytest.mark.parametrize("panels", [1, 2, 8, 256])
