@@ -17,6 +17,7 @@ from pricedisclosure.density import (
     FAMILIES,
     KDE_BLOCK_DOUBLES,
     TAIL_MASS,
+    TAIL_SIGMAS,
     _FixedDist,
     KernelDensity,
     UniformDensity,
@@ -28,8 +29,8 @@ from pricedisclosure.density import (
     silverman_bandwidth,
 )
 from pricedisclosure.errors import FitError, GenerationError, ValidationError
-from pricedisclosure.quadrature import adaptive_gauss_kronrod
-from pricedisclosure.search import critical_cost, min_order_cdf, min_order_pdf
+from pricedisclosure.quadrature import _NODES, adaptive_gauss_kronrod
+from pricedisclosure.search import critical_cost, expected_new_prices, min_order_cdf, min_order_pdf
 
 
 def test_uniform_stub_closed_forms():
@@ -686,9 +687,27 @@ def test_equal_mass_validation():
         equal_mass_prices(bare, 3)
 
 
+def _windowed_bounds(d, dense_pdf, dense_cdf):
+    """How far a windowed pdf and cdf may lie from the dense truncated
+    values: four ulps of reordered summation, plus the largest term a
+    window drops, exp(-TAIL_SIGMAS**2 / 2) for the Gaussian kernel and
+    ndtr(-TAIL_SIGMAS) for its integral, renormalized. The cdf's ulps are
+    those of the untruncated sum, which exceeds the truncated cdf by the
+    mass below zero (0 for a sample far above zero)."""
+    eps = np.finfo(float).eps
+    mass = d._mass_above_zero
+    pdf_tail = math.exp(-TAIL_SIGMAS**2 / 2) / (d.bandwidth * math.sqrt(2.0 * math.pi) * mass)
+    cdf_tail = special.ndtr(-TAIL_SIGMAS) / mass
+    return (
+        4 * eps * np.abs(dense_pdf) + pdf_tail,
+        4 * eps * (np.abs(dense_cdf) + d._below_zero / mass) + cdf_tail,
+    )
+
+
 def test_blocked_kde_sums_equal_one_dense_block():
-    # 5000 samples take several row blocks, 30 one; either way each row is
-    # the dense matrix's np.mean, truncated with np.clip and np.where.
+    # 30 samples take one block: each row is the dense matrix's np.mean,
+    # truncated with np.clip and np.where, bit for bit. 5000 take several
+    # windowed blocks, which agree with it to rounding and the dropped tail.
     rng = np.random.default_rng(17)
     y = np.concatenate([np.linspace(0.0, 400.0, 1025), [-3.0, np.nan, -np.inf, np.inf]])
     for size in (5000, 30):
@@ -698,12 +717,80 @@ def test_blocked_kde_sums_equal_one_dense_block():
         dense_pdf = np.mean(np.exp(-0.5 * z * z), axis=1) / (d.bandwidth * np.sqrt(2.0 * np.pi))
         dense_cdf = np.mean(special.ndtr(z), axis=1)
         inside = y >= 0.0
-        assert np.array_equal(d.pdf(y), np.where(inside, dense_pdf / d._mass_above_zero, 0.0))
-        assert np.array_equal(
-            d.cdf(y),
-            np.where(inside, np.clip((dense_cdf - d._below_zero) / d._mass_above_zero, 0.0, 1.0), 0.0),
-        )
-        assert np.array_equal(d.pdf(y[:1025]), dense_pdf[:1025] / d._mass_above_zero)
+        want_pdf = np.where(inside, dense_pdf / d._mass_above_zero, 0.0)
+        want_cdf = np.where(inside, np.clip((dense_cdf - d._below_zero) / d._mass_above_zero, 0.0, 1.0), 0.0)
+        if size == 30:
+            assert np.array_equal(d.pdf(y), want_pdf)
+            assert np.array_equal(d.cdf(y), want_cdf)
+            assert np.array_equal(d.pdf(y[:1025]), dense_pdf[:1025] / d._mass_above_zero)
+        else:
+            pdf_bound, cdf_bound = _windowed_bounds(d, want_pdf, want_cdf)
+            assert np.all(np.abs(d.pdf(y) - want_pdf) <= pdf_bound)
+            assert np.all(np.abs(d.cdf(y) - want_cdf) <= cdf_bound)
+
+
+def _second_level_abscissae(a: float, b: float, panels: int) -> np.ndarray:
+    """The K15 nodes of a second refinement level over ``panels`` equal
+    panels of [a, b], in quadrature's order: every left half before every
+    right half, so the points are not sorted."""
+    edges = np.linspace(a, b, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    lo, hi = np.concatenate([edges[:-1], mid]), np.concatenate([mid, edges[1:]])
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return (center[:, None] + half[:, None] * _NODES).ravel()
+
+
+def test_windowed_kde_edges_match_the_one_block_oracle(monkeypatch):
+    # 5000 prices: a bulk, 50 outliers close to zero far below it and 10
+    # far above it, so the windows of points in the bulk drop samples on
+    # both sides. The window of the block at zero sums the low outliers in
+    # another order than the mass below zero, a few ulps apart.
+    rng = np.random.default_rng(20)
+    d = fit_kde(np.concatenate([
+        rng.lognormal(5.0, 0.3, 4940), rng.uniform(0.1, 5.0, 50), rng.uniform(3000.0, 9000.0, 10)
+    ]))
+    y = _second_level_abscissae(0.0, 600.0, 64)
+    y = np.concatenate([y[:300], [np.nan, 0.0, np.inf, -np.inf, -3.0], y[300:], [4000.0, 0.0]])
+    assert y.size * d.sample.size > KDE_BLOCK_DOUBLES and not np.all(np.diff(y[:900]) >= 0)
+    # A block's rows are sorted neighbours well under a bandwidth apart.
+    reach = TAIL_SIGMAS * d.bandwidth
+    assert np.count_nonzero((y - 2 * reach > 5.0) & (y + 2 * reach < 3000.0)) > 100
+    pdf, cdf = d.pdf(y), d.cdf(y)
+    assert np.all(cdf[y == 0.0] == 0.0)
+    assert cdf[y == np.inf] == 1.0 and pdf[y == np.inf] == 0.0
+    assert d.cdf(np.inf) == 1.0 and d.pdf(np.inf) == 0.0 and d.cdf(0.0) == 0.0
+    assert pdf[np.isnan(y)] == 0.0 and cdf[np.isnan(y)] == 0.0
+    monkeypatch.setattr("pricedisclosure.density.KDE_BLOCK_DOUBLES", 2**62)
+    want_pdf, want_cdf = d.pdf(y), d.cdf(y)
+    pdf_bound, cdf_bound = _windowed_bounds(d, want_pdf, want_cdf)
+    assert np.all(np.abs(pdf - want_pdf) <= pdf_bound)
+    assert np.all(np.abs(cdf - want_cdf) <= cdf_bound)
+
+
+def test_windowed_sweep_matches_the_one_block_oracle(monkeypatch):
+    """A critical-cost sweep on 5000 prices, five q points and five n_new
+    points laid out as the benchmark's large sweeps lay them out, agrees
+    with the one-block sums to max(1e-11, 1e-10 * value). Runtime cap: a
+    few seconds (about 0.5 s on a 2-vCPU host)."""
+    rng = np.random.default_rng(41)
+    base = builtin_dataset("camera").values()
+    # A smoothed bootstrap in whole cents, as the benchmark builds its lists.
+    q75, q25 = np.percentile(base, [75.0, 25.0])
+    h = 0.9 * min(float(np.std(base, ddof=1)), float(q75 - q25) / 1.34) * base.size ** (-0.2)
+    draws = rng.choice(base, size=5000) + rng.normal(0.0, h, size=5000)
+    cents = np.sort(np.maximum(np.rint(draws * 100.0), 1.0))
+    n_new = expected_new_prices(base.size / 5, 0.12)
+    low = cents[250]
+    step = max(1.0, (cents[2500] - low) // 4)
+    n_lo = max(1, n_new - 8)
+    points = [((low + k * step) / 100.0, n_new) for k in range(5)]
+    points += [(cents[1250] / 100.0, n_lo + 4 * k) for k in range(5)]
+    d = fit_kde(cents / 100.0)
+    got = [critical_cost(d, q, n).value for q, n in points]
+    monkeypatch.setattr("pricedisclosure.density.KDE_BLOCK_DOUBLES", 2**62)
+    for (q, n), value in zip(points, got):
+        want = critical_cost(d, q, n).value
+        assert abs(value - want) <= max(1e-11, 1e-10 * want), (q, n, value, want)
 
 
 def test_kde_effective_low_and_feature_scale():
