@@ -2,15 +2,20 @@
 
 First, ``fit --method kde`` and ``fit --method parametric`` on each
 bundled dataset, whose printed bandwidth, log-likelihoods and BICs no
-benchmark call shows. Then, for each seed and each workload in
-``perfbench.inputs.WORKLOADS``, the workload's inputs are written to a
-temporary directory and every call and helper of every group runs
-through ``pricedisclosure.cli.main``, with the evaluation cache cleared
-first, as the benchmark does. Each line holds the seed (null for the fit
-calls), the workload (``fit`` for them), the argv, the exit code, stdout
-and stderr, with the temporary directory written as ``<tmp>``. The code
-under test is the checkout this script sits in, so comparing two
-checkouts' output with ``cmp`` checks that a change keeps the CLI's bytes:
+benchmark call shows. Next, one ``critical-cost --sweep q`` and one
+``--sweep n`` on the bundled printer list with every price times 100
+(workload ``printer_x100``): the benchmark sweeps prices in the
+hundreds, far below 16384, where a float grid's end point keeps more
+slack than rounding takes.
+Then, for each seed and each workload in ``perfbench.inputs.WORKLOADS``,
+the workload's inputs are written to a temporary directory and every
+call and helper of every group runs through ``pricedisclosure.cli.main``,
+with the evaluation cache cleared first, as the benchmark does. Each line
+holds the seed (null for the fit and printer_x100 calls), the workload,
+the argv, the exit code, stdout and stderr, with the temporary directory
+written as ``<tmp>``. The code under test is the checkout this script
+sits in, so comparing two checkouts' output with ``cmp`` checks that a
+change keeps the CLI's bytes:
 
     python3 scripts/cli_outputs.py 3 11 > outputs.jsonl
 """
@@ -28,7 +33,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 from perfbench.inputs import WORKLOADS  # noqa: E402
 from perfbench.workloads import build  # noqa: E402
 from pricedisclosure import cli, disclosure  # noqa: E402
-from pricedisclosure.data import BUILTIN_MANIFESTS  # noqa: E402
+from pricedisclosure.data import BUILTIN_MANIFESTS, PriceEntry, PriceList, builtin_dataset, write_prices  # noqa: E402
 from pricedisclosure.density import ESTIMATORS  # noqa: E402
 
 
@@ -46,6 +51,14 @@ def main(seeds: list[int]) -> None:
     for name in sorted(BUILTIN_MANIFESTS):
         for method in ESTIMATORS:
             print(json.dumps(run(None, "fit", ["fit", "--builtin", name, "--method", method])), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "printer_x100.csv")
+        printer = builtin_dataset("printer")
+        write_prices(PriceList("printer", tuple(PriceEntry(e.source, 100 * e.cents) for e in printer.entries)), path)
+        sweep = ["critical-cost", "--data", path, "--method", "kde", "--sweep"]
+        for argv in (sweep + ["q", "--n-new", "18", "--from", "29700", "--to", "29701.5", "--step", "0.25"],
+                     sweep + ["n", "--q", "31000", "--from", "2", "--to", "22", "--step", "4"]):
+            print(json.dumps(run(None, "printer_x100", argv)).replace(tmp, "<tmp>"), flush=True)
     for seed in seeds:
         for name in WORKLOADS:
             with tempfile.TemporaryDirectory() as tmp:

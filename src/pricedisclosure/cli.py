@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import builtin_dataset, format_cents, load_prices
 from .density import ESTIMATORS, fit_estimator, fit_kde, fit_parametric
-from .disclosure import METHODS, DisclosureConstraints, clear_evaluation_cache, disclose, evaluate_subset
+from .disclosure import METHODS, DisclosureConstraints, clear_evaluation_cache, disclose, monte_carlo_disclose
 from .errors import PriceDisclosureError, ValidationError
 from .search import critical_cost, interval_subset_count, minimal_subset_count, subset_count
 from .simulator import MarketConfig, simulate_kth_position
@@ -135,32 +135,52 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_critical_cost(args: argparse.Namespace) -> int:
-    prices = _load_data(args)
-    density = fit_estimator(prices.values(), args.method)
+def _cost_points(args: argparse.Namespace) -> list[tuple[float, int]]:
+    """The (q, n_new) points of ``critical-cost``: one without --sweep, else
+    the grid from --from to --to, after every flag check."""
     if args.sweep is None:
+        for flag, value in (("--from", args.start), ("--to", args.stop), ("--step", args.step)):
+            if value is not None:
+                raise UsageError(f"{flag} applies to --sweep only")
         if args.q is None or args.n_new is None:
             raise UsageError("--q and --n-new are required without --sweep")
-        cost = critical_cost(density, args.q, args.n_new)
-        print(f"critical_cost: {cost.value!r}", file=args.out)
-        print(f"error_estimate: {cost.integration_error_estimate!r}", file=args.out)
-        return 0
+        return [(args.q, args.n_new)]
     if args.start is None or args.stop is None or args.step is None:
         raise UsageError("--sweep needs --from, --to, and --step")
     if args.sweep == "q":
+        if args.q is not None:
+            raise UsageError("--q is the swept variable under --sweep q; give --from and --to")
         if args.n_new is None:
             raise UsageError("--n-new is required when sweeping q")
         if not (math.isfinite(args.start) and math.isfinite(args.stop)):
             raise UsageError("--from and --to must be finite when sweeping q")
-        points = ((float(q), args.n_new) for q in np.arange(args.start, args.stop + 1e-12, args.step))
     else:
+        if args.n_new is not None:
+            raise UsageError("--n-new is the swept variable under --sweep n; give --from and --to")
         if args.q is None:
             raise UsageError("--q is required when sweeping n")
         if not all(v.is_integer() for v in (args.start, args.stop, args.step)):
             raise UsageError("--from, --to and --step must be integers when sweeping n")
-        points = ((args.q, n) for n in range(int(args.start), int(args.stop) + 1, int(args.step)))
     if args.start > args.stop:
         raise UsageError(f"--from {args.start} is above --to {args.stop}: the sweep is empty")
+    if args.sweep == "n":
+        return [(args.q, n) for n in range(int(args.start), int(args.stop) + 1, int(args.step))]
+    # The count takes a relative slack, which an absolute one falls below
+    # at large prices; the points are np.arange's, whose values do not
+    # depend on its stop.
+    count = math.floor((args.stop - args.start) / args.step * (1 + 1e-9)) + 1
+    return [(float(q), args.n_new) for q in np.arange(args.start, args.stop + args.step, args.step)[:count]]
+
+
+def _cmd_critical_cost(args: argparse.Namespace) -> int:
+    points = _cost_points(args)
+    prices = _load_data(args)
+    density = fit_estimator(prices.values(), args.method)
+    if args.sweep is None:
+        cost = critical_cost(density, *points[0])
+        print(f"critical_cost: {cost.value!r}", file=args.out)
+        print(f"error_estimate: {cost.integration_error_estimate!r}", file=args.out)
+        return 0
     swept = 0 if args.sweep == "q" else 1
     rows = []
     for point in points:
@@ -170,27 +190,22 @@ def _cmd_critical_cost(args: argparse.Namespace) -> int:
     return 0
 
 
-def _calibrate_budget(prices, constraints, n_new: int, estimator: str, deadline_ms: float) -> int:
-    """The Monte Carlo budget that fits the deadline, timed on a stand-in
-    of the middle candidate size round((k_lo + k_hi) / 2), since sizes are
-    uniform in [k_lo, k_hi] = [rho, min(n-1, cap)]. Like the minimum plus
-    random others, its prices spread evenly in rank from the cheapest to
-    the dearest: the cheapest alone are a tight cluster that evaluates
-    faster, and a budget timed on them overshoots the deadline. With no
-    room to sample, the full list, the only candidate evaluated."""
-    n = len(prices)
-    k_lo, k_hi = constraints.rho, min(n - 1, constraints.size_cap(n))
-    if k_lo <= k_hi:
-        ranks = np.linspace(0, n - 1, round((k_lo + k_hi) / 2)).round().astype(int)
-        prices = prices.subset(prices.ascending_order()[ranks])
+def _calibrate_budget(prices, constraints, n_new: int, estimator: str, seed: int, deadline_ms: float) -> int:
+    """The Monte Carlo budget that fits the deadline, timed on a pilot of the
+    run itself at budgets 1, 2, 4, ..., stopped after min(0.2 s, the
+    deadline) or when there is no room to sample. Each budget's run is a
+    prefix of the next, so the pilot evaluates no candidate twice and the
+    calibrated run finds the pilot's in the cache: the pilot's time counts
+    toward the deadline, and the budget never falls below its last one."""
+    deadline = deadline_ms / 1000.0
     t0 = time.perf_counter()
-    repeats = 0
-    while time.perf_counter() - t0 < 0.2:
-        clear_evaluation_cache()
-        evaluate_subset(prices, n_new, estimator)
-        repeats += 1
-    per_eval = (time.perf_counter() - t0) / repeats
-    return max(1, int(deadline_ms / 1000.0 / per_eval))
+    budget = 1
+    while not monte_carlo_disclose(prices, constraints, n_new, budget, seed, estimator).warning:
+        elapsed = time.perf_counter() - t0
+        if elapsed >= min(0.2, deadline):
+            return max(budget, int(budget * deadline / elapsed))
+        budget *= 2
+    return budget  # no room to sample: every budget evaluates the incumbent alone
 
 
 def _disclose(args: argparse.Namespace, prices, method: str, constraints, budget: int | None):
@@ -208,7 +223,7 @@ def _cmd_disclose(args: argparse.Namespace) -> int:
         if args.deadline_ms is not None:
             if budget is not None:
                 raise UsageError("--budget and --deadline-ms are mutually exclusive")
-            budget = _calibrate_budget(prices, constraints, args.n_new, args.estimator, args.deadline_ms)
+            budget = _calibrate_budget(prices, constraints, args.n_new, args.estimator, args.seed, args.deadline_ms)
             print(f"calibrated budget: {budget} (deadline-based, nondeterministic)")
         elif budget is None:
             raise UsageError("monte_carlo needs --budget or --deadline-ms")

@@ -684,13 +684,17 @@ def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
     return FitReport(tuple(candidates), best.family, density)
 
 
+def _check_estimator(estimator: str) -> None:
+    if estimator not in ESTIMATORS:
+        raise ValidationError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
+
+
 def fit_estimator(values, estimator: str) -> Density:
     """Dispatch on estimator name; ``kde`` or ``parametric``."""
+    _check_estimator(estimator)
     if estimator == "kde":
         return fit_kde(values)
-    if estimator == "parametric":
-        return fit_parametric(values).density
-    raise ValidationError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
+    return fit_parametric(values).density
 
 
 def equal_mass_prices(density: Density, n: int, q0: float | None = None) -> np.ndarray:

@@ -44,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PriceList, format_cents
-from .density import fit_estimator
+from .density import _check_estimator, fit_estimator
 from .errors import InfeasibleError, NumericalError, PriceDisclosureError, ValidationError
-from .search import CriticalCost, critical_cost
+from .search import CriticalCost, _check_n, critical_cost
 
 BRUTE_FORCE_GUARD = 5_000_000
 
@@ -142,10 +142,14 @@ def _select(method, prices, blocks, n_new, estimator, *, incumbent=False, worker
     With ``incumbent`` the first row seeds the search uncounted, at trace
     index 0; otherwise candidate i has index i + 1. With ``workers > 1``
     each block is split into contiguous shares evaluated in parallel.
+    ``n_new`` and ``estimator`` are checked before any candidate is drawn,
+    so a bad one is not blamed on a candidate.
     """
+    n_new = _check_n(n_new)
+    _check_estimator(estimator)
     order = prices.ascending_order()
     cents = prices.cents_array()[order]
-    evaluate = functools.partial(_block_costs, method, cents, int(n_new), estimator)
+    evaluate = functools.partial(_block_costs, method, cents, n_new, estimator)
     best, trace, trace_subsets, rows = math.inf, [], [], 0
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for block in blocks:

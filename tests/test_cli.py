@@ -8,16 +8,16 @@ import re
 import shlex
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pricedisclosure import cli
+from pricedisclosure import cli, disclosure
 from pricedisclosure.cli import main
-from pricedisclosure.data import PriceEntry, PriceList, load_prices, write_prices
-from pricedisclosure.density import fit_kde, fit_parametric
+from pricedisclosure.data import PriceEntry, PriceList, builtin_dataset, load_prices, write_prices
+from pricedisclosure.density import fit_estimator, fit_kde, fit_parametric
+from pricedisclosure.disclosure import DisclosureConstraints, clear_evaluation_cache, monte_carlo_disclose
 from pricedisclosure.simulator import MarketConfig
 
 
@@ -136,27 +136,32 @@ def test_disclose_deadline_calibrates_a_budget(capsys, small_csv):
         assert "--deadline-ms" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "extra,size", [(("--rho", "3"), 7), (("--rho", "3", "--max-size", "5"), 4), (("--rho", "12"), 12)]
-)
-def test_deadline_calibrates_on_a_middle_sized_candidate(capsys, monkeypatch, small_csv, extra, size):
-    # Monte Carlo sizes are uniform in [rho, min(n-1, cap)]: calibration
-    # times round((lo + hi) / 2) prices spread from the cheapest to the
-    # dearest, or the whole list when there is no room to sample.
-    seen = []
+def test_deadline_calibration_evaluates_no_candidate_twice(capsys, monkeypatch, small_csv):
+    # The pilot runs are prefixes of the calibrated run, so a cold
+    # calibrated command misses the cache exactly as often as a cold run at
+    # the printed budget. Each miss fits once; counting the fits, unlike
+    # cache_info(), also sees a cache cleared in between.
+    fits = []
 
-    def timed(prices, n_new, estimator):
-        seen.append(prices.cents_array())
-        time.sleep(0.001)
+    def fit(values, estimator):
+        fits.append(len(values))
+        return fit_estimator(values, estimator)
 
-    monkeypatch.setattr(cli, "evaluate_subset", timed)
-    argv = ["disclose", "--data", small_csv, "--method", "mc", "--n-new", "5", *extra]
-    code, out, _ = run(capsys, *argv, "--deadline-ms", "5")
-    assert code == 0 and "calibrated budget: " in out
-    cents = load_prices(small_csv).cents_array()
-    assert seen and all(len(c) == size for c in seen)
-    assert seen[0].min() == cents.min() and seen[0].max() == cents.max()
-    assert len(set(seen[0].tolist())) == size
+    monkeypatch.setattr(disclosure, "fit_estimator", fit)
+    argv = ["disclose", "--data", small_csv, "--method", "mc", "--n-new", "5", "--seed", "4"]
+    clear_evaluation_cache()
+    code, out, _ = run(capsys, *argv, "--rho", "3", "--deadline-ms", "50")
+    assert code == 0
+    budget = int(re.search(r"^calibrated budget: (\d+) ", out, flags=re.M).group(1))
+    calibrated, fits[:] = list(fits), []
+    clear_evaluation_cache()
+    monte_carlo_disclose(load_prices(small_csv), DisclosureConstraints(rho=3), 5, budget, 4)
+    assert calibrated == fits
+    # With no room to sample the pilot stops at once; the incumbent is the answer.
+    code, out, _ = run(capsys, *argv, "--rho", "12", "--deadline-ms", "50")
+    assert code == 0
+    assert "calibrated budget: 1 (" in out and "\nevaluations: 0\n" in out
+    assert "warning: no room to sample: rho=12 exceeds n-1=11" in out
 
 
 def test_computation_errors_exit_1(capsys, small_csv):
@@ -205,6 +210,49 @@ def test_critical_cost_sweep_csv(capsys, small_csv, tmp_path):
     values = [float(r[1]) for r in rows[1:]]
     assert [int(r[0]) for r in rows[1:]] == [2, 4, 6, 8, 10]
     assert all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
+
+
+def test_sweep_q_keeps_its_end_point_at_five_digit_prices(capsys, tmp_path):
+    # Above 16384 an absolute slack of 1e-12 is below half an ulp of --to,
+    # and the last point of the grid was lost.
+    printer = builtin_dataset("printer")
+    path = tmp_path / "printer100.csv"
+    write_prices(PriceList("printer", tuple(PriceEntry(e.source, 100 * e.cents) for e in printer.entries)), path)
+    argv = ["critical-cost", "--data", str(path), "--sweep", "q", "--n-new", "18", "--step", "0.25"]
+    for start, stop in (("29700", "29701.5"), ("30123.17", "30124.67")):
+        code, out, _ = run(capsys, *argv, "--from", start, "--to", stop)
+        assert code == 0
+        grid = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert grid == list(np.arange(float(start), float(stop) + 0.25, 0.25)[:7])
+        assert len(grid) == 7 and grid[-1] == float(stop)
+
+
+@pytest.mark.parametrize("flag,value", [("--from", "120"), ("--to", "140"), ("--step", "5")])
+def test_range_flags_without_sweep_are_a_usage_error(capsys, small_csv, flag, value):
+    code, out, err = run(capsys, "critical-cost", "--data", small_csv, "--q", "130", "--n-new", "5", flag, value)
+    assert (code, out) == (2, "")
+    assert f"usage error: {flag} applies to --sweep only" in err
+
+
+def test_q_with_sweep_q_is_a_usage_error(capsys, small_csv):
+    code, out, err = run(capsys, "critical-cost", "--data", small_csv, "--sweep", "q", "--q", "130",
+                         "--n-new", "5", "--from", "120", "--to", "140", "--step", "5")
+    assert (code, out) == (2, "")
+    assert "usage error: --q is the swept variable under --sweep q" in err
+
+
+def test_n_new_with_sweep_n_is_a_usage_error(capsys, small_csv):
+    code, out, err = run(capsys, "critical-cost", "--data", small_csv, "--sweep", "n", "--q", "130",
+                         "--n-new", "5", "--from", "2", "--to", "10", "--step", "2")
+    assert (code, out) == (2, "")
+    assert "usage error: --n-new is the swept variable under --sweep n" in err
+
+
+def test_bad_n_new_is_not_blamed_on_a_candidate(capsys):
+    code, out, err = run(capsys, "disclose", "--builtin", "printer", "--method", "interval",
+                         "--rho", "10", "--n-new", "-3")
+    assert (code, out) == (1, "")
+    assert err == "error: number of new draws must be at least 1, got -3\n"
 
 
 def test_disclose_interval_output(capsys, small_csv):

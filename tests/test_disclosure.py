@@ -296,6 +296,17 @@ def test_rho_larger_than_n_rejected():
             disclose(prices, method, RHO3, 5, budget=10, seed=0)
 
 
+def test_bad_n_new_and_estimator_are_not_blamed_on_a_candidate():
+    prices = make_prices([100, 250, 300, 420, 555])
+    for method in disclosure.METHODS:
+        with pytest.raises(ValidationError) as info:
+            disclose(prices, method, RHO3, -3, budget=10, seed=0)
+        assert str(info.value) == "number of new draws must be at least 1, got -3"
+    with pytest.raises(ValidationError) as info:
+        interval_disclose(prices, RHO3, 5, estimator="cauchy")
+    assert str(info.value).startswith("unknown estimator 'cauchy'")
+
+
 # ---------------------------------------------------------------- pipeline
 # A cheap stand-in for the evaluation with many exact ties: it depends only
 # on the sorted cents, like the real one, so every method can be checked
