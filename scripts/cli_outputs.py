@@ -6,16 +6,20 @@ benchmark call shows. Next, one ``critical-cost --sweep q`` and one
 ``--sweep n`` on the bundled printer list with every price times 100
 (workload ``printer_x100``): the benchmark sweeps prices in the
 hundreds, far below 16384, where a float grid's end point keeps more
-slack than rounding takes.
+slack than rounding takes. Next, calls that run in worker processes
+(workload ``workers``): brute force on the bundled camera list with
+``--workers 3`` under each estimator, and ``simulate`` on the bundled
+printer market at positions 1 and 2 with ``--workers 2``, so that what
+the workers send back is covered too.
 Then, for each seed and each workload in ``perfbench.inputs.WORKLOADS``,
 the workload's inputs are written to a temporary directory and every
 call and helper of every group runs through ``pricedisclosure.cli.main``,
 with the evaluation cache cleared first, as the benchmark does. Each line
-holds the seed (null for the fit and printer_x100 calls), the workload,
-the argv, the exit code, stdout and stderr, with the temporary directory
-written as ``<tmp>``. The code under test is the checkout this script
-sits in, so comparing two checkouts' output with ``cmp`` checks that a
-change keeps the CLI's bytes:
+holds the seed (null for the fit, printer_x100 and workers calls), the
+workload, the argv, the exit code, stdout and stderr, with the temporary
+directory written as ``<tmp>``. The code under test is the checkout
+this script sits in, so comparing two checkouts' output with ``cmp``
+checks that a change keeps the CLI's bytes:
 
     python3 scripts/cli_outputs.py 3 11 > outputs.jsonl
 """
@@ -59,6 +63,14 @@ def main(seeds: list[int]) -> None:
         for argv in (sweep + ["q", "--n-new", "18", "--from", "29700", "--to", "29701.5", "--step", "0.25"],
                      sweep + ["n", "--q", "31000", "--from", "2", "--to", "22", "--step", "4"]):
             print(json.dumps(run(None, "printer_x100", argv)).replace(tmp, "<tmp>"), flush=True)
+        config = Path(tmp) / "printer_market.json"
+        config.write_text(json.dumps({"builtin": "printer", "trials": 6}))
+        calls = [["disclose", "--builtin", "camera", "--method", "brute", "--rho", "70", "--n-new", "5",
+                  "--estimator", estimator, "--workers", "3"] for estimator in ESTIMATORS]
+        calls += [["simulate", "--config", str(config), "--position", str(k), "--methods", "mc,interval,minimal,full",
+                   "--budgets", "10,25", "--workers", "2"] for k in (1, 2)]
+        for argv in calls:
+            print(json.dumps(run(None, "workers", argv)).replace(tmp, "<tmp>"), flush=True)
     for seed in seeds:
         for name in WORKLOADS:
             with tempfile.TemporaryDirectory() as tmp:

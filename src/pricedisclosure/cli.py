@@ -89,6 +89,17 @@ def _positive(convert):
     return parse
 
 
+def _mc_flags(methods, flags: dict) -> None:
+    """Monte Carlo needs one of its budget ``flags``; no other method reads them."""
+    given = [flag for flag, value in flags.items() if value not in (None, ())]
+    if "monte_carlo" not in methods and given:
+        raise UsageError(f"{given[0]} applies to method mc only")
+    if len(given) > 1:
+        raise UsageError(f"{' and '.join(given)} are mutually exclusive")
+    if "monte_carlo" in methods and not given:
+        raise UsageError(f"monte_carlo needs {' or '.join(flags)}")
+
+
 def _write_csv(handle, header, rows) -> None:
     """Write CSV to ``handle``, or to stdout when it is None."""
     writer = csv.writer(handle or sys.stdout, lineterminator="\n")
@@ -215,18 +226,15 @@ def _disclose(args: argparse.Namespace, prices, method: str, constraints, budget
 
 
 def _cmd_disclose(args: argparse.Namespace) -> int:
-    prices = _load_data(args)
     method = args.method
+    _mc_flags((method,), {"--budget": args.budget, "--deadline-ms": args.deadline_ms})
+    prices = _load_data(args)
     constraints = DisclosureConstraints(rho=args.rho, max_size=args.max_size)
     budget = args.budget
     if method == "monte_carlo":
         if args.deadline_ms is not None:
-            if budget is not None:
-                raise UsageError("--budget and --deadline-ms are mutually exclusive")
             budget = _calibrate_budget(prices, constraints, args.n_new, args.estimator, args.seed, args.deadline_ms)
             print(f"calibrated budget: {budget} (deadline-based, nondeterministic)")
-        elif budget is None:
-            raise UsageError("monte_carlo needs --budget or --deadline-ms")
         print(f"seed: {args.seed}")
     result = _disclose(args, prices, method, constraints, budget)
     disclosed = " ".join(format_cents(e.cents) for e in result.subset.entries)
@@ -242,6 +250,7 @@ def _cmd_disclose(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    _mc_flags(args.methods, {"--budgets": args.budgets})
     with open(args.config, encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
@@ -288,10 +297,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    _mc_flags(args.methods, {"--budget": args.budget})
     prices = _load_data(args)
     constraints = DisclosureConstraints(rho=args.rho)
-    if "monte_carlo" in args.methods and args.budget is None:
-        raise UsageError("monte_carlo needs --budget")
     rows = []
     for method in args.methods:
         clear_evaluation_cache()

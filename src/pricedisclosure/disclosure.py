@@ -14,17 +14,19 @@ them all:
 - ``full_disclose``: everything; the baseline.
 
 A candidate is a boolean row over the prices in ascending order (ties by
-position), so column 0 is the minimum and a row's cents come out sorted,
-ready as the evaluation-cache key. Rows come in blocks of at most
+position), so column 0 is the minimum. Rows come in blocks of at most
 ``MASK_BLOCK_BYTES`` mask bytes, so memory stays bounded however many
 candidates a method has. Every method keeps the first strict minimum in
 its candidate order, which is the last entry of its trace of
 improvements.
 
-A failing candidate aborts the whole run: its error is re-raised, as the
-same type, naming the method and the candidate's size and prices; a
-``NumericalError`` keeps its error estimate. Skipping it could return a
-subset that is not the method's answer.
+Every evaluation goes through ``evaluate_block``, which looks up each row
+of cents, in order, in a cache keyed by the sorted cents; a block's
+repeated rows are folded before they reach it. A failing candidate aborts
+the whole run: its error is re-raised, as the same type, naming the
+method and the candidate's size and prices; a ``NumericalError`` keeps
+its error estimate. Skipping it could return a subset that is not the
+method's answer.
 
 Results are deterministic: the randomized strategy derives iteration i's
 draws from (seed, i) via a counter-based generator, so any budget's run is
@@ -107,32 +109,44 @@ def clear_evaluation_cache() -> None:
     _evaluate_cents.cache_clear()
 
 
+def evaluate_block(rows, n_new: int, estimator: str, what: str) -> list[CriticalCost]:
+    """Critical cost of each row of prices in cents, in order: a density fit
+    to the row, at q its minimum, memoized by the sorted cents. ``n_new`` and
+    ``estimator`` are checked before any row; a failing row is named ``what``."""
+    n_new = _check_n(n_new)
+    _check_estimator(estimator)
+    costs = []
+    for row in rows:
+        key = tuple(sorted(row))
+        try:
+            costs.append(_evaluate_cents(key, n_new, estimator))
+        except PriceDisclosureError as exc:
+            listed = " ".join(map(format_cents, key))
+            message = f"{what} of {len(key)} prices ({listed}) failed: {exc}"
+            estimate = (exc.error_estimate,) if isinstance(exc, NumericalError) else ()
+            raise type(exc)(message, *estimate) from exc
+    return costs
+
+
 def evaluate_subset(subset: PriceList, n_new: int, estimator: str = "kde") -> CriticalCost:
-    """Critical cost of a disclosed set: fit a density to it, take q as its
-    minimum. Pure in the value multiset, so results are memoized."""
-    return _evaluate_cents(tuple(sorted(e.cents for e in subset.entries)), int(n_new), estimator)
+    """Critical cost of a disclosed set; ``evaluate_block`` on one row."""
+    return evaluate_block([[e.cents for e in subset.entries]], n_new, estimator, "subset")[0]
 
 
-def _block_costs(method: str, cents: np.ndarray, n_new: int, estimator: str, block) -> np.ndarray:
-    """Cost of every candidate row of ``block``, each distinct row looked
-    up once, in order of first appearance."""
+def _block_costs(what: str, cents: np.ndarray, n_new: int, estimator: str, block):
+    """Cost value and ``CriticalCost`` of every candidate row of ``block``,
+    a mask over ``cents``. Each distinct row goes to ``evaluate_block``
+    once, in order of first appearance: Monte Carlo on a short list draws
+    almost nothing but repeats."""
     packed = np.packbits(block, axis=1)
     # One opaque item per packed row: np.unique(axis=0) gives the same
     # answer at several times the fixed cost per block.
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    costs = np.empty(first.size)
     appearance = np.argsort(first)
-    for u, row in zip(appearance.tolist(), block[first[appearance]]):
-        key = tuple(cents[row].tolist())
-        try:
-            costs[u] = _evaluate_cents(key, n_new, estimator).value
-        except PriceDisclosureError as exc:
-            listed = " ".join(map(format_cents, key))
-            message = f"{method} candidate of {len(key)} prices ({listed}) failed: {exc}"
-            estimate = (exc.error_estimate,) if isinstance(exc, NumericalError) else ()
-            raise type(exc)(message, *estimate) from exc
-    return costs[inverse.ravel()]
+    costs = np.empty(first.size, dtype=object)
+    costs[appearance] = evaluate_block((cents[row].tolist() for row in block[first[appearance]]), n_new, estimator, what)
+    return np.array([cost.value for cost in costs])[inverse], costs[inverse]
 
 
 def _select(method, prices, blocks, n_new, estimator, *, incumbent=False, workers=1,
@@ -142,29 +156,24 @@ def _select(method, prices, blocks, n_new, estimator, *, incumbent=False, worker
     With ``incumbent`` the first row seeds the search uncounted, at trace
     index 0; otherwise candidate i has index i + 1. With ``workers > 1``
     each block is split into contiguous shares evaluated in parallel.
-    ``n_new`` and ``estimator`` are checked before any candidate is drawn,
-    so a bad one is not blamed on a candidate.
     """
-    n_new = _check_n(n_new)
-    _check_estimator(estimator)
     order = prices.ascending_order()
-    cents = prices.cents_array()[order]
-    evaluate = functools.partial(_block_costs, method, cents, n_new, estimator)
+    evaluate = functools.partial(_block_costs, f"{method} candidate", prices.cents_array()[order], n_new, estimator)
     best, trace, trace_subsets, rows = math.inf, [], [], 0
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for block in blocks:
             shares = np.array_split(block, min(workers, len(block)))
-            costs = np.concatenate(list((pool.map if pool else map)(evaluate, shares)))
-            running = np.minimum.accumulate(np.concatenate(([best], costs)))
+            values, costs = map(np.concatenate, zip(*(pool.map if pool else map)(evaluate, shares)))
+            running = np.minimum.accumulate(np.concatenate(([best], values)))
             for j in np.flatnonzero(running[1:] < running[:-1]):
                 trace.append((rows + (not incumbent) + int(j), float(running[j + 1])))
                 trace_subsets.append(prices.subset(order[block[j]]))
+                winner = costs[j]
             best = running[-1]
             rows += len(block)
-    subset = trace_subsets[-1]
     return DisclosureResult(
-        subset=subset,
-        critical_cost=evaluate_subset(subset, n_new, estimator),
+        subset=trace_subsets[-1],
+        critical_cost=winner,
         method=method,
         subsets_evaluated=rows - incumbent,
         trace=tuple(trace),

@@ -28,7 +28,7 @@ from .disclosure import (
     DisclosureConstraints,
     METHODS,
     disclose,
-    evaluate_subset,
+    evaluate_block,
     monte_carlo_disclose,
 )
 from .errors import ValidationError
@@ -139,28 +139,23 @@ def draw_csa_listing(cfg: MarketConfig, rng: np.random.Generator) -> PriceList:
 
 def _trial_worker(cfg, position_k, n_new, subsets, trial, budgets) -> dict[str, tuple[float, ...]]:
     """One trial's pooled costs per method: a 1-tuple for each disclosed
-    subset and, given budgets, one Monte Carlo cost per budget."""
-    # The listings of the k-1 competitors the searcher has already queried.
-    drawn = tuple(
-        entry
-        for j in range(position_k - 1)
-        for entry in draw_csa_listing(cfg, _trial_rng(cfg.base_seed, trial, _ROLE_CSA_DRAWS, j)).entries
-    )
-
-    def pooled_cost(subset: PriceList) -> float:
-        pooled = PriceList(cfg.product_id, subset.entries + drawn)
-        return evaluate_subset(pooled, n_new, cfg.estimator).value
-
-    out = {method: (pooled_cost(subset),) for method, subset in subsets.items()}
+    subset and one Monte Carlo cost per budget, if any."""
+    # The cents of the k-1 competitor listings the searcher has already queried.
+    drawn = [e.cents for j in range(position_k - 1)
+             for e in draw_csa_listing(cfg, _trial_rng(cfg.base_seed, trial, _ROLE_CSA_DRAWS, j)).entries]
+    chosen = list(subsets.values())
     if budgets:
         # One run to the largest budget. Each budget's run is its prefix, so
         # budget b's winner is the last trace entry with index <= b.
         seed = _derive_seed(cfg.base_seed, trial, _ROLE_MC_SELECT)
         constraints = DisclosureConstraints(rho=cfg.rho)
         res = monte_carlo_disclose(subsets["full"], constraints, n_new, max(budgets), seed, cfg.estimator)
-        out["monte_carlo"] = tuple(
-            pooled_cost(res.trace_subsets[sum(i <= b for i, _ in res.trace) - 1]) for b in budgets
-        )
+        chosen += [res.trace_subsets[sum(i <= b for i, _ in res.trace) - 1] for b in budgets]
+    pooled = ([e.cents for e in subset.entries] + drawn for subset in chosen)
+    costs = [cost.value for cost in evaluate_block(pooled, n_new, cfg.estimator, "pooled set")]
+    out = {method: (cost,) for method, cost in zip(subsets, costs)}
+    if budgets:
+        out["monte_carlo"] = tuple(costs[len(subsets):])
     return out
 
 

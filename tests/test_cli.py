@@ -45,7 +45,7 @@ def test_counts_exact(capsys):
     assert run(capsys, "counts", "--n", "30", "--rho", "10", "--kind", "minimal")[1] == "21\n"
 
 
-def test_usage_errors_exit_2(capsys, small_csv):
+def test_usage_errors_exit_2(capsys, small_csv, tmp_path):
     with pytest.raises(SystemExit) as info:
         main(["counts", "--n", "20"])
     assert info.value.code == 2
@@ -92,6 +92,22 @@ def test_usage_errors_exit_2(capsys, small_csv):
     code, out, err = run(capsys, "fit", "--data", small_csv, "--method", "parametric", "--bandwidth", "5")
     assert (code, out) == (2, "")
     assert "usage error: --bandwidth applies to --method kde only, not parametric" in err
+    # only Monte Carlo reads a budget or a deadline
+    config = tmp_path / "printer.json"
+    config.write_text(json.dumps({"builtin": "printer"}))
+    selection = ["--builtin", "printer", "--rho", "10", "--n-new", "18"]
+    for argv, flag in (
+        (["disclose", *selection, "--method", "interval", "--budget", "5", "--deadline-ms", "10"], "--budget"),
+        (["disclose", *selection, "--method", "full", "--deadline-ms", "10"], "--deadline-ms"),
+        (["bench", *selection, "--methods", "full", "--budget", "7"], "--budget"),
+        (["simulate", "--config", str(config), "--methods", "interval,full", "--budgets", "10,25"], "--budgets"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"usage error: {flag} applies to method mc only" in err
+    code, out, err = run(capsys, "simulate", "--config", str(config), "--methods", "mc,full")
+    assert (code, out) == (2, "")
+    assert "usage error: monte_carlo needs --budgets" in err
 
 
 def test_bad_workers_and_budgets_exit_2(capsys, small_csv, tmp_path):

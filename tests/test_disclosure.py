@@ -302,9 +302,35 @@ def test_bad_n_new_and_estimator_are_not_blamed_on_a_candidate():
         with pytest.raises(ValidationError) as info:
             disclose(prices, method, RHO3, -3, budget=10, seed=0)
         assert str(info.value) == "number of new draws must be at least 1, got -3"
+    # Nor when the check runs in a worker process.
+    with pytest.raises(ValidationError) as info:
+        brute_force_disclose(prices, RHO3, -3, workers=3)
+    assert str(info.value) == "number of new draws must be at least 1, got -3"
     with pytest.raises(ValidationError) as info:
         interval_disclose(prices, RHO3, 5, estimator="cauchy")
     assert str(info.value).startswith("unknown estimator 'cauchy'")
+    # A single subset is not blamed either.
+    with pytest.raises(ValidationError) as info:
+        evaluate_subset(prices, 0)
+    assert str(info.value) == "number of new draws must be at least 1, got 0"
+    with pytest.raises(ValidationError) as info:
+        evaluate_subset(prices, 5, "cauchy")
+    assert str(info.value).startswith("unknown estimator 'cauchy'")
+
+
+def test_each_distinct_candidate_is_one_cache_miss_and_nothing_more():
+    # Every candidate of these methods is distinct, the Monte Carlo draws
+    # included, so the cache serves no hit: a selection looks each
+    # candidate up once and does not look its winner up again.
+    prices = seeded_prices(9, seed=5)
+    budget, seed = 12, 4
+    draws = reference_candidates(prices, "monte_carlo", 3, 9, budget, seed)
+    assert len(set(map(frozenset, draws))) == len(draws) == budget + 1
+    for method in disclosure.METHODS:
+        clear_evaluation_cache()
+        result = disclose(prices, method, RHO3, 5, budget=budget, seed=seed)
+        info = disclosure._evaluate_cents.cache_info()
+        assert (info.misses, info.hits) == (result.subsets_evaluated + (method == "monte_carlo"), 0), method
 
 
 # ---------------------------------------------------------------- pipeline

@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from pricedisclosure import simulator
+from pricedisclosure import disclosure, simulator
 from pricedisclosure.data import builtin_dataset
 from pricedisclosure.density import UniformDensity, fit_kde
 from pricedisclosure.disclosure import evaluate_subset
-from pricedisclosure.errors import ValidationError
+from pricedisclosure.errors import NumericalError, ValidationError
 from pricedisclosure.simulator import (
     MarketConfig,
     draw_csa_listing,
@@ -168,6 +168,23 @@ def test_kth_position_pools_draws(printer_cfg):
     assert report.trial_costs[0][0] == pytest.approx(
         evaluate_subset(pooled, 18).value, abs=1e-12
     )
+
+
+def test_failing_pooled_set_aborts_and_is_named(printer_cfg, monkeypatch):
+    # Only a pooled set is longer than the initial list, so only it fails.
+    evaluate = disclosure._evaluate_cents
+
+    def failing(cents, n_new, estimator):
+        if len(cents) > printer_cfg.initial_set_size_n:
+            raise NumericalError("integral forms disagree", error_estimate=0.25)
+        return evaluate(cents, n_new, estimator)
+
+    monkeypatch.setattr(disclosure, "_evaluate_cents", failing)
+    with pytest.raises(NumericalError) as info:
+        simulate_kth_position(printer_cfg, 2, ("monte_carlo", "full"), budgets=(5,))
+    message = str(info.value)
+    assert re.match(r"pooled set of \d+ prices \(297\.00 [0-9. ]+\) failed: integral forms disagree$", message), message
+    assert info.value.error_estimate == 0.25
 
 
 @pytest.mark.parametrize("position_k", [1, 2])
