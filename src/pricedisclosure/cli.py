@@ -2,8 +2,10 @@
 
 Subcommands: fit, critical-cost, disclose, simulate, bench, counts. All
 emit plain-text or CSV/JSON with full-precision `.`-decimal numbers; every
-randomized subcommand takes --seed (default 0, echoed) so reruns are
-byte-identical.
+randomized run takes --seed (default 0; simulate and disclose echo it) so
+reruns are byte-identical. Of the selection methods only Monte Carlo draws
+at random, so disclose and bench take --seed only when mc is among their
+methods; otherwise it is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _add_selection_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-new", type=int, required=True)
     parser.add_argument("--estimator", choices=ESTIMATORS, default="kde")
     parser.add_argument("--budget", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=None, help="Monte Carlo seed (default 0)")
     parser.add_argument("--workers", type=_positive(int), default=1)
 
 
@@ -98,6 +100,13 @@ def _mc_flags(methods, flags: dict) -> None:
         raise UsageError(f"{' and '.join(given)} are mutually exclusive")
     if "monte_carlo" in methods and not given:
         raise UsageError(f"monte_carlo needs {' or '.join(flags)}")
+
+
+def _mc_seed(methods, seed: int | None) -> int:
+    """The Monte Carlo seed, 0 when not given; no other method reads one."""
+    if "monte_carlo" not in methods and seed is not None:
+        raise UsageError("--seed applies to method mc only")
+    return 0 if seed is None else seed
 
 
 def _write_csv(handle, header, rows) -> None:
@@ -228,6 +237,7 @@ def _disclose(args: argparse.Namespace, prices, method: str, constraints, budget
 def _cmd_disclose(args: argparse.Namespace) -> int:
     method = args.method
     _mc_flags((method,), {"--budget": args.budget, "--deadline-ms": args.deadline_ms})
+    args.seed = _mc_seed((method,), args.seed)
     prices = _load_data(args)
     constraints = DisclosureConstraints(rho=args.rho, max_size=args.max_size)
     budget = args.budget
@@ -298,6 +308,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     _mc_flags(args.methods, {"--budget": args.budget})
+    args.seed = _mc_seed(args.methods, args.seed)
     prices = _load_data(args)
     constraints = DisclosureConstraints(rho=args.rho)
     rows = []

@@ -29,6 +29,12 @@ standardized log-density kernel. A fit scores every family by that kernel
 alone, and builds a scipy distribution only for the BIC winner. The
 fitted density is evaluated by scipy's kernel when every point lies
 inside its support, and by scipy's own public method otherwise.
+
+The module imports numpy and ``scipy.special`` alone, which is all the KDE
+needs. The family table is built on the first parametric fit, and that
+fit is where ``scipy.stats`` and ``scipy.optimize`` are first imported, so
+a process that only runs the KDE never imports them. ``_FAMILIES`` names
+the table and builds it when first asked for.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import special
 
 from .errors import FitError, GenerationError, NumericalError, ValidationError
 
@@ -467,7 +473,9 @@ def _fit_weibull(x: np.ndarray) -> dict[str, float]:
         f_hi = profile(hi)
     if not (f_lo < 0 < f_hi):
         raise FitError("no bracket for shape")
-    c = float(optimize.brentq(profile, lo, hi, xtol=1e-12, rtol=1e-12, maxiter=_MAX_ITER))
+    from scipy.optimize import brentq
+
+    c = float(brentq(profile, lo, hi, xtol=1e-12, rtol=1e-12, maxiter=_MAX_ITER))
     scale = float((np.add.reduce(xn**c) / n) ** (1.0 / c)) * float(x.max())
     return {"shape": c, "scale": scale}
 
@@ -526,7 +534,9 @@ def _fit_gumbel(x: np.ndarray) -> dict[str, float]:
         w = np.exp(-u / b)
         return b - 1.0 + float(np.add.reduce(u * w) / np.add.reduce(w))
 
-    beta = spread * float(optimize.brentq(g, 1e-9, 1.0, xtol=1e-12, rtol=1e-12, maxiter=_MAX_ITER))
+    from scipy.optimize import brentq
+
+    beta = spread * float(brentq(g, 1e-9, 1.0, xtol=1e-12, rtol=1e-12, maxiter=_MAX_ITER))
     w = np.exp(-(x - x_min) / beta)
     loc = x_min - beta * math.log(float(np.add.reduce(w) / n))
     return {"loc": loc, "scale": beta}
@@ -624,24 +634,38 @@ def _loglik(x: np.ndarray, logpdf, args: tuple[float, ...], loc: float, scale: f
     raise FitError("non-finite likelihood")
 
 
-# One row per family: its fitter, its scipy generator, the map from the
-# fitted parameters to the generator's (shape args, loc, scale), and the
-# generator's standardized log-density kernel that scores the fit.
-_FAMILIES = {
-    "normal": (_fit_normal, stats.norm, lambda p: ((), p["loc"], p["scale"]), stats.norm._logpdf),
-    "lognormal": (
-        _fit_lognormal, stats.lognorm, lambda p: ((p["sigma"],), 0.0, math.exp(p["mu"])), _lognorm_logpdf
-    ),
-    "exponential": (_fit_exponential, stats.expon, lambda p: ((), 0.0, p["scale"]), stats.expon._logpdf),
-    "gamma": (_fit_gamma, stats.gamma, lambda p: ((p["shape"],), 0.0, p["scale"]), stats.gamma._logpdf),
-    "weibull": (
-        _fit_weibull, stats.weibull_min, lambda p: ((p["shape"],), 0.0, p["scale"]), stats.weibull_min._logpdf
-    ),
-    "logistic": (_fit_logistic, stats.logistic, lambda p: ((), p["loc"], p["scale"]), stats.logistic._logpdf),
-    "gumbel": (_fit_gumbel, stats.gumbel_r, lambda p: ((), p["loc"], p["scale"]), stats.gumbel_r._logpdf),
-}
+FAMILIES = ("normal", "lognormal", "exponential", "gamma", "weibull", "logistic", "gumbel")
 
-FAMILIES = tuple(_FAMILIES)
+
+@functools.cache
+def _family_table() -> dict[str, tuple]:
+    """One row per family, in ``FAMILIES`` order: its fitter, its scipy
+    generator, the map from the fitted parameters to the generator's (shape
+    args, loc, scale), and the generator's standardized log-density kernel
+    that scores the fit. Built on the first parametric fit, which is the
+    first import of scipy.stats; every fit reads this one dict."""
+    from scipy import stats
+
+    return {
+        "normal": (_fit_normal, stats.norm, lambda p: ((), p["loc"], p["scale"]), stats.norm._logpdf),
+        "lognormal": (
+            _fit_lognormal, stats.lognorm, lambda p: ((p["sigma"],), 0.0, math.exp(p["mu"])), _lognorm_logpdf
+        ),
+        "exponential": (_fit_exponential, stats.expon, lambda p: ((), 0.0, p["scale"]), stats.expon._logpdf),
+        "gamma": (_fit_gamma, stats.gamma, lambda p: ((p["shape"],), 0.0, p["scale"]), stats.gamma._logpdf),
+        "weibull": (
+            _fit_weibull, stats.weibull_min, lambda p: ((p["shape"],), 0.0, p["scale"]), stats.weibull_min._logpdf
+        ),
+        "logistic": (_fit_logistic, stats.logistic, lambda p: ((), p["loc"], p["scale"]), stats.logistic._logpdf),
+        "gumbel": (_fit_gumbel, stats.gumbel_r, lambda p: ((), p["loc"], p["scale"]), stats.gumbel_r._logpdf),
+    }
+
+
+def __getattr__(name: str):
+    # PEP 562: ``_FAMILIES`` is the family table, built when first asked for.
+    if name == "_FAMILIES":
+        return _family_table()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
@@ -655,14 +679,15 @@ def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
     x = _as_sample(values)
     if x.size < 2:
         raise ValidationError("parametric fitting needs at least 2 observations")
+    table = _family_table()
     for family in families:
-        if family not in _FAMILIES:
+        if family not in table:
             raise ValidationError(f"unknown family {family!r}")
     n = x.size
     candidates: list[FitCandidate] = []
     best: FitCandidate | None = None
     for family in families:
-        fit, _, gen_args, logpdf = _FAMILIES[family]
+        fit, _, gen_args, logpdf = table[family]
         try:
             params = fit(x)
             loglik = _loglik(x, logpdf, *gen_args(params))
@@ -678,7 +703,7 @@ def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
             best = candidate
     if best is None:
         raise FitError("no family could be fit: " + "; ".join(f"{c.family}: {c.reason}" for c in candidates))
-    _, gen, gen_args, _ = _FAMILIES[best.family]
+    _, gen, gen_args, _ = table[best.family]
     dist = _FixedDist(gen, *gen_args(best.params))
     density = ParametricDensity(best.family, best.params, dist, float(x.min()), n)
     return FitReport(tuple(candidates), best.family, density)

@@ -105,6 +105,16 @@ def test_usage_errors_exit_2(capsys, small_csv, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert f"usage error: {flag} applies to method mc only" in err
+    # only Monte Carlo reads a seed, checked before --data is read
+    missing = ["--data", str(tmp_path / "missing.csv"), "--rho", "10", "--n-new", "18"]
+    for argv in (
+        ["disclose", *selection, "--method", "interval", "--seed", "5"],
+        ["disclose", *missing, "--method", "full", "--seed", "0"],
+        ["bench", *selection, "--seed", "5"],
+        ["bench", *missing, "--methods", "interval,full", "--seed", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "usage error: --seed applies to method mc only\n"), argv
     code, out, err = run(capsys, "simulate", "--config", str(config), "--methods", "mc,full")
     assert (code, out) == (2, "")
     assert "usage error: monte_carlo needs --budgets" in err
@@ -480,6 +490,26 @@ def test_bench_counts_repeatable(capsys, small_csv, tmp_path):
             rows = list(csv.reader(handle))
         read.append([(r[0], r[1]) for r in rows[1:]])
     assert read[0] == read[1] == [("monte_carlo", "40")]
+
+
+def test_monte_carlo_seed_defaults_to_zero(capsys, small_csv, monkeypatch):
+    argv = ["disclose", "--data", small_csv, "--method", "mc", "--rho", "3", "--n-new", "5", "--budget", "30"]
+    default = run(capsys, *argv)
+    assert default == run(capsys, *argv, "--seed", "0")
+    assert default[0] == 0 and default[1].startswith("seed: 0\n")
+    # bench takes a seed when mc is among its methods, and hands it to mc
+    seeds = []
+
+    def record(prices, method, constraints, n_new, *, seed, **kwargs):
+        seeds.append((method, seed))
+        return disclosure.disclose(prices, method, constraints, n_new, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cli, "disclose", record)
+    bench = ["bench", "--data", small_csv, "--methods", "full,mc", "--rho", "3", "--n-new", "5", "--budget", "5"]
+    for extra, seed in (([], 0), (["--seed", "7"], 7)):
+        seeds.clear()
+        assert run(capsys, *bench, *extra)[0] == 0
+        assert dict(seeds)["monte_carlo"] == seed
 
 
 def test_bench_monte_carlo_without_budget_is_a_usage_error(capsys, small_csv):
