@@ -7,7 +7,11 @@ seven are the Gauss nodes: the K15 sum is the panel's value and
 values; every panel of one refinement level is evaluated in a single
 integrand call, which keeps per-integral overhead low when the integrand
 itself is vectorized numpy. The nodes are interior, so the integrand is
-never evaluated at the interval's ends.
+never evaluated at the interval's ends. The first level's panels are
+given by ``panels``, as ``np.histogram`` takes its ``bins``: a count of
+equal panels, or the edges themselves, so a caller that knows where its
+integrand changes fastest can start with narrow panels there and wide
+ones elsewhere.
 
 An integrand may also return several rows at once, shape ``(m, k)`` for
 ``k`` abscissae: every row is integrated over the same abscissae, and a
@@ -89,27 +93,40 @@ def adaptive_gauss_kronrod(
     *,
     tol: float = 1e-8,
     max_depth: int = 40,
-    panels: int = 1,
+    panels: int | np.ndarray = 1,
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
 
     Returns ``(value, error_estimate)``, the summed K15 values and
     ``|K15 - G7|`` of the accepted panels: floats for an integrand returning
     shape ``(k,)``, arrays of length ``m`` for one returning ``(m, k)``, and
-    ``(0.0, 0.0)`` for an empty interval, where ``f`` is never called. The
-    integration starts from ``panels`` equal panels, each with the budget
-    ``tol / panels``; a panel that misses its budget is halved, and so is
-    the budget. Integrands whose mass sits in a narrow bump can look
-    identically zero to one coarse panel, so a caller that knows the
-    width of its integrand's features starts with panels no wider than a
-    few of them. The ``15 * panels`` starting abscissae are evaluated in one
-    integrand call; ``panels`` may not exceed ``MAX_PANELS``. Raises
-    :class:`NumericalError` on a non-finite integrand value, if any panel
-    fails to converge within ``max_depth`` halvings, or as soon as the next
-    level's worklist would exceed ``MAX_PANELS``.
+    ``(0.0, 0.0)`` for an empty interval, where ``f`` is never called.
+    ``panels`` is the start, like ``np.histogram``'s ``bins``: a count of
+    equal panels, or an increasing array of edges from ``a`` to ``b`` (a
+    repeated edge makes an empty panel). Each starting panel has the budget
+    ``tol / panels``, ``panels`` being the count; a panel that misses its
+    budget is halved, and so is the budget.
+    Integrands whose mass sits in a narrow bump can look identically zero
+    to one coarse panel, so a caller that knows the width of its
+    integrand's features starts with panels no wider than a few of them,
+    or with edges closer together where the integrand changes fastest. The
+    ``15 * panels`` starting abscissae are evaluated in one integrand call;
+    ``panels`` may not exceed ``MAX_PANELS``, and is validated before that
+    call. Raises :class:`NumericalError` on a non-finite integrand value,
+    if any panel fails to converge within ``max_depth`` halvings, or as
+    soon as the next level's worklist would exceed ``MAX_PANELS``.
     """
-    if not 1 <= panels <= MAX_PANELS:
-        raise ValidationError(f"need 1 <= panels <= MAX_PANELS={MAX_PANELS}, got {panels}")
+    if np.ndim(panels) == 0:
+        if not 1 <= panels <= MAX_PANELS:
+            raise ValidationError(f"need 1 <= panels <= MAX_PANELS={MAX_PANELS}, got {panels}")
+        edges = None
+    else:
+        edges = np.array(panels, dtype=float)
+        if not (edges.ndim == 1 and 2 <= edges.size <= MAX_PANELS + 1):
+            raise ValidationError(f"need 1 to MAX_PANELS={MAX_PANELS} panels of edges, got shape {edges.shape}")
+        if edges[0] != a or edges[-1] != b or not np.all(edges[1:] >= edges[:-1]):
+            raise ValidationError(f"panel edges must increase from a={a} to b={b}, got {edges}")
+        panels = edges.size - 1
     if a == b:
         return 0.0, 0.0
     sign = 1.0
@@ -119,7 +136,8 @@ def adaptive_gauss_kronrod(
 
     # The worklist: each panel's ends. Panels of one level share their
     # depth, hence one budget.
-    edges = _linspace(a, b, panels)
+    if edges is None:
+        edges = _linspace(a, b, panels)
     lo, hi = edges[:-1], edges[1:]
     budget = tol / panels
     total = err_total = 0.0

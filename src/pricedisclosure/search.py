@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .data import PriceList
 from .density import Density, pointwise
@@ -27,6 +28,11 @@ AGREEMENT_TOL_REL = 1e-4
 # Starting panels for a density without a feature scale, and the cap for one
 # with it: 15 * 32 = 480 abscissae in the first pass.
 MAX_STARTING_PANELS = 32
+
+# Where a tail integral's starting panels are cut, in feature scales below q
+# (see tail_edges): each panel is about as wide as the first quadrature
+# level still meets its budget on, over subsets of the bundled price lists.
+TAIL_CUTS = np.array([8.0, 5.5, 4.0, 3.0, 2.25, 1.5, 0.75])
 
 
 class Decision(enum.Enum):
@@ -122,6 +128,18 @@ def starting_panels(width: float, scale: float | None) -> int:
     return min(2 ** max(math.ceil(math.log2(width / (2.0 * scale))), 0), MAX_STARTING_PANELS)
 
 
+def tail_edges(low: float, q: float, scale: float) -> np.ndarray:
+    """Starting edges on ``[low, q]`` graded toward ``q``: a cut ``t * scale``
+    below ``q`` for each ``t`` in TAIL_CUTS that lies above ``low``. Below
+    the sample's minimum every kernel's tail rises fastest next to ``q``, so
+    the panels there are three quarters of a bandwidth wide; further down
+    they widen as the integrand falls below any panel's budget. A full
+    tail of ``TAIL_SIGMAS`` bandwidths gets the 8 panels that
+    :func:`starting_panels` spreads evenly over it."""
+    cuts = q - TAIL_CUTS * scale
+    return np.concatenate([[low], cuts[cuts > low], [q]])
+
+
 def critical_cost(density: Density, q: float, n_new: int) -> CriticalCost:
     """Expected saving from one more query given best price ``q``.
 
@@ -131,11 +149,14 @@ def critical_cost(density: Density, q: float, n_new: int) -> CriticalCost:
     density's pdf and cdf are evaluated once per abscissa. The domain runs
     from the density's effective lower bound, below which its mass is under
     double eps, to ``q``; the starting panel count follows the ratio of
-    that width to the density's feature scale (:func:`starting_panels`). The
-    two forms must agree within max(1e-6, 1e-4 * value); the twin, whose
-    integrand is smoother, is returned. A failure raises
+    that width to the density's feature scale (:func:`starting_panels`). A
+    tail integral, with ``q`` at or below the sample's minimum as in every
+    disclosure evaluation, starts instead from panels graded toward ``q``
+    (:func:`tail_edges`), unless the draws are expected to pile up at the
+    lower bound. The two forms must agree within max(1e-6, 1e-4 * value);
+    the twin, whose integrand is smoother, is returned. A failure raises
     :class:`NumericalError` naming q, n_new, the interval, the starting
-    panels and the density.
+    panel count and whether it was graded, and the density.
     """
     n = _check_n(n_new)
     q = float(q)
@@ -146,16 +167,25 @@ def critical_cost(density: Density, q: float, n_new: int) -> CriticalCost:
     low = density.effective_low
     if q <= low:
         return CriticalCost(0.0, q, n, 0.0)
-    panels = starting_panels(q - low, density.feature_scale)
+    scale = density.feature_scale
+    start = panels = starting_panels(q - low, scale)
+    graded = ""
+    # A tail integral: every kernel sits at or above q and puts at most
+    # Phi(-(q - low) / scale) of its mass below low. While n times that is at
+    # most one draw expected below low, the minimum-order mass rises toward
+    # q; past it, the mass can pile up at low, and the even start stays.
+    if scale is not None and q <= density.sample_min and n * special.ndtr(-(q - low) / scale) <= 1.0:
+        start = tail_edges(low, q, scale)
+        panels, graded = start.size - 1, " graded toward q"
 
     def both_forms(y: np.ndarray) -> np.ndarray:
         return np.stack(_min_order(density, n, y, weight=q - y))
 
     def context() -> str:
-        return f"q={q}, n_new={n}, interval [{low}, {q}], {panels} starting panels, {density!r}"
+        return f"q={q}, n_new={n}, interval [{low}, {q}], {panels} starting panels{graded}, {density!r}"
 
     try:
-        values, errors = adaptive_gauss_kronrod(both_forms, low, q, panels=panels)
+        values, errors = adaptive_gauss_kronrod(both_forms, low, q, panels=start)
     except NumericalError as exc:
         raise NumericalError(f"{exc}; {context()}", error_estimate=exc.error_estimate) from exc
     dual, direct = float(values[0]), float(values[1])

@@ -140,10 +140,47 @@ def test_starting_panels_cost_one_integrand_call():
 
 def test_panels_validated_before_integrand_is_called():
     calls = []
-    for panels in (0, MAX_PANELS + 1):
+    for panels in (0, MAX_PANELS + 1, np.full(MAX_PANELS + 2, 1.0)):
         with pytest.raises(ValidationError):
             adaptive_gauss_kronrod(lambda y: calls.append(y) or y, 1.0, 1.0, panels=panels)
+    bad_edges = (
+        [0.0, 0.6, 0.4, 1.0],  # not increasing
+        [1.0, 0.5, 0.0],
+        [0.1, 0.5, 1.0],  # ends other than a and b
+        [0.0, 0.5, 0.9],
+        np.linspace(0.0, 1.0, MAX_PANELS + 2),  # more than MAX_PANELS panels
+        [0.0],
+        [[0.0, 1.0]],
+    )
+    for edges in bad_edges:
+        with pytest.raises(ValidationError):
+            adaptive_gauss_kronrod(lambda y: calls.append(y) or y, 0.0, 1.0, panels=edges)
     assert calls == []
+
+
+def test_starting_edges_act_as_the_count_they_spread():
+    # Edges equal to the even start's give its result bit for bit; uneven
+    # edges give the same integral, each panel with the budget tol / count.
+    rates = np.array([1.0, 3.0])
+
+    def f(y):
+        return np.exp(rates[:, None] * y)
+
+    for panels in (1, 3, 8):
+        even = adaptive_gauss_kronrod(f, 0.0, 2.0, panels=panels)
+        edged = adaptive_gauss_kronrod(f, 0.0, 2.0, panels=_linspace(0.0, 2.0, panels))
+        assert all(np.array_equal(u, v) for u, v in zip(even, edged))
+    sizes = []
+
+    def cubic(y):
+        sizes.append(y.size)
+        return y**3
+
+    value, _ = adaptive_gauss_kronrod(cubic, 0.0, 2.0, panels=[0.0, 1.5, 1.75, 1.75, 2.0])
+    assert sizes == [15 * 4]  # the repeated edge is an empty panel
+    assert abs(value - 4.0) < 1e-12
+    value, err = adaptive_gauss_kronrod(np.exp, 0.0, 8.0, tol=1e-10, panels=[0.0, 6.0, 7.5, 8.0])
+    assert abs(value - math.expm1(8.0)) < 1e-9 and err <= 1e-10
 
 
 def test_worklist_cap_stops_a_noise_integrand_early():

@@ -7,7 +7,10 @@ from scipy import integrate
 from pricedisclosure.data import BUILTIN_MANIFESTS, PriceEntry, PriceList, builtin_dataset
 from pricedisclosure.density import UniformDensity, fit_estimator, fit_kde
 from pricedisclosure.errors import NumericalError, ValidationError
+from pricedisclosure import search
+from pricedisclosure.quadrature import adaptive_gauss_kronrod
 from pricedisclosure.search import (
+    TAIL_CUTS,
     CriticalCost,
     Decision,
     SearcherState,
@@ -21,6 +24,7 @@ from pricedisclosure.search import (
     minimal_subset_count,
     starting_panels,
     subset_count,
+    tail_edges,
 )
 
 UNIT = UniformDensity(0.0, 1.0)
@@ -267,3 +271,90 @@ def test_disagreeing_forms_name_their_inputs():
     with pytest.raises(NumericalError, match=r"forms disagree.*q=14\.0, n_new=3, .*n=5") as info:
         critical_cost(d, 14.0, 3)
     assert info.value.error_estimate > 0.0
+
+
+def _bundled_subsets(seed=11, per_list=25):
+    """Seeded 10-30-price subsets of the four bundled lists."""
+    rng = np.random.default_rng(seed)
+    for name in sorted(BUILTIN_MANIFESTS):
+        values = builtin_dataset(name).values()
+        for _ in range(per_list):
+            yield rng.choice(values, size=int(rng.integers(10, 31)), replace=False)
+
+
+def test_tail_edges_grade_toward_q():
+    edges = tail_edges(88.0, 100.0, 1.0)  # a full tail of 12 bandwidths
+    assert edges.size - 1 == starting_panels(12.0, 1.0) == 8
+    assert edges[0] == 88.0 and edges[-1] == 100.0
+    widths = np.diff(edges)[::-1]  # from q down
+    assert widths[0] == 0.75 and np.all(np.diff(widths) >= 0.0)
+    # A truncated tail keeps the cuts above its lower end.
+    assert np.array_equal(tail_edges(96.5, 100.0, 1.0), [96.5, 97.0, 97.75, 98.5, 99.25, 100.0])
+    assert np.array_equal(tail_edges(99.5, 100.0, 1.0), [99.5, 100.0])
+    assert np.all(TAIL_CUTS[:-1] > TAIL_CUTS[1:])
+    # A bandwidth near the spacing of doubles at q rounds some cuts onto
+    # q: empty starting panels, which integrate to 0.
+    density = fit_kde([1.0, 2.0], bandwidth=1e-16)
+    assert np.any(np.diff(tail_edges(density.effective_low, 1.0, 1e-16)) == 0.0)
+    assert 0.0 < critical_cost(density, 1.0, 18).value < 1e-15
+
+
+def test_kde_tail_integral_takes_one_integrand_call(monkeypatch):
+    # With q the subset's minimum, every KDE integral converges on its
+    # first level: one integrand call, no refinement.
+    calls = []
+    real = search.adaptive_gauss_kronrod
+
+    def counting(f, *args, **kwargs):
+        count = [0]
+
+        def counted(y):
+            count[0] += 1
+            return f(y)
+
+        try:
+            return real(counted, *args, **kwargs)
+        finally:
+            calls.append(count[0])
+
+    monkeypatch.setattr(search, "adaptive_gauss_kronrod", counting)
+    for x in _bundled_subsets():
+        density = fit_kde(x)
+        for n in (13, 18, 23):
+            critical_cost(density, float(x.min()), n)
+    assert len(calls) == 300 and set(calls) == {1}
+
+
+def _even_start_cost(density, q, n):
+    """critical_cost's value from the even start of starting_panels."""
+    low = density.effective_low
+    panels = starting_panels(q - low, density.feature_scale)
+    values, _ = adaptive_gauss_kronrod(
+        lambda y: np.stack(search._min_order(density, n, y, weight=q - y)), low, q, panels=panels
+    )
+    return min(max(float(values[0]), 0.0), q)
+
+
+def test_graded_start_agrees_with_the_even_start():
+    cases = [(x, (13, 18, 23)) for x in _bundled_subsets()]
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        prices = _tie_heavy(rng)
+        cases += [(prices * scale, (1, 1000, 100000)) for scale in (1e-2, 1.0, 1e3)]
+    compared = 0
+    for x, ns in cases:
+        density = fit_kde(x)
+        q = float(x.min())
+        for n in ns:
+            try:
+                graded, even = critical_cost(density, q, n).value, _even_start_cost(density, q, n)
+            except NumericalError:
+                continue
+            # An abscissa near q carries a rounding of up to eps * q, which
+            # the kernels see as eps * q / h of their width: far below
+            # 1e-12 except on the x1e3 lists, where the starts' abscissae
+            # differ by that rounding and no start can agree more closely.
+            rel = max(1e-12, np.finfo(float).eps * q / density.bandwidth)
+            assert abs(graded - even) <= rel * max(1.0, even), (x, n, graded, even)
+            compared += 1
+    assert compared >= 0.95 * sum(len(ns) for _, ns in cases)
