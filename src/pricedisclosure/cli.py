@@ -214,9 +214,10 @@ def _calibrate_budget(prices, constraints, n_new: int, estimator: str, seed: int
     """The Monte Carlo budget that fits the deadline, timed on a pilot of the
     run itself at budgets 1, 2, 4, ..., stopped after min(0.2 s, the
     deadline) or when there is no room to sample. Each budget's run is a
-    prefix of the next, so the pilot evaluates no candidate twice and the
-    calibrated run finds the pilot's in the cache: the pilot's time counts
-    toward the deadline, and the budget never falls below its last one."""
+    prefix of the next, so the pilot integrates no candidate twice and the
+    calibrated run finds the pilot's costs and bounds in the cache: the
+    pilot's time counts toward the deadline, and the budget never falls
+    below its last one."""
     deadline = deadline_ms / 1000.0
     t0 = time.perf_counter()
     budget = 1
@@ -377,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--workers", type=_positive(int), default=1)
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_bench = sub.add_parser("bench", help="time per-subset evaluation by method")
+    p_bench = sub.add_parser("bench", help="time selection per candidate by method")
     _add_data_args(p_bench)
     p_bench.add_argument("--methods", type=_comma_list(_parse_method), default=("interval", "minimal", "full"))
     _add_selection_args(p_bench)

@@ -22,11 +22,24 @@ improvements.
 
 Every evaluation goes through ``evaluate_block``, which looks up each row
 of cents, in order, in a cache keyed by the sorted cents; a block's
-repeated rows are folded before they reach it. A failing candidate aborts
-the whole run: its error is re-raised, as the same type, naming the
-method and the candidate's size and prices; a ``NumericalError`` keeps
-its error estimate. Skipping it could return a subset that is not the
-method's answer.
+repeated rows are folded before they reach it. ``_select`` passes the best
+cost so far as a threshold, and ``evaluate_block`` first screens each row
+by ``critical_cost_lower_bound``: a row whose bound is above the threshold,
+plus a margin no smaller than the quadrature's tolerance, or any row once
+the threshold is 0, cannot cost less, so it is not integrated, looked up
+or counted as a cache miss, and it can be neither a trace entry nor the
+winner. It still counts as
+evaluated in ``subsets_evaluated``. Pooled sets and ``evaluate_subset``
+pass no threshold and are never screened.
+
+A failing candidate aborts the whole run: its error is re-raised, as the
+same type, naming the method and the candidate's size and prices; a
+``NumericalError`` keeps its error estimate. Skipping it could return a
+subset that is not the method's answer. A screened candidate is not
+integrated, so an integral that would fail on it does not abort the run:
+the bound proves it could not have been the answer. A fit that fails
+aborts whether or not the row would have been screened, since the screen
+needs the fit.
 
 Results are deterministic: the randomized strategy derives iteration i's
 draws from (seed, i) via a counter-based generator, so any budget's run is
@@ -48,7 +61,7 @@ import numpy as np
 from .data import PriceList, format_cents
 from .density import _check_estimator, fit_estimator
 from .errors import InfeasibleError, NumericalError, PriceDisclosureError, ValidationError
-from .search import CriticalCost, _check_n, critical_cost
+from .search import CriticalCost, _check_n, critical_cost, critical_cost_lower_bound
 
 BRUTE_FORCE_GUARD = 5_000_000
 
@@ -98,33 +111,70 @@ class DisclosureResult:
     trace_subsets: tuple[PriceList, ...] = ()
 
 
+# The fit of the last row screened or evaluated: a row that passes the screen
+# is evaluated next, from the same fit.
+@functools.lru_cache(maxsize=1)
+def _fit_cents(cents: tuple[int, ...], estimator: str):
+    return fit_estimator(np.asarray(cents, dtype=float) / 100.0, estimator)
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _evaluate_cents(cents: tuple[int, ...], n_new: int, estimator: str) -> CriticalCost:
-    values = np.asarray(cents, dtype=float) / 100.0
-    density = fit_estimator(values, estimator)
-    return critical_cost(density, min(values), n_new)
+    return critical_cost(_fit_cents(cents, estimator), min(cents) / 100.0, n_new)
+
+
+# Bounds are memoized like costs, so a screened candidate met again (Monte
+# Carlo repeats across blocks, prefix runs, deadline pilots) costs a lookup.
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _lower_bound_cents(cents: tuple[int, ...], n_new: int, estimator: str) -> float:
+    return critical_cost_lower_bound(_fit_cents(cents, estimator), min(cents) / 100.0, n_new)
+
+
+def _screen_limit(threshold: float) -> float:
+    """The largest lower bound that does not screen a row out at ``threshold``.
+    The absolute part is the quadrature's tol, so a near-tie is evaluated."""
+    return threshold * (1.0 + 1e-6) + 1e-8
 
 
 def clear_evaluation_cache() -> None:
     _evaluate_cents.cache_clear()
+    _lower_bound_cents.cache_clear()
+    _fit_cents.cache_clear()
 
 
-def evaluate_block(rows, n_new: int, estimator: str, what: str) -> list[CriticalCost]:
+def evaluate_block(rows, n_new: int, estimator: str, what: str,
+                   threshold: float | None = None) -> list[CriticalCost | None]:
     """Critical cost of each row of prices in cents, in order: a density fit
     to the row, at q its minimum, memoized by the sorted cents. ``n_new`` and
-    ``estimator`` are checked before any row; a failing row is named ``what``."""
+    ``estimator`` are checked before any row; a failing row is named ``what``.
+
+    With a ``threshold``, each row is screened first: when its
+    ``critical_cost_lower_bound`` is above ``_screen_limit(threshold)``, or
+    the threshold is 0, it cannot cost less than the threshold, so it is not
+    evaluated and its entry is None. The threshold falls to every evaluated
+    row's cost. Without one, every row is evaluated."""
     n_new = _check_n(n_new)
     _check_estimator(estimator)
+    limit = math.inf if threshold is None else threshold
     costs = []
     for row in rows:
         key = tuple(sorted(row))
         try:
-            costs.append(_evaluate_cents(key, n_new, estimator))
+            # No cost is below 0, so nothing beats a threshold of 0.
+            if limit < math.inf and (
+                limit <= 0.0 or _screen_limit(limit) < _lower_bound_cents(key, n_new, estimator)
+            ):
+                costs.append(None)
+                continue
+            cost = _evaluate_cents(key, n_new, estimator)
         except PriceDisclosureError as exc:
             listed = " ".join(map(format_cents, key))
             message = f"{what} of {len(key)} prices ({listed}) failed: {exc}"
             estimate = (exc.error_estimate,) if isinstance(exc, NumericalError) else ()
             raise type(exc)(message, *estimate) from exc
+        costs.append(cost)
+        if threshold is not None:
+            limit = min(limit, cost.value)
     return costs
 
 
@@ -133,9 +183,10 @@ def evaluate_subset(subset: PriceList, n_new: int, estimator: str = "kde") -> Cr
     return evaluate_block([[e.cents for e in subset.entries]], n_new, estimator, "subset")[0]
 
 
-def _block_costs(what: str, cents: np.ndarray, n_new: int, estimator: str, block):
+def _block_costs(what: str, cents: np.ndarray, n_new: int, estimator: str, block, threshold: float):
     """Cost value and ``CriticalCost`` of every candidate row of ``block``,
-    a mask over ``cents``. Each distinct row goes to ``evaluate_block``
+    a mask over ``cents``; a row screened out at ``threshold`` has value inf
+    and no ``CriticalCost``. Each distinct row goes to ``evaluate_block``
     once, in order of first appearance: Monte Carlo on a short list draws
     almost nothing but repeats."""
     packed = np.packbits(block, axis=1)
@@ -145,8 +196,11 @@ def _block_costs(what: str, cents: np.ndarray, n_new: int, estimator: str, block
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     appearance = np.argsort(first)
     costs = np.empty(first.size, dtype=object)
-    costs[appearance] = evaluate_block((cents[row].tolist() for row in block[first[appearance]]), n_new, estimator, what)
-    return np.array([cost.value for cost in costs])[inverse], costs[inverse]
+    costs[appearance] = evaluate_block(
+        (cents[row].tolist() for row in block[first[appearance]]), n_new, estimator, what, threshold
+    )
+    values = np.array([math.inf if cost is None else cost.value for cost in costs])
+    return values[inverse], costs[inverse]
 
 
 def _select(method, prices, blocks, n_new, estimator, *, incumbent=False, workers=1,
@@ -163,7 +217,8 @@ def _select(method, prices, blocks, n_new, estimator, *, incumbent=False, worker
     with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for block in blocks:
             shares = np.array_split(block, min(workers, len(block)))
-            values, costs = map(np.concatenate, zip(*(pool.map if pool else map)(evaluate, shares)))
+            outcomes = (pool.map if pool else map)(evaluate, shares, itertools.repeat(best))
+            values, costs = map(np.concatenate, zip(*outcomes))
             running = np.minimum.accumulate(np.concatenate(([best], values)))
             for j in np.flatnonzero(running[1:] < running[:-1]):
                 trace.append((rows + (not incumbent) + int(j), float(running[j + 1])))

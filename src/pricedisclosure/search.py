@@ -34,6 +34,14 @@ MAX_STARTING_PANELS = 32
 # level still meets its budget on, over subsets of the bundled price lists.
 TAIL_CUTS = np.array([8.0, 5.5, 4.0, 3.0, 2.25, 1.5, 0.75])
 
+# Where critical_cost_lower_bound cuts [low, q], in feature scales below q:
+# 16 cuts in geometric steps from 12 (the KDE's tail, so its first cut is low
+# itself) to 1/8, which puts 15 of the 16 left edges within a few bandwidths
+# of q, where the dual integrand rises. A density without a feature scale
+# gets SCREEN_PANELS even panels instead.
+SCREEN_CUTS = np.geomspace(12.0, 0.125, 16)
+SCREEN_PANELS = 16
+
 
 class Decision(enum.Enum):
     TERMINATE = "terminate"
@@ -90,6 +98,21 @@ def _check_n(n_new: int) -> int:
     return n
 
 
+def _check_q(density: Density, q: float) -> float:
+    q = float(q)
+    if not math.isfinite(q):
+        raise ValidationError(f"q must be finite, got {q}")
+    if q < density.support_low:
+        raise ValidationError(f"q={q} lies below the support lower bound {density.support_low}")
+    return q
+
+
+def _log_sf(density: Density, y):
+    """log(1 - cdf) at ``y``; -inf where the cdf is 1."""
+    with np.errstate(divide="ignore"):
+        return np.log1p(-density.cdf(y))
+
+
 def _min_order(density: Density, n: int, y, weight=1.0):
     """Cdf, and ``weight`` times pdf, of the minimum of ``n`` i.i.d. draws
     at ``y``: ``1 - sf**n`` and ``weight * n * pdf * sf**(n - 1)``.
@@ -99,8 +122,7 @@ def _min_order(density: Density, n: int, y, weight=1.0):
     meeting tol; the log form keeps the relative accuracy of cdf itself.
     """
     f = density.pdf(y)
-    with np.errstate(divide="ignore"):
-        log_sf = np.log1p(-density.cdf(y))
+    log_sf = _log_sf(density, y)
     sf_rest = np.exp((n - 1) * log_sf) if n > 1 else np.ones_like(log_sf)
     return -np.expm1(n * log_sf), weight * n * f * sf_rest
 
@@ -128,16 +150,41 @@ def starting_panels(width: float, scale: float | None) -> int:
     return min(2 ** max(math.ceil(math.log2(width / (2.0 * scale))), 0), MAX_STARTING_PANELS)
 
 
-def tail_edges(low: float, q: float, scale: float) -> np.ndarray:
+def tail_edges(low: float, q: float, scale: float, cuts=TAIL_CUTS) -> np.ndarray:
     """Starting edges on ``[low, q]`` graded toward ``q``: a cut ``t * scale``
-    below ``q`` for each ``t`` in TAIL_CUTS that lies above ``low``. Below
-    the sample's minimum every kernel's tail rises fastest next to ``q``, so
-    the panels there are three quarters of a bandwidth wide; further down
-    they widen as the integrand falls below any panel's budget. A full
-    tail of ``TAIL_SIGMAS`` bandwidths gets the 8 panels that
-    :func:`starting_panels` spreads evenly over it."""
-    cuts = q - TAIL_CUTS * scale
+    below ``q`` for each ``t`` in ``cuts`` (decreasing) that lies above
+    ``low``. Below the sample's minimum every kernel's tail rises fastest
+    next to ``q``, so with TAIL_CUTS the panels there are three quarters of
+    a bandwidth wide; further down they widen as the integrand falls below
+    any panel's budget. A full tail of ``TAIL_SIGMAS`` bandwidths gets the 8
+    panels that :func:`starting_panels` spreads evenly over it."""
+    cuts = q - cuts * scale
     return np.concatenate([[low], cuts[cuts > low], [q]])
+
+
+def critical_cost_lower_bound(density: Density, q: float, n_new: int) -> float:
+    """A lower bound on ``critical_cost(density, q, n_new).value`` from one
+    ``cdf`` call, with no pdf and no quadrature.
+
+    The dual integrand, the minimum-order cdf g(y) = 1 - sf(y)**n, is
+    nondecreasing in y, so on any edges in ``[effective_low, q]`` its left
+    Riemann sum, sum (e[i+1] - e[i]) g(e[i]), is at most its integral in
+    exact arithmetic (Davis & Rabinowitz 1984). The edges are
+    :func:`tail_edges` at SCREEN_CUTS for a density with a feature scale,
+    else SCREEN_PANELS even panels. g takes the log form of ``_min_order``.
+    """
+    n = _check_n(n_new)
+    q = _check_q(density, q)
+    low = density.effective_low
+    if q <= low:
+        return 0.0
+    scale = density.feature_scale
+    if scale is None:
+        edges = np.linspace(low, q, SCREEN_PANELS + 1)
+    else:
+        edges = tail_edges(low, q, scale, SCREEN_CUTS)
+    g = -np.expm1(n * _log_sf(density, edges[:-1]))
+    return float(np.diff(edges) @ g)
 
 
 def critical_cost(density: Density, q: float, n_new: int) -> CriticalCost:
@@ -159,11 +206,7 @@ def critical_cost(density: Density, q: float, n_new: int) -> CriticalCost:
     panel count and whether it was graded, and the density.
     """
     n = _check_n(n_new)
-    q = float(q)
-    if not math.isfinite(q):
-        raise ValidationError(f"q must be finite, got {q}")
-    if q < density.support_low:
-        raise ValidationError(f"q={q} lies below the support lower bound {density.support_low}")
+    q = _check_q(density, q)
     low = density.effective_low
     if q <= low:
         return CriticalCost(0.0, q, n, 0.0)

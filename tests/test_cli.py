@@ -16,8 +16,9 @@ import pytest
 from pricedisclosure import cli, disclosure
 from pricedisclosure.cli import main
 from pricedisclosure.data import PriceEntry, PriceList, builtin_dataset, load_prices, write_prices
-from pricedisclosure.density import fit_estimator, fit_kde, fit_parametric
+from pricedisclosure.density import fit_kde, fit_parametric
 from pricedisclosure.disclosure import DisclosureConstraints, clear_evaluation_cache, monte_carlo_disclose
+from pricedisclosure.search import critical_cost
 from pricedisclosure.simulator import MarketConfig
 
 
@@ -163,26 +164,28 @@ def test_disclose_deadline_calibrates_a_budget(capsys, small_csv):
 
 
 def test_deadline_calibration_evaluates_no_candidate_twice(capsys, monkeypatch, small_csv):
-    # The pilot runs are prefixes of the calibrated run, so a cold
-    # calibrated command misses the cache exactly as often as a cold run at
-    # the printed budget. Each miss fits once; counting the fits, unlike
+    # The pilot runs are prefixes of the calibrated run, and a candidate's
+    # screen depends only on the candidates before it, so a cold calibrated
+    # command integrates exactly the candidates a cold run at the printed
+    # budget integrates, in the same order. Counting the integrals, unlike
     # cache_info(), also sees a cache cleared in between.
-    fits = []
+    integrals = []
 
-    def fit(values, estimator):
-        fits.append(len(values))
-        return fit_estimator(values, estimator)
+    def cost(density, q, n_new):
+        integrals.append(tuple(density.sample))
+        return critical_cost(density, q, n_new)
 
-    monkeypatch.setattr(disclosure, "fit_estimator", fit)
+    monkeypatch.setattr(disclosure, "critical_cost", cost)
     argv = ["disclose", "--data", small_csv, "--method", "mc", "--n-new", "5", "--seed", "4"]
     clear_evaluation_cache()
     code, out, _ = run(capsys, *argv, "--rho", "3", "--deadline-ms", "50")
     assert code == 0
     budget = int(re.search(r"^calibrated budget: (\d+) ", out, flags=re.M).group(1))
-    calibrated, fits[:] = list(fits), []
+    calibrated, integrals[:] = list(integrals), []
     clear_evaluation_cache()
-    monte_carlo_disclose(load_prices(small_csv), DisclosureConstraints(rho=3), 5, budget, 4)
-    assert calibrated == fits
+    result = monte_carlo_disclose(load_prices(small_csv), DisclosureConstraints(rho=3), 5, budget, 4)
+    assert calibrated == integrals
+    assert len(integrals) < result.subsets_evaluated
     # With no room to sample the pilot stops at once; the incumbent is the answer.
     code, out, _ = run(capsys, *argv, "--rho", "12", "--deadline-ms", "50")
     assert code == 0
@@ -391,6 +394,18 @@ def test_simulate_csv(capsys, small_csv, tmp_path):
     assert methods == ["monte_carlo", "monte_carlo", "interval", "full"]
     assert all(r[1] == "1" for r in rows[1:])
     assert {r[7] for r in rows[1:]} == {"5"}
+
+
+def test_simulate_pools_every_set_in_worker_processes(capsys, small_csv, tmp_path):
+    # Pooled sets are evaluated in full, never screened, whatever the
+    # worker count.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": small_csv, "rho": 3, "initial_set_size_n": 8, "trials": 3}))
+    argv = ["simulate", "--config", str(config), "--position", "2",
+            "--methods", "mc,interval,minimal,full", "--budgets", "10,25"]
+    code, serial, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--workers", "2") == (0, serial, "")
 
 
 def test_simulate_bad_config_exits_1(capsys, tmp_path):

@@ -1,7 +1,9 @@
 """Subset-selection strategies: oracle, Monte-Carlo, interval, minimal."""
 
 import itertools
+import math
 import pickle
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 
 from pricedisclosure import disclosure
-from pricedisclosure.data import PriceEntry, PriceList
+from pricedisclosure.data import BUILTIN_MANIFESTS, PriceEntry, PriceList, builtin_dataset
+from pricedisclosure.density import fit_estimator
 from pricedisclosure.disclosure import (
     DisclosureConstraints,
     brute_force_disclose,
@@ -22,7 +25,13 @@ from pricedisclosure.disclosure import (
     monte_carlo_disclose,
 )
 from pricedisclosure.errors import InfeasibleError, NumericalError, ValidationError
-from pricedisclosure.search import interval_subset_count, subset_count
+from pricedisclosure.search import (
+    CriticalCost,
+    critical_cost,
+    critical_cost_lower_bound,
+    interval_subset_count,
+    subset_count,
+)
 
 
 def make_prices(cents, product="x"):
@@ -318,19 +327,50 @@ def test_bad_n_new_and_estimator_are_not_blamed_on_a_candidate():
     assert str(info.value).startswith("unknown estimator 'cauchy'")
 
 
-def test_each_distinct_candidate_is_one_cache_miss_and_nothing_more():
+def test_each_distinct_candidate_is_one_cache_miss_and_nothing_more(monkeypatch):
     # Every candidate of these methods is distinct, the Monte Carlo draws
-    # included, so the cache serves no hit: a selection looks each
-    # candidate up once and does not look its winner up again.
+    # included, so the cache serves no hit: a selection looks each candidate
+    # that passes the screen up once, in candidate order, and does not look
+    # its winner up again. A candidate it does not look up has a lower bound
+    # above the running best it met, so it could not have improved on it.
     prices = seeded_prices(9, seed=5)
     budget, seed = 12, 4
     draws = reference_candidates(prices, "monte_carlo", 3, 9, budget, seed)
     assert len(set(map(frozenset, draws))) == len(draws) == budget + 1
+    cached = disclosure._evaluate_cents
+    looked_up = []
+
+    def lookup(cents, n_new, estimator):
+        looked_up.append(cents)
+        return cached(cents, n_new, estimator)
+
+    lookup.cache_clear = cached.cache_clear
+    monkeypatch.setattr(disclosure, "_evaluate_cents", lookup)
+    cents = prices.cents_array()
+    screened = 0
     for method in disclosure.METHODS:
         clear_evaluation_cache()
+        looked_up.clear()
         result = disclose(prices, method, RHO3, 5, budget=budget, seed=seed)
-        info = disclosure._evaluate_cents.cache_info()
-        assert (info.misses, info.hits) == (result.subsets_evaluated + (method == "monte_carlo"), 0), method
+        info = cached.cache_info()
+        assert (info.misses, info.hits) == (len(looked_up), 0), method
+        candidates = reference_candidates(prices, method, 3, 9, budget, seed)
+        assert len(candidates) == result.subsets_evaluated + (method == "monte_carlo"), method
+        best, passed = math.inf, iter(looked_up)
+        upcoming = next(passed, None)
+        for candidate in candidates:
+            key = tuple(sorted(int(cents[i]) for i in candidate))
+            if key == upcoming:
+                best = min(best, cached(key, 5, "kde").value)
+                upcoming = next(passed, None)
+                continue
+            values = np.array(key, dtype=float) / 100.0
+            bound = critical_cost_lower_bound(fit_estimator(values, "kde"), values[0], 5)
+            assert bound > disclosure._screen_limit(best), (method, key)
+            screened += 1
+        assert upcoming is None, method
+        assert result.critical_cost.value == best, method
+    assert screened > 0
 
 
 # ---------------------------------------------------------------- pipeline
@@ -483,3 +523,155 @@ def test_failing_candidate_aborts_and_is_named(monkeypatch):
         assert info.value.error_estimate == 0.25
     # Brute-force workers send the error back pickled; the estimate survives.
     assert pickle.loads(pickle.dumps(info.value)).error_estimate == 0.25
+
+
+# ---------------------------------------------------------------- screen
+# The stub's lower bounds: 0.5 below the stub's cost on half the rows, and
+# exactly the cost on the others, which puts those rows at the margin.
+
+
+def stub_bound(cents, n_new, estimator):
+    value = stub_cost(cents, n_new, estimator).value
+    return value - 0.5 if sum(cents) % 2 else value
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1, 30])
+@pytest.mark.parametrize("case", PIPELINE_CASES)
+def test_pipeline_with_a_stub_screen_matches_reference_enumeration(monkeypatch, case, block_bytes):
+    n, seed, rho, max_size = case
+    evaluated = []
+
+    def evaluate(cents, n_new, estimator):
+        evaluated.append(cents)
+        return stub_cost(cents, n_new, estimator)
+
+    monkeypatch.setattr(disclosure, "_evaluate_cents", evaluate)
+    monkeypatch.setattr(disclosure, "_lower_bound_cents", stub_bound)
+    if block_bytes is not None:
+        monkeypatch.setattr(disclosure, "MASK_BLOCK_BYTES", block_bytes)
+    prices = stub_prices(n, seed)
+    constraints = DisclosureConstraints(rho=rho, max_size=max_size)
+    cap = constraints.size_cap(n)
+    counts = [0, 0]  # evaluations with the stub's bounds, and with bounds of 0
+    for method in ("full", "interval", "minimal", "brute_force", "monte_carlo"):
+        if method == "brute_force" and n > 12:
+            continue
+        budget = 300 if n < 64 else 40
+        evaluated.clear()
+        result = disclose(prices, method, constraints, 5, budget=budget, seed=seed)
+        candidates = reference_candidates(prices, method, rho, n if method == "full" else cap, budget, seed)
+        entries, trace, improved_to, count = reference_select(
+            prices, candidates, incumbent=method == "monte_carlo"
+        )
+        assert result.subset.entries == entries, method
+        assert result.trace == trace, method
+        assert tuple(s.entries for s in result.trace_subsets) == improved_to, method
+        assert result.subsets_evaluated == count, method
+        assert result.critical_cost.value == trace[-1][1], method
+        # The screen drops candidates that a bound of 0 lets through.
+        counts[0] += len(evaluated)
+        monkeypatch.setattr(disclosure, "_lower_bound_cents", lambda cents, n_new, estimator: 0.0)
+        evaluated.clear()
+        assert disclose(prices, method, constraints, 5, budget=budget, seed=seed).trace == trace
+        monkeypatch.setattr(disclosure, "_lower_bound_cents", stub_bound)
+        counts[1] += len(evaluated)
+    assert counts[0] <= counts[1]
+
+
+def test_screened_candidate_that_would_fail_does_not_abort(monkeypatch):
+    prices = make_prices([100, 250, 300, 420, 555])
+    bad = (100, 420, 555)  # each method's last candidate
+
+    def cost(cents):
+        return SimpleNamespace(value=1.0 + sum(cents) // 7 % 4)
+
+    def evaluate(cents, n_new, estimator):
+        if cents == bad:
+            raise NumericalError("integral forms disagree", error_estimate=0.25)
+        return cost(cents)
+
+    def dear(cents, n_new, estimator):
+        return SimpleNamespace(value=9.0) if cents == bad else cost(cents)
+
+    # The bound proves that the failing candidate cannot improve: it is not
+    # integrated, and the answer is the one it would give at any cost above
+    # its bound.
+    monkeypatch.setattr(disclosure, "_lower_bound_cents",
+                        lambda cents, n_new, estimator: 9.0 if cents == bad else 0.0)
+    for method in ("interval", "brute_force"):
+        monkeypatch.setattr(disclosure, "_evaluate_cents", dear)
+        expected = disclose(prices, method, RHO3, 4)
+        monkeypatch.setattr(disclosure, "_evaluate_cents", evaluate)
+        result = disclose(prices, method, RHO3, 4)
+        assert (result.subset, result.trace) == (expected.subset, expected.trace), method
+    # Unscreened, it still aborts the run and is named.
+    monkeypatch.setattr(disclosure, "_lower_bound_cents", lambda cents, n_new, estimator: 0.0)
+    for method in ("interval", "brute_force"):
+        with pytest.raises(NumericalError) as info:
+            disclose(prices, method, RHO3, 4)
+        assert str(info.value).startswith(f"{method} candidate of 3 prices (1.00 4.20 5.55) failed")
+        assert info.value.error_estimate == 0.25
+
+
+def test_evaluate_block_without_a_threshold_evaluates_every_row():
+    # Rows in ascending cost: from the second on, each one's bound is above
+    # the first row's cost, so a running threshold would screen it out.
+    # Pooled sets, evaluate_subset and sweeps pass none and get every row.
+    prices = seeded_prices(9, seed=5)
+    cents = sorted(int(c) for c in prices.cents_array())
+    rows = sorted(([cents[0], *rest] for rest in itertools.combinations(cents[1:], 3)),
+                  key=lambda row: evaluate_subset(make_prices(row), 5).value)
+    clear_evaluation_cache()
+    costs = disclosure.evaluate_block(rows, 5, "kde", "row")
+    assert all(isinstance(cost, CriticalCost) for cost in costs)
+    assert [cost.value for cost in costs] == [evaluate_subset(make_prices(row), 5).value for row in rows]
+    screened = disclosure.evaluate_block(rows, 5, "kde", "row", math.inf)
+    assert screened[0] == costs[0] and screened.count(None) > len(rows) // 2
+    assert isinstance(evaluate_subset(make_prices(rows[-1]), 5), CriticalCost)
+
+
+def _tie_heavy_cents(rng, size):
+    """``size`` prices on 2-5 distinct values within $3."""
+    anchor = int(rng.integers(2000, 60000))
+    distinct = anchor + np.concatenate(([0], rng.choice(np.arange(1, 301), int(rng.integers(1, 5)), replace=False)))
+    return rng.choice(distinct, size=size)
+
+
+def test_lower_bound_never_exceeds_the_cost_beyond_the_screen_margin():
+    # Candidates of every method, under both estimators, on the bundled
+    # lists and on tie-heavy lists, at n_new 1, 18 and 1000: the bound never
+    # exceeds the cost by more than the margin evaluate_block uses, so a
+    # screened candidate could not have been an improvement. Brute force
+    # runs on a seeded 11-price subset of each list. The inputs come from a
+    # seeded numpy generator, with no reference integrator; capped at 120 s,
+    # about 2 s on 2 vCPUs.
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(8)
+    lists = [builtin_dataset(name).cents_array() for name in sorted(BUILTIN_MANIFESTS)]
+    lists += [_tie_heavy_cents(rng, 30) for _ in range(4)]
+    keys = set()
+    for cents in lists:
+        prices = make_prices([int(c) for c in cents])
+        small = make_prices([int(c) for c in rng.choice(cents, size=11, replace=False)])
+        for method in ("full", "interval", "minimal", "brute_force", "monte_carlo"):
+            listed = small if method == "brute_force" else prices
+            n = len(listed)
+            candidates = reference_candidates(listed, method, min(10, n - 1), n, budget=40, seed=1)
+            for j in rng.choice(len(candidates), size=min(10, len(candidates)), replace=False):
+                keys.add(tuple(sorted(listed.entries[i].cents for i in candidates[j])))
+    checked = failed = 0
+    for key in sorted(keys):
+        values = np.array(key, dtype=float) / 100.0
+        for estimator in ("kde", "parametric"):
+            density = fit_estimator(values, estimator)
+            for n_new in (1, 18, 1000):
+                try:
+                    value = critical_cost(density, values[0], n_new).value
+                except NumericalError:
+                    failed += 1
+                    continue
+                bound = critical_cost_lower_bound(density, values[0], n_new)
+                assert 0.0 <= bound <= disclosure._screen_limit(value), (key, estimator, n_new, bound, value)
+                checked += 1
+    assert checked >= 1500 and failed <= 0.1 * checked
+    assert time.perf_counter() - t0 < 120.0

@@ -10,11 +10,13 @@ from pricedisclosure.errors import NumericalError, ValidationError
 from pricedisclosure import search
 from pricedisclosure.quadrature import adaptive_gauss_kronrod
 from pricedisclosure.search import (
+    SCREEN_CUTS,
     TAIL_CUTS,
     CriticalCost,
     Decision,
     SearcherState,
     critical_cost,
+    critical_cost_lower_bound,
     decide,
     expected_new_prices,
     improvement_upper_bound,
@@ -358,3 +360,27 @@ def test_graded_start_agrees_with_the_even_start():
             assert abs(graded - even) <= rel * max(1.0, even), (x, n, graded, even)
             compared += 1
     assert compared >= 0.95 * sum(len(ns) for _, ns in cases)
+
+
+def test_lower_bound_is_a_left_riemann_sum_of_the_dual_integrand():
+    # Uniform on [0, 1] has no feature scale: 16 even panels on [0, q]. At
+    # n = 1 the integrand is y, whose left sum is q**2 / 2 * (1 - 1/16).
+    for q in (0.25, 0.5, 1.0):
+        assert critical_cost_lower_bound(UNIT, q, 1) == pytest.approx(q * q / 2 * 15 / 16, rel=1e-14)
+        for n in (1, 5, 1000):
+            assert critical_cost_lower_bound(UNIT, q, n) <= uniform_closed_form(q, n)
+    assert critical_cost_lower_bound(UNIT, 0.0, 5) == 0.0
+    # A KDE's first cut, 12 bandwidths below its minimum, is its effective
+    # low, so the cdf is sampled at 16 left edges graded toward q.
+    density = fit_kde([100.0, 102.0, 105.0, 108.0, 112.0])
+    calls = []
+    cdf = density.cdf
+    density.cdf = lambda y: calls.append(np.size(y)) or cdf(y)
+    bound = critical_cost_lower_bound(density, 100.0, 18)
+    assert calls == [16] and SCREEN_CUTS[0] == 12.0 and SCREEN_CUTS[-1] == 0.125
+    value = critical_cost(density, 100.0, 18).value
+    assert 0.8 * value <= bound <= value
+    with pytest.raises(ValidationError):
+        critical_cost_lower_bound(density, 100.0, 0)
+    with pytest.raises(ValidationError):
+        critical_cost_lower_bound(density, float("nan"), 18)
