@@ -18,7 +18,11 @@ within ``TAIL_SIGMAS`` bandwidths (Fan & Marron 1994, "Fast implementations
 of nonparametric curve estimators"). Samples below that window count as
 the kernel's limit and samples above it as 0, so the result is exact to
 rounding: a dropped term is at most exp(-72) = 5.4e-32 for the pdf kernel
-and ndtr(-12) = 1.8e-33 for the cdf's.
+and ndtr(-12) = 1.8e-33 for the cdf's. ``KernelRows`` holds the KDEs of
+many sorted samples of one size as arrays of per-row fields, for a bound
+that needs no fit: each row's bandwidth and mass below zero are a
+``KernelDensity``'s, bit for bit, since every row sum is the pairwise sum
+``np.add.reduce`` gives that row alone.
 
 A parametric fit is paid once per candidate disclosure, so the fitters
 reduce with ``np.add.reduce``, the ufunc behind ``np.sum``, ``np.mean``
@@ -192,16 +196,17 @@ class UniformDensity(Density):
         return self.low + _as_levels(p) * (self.high - self.low)
 
 
-def _linear_percentile(ordered: np.ndarray, level: float) -> float:
-    """np.percentile's default (linear) rule on a sorted sample, with the
+def _linear_percentile(ordered: np.ndarray, level: float) -> np.ndarray:
+    """np.percentile's default (linear) rule on each sorted row, with the
     same arithmetic: numpy's ``_lerp`` interpolates from the upper neighbour
     when the fraction is at least one half."""
-    last = ordered.size - 1
+    last = ordered.shape[-1] - 1
     index = level * last
     below = math.floor(index)
     t = index - below
-    a = float(ordered[below])
-    b = float(ordered[min(below + 1, last)])
+    # Column ``below`` of each row; 0-d for one 1-d row.
+    a = ordered[..., below]
+    b = ordered[..., min(below + 1, last)]
     diff = b - a
     return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
 
@@ -216,19 +221,49 @@ def _mean_std(x: np.ndarray, ddof: int) -> tuple[float, float]:
     return float(mean), math.sqrt(np.add.reduce(d * d) / (n - ddof))
 
 
-def silverman_bandwidth(x: np.ndarray) -> float:
-    """Silverman's rule of thumb with an IQR guard and a zero-spread fallback.
+def silverman_bandwidths(x: np.ndarray) -> np.ndarray:
+    """Silverman's rule of thumb, with an IQR guard and a zero-spread
+    fallback, for each row of ``x`` (..., k): over its last axis.
 
-    Equal bit for bit to ``np.std(x, ddof=1)`` and ``np.percentile(x, [75,
-    25])`` in the formula, at a fraction of their fixed cost per call."""
-    n = x.size
-    sigma = _mean_std(x, 1)[1] if n > 1 else 0.0
-    ordered = np.sort(x)
-    iqr = _linear_percentile(ordered, 0.75) - _linear_percentile(ordered, 0.25)
-    candidates = [s for s in (sigma, iqr / 1.34) if s > 0.0]
-    if not candidates:
-        return max(0.01 * float(np.mean(x)), 0.01)
-    return 0.9 * min(candidates) * n ** (-0.2)
+    Equal bit for bit to ``np.std(row, ddof=1)`` and ``np.percentile(row,
+    [75, 25])`` in the formula: each row is reduced by the pairwise sum
+    ``np.add.reduce`` gives one row, so a row's bandwidth does not depend
+    on the rows beside it. A 1-d ``x`` is one row, computed on numpy
+    scalars."""
+    n = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1) / n
+    ordered = np.sort(x, axis=-1)
+    smallest = (_linear_percentile(ordered, 0.75) - _linear_percentile(ordered, 0.25)) / 1.34
+    if n > 1:
+        d = x - mean[..., None]
+        sigma = np.sqrt(np.add.reduce(d * d, axis=-1) / (n - 1))
+        # Both are at least 0: the smaller where both are positive, else the
+        # larger, and the fallback where that is 0 too.
+        least = np.minimum(sigma, smallest)
+        smallest = np.where(least > 0.0, least, np.maximum(sigma, smallest))
+    return np.where(smallest > 0.0, 0.9 * smallest * n ** (-0.2), np.maximum(0.01 * mean, 0.01))
+
+
+def silverman_bandwidth(x: np.ndarray) -> float:
+    """:func:`silverman_bandwidths` of the one row ``x``."""
+    return float(silverman_bandwidths(np.asarray(x, dtype=float).ravel()))
+
+
+def _dense_kernel_mean(y: np.ndarray, sample: np.ndarray, h, kernel) -> np.ndarray:
+    """Mean of ``kernel((y - sample) / h)`` over the last axis of
+    ``sample``, per point of ``y``, as one dense block: ``y`` is (..., m),
+    ``sample`` (..., n) and ``h`` broadcasts against (..., m, n). Each
+    point's sum is the pairwise sum ``np.add.reduce`` gives one row, so it
+    does not depend on the points or rows beside it."""
+    return np.add.reduce(kernel((y[..., :, None] - sample[..., None, :]) / h), axis=-1) / sample.shape[-1]
+
+
+def _truncated_cdf(raw, below_zero, mass_above_zero, y):
+    """A KDE's cdf truncated at zero, from its untruncated kernel mean
+    ``raw`` at ``y``. A windowed row at zero need not repeat ``below_zero``'s
+    bits; the truncated cdf is 0 there, as a dense row gives it."""
+    cdf = (raw - below_zero) / mass_above_zero
+    return np.where(y > 0.0, np.minimum(np.maximum(cdf, 0.0), 1.0), 0.0)
 
 
 class KernelDensity(Density):
@@ -277,7 +312,7 @@ class KernelDensity(Density):
         n = self.sample.size
         h = self.bandwidth
         if y.size * n <= KDE_BLOCK_DOUBLES:
-            return np.add.reduce(kernel((y[:, None] - self.sample) / h), axis=1) / n
+            return _dense_kernel_mean(y, self.sample, h, kernel)
         rows = max(1, KDE_BLOCK_DOUBLES // n)
         order = np.argsort(y, kind="stable")
         ys = y[order]
@@ -303,13 +338,41 @@ class KernelDensity(Density):
     @pointwise
     def cdf(self, y):
         raw = self._kernel_mean(y, special.ndtr, 1.0)
-        cdf = (raw - self._below_zero) / self._mass_above_zero
-        # A windowed row at zero need not repeat _below_zero's bits; the
-        # truncated cdf is 0 there, as a dense row gives it.
-        return np.where(y > 0.0, np.minimum(np.maximum(cdf, 0.0), 1.0), 0.0)
+        return _truncated_cdf(raw, self._below_zero, self._mass_above_zero, y)
 
     def _quantile_hint(self) -> float:
         return float(self.sample.max() + 10.0 * self.bandwidth)
+
+
+class KernelRows:
+    """The Silverman-bandwidth KDEs of the rows of ``samples``, a (rows, k)
+    matrix of samples each sorted ascending, held as arrays of per-row
+    fields instead of one ``KernelDensity`` per row.
+
+    ``bandwidth``, ``sample_min`` and the mass below zero are the fields a
+    ``KernelDensity`` of the row has, bit for bit, while k is at most
+    ``KDE_BLOCK_DOUBLES``. ``cdf`` sums each row densely: the bits of the
+    fitted KDE's one-block cdf wherever that is dense, and the same value to
+    rounding where it is windowed. The caller bounds the matrices: ``cdf``
+    of m points per row builds (rows, m, k) doubles."""
+
+    def __init__(self, samples: np.ndarray):
+        self.sample = samples
+        self.bandwidth = silverman_bandwidths(samples)
+        self.sample_min = samples[:, 0]
+        h = self.bandwidth[:, None, None]
+        self._below_zero = _dense_kernel_mean(np.zeros((len(samples), 1)), samples, h, special.ndtr)[:, 0]
+        self._mass_above_zero = 1.0 - self._below_zero
+
+    @property
+    def effective_low(self) -> np.ndarray:
+        """Per row, as ``KernelDensity.effective_low``."""
+        return np.maximum(0.0, self.sample_min - TAIL_SIGMAS * self.bandwidth)
+
+    def cdf(self, y: np.ndarray) -> np.ndarray:
+        """The truncated cdf of each row's KDE at that row of ``y`` (rows, m)."""
+        raw = _dense_kernel_mean(y, self.sample, self.bandwidth[:, None, None], special.ndtr)
+        return _truncated_cdf(raw, self._below_zero[:, None], self._mass_above_zero[:, None], y)
 
 
 class ParametricDensity(Density):

@@ -32,14 +32,22 @@ winner. It still counts as
 evaluated in ``subsets_evaluated``. Pooled sets and ``evaluate_subset``
 pass no threshold and are never screened.
 
+The KDE screen needs no fit: ``search.kde_lower_bounds`` bounds all of a
+block's rows in one array pass per row size, from each row's bandwidth
+and mass below zero, before the loop over rows. So a KDE row is fitted
+only when it is integrated, and its bound is not cached; it is recomputed
+when a later block meets the row again. The parametric screen has to pick
+the BIC family first, so it bounds a row from its fit when the loop
+reaches it, hands that fit to the row's evaluation, and caches the bound.
+
 A failing candidate aborts the whole run: its error is re-raised, as the
 same type, naming the method and the candidate's size and prices; a
 ``NumericalError`` keeps its error estimate. Skipping it could return a
 subset that is not the method's answer. A screened candidate is not
 integrated, so an integral that would fail on it does not abort the run:
-the bound proves it could not have been the answer. A fit that fails
-aborts whether or not the row would have been screened, since the screen
-needs the fit.
+the bound proves it could not have been the answer. Nor is a screened KDE
+candidate fitted; a parametric fit that fails aborts whether or not the
+row would have been screened, since its screen needs the fit.
 
 Results are deterministic: the randomized strategy derives iteration i's
 draws from (seed, i) via a counter-based generator, so any budget's run is
@@ -61,7 +69,7 @@ import numpy as np
 from .data import PriceList, format_cents
 from .density import _check_estimator, fit_estimator
 from .errors import InfeasibleError, NumericalError, PriceDisclosureError, ValidationError
-from .search import CriticalCost, _check_n, critical_cost, critical_cost_lower_bound
+from .search import CriticalCost, _check_n, critical_cost, critical_cost_lower_bound, kde_lower_bounds
 
 BRUTE_FORCE_GUARD = 5_000_000
 
@@ -111,8 +119,9 @@ class DisclosureResult:
     trace_subsets: tuple[PriceList, ...] = ()
 
 
-# The fit of the last row screened or evaluated: a row that passes the screen
-# is evaluated next, from the same fit.
+# The fit of the last row screened or evaluated: a row that passes the
+# parametric screen is evaluated next, from the same fit. The KDE screen
+# fits nothing, so a KDE row is fitted here once, by its evaluation.
 @functools.lru_cache(maxsize=1)
 def _fit_cents(cents: tuple[int, ...], estimator: str):
     return fit_estimator(np.asarray(cents, dtype=float) / 100.0, estimator)
@@ -123,11 +132,24 @@ def _evaluate_cents(cents: tuple[int, ...], n_new: int, estimator: str) -> Criti
     return critical_cost(_fit_cents(cents, estimator), min(cents) / 100.0, n_new)
 
 
-# Bounds are memoized like costs, so a screened candidate met again (Monte
-# Carlo repeats across blocks, prefix runs, deadline pilots) costs a lookup.
+# Parametric bounds are memoized like costs, so a screened candidate met
+# again (Monte Carlo repeats across blocks, prefix runs, deadline pilots)
+# costs a lookup, not a seven-family fit.
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _lower_bound_cents(cents: tuple[int, ...], n_new: int, estimator: str) -> float:
     return critical_cost_lower_bound(_fit_cents(cents, estimator), min(cents) / 100.0, n_new)
+
+
+def _kde_lower_bounds(keys: list[tuple[int, ...]], n_new: int) -> list[float]:
+    """``kde_lower_bounds`` of every row of sorted cents, one array pass per
+    row size, with no fit."""
+    by_size = {}
+    for i, key in enumerate(keys):
+        by_size.setdefault(len(key), []).append(i)
+    bounds = np.empty(len(keys))
+    for at in by_size.values():
+        bounds[at] = kde_lower_bounds(np.array([keys[i] for i in at], dtype=float) / 100.0, n_new)
+    return bounds.tolist()
 
 
 def _screen_limit(threshold: float) -> float:
@@ -152,17 +174,23 @@ def evaluate_block(rows, n_new: int, estimator: str, what: str,
     ``critical_cost_lower_bound`` is above ``_screen_limit(threshold)``, or
     the threshold is 0, it cannot cost less than the threshold, so it is not
     evaluated and its entry is None. The threshold falls to every evaluated
-    row's cost. Without one, every row is evaluated."""
+    row's cost. Without one, every row is evaluated. Under the KDE every
+    row's bound comes from one ``_kde_lower_bounds`` call before the first
+    row; a block that meets a threshold of 0 computes no bound."""
     n_new = _check_n(n_new)
     _check_estimator(estimator)
+    keys = [tuple(sorted(row)) for row in rows]
+    screened = threshold is not None and threshold > 0.0
+    bounds = _kde_lower_bounds(keys, n_new) if screened and estimator == "kde" else None
     limit = math.inf if threshold is None else threshold
     costs = []
-    for row in rows:
-        key = tuple(sorted(row))
+    for i, key in enumerate(keys):
         try:
             # No cost is below 0, so nothing beats a threshold of 0.
             if limit < math.inf and (
-                limit <= 0.0 or _screen_limit(limit) < _lower_bound_cents(key, n_new, estimator)
+                limit <= 0.0
+                or _screen_limit(limit)
+                < (bounds[i] if bounds is not None else _lower_bound_cents(key, n_new, estimator))
             ):
                 costs.append(None)
                 continue

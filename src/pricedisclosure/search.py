@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from .data import PriceList
-from .density import Density, pointwise
+from .density import KDE_BLOCK_DOUBLES, TAIL_SIGMAS, Density, KernelRows, pointwise
 from .errors import NumericalError, ValidationError
 from .quadrature import adaptive_gauss_kronrod
 
@@ -34,12 +34,12 @@ MAX_STARTING_PANELS = 32
 # level still meets its budget on, over subsets of the bundled price lists.
 TAIL_CUTS = np.array([8.0, 5.5, 4.0, 3.0, 2.25, 1.5, 0.75])
 
-# Where critical_cost_lower_bound cuts [low, q], in feature scales below q:
-# 16 cuts in geometric steps from 12 (the KDE's tail, so its first cut is low
-# itself) to 1/8, which puts 15 of the 16 left edges within a few bandwidths
-# of q, where the dual integrand rises. A density without a feature scale
-# gets SCREEN_PANELS even panels instead.
-SCREEN_CUTS = np.geomspace(12.0, 0.125, 16)
+# Where critical_cost_lower_bound cuts [low, q], in feature scales below q
+# (see screen_edges): 16 cuts in geometric steps from TAIL_SIGMAS, the KDE's
+# tail, so its first cut is low itself, to 1/8, which puts 15 of the 16 left
+# edges within a few bandwidths of q, where the dual integrand rises. A
+# density without a feature scale gets SCREEN_PANELS even panels instead.
+SCREEN_CUTS = np.geomspace(TAIL_SIGMAS, 0.125, 16)
 SCREEN_PANELS = 16
 
 
@@ -150,16 +150,40 @@ def starting_panels(width: float, scale: float | None) -> int:
     return min(2 ** max(math.ceil(math.log2(width / (2.0 * scale))), 0), MAX_STARTING_PANELS)
 
 
-def tail_edges(low: float, q: float, scale: float, cuts=TAIL_CUTS) -> np.ndarray:
+def tail_edges(low: float, q: float, scale: float) -> np.ndarray:
     """Starting edges on ``[low, q]`` graded toward ``q``: a cut ``t * scale``
-    below ``q`` for each ``t`` in ``cuts`` (decreasing) that lies above
-    ``low``. Below the sample's minimum every kernel's tail rises fastest
-    next to ``q``, so with TAIL_CUTS the panels there are three quarters of
-    a bandwidth wide; further down they widen as the integrand falls below
-    any panel's budget. A full tail of ``TAIL_SIGMAS`` bandwidths gets the 8
-    panels that :func:`starting_panels` spreads evenly over it."""
-    cuts = q - cuts * scale
+    below ``q`` for each ``t`` in TAIL_CUTS that lies above ``low``. Below
+    the sample's minimum every kernel's tail rises fastest next to ``q``, so
+    the panels there are three quarters of a bandwidth wide; further down
+    they widen as the integrand falls below any panel's budget. A full tail
+    of ``TAIL_SIGMAS`` bandwidths gets the 8 panels that
+    :func:`starting_panels` spreads evenly over it."""
+    cuts = q - TAIL_CUTS * scale
     return np.concatenate([[low], cuts[cuts > low], [q]])
+
+
+def screen_edges(low, q, scale) -> np.ndarray:
+    """The lower bound's edges on ``[low, q]``: a cut ``t * scale`` below
+    ``q`` for each ``t`` in SCREEN_CUTS, clipped at ``low``, then ``q``.
+    ``q`` is an array with a trailing axis of length 1, and ``low`` and
+    ``scale`` broadcast against it, so columns of arguments give rows of
+    edges. When ``q`` is the KDE's sample minimum, the first cut is its
+    ``effective_low``, bit for bit; a cut clipped at ``low`` makes a panel
+    of width 0. Where the first cut lies above ``low`` (``q`` above the
+    sample minimum) the panels leave out ``[low, first cut]``; a left sum
+    would weigh that panel by g(low), and a KDE's cdf at its effective low
+    is 0 or at most ndtr(-TAIL_SIGMAS) = 1.8e-33, so the sum is the one
+    with that panel to rounding."""
+    cuts = np.maximum(q - SCREEN_CUTS * scale, low)
+    return np.concatenate([cuts, q], axis=-1)
+
+
+def _left_riemann_sum(edges: np.ndarray, log_sf: np.ndarray, n: int):
+    """sum (e[i+1] - e[i]) g(e[i]) along the last axis, for the dual
+    integrand g = 1 - sf**n from ``log_sf`` = log(sf) at the left edges
+    (the log form of ``_min_order``). A row's sum is the pairwise sum
+    ``np.add.reduce`` gives one row, whatever rows lie beside it."""
+    return np.add.reduce(np.diff(edges) * -np.expm1(n * log_sf), axis=-1)
 
 
 def critical_cost_lower_bound(density: Density, q: float, n_new: int) -> float:
@@ -170,8 +194,9 @@ def critical_cost_lower_bound(density: Density, q: float, n_new: int) -> float:
     nondecreasing in y, so on any edges in ``[effective_low, q]`` its left
     Riemann sum, sum (e[i+1] - e[i]) g(e[i]), is at most its integral in
     exact arithmetic (Davis & Rabinowitz 1984). The edges are
-    :func:`tail_edges` at SCREEN_CUTS for a density with a feature scale,
-    else SCREEN_PANELS even panels. g takes the log form of ``_min_order``.
+    :func:`screen_edges` for a density with a feature scale, else
+    SCREEN_PANELS even panels. :func:`kde_lower_bounds` gives the same bound
+    for many KDEs at once, without fitting them.
     """
     n = _check_n(n_new)
     q = _check_q(density, q)
@@ -182,9 +207,33 @@ def critical_cost_lower_bound(density: Density, q: float, n_new: int) -> float:
     if scale is None:
         edges = np.linspace(low, q, SCREEN_PANELS + 1)
     else:
-        edges = tail_edges(low, q, scale, SCREEN_CUTS)
-    g = -np.expm1(n * _log_sf(density, edges[:-1]))
-    return float(np.diff(edges) @ g)
+        edges = screen_edges(low, np.array([q]), scale)
+    return float(_left_riemann_sum(edges, _log_sf(density, edges[:-1]), n))
+
+
+def kde_lower_bounds(samples: np.ndarray, n_new: int) -> np.ndarray:
+    """:func:`critical_cost_lower_bound` of the Silverman KDE of each row of
+    ``samples`` (rows, k), sorted ascending, at q its minimum: the KDEs are
+    never fitted, only held as :class:`KernelRows`.
+
+    The edges and sums are those of the fitted KDE's bound, so the two
+    bounds have the same bits wherever the fitted KDE's cdf on 16 points is
+    one dense block (k at most ``KDE_BLOCK_DOUBLES // 16``), and agree to
+    rounding where it is windowed. Every step is per row, so a row's bound
+    has the same bits alone or among any rows. Rows are taken in chunks
+    whose (rows, edges, k) kernel matrix holds at most ``KDE_BLOCK_DOUBLES``
+    doubles, at least one row each. Where q is at or below ``effective_low``
+    every panel has width 0 and the bound is 0, as the fitted one is.
+    """
+    n = _check_n(n_new)
+    bounds = np.empty(len(samples))
+    step = max(1, KDE_BLOCK_DOUBLES // (SCREEN_CUTS.size * samples.shape[1]))
+    for lo in range(0, len(samples), step):
+        kde = KernelRows(samples[lo : lo + step])
+        q = kde.sample_min[:, None]
+        edges = screen_edges(kde.effective_low[:, None], q, kde.bandwidth[:, None])
+        bounds[lo : lo + step] = _left_riemann_sum(edges, _log_sf(kde, edges[:, :-1]), n)
+    return bounds
 
 
 def critical_cost(density: Density, q: float, n_new: int) -> CriticalCost:

@@ -20,6 +20,7 @@ from pricedisclosure.density import (
     TAIL_SIGMAS,
     _FixedDist,
     KernelDensity,
+    KernelRows,
     UniformDensity,
     equal_mass_prices,
     fit_estimator,
@@ -27,6 +28,7 @@ from pricedisclosure.density import (
     fit_parametric,
     quantile_array,
     silverman_bandwidth,
+    silverman_bandwidths,
 )
 from pricedisclosure.errors import FitError, GenerationError, ValidationError
 from pricedisclosure.quadrature import _NODES, adaptive_gauss_kronrod
@@ -87,6 +89,43 @@ def test_silverman_formula():
     for x in samples:
         for scaled in (x, x * 1e-2, x * 1e3):
             assert silverman_bandwidth(scaled) == _silverman_reference(scaled), scaled.size
+
+
+def _guard_rows(rng, k):
+    """Seeded sorted rows of k prices in cents: spread, tie-heavy, and all
+    equal. Thirteen equal prices were the case a zero-padded row sum got
+    wrong: a spread of about 1e-14 where the one-row sum gives 0, which
+    switches the rule from its fallback."""
+    anchor = int(rng.integers(2000, 60000))
+    rows = [
+        rng.integers(100, 60000, size=k),
+        rng.choice(anchor + np.array([0, 1, 250]), size=k),
+        np.full(k, int(rng.integers(1, 60000))),
+        np.full(k, 29),
+        np.full(k, 10),
+    ]
+    return np.sort(np.array(rows), axis=1)
+
+
+def test_row_bandwidths_and_masses_equal_the_fitted_kde_bitwise():
+    # The screen's KDE fields, row by row, are a KernelDensity's, bit for
+    # bit, at every size that one row sum could treat differently.
+    rng = np.random.default_rng(12)
+    for k in (1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 30, 64, 129, 400):
+        for scale in (1e-2, 1e-4, 10.0):
+            rows = _guard_rows(rng, k) * scale
+            kde = KernelRows(rows)
+            bandwidths = silverman_bandwidths(rows)
+            for i, row in enumerate(rows):
+                fitted = fit_kde(row)
+                assert bandwidths[i] == kde.bandwidth[i] == silverman_bandwidth(row) == fitted.bandwidth, (k, row)
+                assert kde._below_zero[i] == fitted._below_zero, (k, row)
+                assert kde.effective_low[i] == fitted.effective_low, (k, row)
+                assert silverman_bandwidths(rows[i : i + 1])[0] == bandwidths[i]
+            # Any leading shape: the rule runs over the last axis only.
+            cube = np.stack([rows, rows[::-1]])
+            assert np.array_equal(silverman_bandwidths(cube), np.stack([bandwidths, bandwidths[::-1]]))
+    assert fit_kde(np.full(13, 0.29)).bandwidth == max(0.01 * 0.29, 0.01)
 
 
 def test_kde_cdf_boundaries():

@@ -535,6 +535,11 @@ def stub_bound(cents, n_new, estimator):
     return value - 0.5 if sum(cents) % 2 else value
 
 
+def stub_bounds(bound):
+    """A stand-in for ``_kde_lower_bounds`` that bounds each row by ``bound``."""
+    return lambda keys, n_new: [bound(key, n_new, "kde") for key in keys]
+
+
 @pytest.mark.parametrize("block_bytes", [None, 1, 30])
 @pytest.mark.parametrize("case", PIPELINE_CASES)
 def test_pipeline_with_a_stub_screen_matches_reference_enumeration(monkeypatch, case, block_bytes):
@@ -546,7 +551,7 @@ def test_pipeline_with_a_stub_screen_matches_reference_enumeration(monkeypatch, 
         return stub_cost(cents, n_new, estimator)
 
     monkeypatch.setattr(disclosure, "_evaluate_cents", evaluate)
-    monkeypatch.setattr(disclosure, "_lower_bound_cents", stub_bound)
+    monkeypatch.setattr(disclosure, "_kde_lower_bounds", stub_bounds(stub_bound))
     if block_bytes is not None:
         monkeypatch.setattr(disclosure, "MASK_BLOCK_BYTES", block_bytes)
     prices = stub_prices(n, seed)
@@ -570,10 +575,10 @@ def test_pipeline_with_a_stub_screen_matches_reference_enumeration(monkeypatch, 
         assert result.critical_cost.value == trace[-1][1], method
         # The screen drops candidates that a bound of 0 lets through.
         counts[0] += len(evaluated)
-        monkeypatch.setattr(disclosure, "_lower_bound_cents", lambda cents, n_new, estimator: 0.0)
+        monkeypatch.setattr(disclosure, "_kde_lower_bounds", stub_bounds(lambda cents, n_new, estimator: 0.0))
         evaluated.clear()
         assert disclose(prices, method, constraints, 5, budget=budget, seed=seed).trace == trace
-        monkeypatch.setattr(disclosure, "_lower_bound_cents", stub_bound)
+        monkeypatch.setattr(disclosure, "_kde_lower_bounds", stub_bounds(stub_bound))
         counts[1] += len(evaluated)
     assert counts[0] <= counts[1]
 
@@ -596,8 +601,8 @@ def test_screened_candidate_that_would_fail_does_not_abort(monkeypatch):
     # The bound proves that the failing candidate cannot improve: it is not
     # integrated, and the answer is the one it would give at any cost above
     # its bound.
-    monkeypatch.setattr(disclosure, "_lower_bound_cents",
-                        lambda cents, n_new, estimator: 9.0 if cents == bad else 0.0)
+    monkeypatch.setattr(disclosure, "_kde_lower_bounds",
+                        stub_bounds(lambda cents, n_new, estimator: 9.0 if cents == bad else 0.0))
     for method in ("interval", "brute_force"):
         monkeypatch.setattr(disclosure, "_evaluate_cents", dear)
         expected = disclose(prices, method, RHO3, 4)
@@ -605,12 +610,49 @@ def test_screened_candidate_that_would_fail_does_not_abort(monkeypatch):
         result = disclose(prices, method, RHO3, 4)
         assert (result.subset, result.trace) == (expected.subset, expected.trace), method
     # Unscreened, it still aborts the run and is named.
-    monkeypatch.setattr(disclosure, "_lower_bound_cents", lambda cents, n_new, estimator: 0.0)
+    monkeypatch.setattr(disclosure, "_kde_lower_bounds", stub_bounds(lambda cents, n_new, estimator: 0.0))
     for method in ("interval", "brute_force"):
         with pytest.raises(NumericalError) as info:
             disclose(prices, method, RHO3, 4)
         assert str(info.value).startswith(f"{method} candidate of 3 prices (1.00 4.20 5.55) failed")
         assert info.value.error_estimate == 0.25
+
+
+def test_a_kde_selection_fits_only_the_rows_it_integrates(monkeypatch):
+    # The KDE screen bounds a row without fitting it, so across selections
+    # that share the cache, a row screened out in one selection and let
+    # through in a later one is fitted once, when it is integrated.
+    fitted, integrated, screened = [], [], set()
+    fit, cost, block = disclosure.fit_estimator, disclosure.critical_cost, disclosure.evaluate_block
+
+    def counted_fit(values, estimator):
+        fitted.append(tuple(values))
+        return fit(values, estimator)
+
+    def counted_cost(density, q, n_new):
+        integrated.append(tuple(density.sample))
+        return cost(density, q, n_new)
+
+    def counted_block(rows, n_new, estimator, what, threshold=None):
+        rows = list(rows)
+        costs = block(rows, n_new, estimator, what, threshold)
+        screened.update(tuple(np.array(row) / 100.0) for row, c in zip(rows, costs) if c is None)
+        return costs
+
+    monkeypatch.setattr(disclosure, "fit_estimator", counted_fit)
+    monkeypatch.setattr(disclosure, "critical_cost", counted_cost)
+    monkeypatch.setattr(disclosure, "evaluate_block", counted_block)
+    prices = seeded_prices(10, seed=3)
+    clear_evaluation_cache()
+    considered, screened_before, readmitted = 0, set(), set()
+    for method in ("brute_force", "minimal", "interval", "monte_carlo"):
+        screened_before |= screened
+        start = len(integrated)
+        considered += disclose(prices, method, RHO3, 5, budget=60, seed=2).subsets_evaluated
+        # Screened earlier, integrated now, and fitted only now.
+        readmitted |= screened_before & set(integrated[start:])
+    assert fitted == integrated and len(set(integrated)) == len(integrated) < considered
+    assert readmitted
 
 
 def test_evaluate_block_without_a_threshold_evaluates_every_row():
@@ -659,8 +701,12 @@ def test_lower_bound_never_exceeds_the_cost_beyond_the_screen_margin():
             candidates = reference_candidates(listed, method, min(10, n - 1), n, budget=40, seed=1)
             for j in rng.choice(len(candidates), size=min(10, len(candidates)), replace=False):
                 keys.add(tuple(sorted(listed.entries[i].cents for i in candidates[j])))
+    # The KDE's bounds also come as the screen takes them: every key in one
+    # block, with no fit.
+    keys = sorted(keys)
+    block = {n_new: disclosure._kde_lower_bounds(keys, n_new) for n_new in (1, 18, 1000)}
     checked = failed = 0
-    for key in sorted(keys):
+    for i, key in enumerate(keys):
         values = np.array(key, dtype=float) / 100.0
         for estimator in ("kde", "parametric"):
             density = fit_estimator(values, estimator)
@@ -670,8 +716,10 @@ def test_lower_bound_never_exceeds_the_cost_beyond_the_screen_margin():
                 except NumericalError:
                     failed += 1
                     continue
-                bound = critical_cost_lower_bound(density, values[0], n_new)
-                assert 0.0 <= bound <= disclosure._screen_limit(value), (key, estimator, n_new, bound, value)
+                bounds = [critical_cost_lower_bound(density, values[0], n_new)]
+                bounds += [block[n_new][i]] if estimator == "kde" else []
+                for bound in bounds:
+                    assert 0.0 <= bound <= disclosure._screen_limit(value), (key, estimator, n_new, bound, value)
                 checked += 1
     assert checked >= 1500 and failed <= 0.1 * checked
     assert time.perf_counter() - t0 < 120.0

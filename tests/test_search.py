@@ -1,11 +1,13 @@
 """Searcher decision model: order statistics, critical cost, counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from pricedisclosure.data import BUILTIN_MANIFESTS, PriceEntry, PriceList, builtin_dataset
-from pricedisclosure.density import UniformDensity, fit_estimator, fit_kde
+from pricedisclosure.density import TAIL_SIGMAS, UniformDensity, fit_estimator, fit_kde
 from pricedisclosure.errors import NumericalError, ValidationError
 from pricedisclosure import search
 from pricedisclosure.quadrature import adaptive_gauss_kronrod
@@ -21,6 +23,7 @@ from pricedisclosure.search import (
     expected_new_prices,
     improvement_upper_bound,
     interval_subset_count,
+    kde_lower_bounds,
     min_order_cdf,
     min_order_pdf,
     minimal_subset_count,
@@ -377,10 +380,80 @@ def test_lower_bound_is_a_left_riemann_sum_of_the_dual_integrand():
     cdf = density.cdf
     density.cdf = lambda y: calls.append(np.size(y)) or cdf(y)
     bound = critical_cost_lower_bound(density, 100.0, 18)
-    assert calls == [16] and SCREEN_CUTS[0] == 12.0 and SCREEN_CUTS[-1] == 0.125
+    assert calls == [16] and SCREEN_CUTS[0] == TAIL_SIGMAS == 12.0 and SCREEN_CUTS[-1] == 0.125
     value = critical_cost(density, 100.0, 18).value
     assert 0.8 * value <= bound <= value
+    # Above the minimum the first cut lies above the effective low and the
+    # edges start there. The panel left out, [low, first cut], would add
+    # g(low), about 0, per unit width: the sum is the one with it.
+    low, h = density.effective_low, density.bandwidth
+    for q in (100.5, 104.0, 110.0):
+        cuts = q - SCREEN_CUTS * h
+        edges = search.screen_edges(low, np.array([q]), h)
+        assert edges[0] == cuts[0] > low and np.array_equal(edges, np.append(cuts, q))
+        with_low = np.concatenate([[low], cuts, [q]])
+        for n in (1, 18, 1000):
+            g = -np.expm1(n * np.log1p(-cdf(with_low[:-1])))
+            bound = critical_cost_lower_bound(density, q, n)
+            assert bound == pytest.approx(np.diff(with_low) @ g, rel=1e-12)
+            assert bound <= critical_cost(density, q, n).value
     with pytest.raises(ValidationError):
         critical_cost_lower_bound(density, 100.0, 0)
     with pytest.raises(ValidationError):
         critical_cost_lower_bound(density, float("nan"), 18)
+
+
+def _screen_rows(rng, k, count=12):
+    """Seeded sorted rows of k prices: bundled subsets, tie-heavy lists, all
+    equal prices, and lists whose effective low is clipped at 0."""
+    rows = []
+    for name in sorted(BUILTIN_MANIFESTS):
+        rows += [rng.choice(builtin_dataset(name).values(), size=k) for _ in range(count // 4)]
+    rows += [_tie_heavy(rng, k) for _ in range(count // 2)]
+    rows += [np.full(k, 42.17), np.full(k, 0.29), rng.uniform(0.5, 40.0, size=k)]
+    return np.sort(np.array(rows), axis=1)
+
+
+def test_block_bounds_match_the_fitted_bound_alone_or_in_any_block(monkeypatch):
+    # kde_lower_bounds needs no fit: its bound is critical_cost_lower_bound
+    # of the fitted KDE to within 1e-12 (here bit for bit, while the fitted
+    # cdf is dense), and a row's bits do not depend on the rows beside it,
+    # their order or the chunking, so the screen decides the same way for
+    # any block split and any worker count.
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 5, 9, 17, 30, 3000):
+        rows = _screen_rows(rng, k, count=4 if k > 100 else 12)
+        for n in (1, 18, 1000):
+            block = kde_lower_bounds(rows, n)
+            for i, row in enumerate(rows):
+                scalar = critical_cost_lower_bound(fit_kde(row), row[0], n)
+                assert abs(block[i] - scalar) <= 1e-12 * scalar, (k, n, row)
+                assert kde_lower_bounds(rows[i : i + 1], n)[0] == block[i]
+            order = rng.permutation(len(rows))
+            assert np.array_equal(kde_lower_bounds(rows[order], n), block[order])
+            with monkeypatch.context() as m:
+                m.setattr(search, "KDE_BLOCK_DOUBLES", 1)  # one row per chunk
+                assert np.array_equal(kde_lower_bounds(rows, n), block)
+    # Equal prices whose mean rounds off them: a bandwidth of 1e-17.
+    rows = np.full((2, 13), 0.1)
+    density = fit_kde(rows[0])
+    assert density.bandwidth < 1e-16
+    assert np.array_equal(kde_lower_bounds(rows, 18), [critical_cost_lower_bound(density, 0.1, 18)] * 2)
+    # With q at the low end every clipped panel has width 0, so the sum is 0.
+    edges = search.screen_edges(np.array([[0.1]]), np.array([[0.1]]), np.array([[1e-20]]))
+    assert edges.shape == (1, 17) and np.all(edges == 0.1)
+    with pytest.raises(ValidationError):
+        kde_lower_bounds(rows, 0)
+
+
+def test_block_bounds_keep_the_kernel_pass_within_its_budget():
+    # 600 rows of 400 prices: one (rows, edges, k) pass would hold 30.7 MB
+    # per temporary; chunked under KDE_BLOCK_DOUBLES it holds 256 KiB.
+    rows = np.sort(np.random.default_rng(5).uniform(50.0, 500.0, size=(600, 400)), axis=1)
+    tracemalloc.start()
+    try:
+        kde_lower_bounds(rows, 18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
