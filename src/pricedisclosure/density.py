@@ -27,18 +27,19 @@ that needs no fit: each row's bandwidth and mass below zero are a
 A parametric fit is paid once per candidate disclosure, so the fitters
 reduce with ``np.add.reduce``, the ufunc behind ``np.sum``, ``np.mean``
 and ``np.std``: the same bits without the wrappers' per-call cost. One
-table row per family holds its fitter, its scipy generator, the map from
-its fitted parameters to the generator's arguments and the generator's
-standardized log-density kernel. A fit scores every family by that kernel
-alone, and builds a scipy distribution only for the BIC winner. The
-fitted density is evaluated by scipy's kernel when every point lies
-inside its support, and by scipy's own public method otherwise.
+table row per family holds its fitter, the map from its fitted parameters
+to its standard form's (shape args, loc, scale), the lower end of its
+standard support and its standardized logpdf, pdf, cdf and ppf, written
+with numpy and ``scipy.special`` in scipy 1.17.1's own expressions, so a
+value inside the support has a frozen scipy distribution's bits. A fit
+scores every family by its logpdf alone. The winner's
+``ParametricDensity`` standardizes each point once and calls the row's
+kernels on every point; the truncation at zero is the one mask.
 
 The module imports numpy and ``scipy.special`` alone, which is all the KDE
-needs. The family table is built on the first parametric fit, and that
-fit is where ``scipy.stats`` and ``scipy.optimize`` are first imported, so
-a process that only runs the KDE never imports them. ``_FAMILIES`` names
-the table and builds it when first asked for.
+needs, and never imports ``scipy.stats``. ``scipy.optimize`` (``brentq``,
+for the weibull and gumbel fitters) is first imported by the first
+parametric fit, so a process that only runs the KDE never imports it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .errors import FitError, GenerationError, NumericalError, ValidationError
 ESTIMATORS = ("kde", "parametric")
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = float(np.log(_SQRT_2PI))
 
 _MAX_ITER = 200
 _FIT_TOL = 1e-9
@@ -376,28 +378,33 @@ class KernelRows:
 
 
 class ParametricDensity(Density):
-    """A fitted family truncated at zero with renormalization."""
+    """A fitted family truncated at zero with renormalization.
+
+    Raises :class:`ValidationError` for a family not in ``FAMILIES`` and
+    :class:`FitError` for parameters outside the family's domain or a fit
+    with no mass above zero."""
 
     def __init__(
         self,
         family: str,
         params: dict[str, float],
-        dist,
         sample_min: float | None,
         sample_size: int | None = None,
     ):
+        row = _family(family)
+        self._shapes, self._loc, self._scale = _standard_args(row, params)
+        _, _, low, self._standard_logpdf, self._standard_pdf, self._standard_cdf, self._standard_ppf = row
         self.family = family
         self.params = dict(params)
-        self.dist = dist
         self.sample_min = sample_min
         self.sample_size = sample_size
-        if dist.gen.a * dist.scale + dist.loc >= 0.0:
+        if low * self._scale + self._loc >= 0.0:
             below = 0.0  # the support starts at or above zero
         else:
             # Far below the mode some families (gumbel) overflow an inner
             # exp on the way to a cdf or pdf whose limit, 0, is exact.
             with np.errstate(over="ignore"):
-                below = float(dist.cdf(0.0))
+                below = float(self._standard_cdf((np.zeros(1) - self._loc) / self._scale, *self._shapes)[0])
         if below >= 1.0 - 1e-300:
             raise FitError(f"{family}: no probability mass above zero")
         self._below_zero = below
@@ -406,32 +413,40 @@ class ParametricDensity(Density):
     def __repr__(self) -> str:
         return f"ParametricDensity(family={self.family!r}, n={self.sample_size})"
 
+    def _level(self, p: float) -> float:
+        """The untruncated family's quantile at level ``p`` in (0, 1)."""
+        return float(self._standard_ppf(np.array([p]), *self._shapes)[0] * self._scale + self._loc)
+
     @property
     def effective_low(self) -> float:
-        low = float(self.dist.ppf(TAIL_MASS))
+        low = self._level(TAIL_MASS)
         return low if low > self.support_low else self.support_low
 
     @pointwise
     def pdf(self, y):
-        with np.errstate(over="ignore", invalid="ignore"):
-            raw = self.dist.pdf(y)
+        # A kernel meets log(0) at a support's end and NaN below it; only
+        # points at or above zero are kept, and those lie in the support.
+        with np.errstate(all="ignore"):
+            z = (y - self._loc) / self._scale
+            raw = self._standard_pdf(z, *self._shapes) / self._scale
             # Far in a tail a kernel can meet inf * 0 (weibull with a huge
             # shape: x**(c-1) * exp(-x**c)); the density's limit there is 0,
             # which exp(logpdf) gives.
             lost = np.isnan(raw)
             if lost.any():
                 lost &= ~np.isnan(y)
-                raw[lost] = np.exp(self.dist.logpdf(y[lost]))
+                raw[lost] = np.exp(self._standard_logpdf(z[lost], *self._shapes) - np.log(self._scale))
         return _above_zero(y, raw / self._mass_above_zero)
 
     @pointwise
     def cdf(self, y):
-        with np.errstate(over="ignore"):
-            cdf = (self.dist.cdf(y) - self._below_zero) / self._mass_above_zero
+        with np.errstate(all="ignore"):
+            raw = self._standard_cdf((y - self._loc) / self._scale, *self._shapes)
+        cdf = (raw - self._below_zero) / self._mass_above_zero
         return _above_zero(y, np.minimum(np.maximum(cdf, 0.0), 1.0))
 
     def _quantile_hint(self) -> float:
-        hint = float(self.dist.ppf(0.99))
+        hint = self._level(0.99)
         if not np.isfinite(hint) or hint <= 0.0:
             hint = 1.0
         return hint
@@ -605,130 +620,98 @@ def _fit_gumbel(x: np.ndarray) -> dict[str, float]:
     return {"loc": loc, "scale": beta}
 
 
-class _FixedDist:
-    """A scipy distribution at fixed parameters: the BIC winner's, built
-    once per fit. Every family is scored by ``_loglik``, without one.
-
-    Holds a family's shared module-level generator with the shape
-    arguments, ``loc`` and ``scale`` its table row maps the fitted
-    parameters to, so nothing is parsed per fit. ``rv_continuous``'s public
-    methods hand a point to the ``_pdf``/``_logpdf``/``_cdf``/``_ppf``
-    kernel only when the parameters are valid and the point is inside the
-    support (a level, inside (0, 1)). When every point is, this class
-    returns the kernel's values in the input's shape, the public method's
-    bits; any other input goes to the public method at the fit's
-    arguments, so scipy is the only masked path. A frozen distribution
-    would build a generator instance per freeze, and a public call parses
-    and broadcasts its arguments every time; both cost several times the
-    kernels on the short arrays a fit evaluates.
-    """
-
-    __slots__ = ("gen", "args", "shapes", "loc", "scale", "valid")
-
-    def __init__(self, gen, args: tuple[float, ...], loc: float, scale: float):
-        self.gen, self.args = gen, args
-        self.loc = np.asarray(loc)
-        self.scale = np.asarray(scale)
-        # One-element arrays: the form argsreduce hands the kernels
-        self.shapes = tuple(np.atleast_1d(np.asarray(a)) for a in args)
-        self.valid = bool(gen._argcheck(*self.shapes) & (self.scale > 0) & (self.loc == self.loc))
-
-    def _points(self, x):
-        """The points, and at least 1-d in the generator's standard form
-        (x - loc) / scale, as argsreduce hands them to a kernel."""
-        x = np.asarray(x)
-        z = np.asarray((x - self.loc) / self.scale, dtype=np.promote_types(x.dtype, np.float64))
-        return x, np.atleast_1d(z)
-
-    @staticmethod
-    def _shaped(x, out):
-        """Kernel values in the input's shape; a 0-d point gives np.float64."""
-        return out if x.ndim else out[0]
-
-    def pdf(self, x):
-        x, z = self._points(x)
-        if self.valid and self.gen._support_mask(z, *self.shapes).all():
-            return self._shaped(x, self.gen._pdf(z, *self.shapes) / self.scale)
-        return self.gen.pdf(x, *self.args, loc=self.loc, scale=self.scale)
-
-    def logpdf(self, x):
-        x, z = self._points(x)
-        if self.valid and self.gen._support_mask(z, *self.shapes).all():
-            return self._shaped(x, self.gen._logpdf(z, *self.shapes) - np.log(self.scale))
-        return self.gen.logpdf(x, *self.args, loc=self.loc, scale=self.scale)
-
-    def cdf(self, x):
-        x, z = self._points(x)
-        if self.valid and self.gen._open_support_mask(z, *self.shapes).all():
-            return self._shaped(x, self.gen._cdf(z, *self.shapes))
-        return self.gen.cdf(x, *self.args, loc=self.loc, scale=self.scale)
-
-    def ppf(self, q):
-        q = np.asarray(q)
-        levels = np.atleast_1d(q)
-        if self.valid and ((0 < levels) & (levels < 1)).all():
-            return self._shaped(q, self.gen._ppf(levels, *self.shapes) * self.scale + self.loc)
-        return self.gen.ppf(q, *self.args, loc=self.loc, scale=self.scale)
-
-
 def _lognorm_logpdf(z, s):
-    """scipy's ``lognorm._logpdf`` without its ``z != 0`` mask, which costs
+    """scipy's lognormal log-density without its ``z != 0`` mask, which costs
     several times the expression and which a positive sample never needs;
     the same bits wherever z > 0. At z = 0 it gives NaN, not -inf: both
     score as a non-finite likelihood."""
     return -np.log(z) ** 2 / (2 * s**2) - np.log(s * z * np.sqrt(2 * np.pi))
 
 
-def _loglik(x: np.ndarray, logpdf, args: tuple[float, ...], loc: float, scale: float) -> float:
+def _lognorm_pdf(z, s):
+    # scipy's mask is kept here: its logpdf is -inf at z = 0, so the pdf is
+    # 0 there, where the bare expression gives NaN.
+    return np.exp(np.where(z == 0, -np.inf, _lognorm_logpdf(z, s)))
+
+
+def _gamma_logpdf(z, a):
+    return special.xlogy(a - 1.0, z) - z - special.gammaln(a)
+
+
+def _logistic_logpdf(z):
+    y = -np.abs(z)
+    return y - 2.0 * special.log1p(np.exp(y))
+
+
+def _gumbel_logpdf(z):
+    return -z - np.exp(-z)
+
+
+# One row per family: its fitter; the map from its fitted parameters to its
+# standard form's (shape args, loc, scale); the lower end of its standard
+# support; and its standardized logpdf, pdf, cdf and ppf, each taking the
+# standardized points (or levels) and then the shapes. The kernels are
+# scipy 1.17.1's own expressions (scipy.stats._continuous_distns: norm,
+# lognorm, expon, gamma, weibull_min, logistic, gumbel_r), so inside the
+# support they give a frozen distribution's bits.
+_FAMILIES = {
+    "normal": (_fit_normal, lambda p: ((), p["loc"], p["scale"]), -math.inf,
+               lambda z: -z**2 / 2.0 - _LOG_SQRT_2PI, lambda z: np.exp(-z**2 / 2.0) / _SQRT_2PI,
+               special.ndtr, special.ndtri),
+    "lognormal": (_fit_lognormal, lambda p: ((p["sigma"],), 0.0, math.exp(p["mu"])), 0.0,
+                  _lognorm_logpdf, _lognorm_pdf,
+                  lambda z, s: special.ndtr(np.log(z) / s), lambda q, s: np.exp(s * special.ndtri(q))),
+    "exponential": (_fit_exponential, lambda p: ((), 0.0, p["scale"]), 0.0,
+                    lambda z: -z, lambda z: np.exp(-z),
+                    lambda z: -special.expm1(-z), lambda q: -special.log1p(-q)),
+    "gamma": (_fit_gamma, lambda p: ((p["shape"],), 0.0, p["scale"]), 0.0,
+              _gamma_logpdf, lambda z, a: np.exp(_gamma_logpdf(z, a)),
+              lambda z, a: special.gammainc(a, z), lambda q, a: special.gammaincinv(a, q)),
+    "weibull": (_fit_weibull, lambda p: ((p["shape"],), 0.0, p["scale"]), 0.0,
+                lambda z, c: np.log(c) + special.xlogy(c - 1, z) - pow(z, c),
+                lambda z, c: c * pow(z, c - 1) * np.exp(-pow(z, c)),
+                lambda z, c: -special.expm1(-pow(z, c)), lambda q, c: pow(-special.log1p(-q), 1.0 / c)),
+    "logistic": (_fit_logistic, lambda p: ((), p["loc"], p["scale"]), -math.inf,
+                 _logistic_logpdf, lambda z: np.exp(_logistic_logpdf(z)), special.expit, special.logit),
+    "gumbel": (_fit_gumbel, lambda p: ((), p["loc"], p["scale"]), -math.inf,
+               _gumbel_logpdf, lambda z: np.exp(_gumbel_logpdf(z)),
+               lambda z: np.exp(-np.exp(-z)), lambda q: -np.log(-np.log(q))),
+}
+
+FAMILIES = tuple(_FAMILIES)
+
+
+def _family(name: str) -> tuple:
+    """The table row of family ``name``; :class:`ValidationError` if none."""
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise ValidationError(f"unknown family {name!r}") from None
+
+
+def _standard_args(row: tuple, params: dict[str, float]) -> tuple[tuple[np.ndarray, ...], float, float]:
+    """The shapes, loc and scale of ``row``'s standard form at ``params``,
+    each shape a one-element array: the form ``argsreduce`` hands scipy's
+    kernels, so every value keeps their bits. Raises :class:`FitError` at
+    parameters outside the family's domain (a shape or scale not above zero,
+    a NaN loc), where every density value, and so a sample's likelihood,
+    would be NaN; this check runs before any arithmetic on them."""
+    args, loc, scale = row[1](params)
+    if not (scale > 0 and loc == loc and all(a > 0 for a in args)):
+        raise FitError("non-finite likelihood")
+    return tuple(np.array([a]) for a in args), loc, scale
+
+
+def _loglik(x: np.ndarray, logpdf, shapes: tuple[np.ndarray, ...], loc: float, scale: float) -> float:
     """Log-likelihood of ``x`` under a family's standardized log-density
-    ``logpdf`` at its generator arguments: ``_FixedDist.logpdf``'s arithmetic,
-    in its order, summed as ``np.sum`` would, without building a
-    distribution. Raises :class:`FitError` on a non-finite likelihood.
-    Arguments scipy rejects (a shape or scale not above zero, a NaN loc)
-    raise before any arithmetic: a public ``logpdf`` would give NaN. At any
-    other arguments a positive sample lies inside the family's support,
-    or at a NaN point whose kernel value is NaN too."""
-    if scale > 0 and loc == loc and all(a > 0 for a in args):
-        # One-element shape arrays: the form argsreduce hands the kernels
-        shapes = [np.array([a]) for a in args]
-        loglik = float(np.add.reduce(logpdf((x - loc) / scale, *shapes) - np.log(scale)))
-        if math.isfinite(loglik):
-            return loglik
+    ``logpdf`` at the standard form :func:`_standard_args` gives, summed as
+    ``np.sum`` would, without building a density. Raises :class:`FitError`
+    on a non-finite likelihood. A positive sample lies inside the family's
+    support, or at a NaN point whose kernel value is NaN too."""
+    loglik = float(np.add.reduce(logpdf((x - loc) / scale, *shapes) - np.log(scale)))
+    if math.isfinite(loglik):
+        return loglik
     raise FitError("non-finite likelihood")
-
-
-FAMILIES = ("normal", "lognormal", "exponential", "gamma", "weibull", "logistic", "gumbel")
-
-
-@functools.cache
-def _family_table() -> dict[str, tuple]:
-    """One row per family, in ``FAMILIES`` order: its fitter, its scipy
-    generator, the map from the fitted parameters to the generator's (shape
-    args, loc, scale), and the generator's standardized log-density kernel
-    that scores the fit. Built on the first parametric fit, which is the
-    first import of scipy.stats; every fit reads this one dict."""
-    from scipy import stats
-
-    return {
-        "normal": (_fit_normal, stats.norm, lambda p: ((), p["loc"], p["scale"]), stats.norm._logpdf),
-        "lognormal": (
-            _fit_lognormal, stats.lognorm, lambda p: ((p["sigma"],), 0.0, math.exp(p["mu"])), _lognorm_logpdf
-        ),
-        "exponential": (_fit_exponential, stats.expon, lambda p: ((), 0.0, p["scale"]), stats.expon._logpdf),
-        "gamma": (_fit_gamma, stats.gamma, lambda p: ((p["shape"],), 0.0, p["scale"]), stats.gamma._logpdf),
-        "weibull": (
-            _fit_weibull, stats.weibull_min, lambda p: ((p["shape"],), 0.0, p["scale"]), stats.weibull_min._logpdf
-        ),
-        "logistic": (_fit_logistic, stats.logistic, lambda p: ((), p["loc"], p["scale"]), stats.logistic._logpdf),
-        "gumbel": (_fit_gumbel, stats.gumbel_r, lambda p: ((), p["loc"], p["scale"]), stats.gumbel_r._logpdf),
-    }
-
-
-def __getattr__(name: str):
-    # PEP 562: ``_FAMILIES`` is the family table, built when first asked for.
-    if name == "_FAMILIES":
-        return _family_table()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
@@ -737,23 +720,20 @@ def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
     Families that cannot be fit (zero spread, failed iteration, non-finite
     likelihood) are recorded as skipped with a reason; if every family is
     skipped a :class:`FitError` is raised. Each family is scored by its
-    log-density kernel; only the winner is built into a scipy distribution.
+    log-density kernel; only the winner is built into a density.
     """
     x = _as_sample(values)
     if x.size < 2:
         raise ValidationError("parametric fitting needs at least 2 observations")
-    table = _family_table()
-    for family in families:
-        if family not in table:
-            raise ValidationError(f"unknown family {family!r}")
+    rows = [(family, _family(family)) for family in families]
     n = x.size
     candidates: list[FitCandidate] = []
     best: FitCandidate | None = None
-    for family in families:
-        fit, _, gen_args, logpdf = table[family]
+    for family, row in rows:
+        fit, _, _, logpdf, *_ = row
         try:
             params = fit(x)
-            loglik = _loglik(x, logpdf, *gen_args(params))
+            loglik = _loglik(x, logpdf, *_standard_args(row, params))
         except FitError as exc:
             candidates.append(
                 FitCandidate(family, {}, float("nan"), float("nan"), skipped=True, reason=str(exc))
@@ -766,9 +746,7 @@ def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
             best = candidate
     if best is None:
         raise FitError("no family could be fit: " + "; ".join(f"{c.family}: {c.reason}" for c in candidates))
-    _, gen, gen_args, _ = table[best.family]
-    dist = _FixedDist(gen, *gen_args(best.params))
-    density = ParametricDensity(best.family, best.params, dist, float(x.min()), n)
+    density = ParametricDensity(best.family, best.params, float(x.min()), n)
     return FitReport(tuple(candidates), best.family, density)
 
 

@@ -478,6 +478,25 @@ def test_closed_stdout_exits_1_quietly():
     assert (done.returncode, done.stderr) == (1, b"")
 
 
+def test_main_calls_in_one_process_each_print_what_they_print_alone(capsys, small_csv):
+    # Every main call in a process parses with one parser: an option one
+    # call gives must not reach a later call that omits it.
+    mc = ["disclose", "--data", small_csv, "--method", "mc", "--rho", "3", "--n-new", "5", "--budget", "30"]
+    calls = [[*mc, "--seed", "7"], ["fit", "--data", small_csv, "--method", "kde", "--bandwidth", "900"], mc,
+             ["fit", "--data", small_csv]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    outputs = []
+    for argv in calls:
+        alone = subprocess.run(
+            [sys.executable, "-m", "pricedisclosure.cli", *argv], capture_output=True, text=True, env=env, timeout=120,
+        )
+        clear_evaluation_cache()
+        assert run(capsys, *argv) == (alone.returncode, alone.stdout, alone.stderr), argv
+        outputs.append(alone.stdout)
+    assert outputs[0] != outputs[2] and outputs[1] != outputs[3]
+
+
 def test_bench_csv(capsys, small_csv, tmp_path):
     out_path = tmp_path / "bench.csv"
     code, _, _ = run(

@@ -18,9 +18,9 @@ from pricedisclosure.density import (
     KDE_BLOCK_DOUBLES,
     TAIL_MASS,
     TAIL_SIGMAS,
-    _FixedDist,
     KernelDensity,
     KernelRows,
+    ParametricDensity,
     UniformDensity,
     equal_mass_prices,
     fit_estimator,
@@ -233,20 +233,34 @@ _EDGE_LISTS = {
 _SUPPORT_FROM_ZERO = ("lognormal", "exponential", "gamma", "weibull")
 
 
+def _truncated(frozen, y):
+    """The frozen distribution's pdf and cdf at ``y``, truncated at zero and
+    renormalized as a fitted density is, with the pdf's inf * 0 far in a
+    tail replaced by exp(logpdf)."""
+    with np.errstate(all="ignore"):
+        below = frozen.cdf(0.0)
+        mass = 1.0 - below
+        pdf = frozen.pdf(y)
+        lost = np.isnan(pdf) & ~np.isnan(y)
+        pdf[lost] = np.exp(frozen.logpdf(y[lost]))
+        cdf = np.minimum(np.maximum((frozen.cdf(y) - below) / mass, 0.0), 1.0)
+    inside = y >= 0.0
+    return np.where(inside, pdf / mass, 0.0), np.where(inside, cdf, 0.0)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_fitted_dist_equals_frozen_scipy_bitwise(family):
-    # The fitted density evaluates its family through the shared scipy
-    # generator's kernels or public methods; every value must equal what a
-    # frozen distribution gives, NaN and out-of-support points included,
-    # and so must the 0-d cdf(0.0) and ppf levels every evaluation makes.
-    # The mass below zero is the frozen cdf(0.0) too, though families on
-    # [0, inf) take it from their support.
+    # The fitted density evaluates its family by its own copies of scipy's
+    # kernels; every pdf and cdf value must equal the frozen distribution's,
+    # truncated at zero and renormalized, NaN and out-of-support points
+    # included, and so must the 0-d points and the ppf levels every
+    # evaluation makes. The mass below zero is the frozen cdf(0.0) too,
+    # though families on [0, inf) take it from their support, and each
+    # fit's log-likelihood is the frozen logpdf's sum.
     draw = np.random.default_rng(23).gamma(4.0, 3.0, 50)
-    levels = np.array(
-        [0.0, 1e-300, 1e-33, 1e-6, TAIL_MASS, 0.01, 0.5, 0.99, 1.0 - 1e-12, 1.0, -0.5, 1.5, np.nan]
-    )
     for x in (draw, *_EDGE_LISTS.values()):
-        d = fit_parametric(x, families=(family,)).density
+        report = fit_parametric(x, families=(family,))
+        d = report.density
         frozen = _FROZEN[family](d.params)
         y = np.concatenate([
             [0.0, 1e-300, 1e-9],
@@ -259,35 +273,40 @@ def test_fitted_dist_equals_frozen_scipy_bitwise(family):
             assert d._below_zero.hex() == float(frozen.cdf(0.0)).hex()
             if x is draw:
                 assert (d._below_zero > 0.0) == (family not in _SUPPORT_FROM_ZERO)
-            for method, points, scalars in (
-                ("pdf", y, ()), ("cdf", y, (0.0,)), ("logpdf", y, ()), ("ppf", levels, (TAIL_MASS, 0.99)),
-            ):
-                view, ref = getattr(d.dist, method)(points), getattr(frozen, method)(points)
-                assert np.array_equal(view, ref, equal_nan=True), method
-                for point in (points[3], points[-3], points[-1], *scalars):
-                    one, want = getattr(d.dist, method)(point), getattr(frozen, method)(point)
-                    assert type(one) is type(want), method
-                    assert one == want or (np.isnan(one) and np.isnan(want)), (method, point)
+            assert report.candidates[0].loglik == float(np.sum(frozen.logpdf(x)))
+            low, hint = float(frozen.ppf(TAIL_MASS)), float(frozen.ppf(0.99))
+        assert d.effective_low == (low if low > 0.0 else 0.0)
+        assert d._quantile_hint() == (hint if np.isfinite(hint) and hint > 0.0 else 1.0)
+        for method, ref in zip(("pdf", "cdf"), _truncated(frozen, y)):
+            view = getattr(d, method)(y)
+            assert np.array_equal(view, ref, equal_nan=True), method
+            for i in (3, -3, -1):
+                one = getattr(d, method)(y[i])
+                assert type(one) is float, method
+                assert one == ref[i] or (np.isnan(one) and np.isnan(ref[i])), (method, y[i])
+        assert d.cdf(0.0) == 0.0
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_in_support_arrays_equal_frozen_scipy_bitwise(family):
     # Arrays wholly inside the support, as a fit's own sample and the
-    # quadrature grid are, go straight to the scipy kernel; the values must
-    # still be the frozen distribution's, and a 0-d point keeps its type.
+    # quadrature grid are, keep the frozen distribution's values, truncated
+    # and renormalized, in the input's shape, and a 0-d point gives a float.
     draw = np.random.default_rng(29).gamma(4.0, 3.0, 50)
     for x in (draw, *_EDGE_LISTS.values(), np.array([3.0, 3.01])):
         d = fit_parametric(x, families=(family,)).density
         frozen = _FROZEN[family](d.params)
         grid = np.linspace(d.effective_low, x.min(), 257)
-        with np.errstate(all="ignore"):
-            for points in (x, grid, grid.reshape(1, -1, 1)):
-                for method in ("pdf", "cdf", "logpdf"):
-                    view, ref = getattr(d.dist, method)(points), getattr(frozen, method)(points)
-                    assert view.shape == ref.shape and np.array_equal(view, ref, equal_nan=True), method
-            for method in ("pdf", "cdf", "logpdf"):
-                one, want = getattr(d.dist, method)(np.asarray(x[0])), getattr(frozen, method)(x[0])
-                assert type(one) is type(want) and one == want, method
+        for points in (x, grid, grid.reshape(1, -1, 1)):
+            for method, ref in zip(("pdf", "cdf"), _truncated(frozen, points)):
+                view = getattr(d, method)(points)
+                assert view.shape == ref.shape and np.array_equal(view, ref, equal_nan=True), method
+        for method, ref in zip(("pdf", "cdf"), _truncated(frozen, x[:1])):
+            one = getattr(d, method)(np.asarray(x[0]))
+            assert type(one) is float and one == ref[0], method
+        if family == "lognormal":
+            # scipy's logpdf is -inf at zero, where the bare expression is NaN
+            assert d.pdf(0.0) == 0.0 and d.pdf(np.zeros(3)).tolist() == [0.0] * 3
 
 
 _GENERATORS = (
@@ -300,11 +319,8 @@ _GENERATORS = (
     [pytest.param((family,), id=family) for family in FAMILIES] + [pytest.param(FAMILIES, id="all")],
 )
 def test_an_evaluation_calls_no_scipy_public_method(families, monkeypatch):
-    # A fit and a critical cost hand every point to scipy's kernels. The
-    # one point a kernel does not take, cdf(0.0) where the support starts
-    # at zero, is never asked for: the support alone says the mass below
-    # zero is 0. A fit scores each family by its kernel alone and builds
-    # one distribution, the winner's.
+    # A fit and a critical cost evaluate every family by its own kernels:
+    # no scipy distribution method runs.
     calls = []
 
     def counted(owner, method):
@@ -319,34 +335,24 @@ def test_an_evaluation_calls_no_scipy_public_method(families, monkeypatch):
     for gen in _GENERATORS:
         for method in ("pdf", "cdf", "ppf", "logpdf"):
             monkeypatch.setattr(gen, method, counted(gen, method))
-    monkeypatch.setattr(_FixedDist, "logpdf", counted(_FixedDist, "logpdf"))
-    built = []
-    init = _FixedDist.__init__
-
-    def counted_init(self, gen, *args):
-        built.append(gen.name)
-        init(self, gen, *args)
-
-    monkeypatch.setattr(_FixedDist, "__init__", counted_init)
     x = np.random.default_rng(37).gamma(4.0, 3.0, 30)
     report = fit_parametric(x, families=families)
     critical_cost(report.density, float(np.median(x)), 10)
     assert calls == []
-    assert built == [report.density.dist.gen.name]
     assert report.best_family == ("gamma" if families == FAMILIES else families[0])
 
 
-@pytest.mark.parametrize(
-    "family, params",
-    [
-        pytest.param("normal", {"loc": 10.0, "scale": -1.0}, id="negative_scale"),
-        pytest.param("logistic", {"loc": math.nan, "scale": 2.0}, id="nan_loc"),
-        pytest.param("gamma", {"shape": 0.0, "scale": 3.0}, id="zero_shape"),
-        pytest.param("weibull", {"shape": -2.0, "scale": 3.0}, id="negative_shape"),
-        pytest.param("lognormal", {"mu": 2.0, "sigma": math.nan}, id="nan_shape"),
-        pytest.param("exponential", {"scale": 0.0}, id="zero_scale"),
-    ],
-)
+_INVALID_PARAMS = [
+    pytest.param("normal", {"loc": 10.0, "scale": -1.0}, id="negative_scale"),
+    pytest.param("logistic", {"loc": math.nan, "scale": 2.0}, id="nan_loc"),
+    pytest.param("gamma", {"shape": 0.0, "scale": 3.0}, id="zero_shape"),
+    pytest.param("weibull", {"shape": -2.0, "scale": 3.0}, id="negative_shape"),
+    pytest.param("lognormal", {"mu": 2.0, "sigma": math.nan}, id="nan_shape"),
+    pytest.param("exponential", {"scale": 0.0}, id="zero_scale"),
+]
+
+
+@pytest.mark.parametrize("family, params", _INVALID_PARAMS)
 def test_invalid_fitted_parameters_are_skipped_without_warnings(family, params, monkeypatch):
     # Parameters scipy would reject (a shape or scale not above zero, a NaN
     # loc) score as a non-finite likelihood before any arithmetic on them:
@@ -366,6 +372,21 @@ def test_fit_parametric_rejects_an_unknown_family():
         fit_parametric([10.0, 12.0, 15.0], families=("cauchy",))
 
 
+@pytest.mark.parametrize("family, params", _INVALID_PARAMS)
+def test_a_density_at_invalid_parameters_raises(family, params):
+    # Built directly, not by a fit, it is checked as a fit's candidates are:
+    # no density whose every value would be NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError, match="non-finite likelihood"):
+            ParametricDensity(family, params, 10.0, 30)
+
+
+def test_a_density_of_an_unknown_family_raises():
+    with pytest.raises(ValidationError, match="unknown family 'cauchy'"):
+        ParametricDensity("cauchy", {"loc": 10.0, "scale": 2.0}, 10.0, 30)
+
+
 def test_weibull_far_tail_pdf_is_zero_not_nan():
     # A huge shape makes the kernel x**(c-1) * exp(-x**c) meet inf * 0
     # above ~1.015x the scale; the density there is 0. Finite values keep
@@ -378,7 +399,7 @@ def test_weibull_far_tail_pdf_is_zero_not_nan():
         assert d.params["shape"] > 7e4
         pdf = d.pdf(grid)
     with np.errstate(all="ignore"):
-        raw = d.dist.pdf(grid)
+        raw = _FROZEN["weibull"](d.params).pdf(grid)
     lost = np.isnan(raw)
     assert lost.sum() > 100 and np.all(grid[lost] > 1.01 * d.params["scale"])
     assert np.all(pdf[lost] == 0.0)

@@ -1,9 +1,12 @@
-"""scipy.stats and scipy.optimize load on the first parametric fit, never
-for the KDE. The pytest process has imported them already, so each check
-runs in a fresh interpreter."""
+"""No command imports scipy.stats, and scipy.optimize loads on the first
+parametric fit, never for the KDE. The pytest process has imported both
+already, so each run check starts a fresh interpreter; a static check keeps
+the package's sources off scipy.stats and scipy's private kernels."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -51,7 +54,35 @@ def test_kde_commands_never_import_scipy_stats_or_optimize():
         "import": [],
         "critical-cost": [0, []],
         "disclose": [0, []],
-        "fit": [0, ["scipy.stats", "scipy.optimize"]],
+        "fit": [0, ["scipy.optimize"]],
+    }
+
+
+def test_parametric_commands_never_import_scipy_stats(tmp_path):
+    config = tmp_path / "market.json"
+    config.write_text(json.dumps({
+        "builtin": "printer", "estimator": "parametric", "csa_listing_mean": 20.6, "rho": 3,
+        "initial_set_size_n": 6, "trials": 2, "base_seed": 4,
+    }))
+    seen = run_fresh(f"""
+        from pricedisclosure import cli
+
+        seen = {{"import": loaded()}}
+        printer = ["--builtin", "printer"]
+        for name, argv in (
+            ("fit", ["fit", *printer, "--method", "parametric"]),
+            ("critical-cost", ["critical-cost", *printer, "--method", "parametric", "--q", "300", "--n-new", "18"]),
+            ("disclose", ["disclose", *printer, "--method", "minimal", "--rho", "10", "--n-new", "18",
+                          "--estimator", "parametric"]),
+            ("simulate", ["simulate", "--config", {str(config)!r}, "--methods", "minimal,full"]),
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                seen[name] = [cli.main(argv), loaded()]
+        print(json.dumps(seen))
+    """)
+    assert seen == {
+        "import": [],
+        **{name: [0, ["scipy.optimize"]] for name in ("fit", "critical-cost", "disclose", "simulate")},
     }
 
 
@@ -84,7 +115,7 @@ def test_first_parametric_fit_loads_scipy_and_matches_the_next():
         print(json.dumps(seen))
     """)
     assert seen["before"] == []
-    assert seen["after"] == ["scipy.stats", "scipy.optimize"]
+    assert seen["after"] == ["scipy.optimize"]
     assert seen["first"] == seen["second"]
     for fitted in seen["first"]:
         assert [c[0] for c in fitted["candidates"]] == seen["families"]
@@ -92,6 +123,20 @@ def test_first_parametric_fit_loads_scipy_and_matches_the_next():
     assert [c[5] != "" for c in seen["first"][1]["candidates"]] == [f != "exponential" for f in seen["families"]]
 
 
-def test_family_table_is_built_once_in_families_order():
-    assert density._FAMILIES is density._family_table()
-    assert tuple(density._FAMILIES) == density.FAMILIES
+def test_sources_import_no_scipy_stats_and_name_no_private_scipy_kernel():
+    # The families' kernels are the package's own: no module imports
+    # scipy.stats, and none names a private method of scipy's distributions.
+    private = re.compile(r"\._(pdf|cdf|ppf|logpdf|argcheck)\b|_support_mask")
+    sources = sorted((SRC / "pricedisclosure").rglob("*.py"))
+    assert sources
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        assert not private.search(text), path
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module or ""]
+            else:
+                continue
+            assert not any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in modules), (path, node.lineno)
