@@ -36,10 +36,19 @@ scores every family by its logpdf alone. The winner's
 ``ParametricDensity`` standardizes each point once and calls the row's
 kernels on every point; the truncation at zero is the one mask.
 
+``ParametricRows`` fits every family to many samples of mixed sizes at
+once, padded into one matrix, for a bound that needs no scalar fit; it
+flags as deferred each row whose BIC winner it cannot vouch for. Its sums
+are those ``np.add.reduce`` gives each row alone (``_row_sums`` repeats
+numpy's pairwise grouping on all rows at once), so the closed forms and
+the gamma and logistic Newton steps keep the fitters' bits, and weibull
+and gumbel come within brentq's tolerance of them.
+
 The module imports numpy and ``scipy.special`` alone, which is all the KDE
 needs, and never imports ``scipy.stats``. ``scipy.optimize`` (``brentq``,
 for the weibull and gumbel fitters) is first imported by the first
-parametric fit, so a process that only runs the KDE never imports it.
+parametric fit, so a process that only runs the KDE never imports it, and
+neither does ``ParametricRows``.
 """
 
 from __future__ import annotations
@@ -221,6 +230,41 @@ def _mean_std(x: np.ndarray, ddof: int) -> tuple[float, float]:
     mean = np.add.reduce(x) / n
     d = x - mean
     return float(mean), math.sqrt(np.add.reduce(d * d) / (n - ddof))
+
+
+def _row_sums(a: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``np.add.reduce`` of each row of ``a`` (..., rows, k) over its first
+    ``sizes`` entries, bit for bit, whatever lies past them or beside it.
+
+    numpy sums m <= 128 values pairwise: one by one when m < 8; otherwise
+    into 8 accumulators over the first m - m % 8 values, joined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then the rest
+    one by one. Past 128 values it adds the sums of the two halves, the
+    first rounded down to a multiple of 8. Each step here runs on all rows
+    at once, a row with nothing to add in it adding 0."""
+    k = a.shape[-1]
+    split = sizes > 128
+    if split.any():
+        half = sizes // 2 - sizes // 2 % 8
+        shift = np.minimum(np.where(split, half, 0)[:, None] + np.arange(k), k - 1)
+        second = np.take_along_axis(a, np.broadcast_to(shift, a.shape), axis=-1)
+        return _row_sums(a, np.where(split, half, sizes)) + _row_sums(second, np.where(split, sizes - half, 0))
+    paired = np.where(sizes >= 8, sizes - sizes % 8, 0)
+    width = k - k % 8  # no row has more paired values
+    total = np.zeros(a.shape[:-1])
+    if width:
+        lanes = np.where(np.arange(width) < paired[:, None], a[..., :width], 0.0)
+        r = lanes[..., :8]
+        for start in range(8, width, 8):
+            r = r + lanes[..., start : start + 8]
+        r = r[..., 0::2] + r[..., 1::2]
+        r = r[..., 0::2] + r[..., 1::2]
+        total = r[..., 0] + r[..., 1]
+    at = paired[:, None] + np.arange(7)
+    rest = np.where(at < sizes[:, None], a[..., np.arange(sizes.size)[:, None], np.minimum(at, k - 1)], 0.0)
+    for j in range(7):
+        total = total + rest[..., j]
+    return total
 
 
 def silverman_bandwidths(x: np.ndarray) -> np.ndarray:
@@ -748,6 +792,265 @@ def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
         raise FitError("no family could be fit: " + "; ".join(f"{c.family}: {c.reason}" for c in candidates))
     density = ParametricDensity(best.family, best.params, float(x.min()), n)
     return FitReport(tuple(candidates), best.family, density)
+
+
+# The widest brackets the weibull and gumbel fitters solve their profile
+# equations on: a root outside one is a fit the fitter skips.
+_WEIBULL_BRACKET = (1e-2 * 2.0**-20, 1e2 * 2.0**20)
+_GUMBEL_BRACKET = (1e-9, 1.0)
+# A Newton step this small, relative to its root, ends a block solve: the
+# error it leaves is about its square, far below brentq's rtol of 1e-12.
+_ROOT_TOL = 1e-12
+# Two best BICs this close, relative, leave a row's winner to the scalar fit.
+_BIC_TIE = 1e-9
+
+
+def _increasing_root(profile, start: np.ndarray, low: float, high: float, active: np.ndarray):
+    """Each ``active`` row's root of an increasing ``profile(t, rows) ->
+    (value, slope)`` inside (low, high), by Newton steps from ``start``.
+
+    A row is solved once its value is 0 or a Newton step moves it by at
+    most _ROOT_TOL of itself, which puts the root there. Each iterate's sign
+    closes the row's bracket in on the root, and a longer step that would
+    leave the bracket goes to its geometric midpoint instead. The steps
+    toward a root outside (low, high) stay long, so its row is not solved,
+    as the fitter finds no bracket for it. Returns (solved, root)."""
+    t = np.clip(start, low, high)
+    below, above = np.full(t.size, low), np.full(t.size, high)
+    solved = np.zeros(t.size, dtype=bool)
+    rows = np.flatnonzero(active)
+    for _ in range(_MAX_ITER):
+        if rows.size == 0:
+            break
+        at = t[rows]
+        value, slope = profile(at, rows)
+        below[rows] = lo = np.where(value < 0.0, at, below[rows])
+        above[rows] = hi = np.where(value > 0.0, at, above[rows])
+        step = at - value / slope
+        done = (np.abs(step - at) <= _ROOT_TOL * at) | (value == 0.0)
+        kept = done | ((step > lo) & (step < hi))
+        t[rows] = np.where(value == 0.0, at, np.where(kept, step, np.sqrt(lo * hi)))
+        solved[rows[done]] = True
+        rows = rows[~done]
+    return solved, t
+
+
+def _block_gamma(mean: np.ndarray, mean_log: np.ndarray):
+    """``_fit_gamma``'s (solved, shape, loc, scale) per row, step for step: each
+    row's starting shape and logs are taken with ``math``, as the fitter
+    takes them, so the iterates keep its bits."""
+    s = np.log(mean) - mean_log
+    rows = np.flatnonzero(s > 1e-12)
+    k = np.ones(s.size)
+    k[rows] = [(3.0 - v + math.sqrt((v - 3.0) ** 2 + 24.0 * v)) / (12.0 * v) for v in s[rows].tolist()]
+    solved = np.zeros(s.size, dtype=bool)
+    for _ in range(_MAX_ITER):
+        if rows.size == 0:
+            break
+        at = k[rows]
+        log_k = np.array([math.log(v) for v in at.tolist()])
+        f = log_k - special.digamma(at) - s[rows]
+        moved = at - f / (1.0 / at - special.zeta(2.0, at))
+        moved = np.where(moved <= 0, at / 2.0, moved)
+        stepped = np.abs(moved - at) <= _FIT_TOL * (1.0 + at)
+        flat = np.abs(f) <= _GAMMA_RESIDUAL_ULPS * np.spacing(np.abs(log_k))
+        k[rows] = np.where(flat & ~stepped, at, moved)
+        done = stepped | flat
+        solved[rows[done]] = True
+        rows = rows[~done]
+    return solved, k, None, mean / k
+
+
+def _block_weibull(x: np.ndarray, sizes: np.ndarray, spread_log: np.ndarray):
+    """``_fit_weibull``'s (solved, shape, loc, scale) per row, its profile
+    equation solved by :func:`_increasing_root` instead of brentq, from the
+    shape a weibull of log-spread ``spread_log`` has."""
+    top = np.take_along_axis(x, sizes[:, None] - 1, axis=1)
+    xn = x / top
+    log_xn = np.log(xn)
+    mean_log = _row_sums(log_xn, sizes) / sizes
+
+    def profile(c, rows):
+        w = np.exp(c[:, None] * log_xn[rows])
+        wl = w * log_xn[rows]
+        s_w, s_wl, s_wll = _row_sums(np.array([w, wl, wl * log_xn[rows]]), sizes[rows])
+        mean = s_wl / s_w
+        return mean - 1.0 / c - mean_log[rows], s_wll / s_w - mean * mean + 1.0 / (c * c)
+
+    start = math.pi / math.sqrt(6.0) / spread_log
+    solved, c = _increasing_root(profile, start, *_WEIBULL_BRACKET, spread_log > 0)
+    return solved, c, None, (_row_sums(np.exp(c[:, None] * log_xn), sizes) / sizes) ** (1.0 / c) * top[:, 0]
+
+
+def _block_logistic(x: np.ndarray, sizes: np.ndarray, mean: np.ndarray, std: np.ndarray):
+    """``_fit_logistic``'s (solved, shape, loc, scale) per row, step for step."""
+    loc, scale = mean.copy(), std * math.sqrt(3.0) / math.pi
+    solved = np.zeros(scale.size, dtype=bool)
+    rows = np.flatnonzero(scale > 0)
+    for _ in range(_MAX_ITER):
+        if rows.size == 0:
+            break
+        at, s, n = loc[rows], scale[rows], sizes[rows]
+        z = (x[rows] - at[:, None]) / s[:, None]
+        u = np.tanh(0.5 * z)
+        fp = special.expit(z) * special.expit(-z)
+        terms = np.array([u, z * u, fp, z * fp, u + 2.0 * z * fp, z * u + 2.0 * z * z * fp])
+        eq1, s_zu, s_fp, s_zfp, s_21, s_22 = _row_sums(terms, n)
+        eq2 = s_zu - n
+        j11, j12 = -2.0 / s * s_fp, -2.0 / s * s_zfp
+        j21, j22 = -1.0 / s * s_21, -1.0 / s * s_22
+        det = j11 * j22 - j12 * j21
+        d_loc = (-eq1 * j22 + eq2 * j12) / det
+        d_scale = (-j11 * eq2 + j21 * eq1) / det
+        singular = ~((np.abs(det) >= 1e-300) & np.isfinite(d_loc) & np.isfinite(d_scale))
+        halve = ~singular & (s + d_scale <= 0)
+        while halve.any():
+            d_loc, d_scale = np.where(halve, d_loc / 2.0, d_loc), np.where(halve, d_scale / 2.0, d_scale)
+            halve &= s + d_scale <= 0
+        loc[rows] = at + d_loc
+        scale[rows] = s = s + d_scale
+        done = (np.maximum(np.abs(eq1), np.abs(eq2)) <= _FIT_TOL * n) & (
+            np.hypot(d_loc, d_scale) <= _FIT_TOL * (1.0 + s)
+        )
+        solved[rows[done & ~singular]] = True
+        rows = rows[~(done | singular)]
+    return solved, None, loc, scale
+
+
+def _block_gumbel(x: np.ndarray, sizes: np.ndarray, std: np.ndarray):
+    """``_fit_gumbel``'s (solved, shape, loc, scale) per row, its scale equation
+    solved by :func:`_increasing_root` instead of brentq, from the scale a
+    gumbel of standard deviation ``std`` has."""
+    spread = _row_sums(x - x[:, :1], sizes) / sizes
+    u = (x - x[:, :1]) / spread[:, None]
+
+    def profile(b, rows):
+        w = np.exp(-u[rows] / b[:, None])
+        uw = u[rows] * w
+        s_w, s_uw, s_uuw = _row_sums(np.array([w, uw, uw * u[rows]]), sizes[rows])
+        mean = s_uw / s_w
+        return b - 1.0 + mean, 1.0 + (s_uuw / s_w - mean * mean) / (b * b)
+
+    solved, b = _increasing_root(profile, std * math.sqrt(6.0) / math.pi / spread, *_GUMBEL_BRACKET, spread > 0)
+    beta = spread * b
+    w = np.exp(-(x - x[:, :1]) / beta[:, None])
+    return solved, None, x[:, 0] - beta * np.log(_row_sums(w, sizes) / sizes), beta
+
+
+class ParametricRows:
+    """The parametric fits of the rows of ``samples``, a (rows, k) matrix
+    whose row i holds a sample sorted ascending in its first ``sizes[i]``
+    entries (what lies past them is ignored), held as arrays of per-row
+    fields instead of one ``FitReport`` per row.
+
+    Every family is fitted to every row at once: normal, lognormal and
+    exponential in closed form, gamma and logistic by their fitters' own
+    Newton steps, weibull and gumbel by :func:`_increasing_root` on their
+    fitters' equations. Each sum is the one ``np.add.reduce`` gives the row
+    alone (:func:`_row_sums`), so no row's fit depends on the rows beside
+    it. Each row is scored by the family table's logpdf kernels, as
+    :func:`fit_parametric` scores it, and ``family`` is its BIC winner, an
+    index into FAMILIES. Nothing here imports ``scipy.optimize``.
+
+    A row is ``deferred`` where the block cannot vouch for the winner the
+    scalar fit picks: fewer than 2 prices, any family skipped, unsolved or
+    scored a non-finite likelihood, two best BICs within _BIC_TIE of each
+    other, or a winner with no mass above zero. ``effective_low`` and
+    ``cdf`` give the winner's values, with the truncation at zero, on every
+    other row, and 0 on a deferred one."""
+
+    def __init__(self, samples: np.ndarray, sizes: np.ndarray):
+        sizes = np.asarray(sizes)
+        x = np.where(np.arange(samples.shape[1]) < sizes[:, None], samples, samples[:, :1])
+        self.sample_min = x[:, 0]
+        with np.errstate(all="ignore"):
+            fits = self._fit_families(x, sizes)
+            bics, fitted = [], []
+            for name, (solved, shape, loc, scale) in zip(FAMILIES, fits):
+                shapes = () if shape is None else (shape[:, None],)
+                at = 0.0 if loc is None else loc[:, None]
+                logpdf = _FAMILIES[name][3]
+                loglik = _row_sums(logpdf((x - at) / scale[:, None], *shapes) - np.log(scale)[:, None], sizes)
+                valid = (scale > 0) & (loc is None or loc == loc) & (shape is None or shape > 0)
+                fitted.append(solved & valid & np.isfinite(loglik))
+                bics.append((1 + len(shapes) + (loc is not None)) * np.log(sizes) - 2.0 * loglik)
+            bic = np.where(fitted, bics, np.inf)
+            self.family = np.argmin(bic, axis=0)
+            best, second = np.sort(bic, axis=0)[:2]
+            self.deferred = (sizes < 2) | ~np.all(fitted, axis=0) | (
+                second - best <= _BIC_TIE * np.maximum(np.abs(best), np.abs(second))
+            )
+            self._winners(fits)
+
+    @staticmethod
+    def _fit_families(x: np.ndarray, sizes: np.ndarray) -> list[tuple]:
+        """Each family's (solved, shape, loc, scale) per row, in FAMILIES
+        order; shape is None for a family without one, loc None for one
+        whose loc is 0."""
+        logs = np.log(x)
+        mean, mean_log = _row_sums(np.array([x, logs]), sizes) / sizes
+        d, e = x - mean[:, None], logs - mean_log[:, None]
+        std, std_log = np.sqrt(_row_sums(np.array([d * d, e * e]), sizes) / sizes)
+        fits = {
+            "normal": (std > 0, None, mean, std),
+            "lognormal": (std_log > 0, std_log, None, np.exp(mean_log)),
+            "exponential": (np.ones(mean.size, dtype=bool), None, None, mean),
+            "gamma": _block_gamma(mean, mean_log),
+            "weibull": _block_weibull(x, sizes, std_log),
+            "logistic": _block_logistic(x, sizes, mean, std),
+            "gumbel": _block_gumbel(x, sizes, std),
+        }
+        return [fits[name] for name in FAMILIES]
+
+    def _winners(self, fits: list[tuple]) -> None:
+        """Each row's winning (shape, loc, scale) and mass below zero, where
+        none is 0, and ``_groups``: each family's undeferred rows, with its
+        table row and whether it has a shape. A winner with no mass above
+        zero defers its row, as ``ParametricDensity`` refuses it."""
+        count = self.family.size
+        self.shape, self.loc, self.scale, self._below_zero = (np.zeros(count) for _ in range(4))
+        groups = []
+        for index, (name, (_, shape, loc, scale)) in enumerate(zip(FAMILIES, fits)):
+            rows = np.flatnonzero((self.family == index) & ~self.deferred)
+            self.shape[rows] = 0.0 if shape is None else shape[rows]
+            self.loc[rows] = 0.0 if loc is None else loc[rows]
+            self.scale[rows] = scale[rows]
+            group = (rows, _FAMILIES[name], shape is not None)
+            shapes, at, width = self._standard(group)
+            below = group[1][5]((0.0 - at) / width, *shapes)
+            self._below_zero[rows] = np.where(group[1][2] * width + at >= 0.0, 0.0, below)[:, 0]
+            groups.append(group)
+        self.deferred |= ~(self._below_zero < 1.0 - 1e-300)
+        self._mass_above_zero = 1.0 - self._below_zero
+        self._groups = [(rows[~self.deferred[rows]], *rest) for rows, *rest in groups]
+
+    def _standard(self, group: tuple) -> tuple:
+        """The shapes, loc and scale of a group's rows, each as a column."""
+        rows, _, shaped = group
+        return (self.shape[rows, None],) if shaped else (), self.loc[rows, None], self.scale[rows, None]
+
+    @property
+    def effective_low(self) -> np.ndarray:
+        """Per row, as ``ParametricDensity.effective_low``: the winner's
+        TAIL_MASS quantile, or 0 where that is lower."""
+        low = np.zeros(self.family.size)
+        with np.errstate(all="ignore"):
+            for group in self._groups:
+                shapes, at, width = self._standard(group)
+                level = np.full((group[0].size, 1), TAIL_MASS)
+                low[group[0]] = (group[1][6](level, *shapes) * width + at)[:, 0]
+        return np.where(low > 0.0, low, 0.0)
+
+    def cdf(self, y: np.ndarray) -> np.ndarray:
+        """The truncated cdf of each row's winner at that row of ``y`` (rows, m)."""
+        out = np.zeros(y.shape)
+        with np.errstate(all="ignore"):
+            for group in self._groups:
+                rows = group[0]
+                shapes, at, width = self._standard(group)
+                raw = group[1][5]((y[rows] - at) / width, *shapes)
+                out[rows] = (raw - self._below_zero[rows, None]) / self._mass_above_zero[rows, None]
+        return _above_zero(y, np.minimum(np.maximum(out, 0.0), 1.0))
 
 
 def _check_estimator(estimator: str) -> None:

@@ -15,39 +15,40 @@ them all:
 
 A candidate is a boolean row over the prices in ascending order (ties by
 position), so column 0 is the minimum. Rows come in blocks of at most
-``MASK_BLOCK_BYTES`` mask bytes, so memory stays bounded however many
-candidates a method has. Every method keeps the first strict minimum in
-its candidate order, which is the last entry of its trace of
-improvements.
+``MASK_BLOCK_BYTES`` mask bytes, filled across candidate sizes, so memory
+stays bounded however many candidates a method has. Every method keeps the
+first strict minimum in its candidate order, which is the last entry of
+its trace of improvements.
 
 Every evaluation goes through ``evaluate_block``, which looks up each row
 of cents, in order, in a cache keyed by the sorted cents; a block's
 repeated rows are folded before they reach it. ``_select`` passes the best
 cost so far as a threshold, and ``evaluate_block`` first screens each row
-by ``critical_cost_lower_bound``: a row whose bound is above the threshold,
-plus a margin no smaller than the quadrature's tolerance, or any row once
-the threshold is 0, cannot cost less, so it is not integrated, looked up
-or counted as a cache miss, and it can be neither a trace entry nor the
-winner. It still counts as
-evaluated in ``subsets_evaluated``. Pooled sets and ``evaluate_subset``
-pass no threshold and are never screened.
-
-The KDE screen needs no fit: ``search.kde_lower_bounds`` bounds all of a
-block's rows in one array pass per row size, from each row's bandwidth
-and mass below zero, before the loop over rows. So a KDE row is fitted
-only when it is integrated, and its bound is not cached; it is recomputed
-when a later block meets the row again. The parametric screen has to pick
-the BIC family first, so it bounds a row from its fit when the loop
-reaches it, hands that fit to the row's evaluation, and caches the bound.
+by its ``critical_cost_lower_bound``: a row whose bound is above the
+threshold, plus a margin no smaller than the quadrature's tolerance, or any
+row once the threshold is 0, cannot cost less, so it is not integrated,
+looked up or counted as a cache miss, and it can be neither a trace entry
+nor the winner. It still counts as evaluated in ``subsets_evaluated``. A
+block's rows are bounded together, once the screen meets the first of
+them, by array passes with no scalar fit: ``search.kde_lower_bounds`` per
+row size, from each row's bandwidth and mass below zero, or
+``search.parametric_lower_bounds`` over all rows at once, from one block
+fit of the seven families. So a row is fitted only when it is integrated,
+and no bound is cached: a later block that meets the row again bounds it
+again. The one exception is a parametric row the block fit defers (see
+``density.ParametricRows``): the loop bounds it from its scalar fit when it
+reaches it, and hands that fit to its evaluation. Pooled sets and
+``evaluate_subset`` pass no threshold and are never screened.
 
 A failing candidate aborts the whole run: its error is re-raised, as the
 same type, naming the method and the candidate's size and prices; a
 ``NumericalError`` keeps its error estimate. Skipping it could return a
 subset that is not the method's answer. A screened candidate is not
 integrated, so an integral that would fail on it does not abort the run:
-the bound proves it could not have been the answer. Nor is a screened KDE
-candidate fitted; a parametric fit that fails aborts whether or not the
-row would have been screened, since its screen needs the fit.
+the bound proves it could not have been the answer. Nor is a screened
+candidate fitted, except a deferred one: its scalar fit gives its bound,
+so a fit that fails aborts whether or not the row would have been
+screened.
 
 Results are deterministic: the randomized strategy derives iteration i's
 draws from (seed, i) via a counter-based generator, so any budget's run is
@@ -69,7 +70,14 @@ import numpy as np
 from .data import PriceList, format_cents
 from .density import _check_estimator, fit_estimator
 from .errors import InfeasibleError, NumericalError, PriceDisclosureError, ValidationError
-from .search import CriticalCost, _check_n, critical_cost, critical_cost_lower_bound, kde_lower_bounds
+from .search import (
+    CriticalCost,
+    _check_n,
+    critical_cost,
+    critical_cost_lower_bound,
+    kde_lower_bounds,
+    parametric_lower_bounds,
+)
 
 BRUTE_FORCE_GUARD = 5_000_000
 
@@ -119,9 +127,9 @@ class DisclosureResult:
     trace_subsets: tuple[PriceList, ...] = ()
 
 
-# The fit of the last row screened or evaluated: a row that passes the
-# parametric screen is evaluated next, from the same fit. The KDE screen
-# fits nothing, so a KDE row is fitted here once, by its evaluation.
+# The fit of the last row bounded or evaluated: a deferred row that passes
+# the screen is evaluated next, from the same fit. Every other row is fitted
+# here once, by its evaluation.
 @functools.lru_cache(maxsize=1)
 def _fit_cents(cents: tuple[int, ...], estimator: str):
     return fit_estimator(np.asarray(cents, dtype=float) / 100.0, estimator)
@@ -132,24 +140,33 @@ def _evaluate_cents(cents: tuple[int, ...], n_new: int, estimator: str) -> Criti
     return critical_cost(_fit_cents(cents, estimator), min(cents) / 100.0, n_new)
 
 
-# Parametric bounds are memoized like costs, so a screened candidate met
-# again (Monte Carlo repeats across blocks, prefix runs, deadline pilots)
-# costs a lookup, not a seven-family fit.
-@functools.lru_cache(maxsize=_CACHE_SIZE)
-def _lower_bound_cents(cents: tuple[int, ...], n_new: int, estimator: str) -> float:
-    return critical_cost_lower_bound(_fit_cents(cents, estimator), min(cents) / 100.0, n_new)
+def _lower_bounds(keys: list[tuple[int, ...]], n_new: int, estimator: str) -> list[float]:
+    """The screen's lower bound of every row of sorted cents, with no scalar
+    fit: ``kde_lower_bounds`` in one array pass per row size, or
+    ``parametric_lower_bounds`` in one pass over the rows padded to the
+    longest. NaN for a deferred parametric row, which ``_deferred_bound``
+    bounds when the screen reaches it."""
+    if estimator == "kde":
+        by_size = {}
+        for i, key in enumerate(keys):
+            by_size.setdefault(len(key), []).append(i)
+        bounds = np.empty(len(keys))
+        for at in by_size.values():
+            bounds[at] = kde_lower_bounds(np.array([keys[i] for i in at], dtype=float) / 100.0, n_new)
+        return bounds.tolist()
+    sizes = np.array([len(key) for key in keys])
+    padded = np.zeros((len(keys), sizes.max()))
+    padded[np.arange(sizes.max()) < sizes[:, None]] = np.fromiter(itertools.chain.from_iterable(keys), float)
+    return parametric_lower_bounds(padded / 100.0, sizes, n_new).tolist()
 
 
-def _kde_lower_bounds(keys: list[tuple[int, ...]], n_new: int) -> list[float]:
-    """``kde_lower_bounds`` of every row of sorted cents, one array pass per
-    row size, with no fit."""
-    by_size = {}
-    for i, key in enumerate(keys):
-        by_size.setdefault(len(key), []).append(i)
-    bounds = np.empty(len(keys))
-    for at in by_size.values():
-        bounds[at] = kde_lower_bounds(np.array([keys[i] for i in at], dtype=float) / 100.0, n_new)
-    return bounds.tolist()
+def _deferred_bound(bound: float, key: tuple[int, ...], n_new: int, estimator: str) -> float:
+    """``bound``, or for a row the block fit deferred (NaN), the bound of
+    its scalar fit, which ``_fit_cents`` keeps for its evaluation. A fit
+    that fails raises here, as its evaluation would."""
+    if not math.isnan(bound):
+        return bound
+    return critical_cost_lower_bound(_fit_cents(key, estimator), key[0] / 100.0, n_new)
 
 
 def _screen_limit(threshold: float) -> float:
@@ -160,7 +177,6 @@ def _screen_limit(threshold: float) -> float:
 
 def clear_evaluation_cache() -> None:
     _evaluate_cents.cache_clear()
-    _lower_bound_cents.cache_clear()
     _fit_cents.cache_clear()
 
 
@@ -174,23 +190,25 @@ def evaluate_block(rows, n_new: int, estimator: str, what: str,
     ``critical_cost_lower_bound`` is above ``_screen_limit(threshold)``, or
     the threshold is 0, it cannot cost less than the threshold, so it is not
     evaluated and its entry is None. The threshold falls to every evaluated
-    row's cost. Without one, every row is evaluated. Under the KDE every
-    row's bound comes from one ``_kde_lower_bounds`` call before the first
-    row; a block that meets a threshold of 0 computes no bound."""
+    row's cost. Without one, every row is evaluated. The bounds come from
+    one ``_lower_bounds`` call, for the first row the screen meets with a
+    finite threshold above 0 and every row after it, and a deferred row's
+    from ``_deferred_bound`` when the screen reaches it. A block whose first
+    row sets the only threshold it meets, such as Monte Carlo's incumbent,
+    or that meets a threshold of 0, computes no bound."""
     n_new = _check_n(n_new)
     _check_estimator(estimator)
     keys = [tuple(sorted(row)) for row in rows]
-    screened = threshold is not None and threshold > 0.0
-    bounds = _kde_lower_bounds(keys, n_new) if screened and estimator == "kde" else None
     limit = math.inf if threshold is None else threshold
+    bounds, first = None, 0
     costs = []
     for i, key in enumerate(keys):
+        if bounds is None and 0.0 < limit < math.inf:
+            bounds, first = _lower_bounds(keys[i:], n_new, estimator), i
         try:
             # No cost is below 0, so nothing beats a threshold of 0.
             if limit < math.inf and (
-                limit <= 0.0
-                or _screen_limit(limit)
-                < (bounds[i] if bounds is not None else _lower_bound_cents(key, n_new, estimator))
+                limit <= 0.0 or _screen_limit(limit) < _deferred_bound(bounds[i - first], key, n_new, estimator)
             ):
                 costs.append(None)
                 continue
@@ -218,9 +236,15 @@ def _block_costs(what: str, cents: np.ndarray, n_new: int, estimator: str, block
     once, in order of first appearance: Monte Carlo on a short list draws
     almost nothing but repeats."""
     packed = np.packbits(block, axis=1)
-    # One opaque item per packed row: np.unique(axis=0) gives the same
-    # answer at several times the fixed cost per block.
-    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    # One item per packed row: np.unique(axis=0) gives the same answer at
+    # several times the fixed cost per block. A row of at most 8 bytes is
+    # one uint64, whose sort is cheaper than that of an opaque item.
+    if packed.shape[1] <= 8:
+        words = np.zeros((len(packed), 8), dtype=np.uint8)
+        words[:, : packed.shape[1]] = packed
+        rows = words.view(np.uint64).ravel()
+    else:
+        rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     appearance = np.argsort(first)
     costs = np.empty(first.size, dtype=object)
@@ -271,6 +295,20 @@ def _row_ranges(count: int, n: int):
     return ((lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
+def _filled(pieces, n: int):
+    """The rows of ``pieces``, masks over n columns each within
+    MASK_BLOCK_BYTES, in order, in blocks filled to MASK_BLOCK_BYTES."""
+    step = max(1, MASK_BLOCK_BYTES // n)
+    held = np.empty((0, n), dtype=bool)
+    for piece in pieces:
+        held = np.concatenate([held, piece])
+        while len(held) >= step:
+            yield held[:step]
+            held = held[step:]
+    if len(held):
+        yield held
+
+
 def _picked_rows(n: int, picked: np.ndarray) -> np.ndarray:
     """Column 0 joined with the columns listed in each row of ``picked``."""
     block = np.zeros((len(picked), n), dtype=bool)
@@ -286,18 +324,25 @@ def full_disclose(prices: PriceList, n_new: int, estimator: str = "kde") -> Disc
 
 def _interval_rows(n: int, rho: int, cap: int):
     """Column 0 with each contiguous run of the other columns, smallest
-    size first; the full set is the single largest run."""
-    for k in range(rho, cap + 1):
-        for lo, hi in _row_ranges(n - k + 1, n):
-            yield _picked_rows(n, np.arange(lo + 1, hi + 1)[:, None] + np.arange(k - 1))
+    size first, in blocks filled across sizes; the full set is the single
+    largest run."""
+    return _filled((
+        _picked_rows(n, np.arange(lo + 1, hi + 1)[:, None] + np.arange(k - 1))
+        for k in range(rho, cap + 1)
+        for lo, hi in _row_ranges(n - k + 1, n)
+    ), n)
 
 
 def _brute_rows(n: int, sizes):
-    """Every combination of the columns after 0, one size after another."""
-    for k in sizes:
-        combos = itertools.combinations(range(1, n), k - 1)
-        for lo, hi in _row_ranges(math.comb(n - 1, k - 1), n):
-            yield _picked_rows(n, np.array(list(itertools.islice(combos, hi - lo)), dtype=np.intp))
+    """Every combination of the columns after 0, one size after another,
+    in blocks filled across sizes."""
+    def pieces():
+        for k in sizes:
+            combos = itertools.combinations(range(1, n), k - 1)
+            for lo, hi in _row_ranges(math.comb(n - 1, k - 1), n):
+                yield _picked_rows(n, np.array(list(itertools.islice(combos, hi - lo)), dtype=np.intp))
+
+    return _filled(pieces(), n)
 
 
 def brute_force_disclose(

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from .data import PriceList
-from .density import KDE_BLOCK_DOUBLES, TAIL_SIGMAS, Density, KernelRows, pointwise
+from .density import KDE_BLOCK_DOUBLES, TAIL_SIGMAS, Density, KernelRows, ParametricRows, pointwise
 from .errors import NumericalError, ValidationError
 from .quadrature import adaptive_gauss_kronrod
 
@@ -195,8 +195,9 @@ def critical_cost_lower_bound(density: Density, q: float, n_new: int) -> float:
     Riemann sum, sum (e[i+1] - e[i]) g(e[i]), is at most its integral in
     exact arithmetic (Davis & Rabinowitz 1984). The edges are
     :func:`screen_edges` for a density with a feature scale, else
-    SCREEN_PANELS even panels. :func:`kde_lower_bounds` gives the same bound
-    for many KDEs at once, without fitting them.
+    SCREEN_PANELS even panels. :func:`kde_lower_bounds` and
+    :func:`parametric_lower_bounds` give the same bound for many rows at
+    once, without a scalar fit.
     """
     n = _check_n(n_new)
     q = _check_q(density, q)
@@ -233,6 +234,32 @@ def kde_lower_bounds(samples: np.ndarray, n_new: int) -> np.ndarray:
         q = kde.sample_min[:, None]
         edges = screen_edges(kde.effective_low[:, None], q, kde.bandwidth[:, None])
         bounds[lo : lo + step] = _left_riemann_sum(edges, _log_sf(kde, edges[:, :-1]), n)
+    return bounds
+
+
+def parametric_lower_bounds(samples: np.ndarray, sizes: np.ndarray, n_new: int) -> np.ndarray:
+    """:func:`critical_cost_lower_bound` of the BIC-best parametric fit of
+    each row of ``samples`` (rows, k), sorted ascending in its first
+    ``sizes`` entries, at q its minimum, with no scalar fit: the rows are
+    fitted at once as :class:`ParametricRows`. NaN where a row is deferred.
+
+    A fit has no feature scale, so the edges are SCREEN_PANELS even panels
+    from its ``effective_low`` to q, the ones the scalar bound cuts, and the
+    bound is 0 where q is at or below ``effective_low``. Rows are taken in
+    chunks of at most ``KDE_BLOCK_DOUBLES`` sample doubles, at least one
+    row each; every step is per row, so a row's bound does not depend on
+    the rows beside it.
+    """
+    n = _check_n(n_new)
+    bounds = np.empty(len(samples))
+    step = max(1, KDE_BLOCK_DOUBLES // samples.shape[1])
+    for lo in range(0, len(samples), step):
+        fits = ParametricRows(samples[lo : lo + step], sizes[lo : lo + step])
+        low, q = fits.effective_low[:, None], fits.sample_min[:, None]
+        edges = np.arange(SCREEN_PANELS + 1.0) * ((q - low) / SCREEN_PANELS) + low
+        edges[:, -1] = q[:, 0]
+        sums = _left_riemann_sum(edges, _log_sf(fits, edges[:, :-1]), n)
+        bounds[lo : lo + step] = np.where(fits.deferred, np.nan, np.where(q[:, 0] > low[:, 0], sums, 0.0))
     return bounds
 
 

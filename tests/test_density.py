@@ -14,6 +14,8 @@ from pricedisclosure.density import (
     _FIT_TOL,
     _GAMMA_RESIDUAL_ULPS,
     _MAX_ITER,
+    _increasing_root,
+    _row_sums,
     FAMILIES,
     KDE_BLOCK_DOUBLES,
     TAIL_MASS,
@@ -21,6 +23,7 @@ from pricedisclosure.density import (
     KernelDensity,
     KernelRows,
     ParametricDensity,
+    ParametricRows,
     UniformDensity,
     equal_mass_prices,
     fit_estimator,
@@ -592,6 +595,82 @@ def test_fitters_equal_the_numpy_wrapper_reference_bitwise():
                 _hex_row(c.family, c.params, c.loglik, c.bic, c.skipped, c.reason) for c in report.candidates
             ]
             assert got == _reference_candidates(scaled), scaled
+
+
+def test_row_sums_equal_one_row_reduce_bitwise():
+    # numpy groups a pairwise sum differently from 8 values on and splits it
+    # past 128: every size to 300, each beside rows of other sizes, with NaN
+    # past each row's end and a leading axis.
+    rng = np.random.default_rng(31)
+    sizes = np.concatenate([np.arange(1, 301), rng.integers(1, 301, 60)])
+    a = rng.lognormal(0.0, 3.0, (2, sizes.size, 300)) * rng.choice([-1.0, 1.0], (2, sizes.size, 300))
+    a[:, np.arange(300) >= sizes[:, None]] = np.nan
+    sums = _row_sums(a, sizes)
+    for j in range(2):
+        for i, k in enumerate(sizes):
+            assert sums[j, i] == np.add.reduce(a[j, i, :k]), (j, k)
+
+
+def test_increasing_root_solves_only_roots_inside_its_bracket():
+    # Newton steps on t - root over (0.01, 1): a root outside, even just
+    # outside, is not solved, though its iterates end at the near end; a
+    # root inside is, also next to an end.
+    roots = np.array([0.5, 0.02, 5.0, 1e-4, 1.0 + 1e-9, 1.0 - 1e-9])
+    start = np.array([0.3, 0.3, 0.3, 0.3, 0.3, 1.0])
+    solved, t = _increasing_root(lambda t, rows: (t - roots[rows], np.ones(rows.size)),
+                                 start, 1e-2, 1.0, np.ones(roots.size, dtype=bool))
+    assert solved.tolist() == [True, True, False, False, False, True]
+    assert np.allclose(t[solved], roots[solved], rtol=1e-15, atol=0.0)
+    assert t[[2, 3, 4]] == pytest.approx([1.0, 1e-2, 1.0], rel=1e-12)
+
+
+def _block_lists():
+    """Price lists for the block fit: the bundled lists (one of 133 prices,
+    past numpy's 128-value sum), the edge lists, and seeded draws of 2-40
+    prices from each bundled list and from tie-heavy lists of 2-5 distinct
+    prices within $3, each sorted, at x1, x1e-2 and x1e3."""
+    rng = np.random.default_rng(29)
+    bundled = [builtin_dataset(name).values() for name in ("printer", "mouse", "monitor", "camera")]
+    lists = bundled + list(_EDGE_LISTS.values())
+    for values in bundled:
+        lists += [rng.choice(values, size=int(rng.integers(2, 41)), replace=False) for _ in range(8)]
+    for _ in range(16):
+        distinct = np.round(rng.uniform(20.0, 600.0) + rng.uniform(0.0, 3.0, rng.integers(2, 6)), 2)
+        lists.append(rng.choice(distinct, size=int(rng.integers(2, 41))))
+    return [np.sort(x) * scale for x in lists for scale in (1.0, 1e-2, 1e3)]
+
+
+def test_block_fit_agrees_with_fit_parametric_row_by_row():
+    # ParametricRows fits every row of one padded block at once. A row it
+    # does not defer has fit_parametric's BIC family and standard
+    # parameters within 1e-12 relative: the closed forms, gamma and
+    # logistic take the fitters' own steps, weibull and gumbel Newton steps
+    # where the fitters run brentq to 1e-12. Every field a row has is the
+    # one it has alone, whatever the rows beside it or past its end (NaN).
+    lists = _block_lists() + [np.array([12.5])]
+    sizes = np.array([x.size for x in lists])
+    samples = np.full((len(lists), sizes.max()), np.nan)
+    for i, x in enumerate(lists):
+        samples[i, : x.size] = x
+    block = ParametricRows(samples, sizes)
+    low = block.effective_low
+
+    def fields(rows, at, low):
+        return rows.deferred[at], rows.family[at], rows.shape[at], rows.loc[at], rows.scale[at], low[at]
+
+    for i, x in enumerate(lists):
+        alone = ParametricRows(x[None], sizes[i : i + 1])
+        assert fields(alone, 0, alone.effective_low) == fields(block, i, low), x
+        if block.deferred[i]:
+            continue
+        report = fit_parametric(x)
+        assert FAMILIES[block.family[i]] == report.best_family, x
+        density = report.density
+        expected = (density._shapes[0][0] if density._shapes else 0.0, density._loc, density._scale)
+        for got, want in zip((block.shape[i], block.loc[i], block.scale[i]), expected):
+            assert abs(got - want) <= 1e-12 * abs(want), (x, report.best_family, got, want)
+    assert block.deferred[-1]  # one price: fit_parametric refuses it
+    assert block.deferred.sum() <= 0.05 * len(lists)
 
 
 def test_single_family_is_always_chosen():

@@ -536,8 +536,8 @@ def stub_bound(cents, n_new, estimator):
 
 
 def stub_bounds(bound):
-    """A stand-in for ``_kde_lower_bounds`` that bounds each row by ``bound``."""
-    return lambda keys, n_new: [bound(key, n_new, "kde") for key in keys]
+    """A stand-in for ``_lower_bounds`` that bounds each row by ``bound``."""
+    return lambda keys, n_new, estimator: [bound(key, n_new, estimator) for key in keys]
 
 
 @pytest.mark.parametrize("block_bytes", [None, 1, 30])
@@ -551,7 +551,7 @@ def test_pipeline_with_a_stub_screen_matches_reference_enumeration(monkeypatch, 
         return stub_cost(cents, n_new, estimator)
 
     monkeypatch.setattr(disclosure, "_evaluate_cents", evaluate)
-    monkeypatch.setattr(disclosure, "_kde_lower_bounds", stub_bounds(stub_bound))
+    monkeypatch.setattr(disclosure, "_lower_bounds", stub_bounds(stub_bound))
     if block_bytes is not None:
         monkeypatch.setattr(disclosure, "MASK_BLOCK_BYTES", block_bytes)
     prices = stub_prices(n, seed)
@@ -575,10 +575,10 @@ def test_pipeline_with_a_stub_screen_matches_reference_enumeration(monkeypatch, 
         assert result.critical_cost.value == trace[-1][1], method
         # The screen drops candidates that a bound of 0 lets through.
         counts[0] += len(evaluated)
-        monkeypatch.setattr(disclosure, "_kde_lower_bounds", stub_bounds(lambda cents, n_new, estimator: 0.0))
+        monkeypatch.setattr(disclosure, "_lower_bounds", stub_bounds(lambda cents, n_new, estimator: 0.0))
         evaluated.clear()
         assert disclose(prices, method, constraints, 5, budget=budget, seed=seed).trace == trace
-        monkeypatch.setattr(disclosure, "_kde_lower_bounds", stub_bounds(stub_bound))
+        monkeypatch.setattr(disclosure, "_lower_bounds", stub_bounds(stub_bound))
         counts[1] += len(evaluated)
     assert counts[0] <= counts[1]
 
@@ -601,7 +601,7 @@ def test_screened_candidate_that_would_fail_does_not_abort(monkeypatch):
     # The bound proves that the failing candidate cannot improve: it is not
     # integrated, and the answer is the one it would give at any cost above
     # its bound.
-    monkeypatch.setattr(disclosure, "_kde_lower_bounds",
+    monkeypatch.setattr(disclosure, "_lower_bounds",
                         stub_bounds(lambda cents, n_new, estimator: 9.0 if cents == bad else 0.0))
     for method in ("interval", "brute_force"):
         monkeypatch.setattr(disclosure, "_evaluate_cents", dear)
@@ -610,7 +610,7 @@ def test_screened_candidate_that_would_fail_does_not_abort(monkeypatch):
         result = disclose(prices, method, RHO3, 4)
         assert (result.subset, result.trace) == (expected.subset, expected.trace), method
     # Unscreened, it still aborts the run and is named.
-    monkeypatch.setattr(disclosure, "_kde_lower_bounds", stub_bounds(lambda cents, n_new, estimator: 0.0))
+    monkeypatch.setattr(disclosure, "_lower_bounds", stub_bounds(lambda cents, n_new, estimator: 0.0))
     for method in ("interval", "brute_force"):
         with pytest.raises(NumericalError) as info:
             disclose(prices, method, RHO3, 4)
@@ -618,20 +618,33 @@ def test_screened_candidate_that_would_fail_does_not_abort(monkeypatch):
         assert info.value.error_estimate == 0.25
 
 
-def test_a_kde_selection_fits_only_the_rows_it_integrates(monkeypatch):
-    # The KDE screen bounds a row without fitting it, so across selections
-    # that share the cache, a row screened out in one selection and let
-    # through in a later one is fitted once, when it is integrated.
-    fitted, integrated, screened = [], [], set()
-    fit, cost, block = disclosure.fit_estimator, disclosure.critical_cost, disclosure.evaluate_block
+@pytest.mark.parametrize("estimator", ["kde", "parametric"])
+def test_a_selection_fits_only_the_rows_it_integrates_or_defers(monkeypatch, estimator):
+    # The screen bounds a row with no scalar fit, so across selections that
+    # share the cache, a row screened out in one selection and let through
+    # in a later one is fitted once, when it is integrated. The exception
+    # is a parametric row the block fit defers: its scalar fit gives its
+    # bound, and its integral right after reuses that fit. Three equal
+    # cheapest prices make deferred rows: no family but the exponential
+    # fits a row of three equal prices.
+    events, row_of = [], {}
+    fit, cost, bound, block = (disclosure.fit_estimator, disclosure.critical_cost,
+                               disclosure.critical_cost_lower_bound, disclosure.evaluate_block)
+    screened = set()
 
     def counted_fit(values, estimator):
-        fitted.append(tuple(values))
-        return fit(values, estimator)
+        density = fit(values, estimator)
+        row_of[density] = tuple(values)
+        events.append(("fit", row_of[density]))
+        return density
 
     def counted_cost(density, q, n_new):
-        integrated.append(tuple(density.sample))
+        events.append(("cost", row_of[density]))
         return cost(density, q, n_new)
+
+    def counted_bound(density, q, n_new):
+        events.append(("bound", row_of[density]))
+        return bound(density, q, n_new)
 
     def counted_block(rows, n_new, estimator, what, threshold=None):
         rows = list(rows)
@@ -641,18 +654,28 @@ def test_a_kde_selection_fits_only_the_rows_it_integrates(monkeypatch):
 
     monkeypatch.setattr(disclosure, "fit_estimator", counted_fit)
     monkeypatch.setattr(disclosure, "critical_cost", counted_cost)
+    monkeypatch.setattr(disclosure, "critical_cost_lower_bound", counted_bound)
     monkeypatch.setattr(disclosure, "evaluate_block", counted_block)
-    prices = seeded_prices(10, seed=3)
+    cents = np.sort(seeded_prices(10, seed=3).cents_array())
+    prices = make_prices([int(c) for c in np.concatenate([cents[:1].repeat(3), cents[3:]])])
     clear_evaluation_cache()
     considered, screened_before, readmitted = 0, set(), set()
     for method in ("brute_force", "minimal", "interval", "monte_carlo"):
         screened_before |= screened
-        start = len(integrated)
-        considered += disclose(prices, method, RHO3, 5, budget=60, seed=2).subsets_evaluated
+        start = len(events)
+        considered += disclose(prices, method, RHO3, 5, estimator, budget=60, seed=2).subsets_evaluated
         # Screened earlier, integrated now, and fitted only now.
-        readmitted |= screened_before & set(integrated[start:])
-    assert fitted == integrated and len(set(integrated)) == len(integrated) < considered
+        readmitted |= screened_before & {row for kind, row in events[start:] if kind == "cost"}
+    uses = [event for event in events if event[0] != "fit"]
+    reused = [j > 0 and kind == "cost" and uses[j - 1] == ("bound", row) for j, (kind, row) in enumerate(uses)]
+    expected = [row for (kind, row), again in zip(uses, reused) if not again]
+    integrated = [row for kind, row in uses if kind == "cost"]
+    assert [row for kind, row in events if kind == "fit"] == expected
+    assert len(set(integrated)) == len(integrated) < considered
     assert readmitted
+    deferred = {row for kind, row in uses if kind == "bound"}
+    assert (len(deferred) > 0) == (estimator == "parametric")
+    assert all(row[0] == row[-1] for row in deferred)
 
 
 def test_evaluate_block_without_a_threshold_evaluates_every_row():
@@ -701,10 +724,12 @@ def test_lower_bound_never_exceeds_the_cost_beyond_the_screen_margin():
             candidates = reference_candidates(listed, method, min(10, n - 1), n, budget=40, seed=1)
             for j in rng.choice(len(candidates), size=min(10, len(candidates)), replace=False):
                 keys.add(tuple(sorted(listed.entries[i].cents for i in candidates[j])))
-    # The KDE's bounds also come as the screen takes them: every key in one
-    # block, with no fit.
+    # The bounds also come as the screen takes them: every key in one block,
+    # with no scalar fit, and a parametric row the block fit defers (NaN)
+    # bounded by its scalar fit, which the first bound covers.
     keys = sorted(keys)
-    block = {n_new: disclosure._kde_lower_bounds(keys, n_new) for n_new in (1, 18, 1000)}
+    block = {(estimator, n_new): disclosure._lower_bounds(keys, n_new, estimator)
+             for estimator in ("kde", "parametric") for n_new in (1, 18, 1000)}
     checked = failed = 0
     for i, key in enumerate(keys):
         values = np.array(key, dtype=float) / 100.0
@@ -717,7 +742,7 @@ def test_lower_bound_never_exceeds_the_cost_beyond_the_screen_margin():
                     failed += 1
                     continue
                 bounds = [critical_cost_lower_bound(density, values[0], n_new)]
-                bounds += [block[n_new][i]] if estimator == "kde" else []
+                bounds += [block[estimator, n_new][i]] if not math.isnan(block[estimator, n_new][i]) else []
                 for bound in bounds:
                     assert 0.0 <= bound <= disclosure._screen_limit(value), (key, estimator, n_new, bound, value)
                 checked += 1

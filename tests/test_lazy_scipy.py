@@ -86,6 +86,26 @@ def test_parametric_commands_never_import_scipy_stats(tmp_path):
     }
 
 
+def test_block_fit_and_bound_never_import_scipy_optimize():
+    # The screen's block fit solves its own equations: a block of
+    # parametric rows is fitted and bounded with scipy.optimize unloaded,
+    # so no row reaches the scalar fitters and their brentq.
+    seen = run_fresh("""
+        import numpy as np
+        from pricedisclosure.density import ParametricRows
+        from pricedisclosure.search import parametric_lower_bounds
+
+        rng = np.random.default_rng(3)
+        sizes = rng.integers(2, 31, 40)
+        samples = np.sort(rng.lognormal(5.0, 0.3, (40, 30)), axis=1)
+        deferred = ParametricRows(samples, sizes).deferred
+        bounds = parametric_lower_bounds(samples, sizes, 18)
+        print(json.dumps({"loaded": loaded(), "deferred": int(deferred.sum()),
+                          "bounded": int(np.isfinite(bounds).sum())}))
+    """)
+    assert seen == {"loaded": [], "deferred": 0, "bounded": 40}
+
+
 def test_first_parametric_fit_loads_scipy_and_matches_the_next():
     seen = run_fresh("""
         import numpy as np

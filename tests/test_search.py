@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from pricedisclosure.data import BUILTIN_MANIFESTS, PriceEntry, PriceList, builtin_dataset
-from pricedisclosure.density import TAIL_SIGMAS, UniformDensity, fit_estimator, fit_kde
+from pricedisclosure.density import TAIL_SIGMAS, ParametricRows, UniformDensity, fit_estimator, fit_kde, fit_parametric
 from pricedisclosure.errors import NumericalError, ValidationError
 from pricedisclosure import search
 from pricedisclosure.quadrature import adaptive_gauss_kronrod
@@ -27,6 +27,7 @@ from pricedisclosure.search import (
     min_order_cdf,
     min_order_pdf,
     minimal_subset_count,
+    parametric_lower_bounds,
     starting_panels,
     subset_count,
     tail_edges,
@@ -444,6 +445,40 @@ def test_block_bounds_match_the_fitted_bound_alone_or_in_any_block(monkeypatch):
     assert edges.shape == (1, 17) and np.all(edges == 0.1)
     with pytest.raises(ValidationError):
         kde_lower_bounds(rows, 0)
+
+
+def test_parametric_block_bounds_match_the_fitted_bound_alone_or_in_any_block(monkeypatch):
+    # parametric_lower_bounds fits no row alone: a row the block fit does
+    # not defer has the bound of fit_parametric's density to within 1e-9
+    # relative, a deferred row NaN, and a row's bits do not depend on the
+    # rows beside it, their order or the chunking. Sizes are mixed in one
+    # padded block, as a Monte Carlo block holds them.
+    rng = np.random.default_rng(9)
+    rows = [row for k in (1, 2, 3, 9, 17, 30) for row in _screen_rows(rng, k)]
+    sizes = np.array([row.size for row in rows])
+    samples = np.zeros((len(rows), sizes.max()))
+    for i, row in enumerate(rows):
+        samples[i, : row.size] = row
+    deferred = ParametricRows(samples, sizes).deferred
+    flat = np.array([row[0] == row[-1] for row in rows])  # one price, or all equal: no spread
+    assert np.all(deferred[flat]) and deferred[~flat].sum() <= 0.1 * (~flat).sum()
+    for n in (1, 18, 1000):
+        block = parametric_lower_bounds(samples, sizes, n)
+        assert np.array_equal(np.isnan(block), deferred)
+        for i, row in enumerate(rows):
+            if n == 18:
+                alone = parametric_lower_bounds(samples[i : i + 1], sizes[i : i + 1], n)
+                assert np.array_equal(alone, block[i : i + 1], equal_nan=True)
+            if not deferred[i]:
+                scalar = critical_cost_lower_bound(fit_parametric(row).density, row[0], n)
+                assert abs(block[i] - scalar) <= 1e-9 * scalar, (n, row)
+        order = rng.permutation(len(rows))
+        assert np.array_equal(parametric_lower_bounds(samples[order], sizes[order], n), block[order], equal_nan=True)
+        with monkeypatch.context() as m:
+            m.setattr(search, "KDE_BLOCK_DOUBLES", 1)  # one row per chunk
+            assert np.array_equal(parametric_lower_bounds(samples, sizes, n), block, equal_nan=True)
+    with pytest.raises(ValidationError):
+        parametric_lower_bounds(samples, sizes, 0)
 
 
 def test_block_bounds_keep_the_kernel_pass_within_its_budget():
