@@ -10,14 +10,20 @@ slack than rounding takes. Next, calls that run in worker processes
 (workload ``workers``): brute force on the bundled camera list with
 ``--workers 3`` under each estimator, and ``simulate`` on the bundled
 printer market at positions 1 and 2 with ``--workers 2``, so that what
-the workers send back is covered too.
+the workers send back is covered too. Next, selections whose screen
+bounds rows of many sizes in one block (workload ``mixed_sizes``):
+``disclose --method interval`` and ``--method minimal`` on the bundled
+mouse list (133 prices, past numpy's 128-value pairwise split) at
+``--rho 1`` under the KDE and at ``--rho 2 --estimator parametric``, and
+both methods on a tie-heavy list of 24 prices at 3 distinct values at
+``--rho 1``; the benchmark's selections run at rho 10 only.
 Then, for each seed and each workload in ``perfbench.inputs.WORKLOADS``,
 the workload's inputs are written to a temporary directory and every
 call and helper of every group runs through ``pricedisclosure.cli.main``,
 with the evaluation cache cleared first, as the benchmark does. Each line
-holds the seed (null for the fit, printer_x100 and workers calls), the
-workload, the argv, the exit code, stdout and stderr, with the temporary
-directory written as ``<tmp>``. The code under test is the checkout
+holds the seed (null for the fit, printer_x100, workers and mixed_sizes
+calls), the workload, the argv, the exit code, stdout and stderr, with
+the temporary directory written as ``<tmp>``. The code under test is the checkout
 this script sits in, so comparing two checkouts' output with ``cmp``
 checks that a change keeps the CLI's bytes:
 
@@ -71,6 +77,14 @@ def main(seeds: list[int]) -> None:
                    "--budgets", "10,25", "--workers", "2"] for k in (1, 2)]
         for argv in calls:
             print(json.dumps(run(None, "workers", argv)).replace(tmp, "<tmp>"), flush=True)
+        ties = str(Path(tmp) / "tie_heavy.csv")
+        write_prices(PriceList("ties", tuple(PriceEntry(f"s{i}", 29700 + (0, 1, 250)[i % 3]) for i in range(24))), ties)
+        methods = [["--method", method] for method in ("interval", "minimal")]
+        calls = [["disclose", "--builtin", "mouse", *method, *rest, "--n-new", "18"]
+                 for rest in (["--rho", "1"], ["--rho", "2", "--estimator", "parametric"]) for method in methods]
+        calls += [["disclose", "--data", ties, *method, "--rho", "1", "--n-new", "18"] for method in methods]
+        for argv in calls:
+            print(json.dumps(run(None, "mixed_sizes", argv)).replace(tmp, "<tmp>"), flush=True)
     for seed in seeds:
         for name in WORKLOADS:
             with tempfile.TemporaryDirectory() as tmp:

@@ -215,10 +215,10 @@ def _calibrate_budget(prices, constraints, n_new: int, estimator: str, seed: int
     """The Monte Carlo budget that fits the deadline, timed on a pilot of the
     run itself at budgets 1, 2, 4, ..., stopped after min(0.2 s, the
     deadline) or when there is no room to sample. Each budget's run is a
-    prefix of the next, so the pilot integrates no candidate twice and the
-    calibrated run finds the pilot's costs and bounds in the cache: the
-    pilot's time counts toward the deadline, and the budget never falls
-    below its last one."""
+    prefix of the next, so the pilot integrates no candidate twice: the
+    calibrated run finds the pilot's integrated candidates in the cache and
+    bounds its screened ones again. The pilot's time counts toward the
+    deadline, and the budget never falls below its last one."""
     deadline = deadline_ms / 1000.0
     t0 = time.perf_counter()
     budget = 1

@@ -18,11 +18,7 @@ within ``TAIL_SIGMAS`` bandwidths (Fan & Marron 1994, "Fast implementations
 of nonparametric curve estimators"). Samples below that window count as
 the kernel's limit and samples above it as 0, so the result is exact to
 rounding: a dropped term is at most exp(-72) = 5.4e-32 for the pdf kernel
-and ndtr(-12) = 1.8e-33 for the cdf's. ``KernelRows`` holds the KDEs of
-many sorted samples of one size as arrays of per-row fields, for a bound
-that needs no fit: each row's bandwidth and mass below zero are a
-``KernelDensity``'s, bit for bit, since every row sum is the pairwise sum
-``np.add.reduce`` gives that row alone.
+and ndtr(-12) = 1.8e-33 for the cdf's.
 
 A parametric fit is paid once per candidate disclosure, so the fitters
 reduce with ``np.add.reduce``, the ufunc behind ``np.sum``, ``np.mean``
@@ -36,13 +32,18 @@ scores every family by its logpdf alone. The winner's
 ``ParametricDensity`` standardizes each point once and calls the row's
 kernels on every point; the truncation at zero is the one mask.
 
-``ParametricRows`` fits every family to many samples of mixed sizes at
-once, padded into one matrix, for a bound that needs no scalar fit; it
-flags as deferred each row whose BIC winner it cannot vouch for. Its sums
-are those ``np.add.reduce`` gives each row alone (``_row_sums`` repeats
-numpy's pairwise grouping on all rows at once), so the closed forms and
-the gamma and logistic Newton steps keep the fitters' bits, and weibull
-and gumbel come within brentq's tolerance of them.
+``KernelRows`` and ``ParametricRows`` fit an estimator to many sorted
+samples of mixed sizes at once, padded into one matrix, for a bound that
+needs no scalar fit; ``estimator_rows`` picks the class, and both expose
+``sample_min``, ``effective_low``, ``feature_scale``, ``deferred`` and
+``cdf`` per row. Their sums are those ``np.add.reduce`` gives each row
+alone (``_row_sums`` repeats numpy's pairwise grouping on all rows at
+once), so a KDE row's bandwidth and mass below zero are a
+``KernelDensity``'s, bit for bit, and ``silverman_bandwidth`` is the
+one-row call of the same rule. ``ParametricRows`` flags as deferred each
+row whose BIC winner it cannot vouch for; its closed forms and gamma and
+logistic Newton steps keep the fitters' bits, and weibull and gumbel come
+within brentq's tolerance of them.
 
 The module imports numpy and ``scipy.special`` alone, which is all the KDE
 needs, and never imports ``scipy.stats``. ``scipy.optimize`` (``brentq``,
@@ -207,19 +208,21 @@ class UniformDensity(Density):
         return self.low + _as_levels(p) * (self.high - self.low)
 
 
-def _linear_percentile(ordered: np.ndarray, level: float) -> np.ndarray:
-    """np.percentile's default (linear) rule on each sorted row, with the
-    same arithmetic: numpy's ``_lerp`` interpolates from the upper neighbour
-    when the fraction is at least one half."""
-    last = ordered.shape[-1] - 1
-    index = level * last
-    below = math.floor(index)
+def _linear_percentile(ordered: np.ndarray, sizes: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """np.percentile's default (linear) rule at each of ``levels`` (a column)
+    on the first ``sizes`` entries of each sorted row of ``ordered`` (...,
+    rows, k), as (..., levels, rows), with the same arithmetic: numpy's
+    ``_lerp`` interpolates from the upper neighbour when the fraction is at
+    least one half."""
+    last = sizes - 1
+    index = levels * last
+    below = np.floor(index)
     t = index - below
-    # Column ``below`` of each row; 0-d for one 1-d row.
-    a = ordered[..., below]
-    b = ordered[..., min(below + 1, last)]
+    at, rows = below.astype(np.intp), np.arange(sizes.size)
+    a = ordered[..., rows, at]
+    b = ordered[..., rows, np.minimum(at + 1, last)]
     diff = b - a
-    return b - diff * (1.0 - t) if t >= 0.5 else a + diff * t
+    return np.where(t >= 0.5, b - diff * (1.0 - t), a + diff * t)
 
 
 def _mean_std(x: np.ndarray, ddof: int) -> tuple[float, float]:
@@ -236,13 +239,17 @@ def _row_sums(a: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """``np.add.reduce`` of each row of ``a`` (..., rows, k) over its first
     ``sizes`` entries, bit for bit, whatever lies past them or beside it.
 
-    numpy sums m <= 128 values pairwise: one by one when m < 8; otherwise
-    into 8 accumulators over the first m - m % 8 values, joined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then the rest
-    one by one. Past 128 values it adds the sums of the two halves, the
-    first rounded down to a multiple of 8. Each step here runs on all rows
-    at once, a row with nothing to add in it adding 0."""
+    When every row is full on a contiguous last axis, numpy's own reduce
+    sums each row pairwise, as it sums the row alone. Otherwise its grouping
+    is repeated: m <= 128 values one by one when m < 8; otherwise into 8
+    accumulators over the first m - m % 8 values, joined as ((r0 + r1) +
+    (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then the rest one by one. Past
+    128 values it adds the sums of the two halves, the first rounded down
+    to a multiple of 8. Each step runs on all rows at once, a row with
+    nothing to add in it adding 0."""
     k = a.shape[-1]
+    if a.strides[-1] == a.itemsize and sizes.min() == k:  # no row is longer than k
+        return np.add.reduce(a, axis=-1)
     split = sizes > 128
     if split.any():
         half = sizes // 2 - sizes // 2 % 8
@@ -267,41 +274,37 @@ def _row_sums(a: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return total
 
 
-def silverman_bandwidths(x: np.ndarray) -> np.ndarray:
+def silverman_bandwidths(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Silverman's rule of thumb, with an IQR guard and a zero-spread
-    fallback, for each row of ``x`` (..., k): over its last axis.
+    fallback, for each row of ``x`` (..., rows, k) over its first ``sizes``
+    entries, in any order; what lies past them is ignored.
 
     Equal bit for bit to ``np.std(row, ddof=1)`` and ``np.percentile(row,
-    [75, 25])`` in the formula: each row is reduced by the pairwise sum
-    ``np.add.reduce`` gives one row, so a row's bandwidth does not depend
-    on the rows beside it. A 1-d ``x`` is one row, computed on numpy
-    scalars."""
-    n = x.shape[-1]
-    mean = np.add.reduce(x, axis=-1) / n
-    ordered = np.sort(x, axis=-1)
-    smallest = (_linear_percentile(ordered, 0.75) - _linear_percentile(ordered, 0.25)) / 1.34
-    if n > 1:
-        d = x - mean[..., None]
-        sigma = np.sqrt(np.add.reduce(d * d, axis=-1) / (n - 1))
-        # Both are at least 0: the smaller where both are positive, else the
-        # larger, and the fallback where that is 0 too.
-        least = np.minimum(sigma, smallest)
-        smallest = np.where(least > 0.0, least, np.maximum(sigma, smallest))
-    return np.where(smallest > 0.0, 0.9 * smallest * n ** (-0.2), np.maximum(0.01 * mean, 0.01))
+    [75, 25])`` in the formula, each row summed as :func:`_row_sums` sums
+    it and its percentiles taken at its own index, so a row's bandwidth
+    does not depend on the rows beside it. The size factor n ** -0.2 is
+    Python's ``pow``, whose bits numpy's array power does not always give."""
+    k = x.shape[-1]
+    mean = _row_sums(x, sizes) / sizes
+    # What lies past a row's end sorts last.
+    ordered = np.sort(x if sizes.min() == k else np.where(np.arange(k) < sizes[:, None], x, np.inf), axis=-1)
+    quartiles = _linear_percentile(ordered, sizes, np.array([[0.75], [0.25]]))
+    smallest = (quartiles[..., 0, :] - quartiles[..., 1, :]) / 1.34
+    d = x - mean[..., None]
+    # A one-price row has sigma 0, and the IQR 0 too, so it falls back.
+    sigma = np.sqrt(_row_sums(d * d, sizes) / np.maximum(sizes - 1, 1))
+    # Both are at least 0: the smaller where both are positive, else the
+    # larger, and the fallback where that is 0 too.
+    least = np.minimum(sigma, smallest)
+    smallest = np.where(least > 0.0, least, np.maximum(sigma, smallest))
+    factor = np.array([n ** -0.2 for n in sizes.tolist()])
+    return np.where(smallest > 0.0, 0.9 * smallest * factor, np.maximum(0.01 * mean, 0.01))
 
 
 def silverman_bandwidth(x: np.ndarray) -> float:
     """:func:`silverman_bandwidths` of the one row ``x``."""
-    return float(silverman_bandwidths(np.asarray(x, dtype=float).ravel()))
-
-
-def _dense_kernel_mean(y: np.ndarray, sample: np.ndarray, h, kernel) -> np.ndarray:
-    """Mean of ``kernel((y - sample) / h)`` over the last axis of
-    ``sample``, per point of ``y``, as one dense block: ``y`` is (..., m),
-    ``sample`` (..., n) and ``h`` broadcasts against (..., m, n). Each
-    point's sum is the pairwise sum ``np.add.reduce`` gives one row, so it
-    does not depend on the points or rows beside it."""
-    return np.add.reduce(kernel((y[..., :, None] - sample[..., None, :]) / h), axis=-1) / sample.shape[-1]
+    x = np.asarray(x, dtype=float).ravel()
+    return float(silverman_bandwidths(x[None], np.array([x.size]))[0])
 
 
 def _truncated_cdf(raw, below_zero, mass_above_zero, y):
@@ -358,7 +361,7 @@ class KernelDensity(Density):
         n = self.sample.size
         h = self.bandwidth
         if y.size * n <= KDE_BLOCK_DOUBLES:
-            return _dense_kernel_mean(y, self.sample, h, kernel)
+            return np.add.reduce(kernel((y[:, None] - self.sample) / h), axis=1) / n
         rows = max(1, KDE_BLOCK_DOUBLES // n)
         order = np.argsort(y, kind="stable")
         ys = y[order]
@@ -392,23 +395,36 @@ class KernelDensity(Density):
 
 class KernelRows:
     """The Silverman-bandwidth KDEs of the rows of ``samples``, a (rows, k)
-    matrix of samples each sorted ascending, held as arrays of per-row
-    fields instead of one ``KernelDensity`` per row.
+    matrix whose row i holds a sample sorted ascending in its first
+    ``sizes[i]`` entries (what lies past them is ignored), as arrays of
+    per-row fields. ``bandwidth``, ``sample_min`` and the mass below zero
+    are a ``KernelDensity``'s of the row, bit for bit, while its size is at
+    most ``KDE_BLOCK_DOUBLES``. ``cdf`` sums each row densely: the fitted
+    KDE's one-block bits where that is dense, the same value to rounding
+    where it is windowed. No row is ``deferred``. ``cdf`` of m points per
+    row builds (rows, m, k) doubles (``dense_cdf``); the caller bounds it."""
 
-    ``bandwidth``, ``sample_min`` and the mass below zero are the fields a
-    ``KernelDensity`` of the row has, bit for bit, while k is at most
-    ``KDE_BLOCK_DOUBLES``. ``cdf`` sums each row densely: the bits of the
-    fitted KDE's one-block cdf wherever that is dense, and the same value to
-    rounding where it is windowed. The caller bounds the matrices: ``cdf``
-    of m points per row builds (rows, m, k) doubles."""
+    dense_cdf = True
 
-    def __init__(self, samples: np.ndarray):
+    def __init__(self, samples: np.ndarray, sizes: np.ndarray):
         self.sample = samples
-        self.bandwidth = silverman_bandwidths(samples)
+        self.sizes = np.asarray(sizes)
+        self.bandwidth = silverman_bandwidths(samples, self.sizes)
         self.sample_min = samples[:, 0]
-        h = self.bandwidth[:, None, None]
-        self._below_zero = _dense_kernel_mean(np.zeros((len(samples), 1)), samples, h, special.ndtr)[:, 0]
+        self.deferred = np.zeros(len(samples), dtype=bool)
+        self._below_zero = self._kernel_mean(np.zeros((len(samples), 1)))[:, 0]
         self._mass_above_zero = 1.0 - self._below_zero
+
+    def _kernel_mean(self, y: np.ndarray) -> np.ndarray:
+        """Each row's untruncated kernel cdf mean at its row of ``y`` (rows,
+        m), summed as (m, rows, k), the layout :func:`_row_sums` takes."""
+        z = (y.T[..., None] - self.sample) / self.bandwidth[:, None]
+        return (_row_sums(special.ndtr(z), self.sizes) / self.sizes).T
+
+    @property
+    def feature_scale(self) -> np.ndarray:
+        """Each row's bandwidth, as a column."""
+        return self.bandwidth[:, None]
 
     @property
     def effective_low(self) -> np.ndarray:
@@ -417,8 +433,7 @@ class KernelRows:
 
     def cdf(self, y: np.ndarray) -> np.ndarray:
         """The truncated cdf of each row's KDE at that row of ``y`` (rows, m)."""
-        raw = _dense_kernel_mean(y, self.sample, self.bandwidth[:, None, None], special.ndtr)
-        return _truncated_cdf(raw, self._below_zero[:, None], self._mass_above_zero[:, None], y)
+        return _truncated_cdf(self._kernel_mean(y), self._below_zero[:, None], self._mass_above_zero[:, None], y)
 
 
 class ParametricDensity(Density):
@@ -957,7 +972,11 @@ class ParametricRows:
     scored a non-finite likelihood, two best BICs within _BIC_TIE of each
     other, or a winner with no mass above zero. ``effective_low`` and
     ``cdf`` give the winner's values, with the truncation at zero, on every
-    other row, and 0 on a deferred one."""
+    other row, and 0 on a deferred one. A fit has no ``feature_scale``, and
+    its ``cdf`` builds no (rows, points, k) matrix (``dense_cdf``)."""
+
+    dense_cdf = False
+    feature_scale = None
 
     def __init__(self, samples: np.ndarray, sizes: np.ndarray):
         sizes = np.asarray(sizes)
@@ -1064,6 +1083,13 @@ def fit_estimator(values, estimator: str) -> Density:
     if estimator == "kde":
         return fit_kde(values)
     return fit_parametric(values).density
+
+
+def estimator_rows(estimator: str) -> type:
+    """The class that fits ``estimator`` to a padded block of sorted rows:
+    :class:`KernelRows` or :class:`ParametricRows`."""
+    _check_estimator(estimator)
+    return KernelRows if estimator == "kde" else ParametricRows
 
 
 def equal_mass_prices(density: Density, n: int, q0: float | None = None) -> np.ndarray:

@@ -30,15 +30,15 @@ row once the threshold is 0, cannot cost less, so it is not integrated,
 looked up or counted as a cache miss, and it can be neither a trace entry
 nor the winner. It still counts as evaluated in ``subsets_evaluated``. A
 block's rows are bounded together, once the screen meets the first of
-them, by array passes with no scalar fit: ``search.kde_lower_bounds`` per
-row size, from each row's bandwidth and mass below zero, or
-``search.parametric_lower_bounds`` over all rows at once, from one block
-fit of the seven families. So a row is fitted only when it is integrated,
-and no bound is cached: a later block that meets the row again bounds it
-again. The one exception is a parametric row the block fit defers (see
-``density.ParametricRows``): the loop bounds it from its scalar fit when it
-reaches it, and hands that fit to its evaluation. Pooled sets and
-``evaluate_subset`` pass no threshold and are never screened.
+them: padded into one matrix whatever their sizes, they go to
+``search.lower_bounds``, which fits them at once under either estimator
+(``density.KernelRows`` or ``density.ParametricRows``), with no scalar
+fit. So a row is fitted only when it is integrated, and no bound is
+cached: a later block that meets the row again bounds it again. The one
+exception is a parametric row the block fit defers: the loop bounds it
+from its scalar fit when it reaches it, and hands that fit to its
+evaluation. Pooled sets and ``evaluate_subset`` pass no threshold and are
+never screened.
 
 A failing candidate aborts the whole run: its error is re-raised, as the
 same type, naming the method and the candidate's size and prices; a
@@ -70,21 +70,15 @@ import numpy as np
 from .data import PriceList, format_cents
 from .density import _check_estimator, fit_estimator
 from .errors import InfeasibleError, NumericalError, PriceDisclosureError, ValidationError
-from .search import (
-    CriticalCost,
-    _check_n,
-    critical_cost,
-    critical_cost_lower_bound,
-    kde_lower_bounds,
-    parametric_lower_bounds,
-)
+from .search import CriticalCost, _check_n, critical_cost, critical_cost_lower_bound, lower_bounds
 
 BRUTE_FORCE_GUARD = 5_000_000
 
 METHODS = ("brute_force", "monte_carlo", "interval", "minimal", "full")
 
-# Cents-multiset evaluations repeat heavily across strategies and trials;
-# the cache buys large speedups at a bounded memory cost.
+# Cents-multiset evaluations repeat across strategies and trials. The bound
+# is in entries, not bytes: interval selection on 400 prices left 463 MB
+# (ROADMAP item 6).
 _CACHE_SIZE = 200_000
 
 # Candidates are generated in blocks whose boolean masks take at most this
@@ -142,22 +136,13 @@ def _evaluate_cents(cents: tuple[int, ...], n_new: int, estimator: str) -> Criti
 
 def _lower_bounds(keys: list[tuple[int, ...]], n_new: int, estimator: str) -> list[float]:
     """The screen's lower bound of every row of sorted cents, with no scalar
-    fit: ``kde_lower_bounds`` in one array pass per row size, or
-    ``parametric_lower_bounds`` in one pass over the rows padded to the
-    longest. NaN for a deferred parametric row, which ``_deferred_bound``
-    bounds when the screen reaches it."""
-    if estimator == "kde":
-        by_size = {}
-        for i, key in enumerate(keys):
-            by_size.setdefault(len(key), []).append(i)
-        bounds = np.empty(len(keys))
-        for at in by_size.values():
-            bounds[at] = kde_lower_bounds(np.array([keys[i] for i in at], dtype=float) / 100.0, n_new)
-        return bounds.tolist()
+    fit: ``search.lower_bounds`` over the rows padded to the longest. NaN
+    for a deferred parametric row, which ``_deferred_bound`` bounds when the
+    screen reaches it."""
     sizes = np.array([len(key) for key in keys])
     padded = np.zeros((len(keys), sizes.max()))
     padded[np.arange(sizes.max()) < sizes[:, None]] = np.fromiter(itertools.chain.from_iterable(keys), float)
-    return parametric_lower_bounds(padded / 100.0, sizes, n_new).tolist()
+    return lower_bounds(padded / 100.0, sizes, n_new, estimator).tolist()
 
 
 def _deferred_bound(bound: float, key: tuple[int, ...], n_new: int, estimator: str) -> float:

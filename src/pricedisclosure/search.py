@@ -4,7 +4,9 @@ Given the best price found so far (q) and the number of genuinely new
 prices one more query would surface (N), the searcher weighs the query fee
 against the expected saving from the minimum of N fresh draws. The
 critical cost is that expected saving; the searcher stops once the fee
-reaches it.
+reaches it. ``critical_cost_lower_bound`` bounds it from one ``cdf`` call,
+and ``lower_bounds`` does so for a padded block of samples under either
+estimator, by the same edges.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from .data import PriceList
-from .density import KDE_BLOCK_DOUBLES, TAIL_SIGMAS, Density, KernelRows, ParametricRows, pointwise
+from .density import KDE_BLOCK_DOUBLES, TAIL_SIGMAS, Density, estimator_rows, pointwise
 from .errors import NumericalError, ValidationError
 from .quadrature import adaptive_gauss_kronrod
 
@@ -164,9 +166,10 @@ def tail_edges(low: float, q: float, scale: float) -> np.ndarray:
 
 def screen_edges(low, q, scale) -> np.ndarray:
     """The lower bound's edges on ``[low, q]``: a cut ``t * scale`` below
-    ``q`` for each ``t`` in SCREEN_CUTS, clipped at ``low``, then ``q``.
-    ``q`` is an array with a trailing axis of length 1, and ``low`` and
-    ``scale`` broadcast against it, so columns of arguments give rows of
+    ``q`` for each ``t`` in SCREEN_CUTS, clipped at ``low``, then ``q``; or,
+    where ``scale`` is None, SCREEN_PANELS even panels from ``low`` to
+    ``q``. ``q`` is an array with a trailing axis of length 1, and ``low``
+    and ``scale`` broadcast against it, so columns of arguments give rows of
     edges. When ``q`` is the KDE's sample minimum, the first cut is its
     ``effective_low``, bit for bit; a cut clipped at ``low`` makes a panel
     of width 0. Where the first cut lies above ``low`` (``q`` above the
@@ -174,7 +177,10 @@ def screen_edges(low, q, scale) -> np.ndarray:
     would weigh that panel by g(low), and a KDE's cdf at its effective low
     is 0 or at most ndtr(-TAIL_SIGMAS) = 1.8e-33, so the sum is the one
     with that panel to rounding."""
-    cuts = np.maximum(q - SCREEN_CUTS * scale, low)
+    if scale is None:
+        cuts = np.arange(SCREEN_PANELS) * ((q - low) / SCREEN_PANELS) + low
+    else:
+        cuts = np.maximum(q - SCREEN_CUTS * scale, low)
     return np.concatenate([cuts, q], axis=-1)
 
 
@@ -194,72 +200,43 @@ def critical_cost_lower_bound(density: Density, q: float, n_new: int) -> float:
     nondecreasing in y, so on any edges in ``[effective_low, q]`` its left
     Riemann sum, sum (e[i+1] - e[i]) g(e[i]), is at most its integral in
     exact arithmetic (Davis & Rabinowitz 1984). The edges are
-    :func:`screen_edges` for a density with a feature scale, else
-    SCREEN_PANELS even panels. :func:`kde_lower_bounds` and
-    :func:`parametric_lower_bounds` give the same bound for many rows at
-    once, without a scalar fit.
+    :func:`screen_edges` at the density's feature scale. :func:`lower_bounds`
+    gives the same bound for many rows at once, without a scalar fit.
     """
     n = _check_n(n_new)
     q = _check_q(density, q)
     low = density.effective_low
     if q <= low:
         return 0.0
-    scale = density.feature_scale
-    if scale is None:
-        edges = np.linspace(low, q, SCREEN_PANELS + 1)
-    else:
-        edges = screen_edges(low, np.array([q]), scale)
+    edges = screen_edges(low, np.array([q]), density.feature_scale)
     return float(_left_riemann_sum(edges, _log_sf(density, edges[:-1]), n))
 
 
-def kde_lower_bounds(samples: np.ndarray, n_new: int) -> np.ndarray:
-    """:func:`critical_cost_lower_bound` of the Silverman KDE of each row of
-    ``samples`` (rows, k), sorted ascending, at q its minimum: the KDEs are
-    never fitted, only held as :class:`KernelRows`.
-
-    The edges and sums are those of the fitted KDE's bound, so the two
-    bounds have the same bits wherever the fitted KDE's cdf on 16 points is
-    one dense block (k at most ``KDE_BLOCK_DOUBLES // 16``), and agree to
-    rounding where it is windowed. Every step is per row, so a row's bound
-    has the same bits alone or among any rows. Rows are taken in chunks
-    whose (rows, edges, k) kernel matrix holds at most ``KDE_BLOCK_DOUBLES``
-    doubles, at least one row each. Where q is at or below ``effective_low``
-    every panel has width 0 and the bound is 0, as the fitted one is.
+def lower_bounds(samples: np.ndarray, sizes: np.ndarray, n_new: int, estimator: str) -> np.ndarray:
+    """:func:`critical_cost_lower_bound` of the ``estimator`` fit of each
+    row of ``samples`` (rows, k), sorted ascending in its first ``sizes``
+    entries, at q its minimum, with the rows fitted at once by
+    :func:`density.estimator_rows`; NaN where a row is deferred. A KDE
+    row's bound has the fitted KDE's bits while that KDE's 16-point cdf is
+    one dense block, a parametric row's agrees within its block fit's
+    tolerance. Each chunk's largest matrix, a KDE cdf's (rows, edges, k)
+    terms or a parametric fit's (rows, k) samples, holds at most
+    ``KDE_BLOCK_DOUBLES`` doubles, at least one row; chunks run over the
+    rows in order of size, each cut to its longest row. Every step is per
+    row, so a row's bound has the same bits alone or among any rows.
     """
     n = _check_n(n_new)
+    fit = estimator_rows(estimator)
     bounds = np.empty(len(samples))
-    step = max(1, KDE_BLOCK_DOUBLES // (SCREEN_CUTS.size * samples.shape[1]))
+    step = max(1, KDE_BLOCK_DOUBLES // (samples.shape[1] * (SCREEN_CUTS.size if fit.dense_cdf else 1)))
+    order = np.argsort(sizes, kind="stable")
     for lo in range(0, len(samples), step):
-        kde = KernelRows(samples[lo : lo + step])
-        q = kde.sample_min[:, None]
-        edges = screen_edges(kde.effective_low[:, None], q, kde.bandwidth[:, None])
-        bounds[lo : lo + step] = _left_riemann_sum(edges, _log_sf(kde, edges[:, :-1]), n)
-    return bounds
-
-
-def parametric_lower_bounds(samples: np.ndarray, sizes: np.ndarray, n_new: int) -> np.ndarray:
-    """:func:`critical_cost_lower_bound` of the BIC-best parametric fit of
-    each row of ``samples`` (rows, k), sorted ascending in its first
-    ``sizes`` entries, at q its minimum, with no scalar fit: the rows are
-    fitted at once as :class:`ParametricRows`. NaN where a row is deferred.
-
-    A fit has no feature scale, so the edges are SCREEN_PANELS even panels
-    from its ``effective_low`` to q, the ones the scalar bound cuts, and the
-    bound is 0 where q is at or below ``effective_low``. Rows are taken in
-    chunks of at most ``KDE_BLOCK_DOUBLES`` sample doubles, at least one
-    row each; every step is per row, so a row's bound does not depend on
-    the rows beside it.
-    """
-    n = _check_n(n_new)
-    bounds = np.empty(len(samples))
-    step = max(1, KDE_BLOCK_DOUBLES // samples.shape[1])
-    for lo in range(0, len(samples), step):
-        fits = ParametricRows(samples[lo : lo + step], sizes[lo : lo + step])
-        low, q = fits.effective_low[:, None], fits.sample_min[:, None]
-        edges = np.arange(SCREEN_PANELS + 1.0) * ((q - low) / SCREEN_PANELS) + low
-        edges[:, -1] = q[:, 0]
-        sums = _left_riemann_sum(edges, _log_sf(fits, edges[:, :-1]), n)
-        bounds[lo : lo + step] = np.where(fits.deferred, np.nan, np.where(q[:, 0] > low[:, 0], sums, 0.0))
+        at = order[lo : lo + step]
+        rows = fit(samples[at, : sizes[at[-1]]], sizes[at])
+        low, q = rows.effective_low[:, None], rows.sample_min[:, None]
+        edges = screen_edges(low, q, rows.feature_scale)
+        sums = _left_riemann_sum(edges, _log_sf(rows, edges[:, :-1]), n)
+        bounds[at] = np.where(rows.deferred, np.nan, np.where(q[:, 0] > low[:, 0], sums, 0.0))
     return bounds
 
 

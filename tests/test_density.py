@@ -85,7 +85,8 @@ def _silverman_reference(x):
 def test_silverman_formula():
     rng = np.random.default_rng(11)
     samples = [rng.lognormal(3.0, 0.4, size=200)]
-    for n in (1, 2, 3, 4, 5, 7, 30, 103, 1000):
+    # At 51 and 70 numpy's array power rounds n ** -0.2 off Python's.
+    for n in (1, 2, 3, 4, 5, 7, 30, 51, 70, 103, 1000):
         samples.append(rng.lognormal(5.0, 0.3, size=n))
         samples.append(rng.choice([297.0, 297.01, 299.5], size=n))  # ties
     samples.append(np.full(6, 42.0))  # zero spread
@@ -117,17 +118,18 @@ def test_row_bandwidths_and_masses_equal_the_fitted_kde_bitwise():
     for k in (1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 17, 30, 64, 129, 400):
         for scale in (1e-2, 1e-4, 10.0):
             rows = _guard_rows(rng, k) * scale
-            kde = KernelRows(rows)
-            bandwidths = silverman_bandwidths(rows)
+            sizes = np.full(len(rows), k)
+            kde = KernelRows(rows, sizes)
+            bandwidths = silverman_bandwidths(rows, sizes)
             for i, row in enumerate(rows):
                 fitted = fit_kde(row)
                 assert bandwidths[i] == kde.bandwidth[i] == silverman_bandwidth(row) == fitted.bandwidth, (k, row)
                 assert kde._below_zero[i] == fitted._below_zero, (k, row)
                 assert kde.effective_low[i] == fitted.effective_low, (k, row)
-                assert silverman_bandwidths(rows[i : i + 1])[0] == bandwidths[i]
+                assert silverman_bandwidths(rows[i : i + 1], sizes[i : i + 1])[0] == bandwidths[i]
             # Any leading shape: the rule runs over the last axis only.
             cube = np.stack([rows, rows[::-1]])
-            assert np.array_equal(silverman_bandwidths(cube), np.stack([bandwidths, bandwidths[::-1]]))
+            assert np.array_equal(silverman_bandwidths(cube, sizes), np.stack([bandwidths, bandwidths[::-1]]))
     assert fit_kde(np.full(13, 0.29)).bandwidth == max(0.01 * 0.29, 0.01)
 
 
@@ -609,6 +611,17 @@ def test_row_sums_equal_one_row_reduce_bitwise():
     for j in range(2):
         for i, k in enumerate(sizes):
             assert sums[j, i] == np.add.reduce(a[j, i, :k]), (j, k)
+    # A block whose rows are all full takes numpy's own reduce over the last
+    # axis, which sums each contiguous row pairwise; a row read with a
+    # stride takes the grouping above, with the same bits.
+    for k in (1, 7, 8, 9, 129, 300):
+        a = rng.lognormal(0.0, 3.0, (2, 40, k)) * rng.choice([-1.0, 1.0], (2, 40, k))
+        strided = np.ascontiguousarray(a.swapaxes(1, 2)).swapaxes(1, 2)
+        for block in (a, strided):
+            sums = _row_sums(block, np.full(40, k))
+            for j in range(2):
+                for i in range(40):
+                    assert sums[j, i] == np.add.reduce(a[j, i].copy()), (k, block.strides)
 
 
 def test_increasing_root_solves_only_roots_inside_its_bracket():

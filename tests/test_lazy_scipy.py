@@ -93,13 +93,13 @@ def test_block_fit_and_bound_never_import_scipy_optimize():
     seen = run_fresh("""
         import numpy as np
         from pricedisclosure.density import ParametricRows
-        from pricedisclosure.search import parametric_lower_bounds
+        from pricedisclosure.search import lower_bounds
 
         rng = np.random.default_rng(3)
         sizes = rng.integers(2, 31, 40)
         samples = np.sort(rng.lognormal(5.0, 0.3, (40, 30)), axis=1)
         deferred = ParametricRows(samples, sizes).deferred
-        bounds = parametric_lower_bounds(samples, sizes, 18)
+        bounds = lower_bounds(samples, sizes, 18, "parametric")
         print(json.dumps({"loaded": loaded(), "deferred": int(deferred.sum()),
                           "bounded": int(np.isfinite(bounds).sum())}))
     """)

@@ -7,7 +7,16 @@ import pytest
 from scipy import integrate
 
 from pricedisclosure.data import BUILTIN_MANIFESTS, PriceEntry, PriceList, builtin_dataset
-from pricedisclosure.density import TAIL_SIGMAS, ParametricRows, UniformDensity, fit_estimator, fit_kde, fit_parametric
+from pricedisclosure.density import (
+    KDE_BLOCK_DOUBLES,
+    TAIL_SIGMAS,
+    KernelRows,
+    ParametricRows,
+    UniformDensity,
+    fit_estimator,
+    fit_kde,
+    fit_parametric,
+)
 from pricedisclosure.errors import NumericalError, ValidationError
 from pricedisclosure import search
 from pricedisclosure.quadrature import adaptive_gauss_kronrod
@@ -23,11 +32,10 @@ from pricedisclosure.search import (
     expected_new_prices,
     improvement_upper_bound,
     interval_subset_count,
-    kde_lower_bounds,
+    lower_bounds,
     min_order_cdf,
     min_order_pdf,
     minimal_subset_count,
-    parametric_lower_bounds,
     starting_panels,
     subset_count,
     tail_edges,
@@ -415,8 +423,13 @@ def _screen_rows(rng, k, count=12):
     return np.sort(np.array(rows), axis=1)
 
 
+def full(rows):
+    """The sizes of rows that fill their matrix."""
+    return np.full(len(rows), rows.shape[1])
+
+
 def test_block_bounds_match_the_fitted_bound_alone_or_in_any_block(monkeypatch):
-    # kde_lower_bounds needs no fit: its bound is critical_cost_lower_bound
+    # lower_bounds needs no KDE fit: its bound is critical_cost_lower_bound
     # of the fitted KDE to within 1e-12 (here bit for bit, while the fitted
     # cdf is dense), and a row's bits do not depend on the rows beside it,
     # their order or the chunking, so the screen decides the same way for
@@ -425,30 +438,30 @@ def test_block_bounds_match_the_fitted_bound_alone_or_in_any_block(monkeypatch):
     for k in (1, 2, 5, 9, 17, 30, 3000):
         rows = _screen_rows(rng, k, count=4 if k > 100 else 12)
         for n in (1, 18, 1000):
-            block = kde_lower_bounds(rows, n)
+            block = lower_bounds(rows, full(rows), n, "kde")
             for i, row in enumerate(rows):
                 scalar = critical_cost_lower_bound(fit_kde(row), row[0], n)
                 assert abs(block[i] - scalar) <= 1e-12 * scalar, (k, n, row)
-                assert kde_lower_bounds(rows[i : i + 1], n)[0] == block[i]
+                assert lower_bounds(rows[i : i + 1], full(rows)[i : i + 1], n, "kde")[0] == block[i]
             order = rng.permutation(len(rows))
-            assert np.array_equal(kde_lower_bounds(rows[order], n), block[order])
+            assert np.array_equal(lower_bounds(rows[order], full(rows), n, "kde"), block[order])
             with monkeypatch.context() as m:
                 m.setattr(search, "KDE_BLOCK_DOUBLES", 1)  # one row per chunk
-                assert np.array_equal(kde_lower_bounds(rows, n), block)
+                assert np.array_equal(lower_bounds(rows, full(rows), n, "kde"), block)
     # Equal prices whose mean rounds off them: a bandwidth of 1e-17.
     rows = np.full((2, 13), 0.1)
     density = fit_kde(rows[0])
     assert density.bandwidth < 1e-16
-    assert np.array_equal(kde_lower_bounds(rows, 18), [critical_cost_lower_bound(density, 0.1, 18)] * 2)
+    assert np.array_equal(lower_bounds(rows, full(rows), 18, "kde"), [critical_cost_lower_bound(density, 0.1, 18)] * 2)
     # With q at the low end every clipped panel has width 0, so the sum is 0.
     edges = search.screen_edges(np.array([[0.1]]), np.array([[0.1]]), np.array([[1e-20]]))
     assert edges.shape == (1, 17) and np.all(edges == 0.1)
     with pytest.raises(ValidationError):
-        kde_lower_bounds(rows, 0)
+        lower_bounds(rows, full(rows), 0, "kde")
 
 
 def test_parametric_block_bounds_match_the_fitted_bound_alone_or_in_any_block(monkeypatch):
-    # parametric_lower_bounds fits no row alone: a row the block fit does
+    # lower_bounds fits no parametric row alone: a row the block fit does
     # not defer has the bound of fit_parametric's density to within 1e-9
     # relative, a deferred row NaN, and a row's bits do not depend on the
     # rows beside it, their order or the chunking. Sizes are mixed in one
@@ -463,22 +476,56 @@ def test_parametric_block_bounds_match_the_fitted_bound_alone_or_in_any_block(mo
     flat = np.array([row[0] == row[-1] for row in rows])  # one price, or all equal: no spread
     assert np.all(deferred[flat]) and deferred[~flat].sum() <= 0.1 * (~flat).sum()
     for n in (1, 18, 1000):
-        block = parametric_lower_bounds(samples, sizes, n)
+        block = lower_bounds(samples, sizes, n, "parametric")
         assert np.array_equal(np.isnan(block), deferred)
         for i, row in enumerate(rows):
             if n == 18:
-                alone = parametric_lower_bounds(samples[i : i + 1], sizes[i : i + 1], n)
+                alone = lower_bounds(samples[i : i + 1], sizes[i : i + 1], n, "parametric")
                 assert np.array_equal(alone, block[i : i + 1], equal_nan=True)
             if not deferred[i]:
                 scalar = critical_cost_lower_bound(fit_parametric(row).density, row[0], n)
                 assert abs(block[i] - scalar) <= 1e-9 * scalar, (n, row)
         order = rng.permutation(len(rows))
-        assert np.array_equal(parametric_lower_bounds(samples[order], sizes[order], n), block[order], equal_nan=True)
+        assert np.array_equal(lower_bounds(samples[order], sizes[order], n, "parametric"), block[order], equal_nan=True)
         with monkeypatch.context() as m:
             m.setattr(search, "KDE_BLOCK_DOUBLES", 1)  # one row per chunk
-            assert np.array_equal(parametric_lower_bounds(samples, sizes, n), block, equal_nan=True)
+            assert np.array_equal(lower_bounds(samples, sizes, n, "parametric"), block, equal_nan=True)
     with pytest.raises(ValidationError):
-        parametric_lower_bounds(samples, sizes, 0)
+        lower_bounds(samples, sizes, 0, "parametric")
+
+
+def test_kde_block_bounds_of_mixed_sizes_match_the_fitted_bound_bitwise(monkeypatch):
+    # One padded block of KDE rows of sizes 1-133 (one-price rows, tie-heavy
+    # rows, mouse's 133 prices past numpy's 128-value split), NaN past each
+    # row's end: every row's fields are its KernelDensity's, bit for bit,
+    # and its bound is the fitted KDE's bound, whose 16-point cdf is one
+    # dense block at every size here, alone, permuted or one row per chunk.
+    rng = np.random.default_rng(13)
+    rows = [np.array([x]) for x in (0.29, 12.5, 599.99)]
+    rows += [np.sort(_tie_heavy(rng, int(k))) for k in rng.integers(2, 60, 12)]
+    rows += [row for k in (2, 7, 8, 9, 16, 30, 64, 129) for row in _screen_rows(rng, k, count=4)]
+    rows.append(np.sort(builtin_dataset("mouse").values()))
+    sizes = np.array([row.size for row in rows])
+    assert sizes.min() == 1 and sizes.max() == 133 and 16 * 133 <= KDE_BLOCK_DOUBLES
+    samples = np.full((len(rows), sizes.max()), np.nan)
+    for i, row in enumerate(rows):
+        samples[i, : row.size] = row
+    kde = KernelRows(samples, sizes)
+    low = kde.effective_low
+    for i, row in enumerate(rows):
+        fitted = fit_kde(row)
+        assert kde.bandwidth[i] == fitted.bandwidth and kde.sample_min[i] == fitted.sample_min, row
+        assert kde._below_zero[i] == fitted._below_zero and low[i] == fitted.effective_low, row
+    for n in (1, 18, 1000):
+        block = lower_bounds(samples, sizes, n, "kde")
+        for i, row in enumerate(rows):
+            assert block[i] == critical_cost_lower_bound(fit_kde(row), row[0], n), (n, row)
+            assert lower_bounds(samples[i : i + 1], sizes[i : i + 1], n, "kde")[0] == block[i]
+        order = rng.permutation(len(rows))
+        assert np.array_equal(lower_bounds(samples[order], sizes[order], n, "kde"), block[order])
+        with monkeypatch.context() as m:
+            m.setattr(search, "KDE_BLOCK_DOUBLES", 1)  # one row per chunk
+            assert np.array_equal(lower_bounds(samples, sizes, n, "kde"), block)
 
 
 def test_block_bounds_keep_the_kernel_pass_within_its_budget():
@@ -487,7 +534,7 @@ def test_block_bounds_keep_the_kernel_pass_within_its_budget():
     rows = np.sort(np.random.default_rng(5).uniform(50.0, 500.0, size=(600, 400)), axis=1)
     tracemalloc.start()
     try:
-        kde_lower_bounds(rows, 18)
+        lower_bounds(rows, full(rows), 18, "kde")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
