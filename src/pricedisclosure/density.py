@@ -20,36 +20,36 @@ the kernel's limit and samples above it as 0, so the result is exact to
 rounding: a dropped term is at most exp(-72) = 5.4e-32 for the pdf kernel
 and ndtr(-12) = 1.8e-33 for the cdf's.
 
-A parametric fit is paid once per candidate disclosure, so the fitters
-reduce with ``np.add.reduce``, the ufunc behind ``np.sum``, ``np.mean``
-and ``np.std``: the same bits without the wrappers' per-call cost. One
-table row per family holds its fitter, the map from its fitted parameters
-to its standard form's (shape args, loc, scale), the lower end of its
-standard support and its standardized logpdf, pdf, cdf and ppf, written
-with numpy and ``scipy.special`` in scipy 1.17.1's own expressions, so a
-value inside the support has a frozen scipy distribution's bits. A fit
-scores every family by its logpdf alone. The winner's
-``ParametricDensity`` standardizes each point once and calls the row's
-kernels on every point; the truncation at zero is the one mask.
+There is one parametric fitter, ``ParametricRows``, which fits every
+family to many samples at once, and ``fit_parametric`` is its one-row
+case. It reduces with ``np.add.reduce``, the ufunc behind ``np.sum``,
+``np.mean`` and ``np.std``, row by row (``_row_sums``): the same bits
+without the wrappers' per-call cost. One table row per family holds the
+map from its fitted parameters to its standard form's (shape args, loc,
+scale), the lower end of its standard support and its standardized
+logpdf, pdf, cdf and ppf, written with numpy and ``scipy.special`` in
+scipy 1.17.1's own expressions, so a value inside the support has a
+frozen scipy distribution's bits. A fit scores every family by its logpdf
+alone. The winner's ``ParametricDensity`` standardizes each point once
+and calls the row's kernels on every point; the truncation at zero is the
+one mask.
 
-``KernelRows`` and ``ParametricRows`` fit an estimator to many sorted
-samples of mixed sizes at once, padded into one matrix, for a bound that
-needs no scalar fit; ``estimator_rows`` picks the class, and both expose
-``sample_min``, ``effective_low``, ``feature_scale``, ``deferred`` and
-``cdf`` per row. Their sums are those ``np.add.reduce`` gives each row
-alone (``_row_sums`` repeats numpy's pairwise grouping on all rows at
-once), so a KDE row's bandwidth and mass below zero are a
-``KernelDensity``'s, bit for bit, and ``silverman_bandwidth`` is the
-one-row call of the same rule. ``ParametricRows`` flags as deferred each
-row whose BIC winner it cannot vouch for; its closed forms and gamma and
-logistic Newton steps keep the fitters' bits, and weibull and gumbel come
-within brentq's tolerance of them.
+``KernelRows`` and ``ParametricRows`` fit an estimator to many samples of
+mixed sizes at once, padded into one matrix; ``estimator_rows`` picks the
+class, and both expose ``sample_min``, ``effective_low``,
+``feature_scale``, ``deferred`` and ``cdf`` per row, and ``density(i)``,
+row i's fitted density. Their sums are those ``np.add.reduce`` gives each
+row alone, so a row's fit has the same bits alone or among any rows: a
+KDE row's bandwidth is a ``KernelDensity``'s (``silverman_bandwidth`` is
+the one-row call of the same rule), and ``density(i)`` is, bit for bit,
+the density ``fit_estimator`` gives the row alone. A parametric row is
+``deferred`` only where it has no fit: fewer than 2 prices, every family
+skipped, or a winner with no mass above zero. A skipped family's reason
+is one of SKIP_REASONS: "zero spread", "did not converge" or "non-finite
+likelihood".
 
-The module imports numpy and ``scipy.special`` alone, which is all the KDE
-needs, and never imports ``scipy.stats``. ``scipy.optimize`` (``brentq``,
-for the weibull and gumbel fitters) is first imported by the first
-parametric fit, so a process that only runs the KDE never imports it, and
-neither does ``ParametricRows``.
+The module imports numpy and ``scipy.special`` alone and solves its own
+equations: it never imports ``scipy.stats`` or ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -225,16 +225,6 @@ def _linear_percentile(ordered: np.ndarray, sizes: np.ndarray, levels: np.ndarra
     return np.where(t >= 0.5, b - diff * (1.0 - t), a + diff * t)
 
 
-def _mean_std(x: np.ndarray, ddof: int) -> tuple[float, float]:
-    """``np.mean(x)`` and ``np.std(x, ddof=ddof)`` bit for bit, through
-    np.std's own steps (pairwise sums in sample order) without the per-call
-    cost of numpy's reduction wrappers."""
-    n = x.size
-    mean = np.add.reduce(x) / n
-    d = x - mean
-    return float(mean), math.sqrt(np.add.reduce(d * d) / (n - ddof))
-
-
 def _row_sums(a: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """``np.add.reduce`` of each row of ``a`` (..., rows, k) over its first
     ``sizes`` entries, bit for bit, whatever lies past them or beside it.
@@ -401,8 +391,9 @@ class KernelRows:
     are a ``KernelDensity``'s of the row, bit for bit, while its size is at
     most ``KDE_BLOCK_DOUBLES``. ``cdf`` sums each row densely: the fitted
     KDE's one-block bits where that is dense, the same value to rounding
-    where it is windowed. No row is ``deferred``. ``cdf`` of m points per
-    row builds (rows, m, k) doubles (``dense_cdf``); the caller bounds it."""
+    where it is windowed. No row is ``deferred``, and ``density(i)`` builds
+    row i's KDE. ``cdf`` of m points per row builds (rows, m, k) doubles
+    (``dense_cdf``); the caller bounds it."""
 
     dense_cdf = True
 
@@ -431,6 +422,11 @@ class KernelRows:
         """Per row, as ``KernelDensity.effective_low``."""
         return np.maximum(0.0, self.sample_min - TAIL_SIGMAS * self.bandwidth)
 
+    def density(self, i: int) -> KernelDensity:
+        """Row i's KDE at the bandwidth found here: the one :func:`fit_kde`
+        gives the row alone, bit for bit."""
+        return KernelDensity(self.sample[i, : self.sizes[i]], bandwidth=self.bandwidth[i])
+
     def cdf(self, y: np.ndarray) -> np.ndarray:
         """The truncated cdf of each row's KDE at that row of ``y`` (rows, m)."""
         return _truncated_cdf(self._kernel_mean(y), self._below_zero[:, None], self._mass_above_zero[:, None], y)
@@ -452,7 +448,7 @@ class ParametricDensity(Density):
     ):
         row = _family(family)
         self._shapes, self._loc, self._scale = _standard_args(row, params)
-        _, _, low, self._standard_logpdf, self._standard_pdf, self._standard_cdf, self._standard_ppf = row
+        _, low, self._standard_logpdf, self._standard_pdf, self._standard_cdf, self._standard_ppf = row
         self.family = family
         self.params = dict(params)
         self.sample_min = sample_min
@@ -540,145 +536,6 @@ def fit_kde(values, bandwidth: float | None = None) -> KernelDensity:
     return KernelDensity(values, bandwidth=bandwidth)
 
 
-def _fit_normal(x: np.ndarray) -> dict[str, float]:
-    loc, scale = _mean_std(x, 0)
-    if scale <= 0:
-        raise FitError("zero spread")
-    return {"loc": loc, "scale": scale}
-
-
-def _fit_lognormal(x: np.ndarray) -> dict[str, float]:
-    mu, sigma = _mean_std(np.log(x), 0)
-    if sigma <= 0:
-        raise FitError("zero spread")
-    return {"mu": mu, "sigma": sigma}
-
-
-def _fit_exponential(x: np.ndarray) -> dict[str, float]:
-    return {"scale": float(np.add.reduce(x) / x.size)}
-
-
-def _fit_gamma(x: np.ndarray) -> dict[str, float]:
-    mean = np.add.reduce(x) / x.size
-    s = float(np.log(mean) - np.add.reduce(np.log(x)) / x.size)
-    if s <= 1e-12:
-        raise FitError("zero spread")
-    k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    for _ in range(_MAX_ITER):
-        f = math.log(k) - float(special.digamma(k)) - s
-        # trigamma: polygamma(1, k) is 1.0 * gamma(2.0) * zeta(2, k)
-        fprime = 1.0 / k - float(special.zeta(2.0, k))
-        step = f / fprime
-        k_new = k - step
-        if k_new <= 0:
-            k_new = k / 2.0
-        if abs(k_new - k) <= _FIT_TOL * (1.0 + k):
-            k = k_new
-            break
-        # On a tight cluster s is tiny and k huge: the residual bottoms out
-        # at the rounding of log k, and the steps it drives alternate.
-        if abs(f) <= _GAMMA_RESIDUAL_ULPS * math.ulp(math.log(k)):
-            break
-        k = k_new
-    else:
-        raise FitError("shape iteration did not converge")
-    return {"shape": k, "scale": float(mean) / k}
-
-
-def _fit_weibull(x: np.ndarray) -> dict[str, float]:
-    # Work on x / max(x) so powers stay bounded; the shape is scale-invariant.
-    n = x.size
-    xn = x / float(x.max())
-    log_xn = np.log(xn)
-    mean_log = float(np.add.reduce(log_xn) / n)
-
-    def profile(c: float) -> float:
-        w = xn**c
-        return float(np.add.reduce(w * log_xn) / np.add.reduce(w)) - 1.0 / c - mean_log
-
-    lo, hi = 1e-2, 1e2
-    f_lo, f_hi = profile(lo), profile(hi)
-    for _ in range(20):
-        if f_lo < 0:
-            break
-        lo /= 2.0
-        f_lo = profile(lo)
-    for _ in range(20):
-        if f_hi > 0:
-            break
-        hi *= 2.0
-        f_hi = profile(hi)
-    if not (f_lo < 0 < f_hi):
-        raise FitError("no bracket for shape")
-    from scipy.optimize import brentq
-
-    c = float(brentq(profile, lo, hi, xtol=1e-12, rtol=1e-12, maxiter=_MAX_ITER))
-    scale = float((np.add.reduce(xn**c) / n) ** (1.0 / c)) * float(x.max())
-    return {"shape": c, "scale": scale}
-
-
-def _fit_logistic(x: np.ndarray) -> dict[str, float]:
-    n = x.size
-    loc, std = _mean_std(x, 0)
-    scale = std * math.sqrt(3.0) / math.pi
-    if scale <= 0:
-        raise FitError("zero spread")
-    for _ in range(_MAX_ITER):
-        z = (x - loc) / scale
-        u = np.tanh(0.5 * z)
-        fp = special.expit(z) * special.expit(-z)
-        # One row-wise reduce; each row is the pairwise sum np.sum gives.
-        terms = np.array([u, z * u, fp, z * fp, u + 2.0 * z * fp, z * u + 2.0 * z * z * fp])
-        s_u, s_zu, s_fp, s_zfp, s_21, s_22 = np.add.reduce(terms, axis=1).tolist()
-        eq1 = s_u
-        eq2 = s_zu - n
-        j11 = -2.0 / scale * s_fp
-        j12 = -2.0 / scale * s_zfp
-        j21 = -1.0 / scale * s_21
-        j22 = -1.0 / scale * s_22
-        det = j11 * j22 - j12 * j21
-        if abs(det) < 1e-300:
-            raise FitError("singular step")
-        d_loc = (-eq1 * j22 + eq2 * j12) / det
-        d_scale = (-j11 * eq2 + j21 * eq1) / det
-        while scale + d_scale <= 0:
-            d_loc /= 2.0
-            d_scale /= 2.0
-        loc += d_loc
-        scale += d_scale
-        if max(abs(eq1), abs(eq2)) <= _FIT_TOL * n and math.hypot(d_loc, d_scale) <= _FIT_TOL * (
-            1.0 + scale
-        ):
-            return {"loc": loc, "scale": scale}
-    raise FitError("location-scale iteration did not converge")
-
-
-def _fit_gumbel(x: np.ndarray) -> dict[str, float]:
-    # The ML scale solves beta = mean - sum(x w) / sum(w) with
-    # w = exp(-(x - min) / beta). In units of spread = mean - min, with
-    # u = (x - min) / spread, that is g(b) = b - 1 + sum(u w) / sum(w) = 0,
-    # w = exp(-u / b) <= 1. g is increasing (g' = 1 + Var_w(u) / b^2),
-    # negative as b -> 0 and nonnegative at b = 1, so [1e-9, 1] brackets
-    # the root at any price scale.
-    n = x.size
-    x_min = float(x.min())
-    spread = float(np.add.reduce(x - x_min) / n)
-    if spread <= 0:
-        raise FitError("zero spread")
-    u = (x - x_min) / spread
-
-    def g(b: float) -> float:
-        w = np.exp(-u / b)
-        return b - 1.0 + float(np.add.reduce(u * w) / np.add.reduce(w))
-
-    from scipy.optimize import brentq
-
-    beta = spread * float(brentq(g, 1e-9, 1.0, xtol=1e-12, rtol=1e-12, maxiter=_MAX_ITER))
-    w = np.exp(-(x - x_min) / beta)
-    loc = x_min - beta * math.log(float(np.add.reduce(w) / n))
-    return {"loc": loc, "scale": beta}
-
-
 def _lognorm_logpdf(z, s):
     """scipy's lognormal log-density without its ``z != 0`` mask, which costs
     several times the expression and which a positive sample never needs;
@@ -706,38 +563,52 @@ def _gumbel_logpdf(z):
     return -z - np.exp(-z)
 
 
-# One row per family: its fitter; the map from its fitted parameters to its
-# standard form's (shape args, loc, scale); the lower end of its standard
-# support; and its standardized logpdf, pdf, cdf and ppf, each taking the
-# standardized points (or levels) and then the shapes. The kernels are
-# scipy 1.17.1's own expressions (scipy.stats._continuous_distns: norm,
-# lognorm, expon, gamma, weibull_min, logistic, gumbel_r), so inside the
-# support they give a frozen distribution's bits.
+def _exp(mu):
+    """``math.exp`` of ``mu``, or of each value of an array ``mu``: a
+    lognormal's scale keeps its bits, which ``np.exp`` does not always give."""
+    if isinstance(mu, np.ndarray):
+        return np.array([math.exp(v) for v in mu.tolist()])
+    return math.exp(mu)
+
+
+# One row per family: the map from its fitted parameters, a value or an
+# array of values each, to its standard form's (shape args, loc, scale); the
+# lower end of its standard support; and its standardized logpdf, pdf, cdf
+# and ppf, each taking the standardized points (or levels) and then the
+# shapes. The kernels are scipy 1.17.1's own expressions
+# (scipy.stats._continuous_distns: norm, lognorm, expon, gamma, weibull_min,
+# logistic, gumbel_r), so inside the support they give a frozen
+# distribution's bits.
 _FAMILIES = {
-    "normal": (_fit_normal, lambda p: ((), p["loc"], p["scale"]), -math.inf,
+    "normal": (lambda p: ((), p["loc"], p["scale"]), -math.inf,
                lambda z: -z**2 / 2.0 - _LOG_SQRT_2PI, lambda z: np.exp(-z**2 / 2.0) / _SQRT_2PI,
                special.ndtr, special.ndtri),
-    "lognormal": (_fit_lognormal, lambda p: ((p["sigma"],), 0.0, math.exp(p["mu"])), 0.0,
+    "lognormal": (lambda p: ((p["sigma"],), 0.0, _exp(p["mu"])), 0.0,
                   _lognorm_logpdf, _lognorm_pdf,
                   lambda z, s: special.ndtr(np.log(z) / s), lambda q, s: np.exp(s * special.ndtri(q))),
-    "exponential": (_fit_exponential, lambda p: ((), 0.0, p["scale"]), 0.0,
+    "exponential": (lambda p: ((), 0.0, p["scale"]), 0.0,
                     lambda z: -z, lambda z: np.exp(-z),
                     lambda z: -special.expm1(-z), lambda q: -special.log1p(-q)),
-    "gamma": (_fit_gamma, lambda p: ((p["shape"],), 0.0, p["scale"]), 0.0,
+    "gamma": (lambda p: ((p["shape"],), 0.0, p["scale"]), 0.0,
               _gamma_logpdf, lambda z, a: np.exp(_gamma_logpdf(z, a)),
               lambda z, a: special.gammainc(a, z), lambda q, a: special.gammaincinv(a, q)),
-    "weibull": (_fit_weibull, lambda p: ((p["shape"],), 0.0, p["scale"]), 0.0,
+    "weibull": (lambda p: ((p["shape"],), 0.0, p["scale"]), 0.0,
                 lambda z, c: np.log(c) + special.xlogy(c - 1, z) - pow(z, c),
                 lambda z, c: c * pow(z, c - 1) * np.exp(-pow(z, c)),
                 lambda z, c: -special.expm1(-pow(z, c)), lambda q, c: pow(-special.log1p(-q), 1.0 / c)),
-    "logistic": (_fit_logistic, lambda p: ((), p["loc"], p["scale"]), -math.inf,
+    "logistic": (lambda p: ((), p["loc"], p["scale"]), -math.inf,
                  _logistic_logpdf, lambda z: np.exp(_logistic_logpdf(z)), special.expit, special.logit),
-    "gumbel": (_fit_gumbel, lambda p: ((), p["loc"], p["scale"]), -math.inf,
+    "gumbel": (lambda p: ((), p["loc"], p["scale"]), -math.inf,
                _gumbel_logpdf, lambda z: np.exp(_gumbel_logpdf(z)),
                lambda z: np.exp(-np.exp(-z)), lambda q: -np.log(-np.log(q))),
 }
 
 FAMILIES = tuple(_FAMILIES)
+
+# Why a family is skipped, by the code ``ParametricRows.skip`` holds; 0 is
+# a fit. No spread to fit; a solve that ends unsolved; parameters outside
+# the family's domain or a log-likelihood that is not finite.
+SKIP_REASONS = ("", "zero spread", "did not converge", "non-finite likelihood")
 
 
 def _family(name: str) -> tuple:
@@ -753,71 +624,46 @@ def _standard_args(row: tuple, params: dict[str, float]) -> tuple[tuple[np.ndarr
     each shape a one-element array: the form ``argsreduce`` hands scipy's
     kernels, so every value keeps their bits. Raises :class:`FitError` at
     parameters outside the family's domain (a shape or scale not above zero,
-    a NaN loc), where every density value, and so a sample's likelihood,
-    would be NaN; this check runs before any arithmetic on them."""
-    args, loc, scale = row[1](params)
+    a NaN loc), where every density value would be NaN; this check runs
+    before any arithmetic on them."""
+    args, loc, scale = row[0](params)
     if not (scale > 0 and loc == loc and all(a > 0 for a in args)):
         raise FitError("non-finite likelihood")
     return tuple(np.array([a]) for a in args), loc, scale
 
 
-def _loglik(x: np.ndarray, logpdf, shapes: tuple[np.ndarray, ...], loc: float, scale: float) -> float:
-    """Log-likelihood of ``x`` under a family's standardized log-density
-    ``logpdf`` at the standard form :func:`_standard_args` gives, summed as
-    ``np.sum`` would, without building a density. Raises :class:`FitError`
-    on a non-finite likelihood. A positive sample lies inside the family's
-    support, or at a NaN point whose kernel value is NaN too."""
-    loglik = float(np.add.reduce(logpdf((x - loc) / scale, *shapes) - np.log(scale)))
-    if math.isfinite(loglik):
-        return loglik
-    raise FitError("non-finite likelihood")
-
-
 def fit_parametric(values, families: tuple[str, ...] = FAMILIES) -> FitReport:
-    """Fit each family by maximum likelihood and pick the lowest BIC.
+    """Fit each of ``families`` by maximum likelihood and pick the lowest
+    BIC: the one-row case of :class:`ParametricRows`.
 
-    Families that cannot be fit (zero spread, failed iteration, non-finite
-    likelihood) are recorded as skipped with a reason; if every family is
-    skipped a :class:`FitError` is raised. Each family is scored by its
-    log-density kernel; only the winner is built into a density.
-    """
+    A family that cannot be fit is recorded as skipped, with the reason in
+    SKIP_REASONS that its ``skip`` code names; if every family is skipped a
+    :class:`FitError` is raised, and so it is when the winner has no mass
+    above zero."""
     x = _as_sample(values)
     if x.size < 2:
         raise ValidationError("parametric fitting needs at least 2 observations")
-    rows = [(family, _family(family)) for family in families]
-    n = x.size
-    candidates: list[FitCandidate] = []
-    best: FitCandidate | None = None
-    for family, row in rows:
-        fit, _, _, logpdf, *_ = row
-        try:
-            params = fit(x)
-            loglik = _loglik(x, logpdf, *_standard_args(row, params))
-        except FitError as exc:
-            candidates.append(
-                FitCandidate(family, {}, float("nan"), float("nan"), skipped=True, reason=str(exc))
-            )
-            continue
-        bic = len(params) * math.log(n) - 2.0 * loglik
-        candidate = FitCandidate(family, params, loglik, bic)
-        candidates.append(candidate)
-        if best is None or bic < best.bic:
-            best = candidate
-    if best is None:
+    for family in families:
+        _family(family)  # an unknown family raises
+    rows = ParametricRows(x[None], np.array([x.size]), families)
+    candidates = tuple(
+        FitCandidate(FAMILIES[f], {}, math.nan, math.nan, skipped=True, reason=SKIP_REASONS[rows.skip[f, 0]])
+        if rows.skip[f, 0]
+        else FitCandidate(FAMILIES[f], rows.params_of(f, 0), float(rows.loglik[f, 0]), float(rows.bic[f, 0]))
+        for f in map(FAMILIES.index, families)
+    )
+    if all(c.skipped for c in candidates):
         raise FitError("no family could be fit: " + "; ".join(f"{c.family}: {c.reason}" for c in candidates))
-    density = ParametricDensity(best.family, best.params, float(x.min()), n)
-    return FitReport(tuple(candidates), best.family, density)
+    return FitReport(candidates, FAMILIES[rows.family[0]], rows.density(0))
 
 
-# The widest brackets the weibull and gumbel fitters solve their profile
-# equations on: a root outside one is a fit the fitter skips.
+# The brackets the weibull shape and gumbel scale equations are solved in:
+# a root outside one is a fit that is skipped.
 _WEIBULL_BRACKET = (1e-2 * 2.0**-20, 1e2 * 2.0**20)
 _GUMBEL_BRACKET = (1e-9, 1.0)
-# A Newton step this small, relative to its root, ends a block solve: the
-# error it leaves is about its square, far below brentq's rtol of 1e-12.
+# A Newton step this small, relative to its root, ends a solve: the error it
+# leaves is about its square.
 _ROOT_TOL = 1e-12
-# Two best BICs this close, relative, leave a row's winner to the scalar fit.
-_BIC_TIE = 1e-9
 
 
 def _increasing_root(profile, start: np.ndarray, low: float, high: float, active: np.ndarray):
@@ -828,8 +674,8 @@ def _increasing_root(profile, start: np.ndarray, low: float, high: float, active
     most _ROOT_TOL of itself, which puts the root there. Each iterate's sign
     closes the row's bracket in on the root, and a longer step that would
     leave the bracket goes to its geometric midpoint instead. The steps
-    toward a root outside (low, high) stay long, so its row is not solved,
-    as the fitter finds no bracket for it. Returns (solved, root)."""
+    toward a root outside (low, high) stay long, so its row is not solved.
+    Returns (solved, root)."""
     t = np.clip(start, low, high)
     below, above = np.full(t.size, low), np.full(t.size, high)
     solved = np.zeros(t.size, dtype=bool)
@@ -851,11 +697,15 @@ def _increasing_root(profile, start: np.ndarray, low: float, high: float, active
 
 
 def _block_gamma(mean: np.ndarray, mean_log: np.ndarray):
-    """``_fit_gamma``'s (solved, shape, loc, scale) per row, step for step: each
-    row's starting shape and logs are taken with ``math``, as the fitter
-    takes them, so the iterates keep its bits."""
+    """The gamma fit's (spread, solved, params) per row: Newton steps on
+    log k - digamma(k) = log(mean) - mean(log x), trigamma taken as
+    zeta(2, k), from the closed-form start, each row's starting shape and
+    logs taken with ``math``. A row whose residual reaches the rounding of
+    log k is solved there: on a tight cluster k is huge and the steps the
+    residual drives would alternate."""
     s = np.log(mean) - mean_log
-    rows = np.flatnonzero(s > 1e-12)
+    spread = s > 1e-12
+    rows = np.flatnonzero(spread)
     k = np.ones(s.size)
     k[rows] = [(3.0 - v + math.sqrt((v - 3.0) ** 2 + 24.0 * v)) / (12.0 * v) for v in s[rows].tolist()]
     solved = np.zeros(s.size, dtype=bool)
@@ -873,16 +723,16 @@ def _block_gamma(mean: np.ndarray, mean_log: np.ndarray):
         done = stepped | flat
         solved[rows[done]] = True
         rows = rows[~done]
-    return solved, k, None, mean / k
+    return spread, solved, {"shape": k, "scale": mean / k}
 
 
 def _block_weibull(x: np.ndarray, sizes: np.ndarray, spread_log: np.ndarray):
-    """``_fit_weibull``'s (solved, shape, loc, scale) per row, its profile
-    equation solved by :func:`_increasing_root` instead of brentq, from the
-    shape a weibull of log-spread ``spread_log`` has."""
-    top = np.take_along_axis(x, sizes[:, None] - 1, axis=1)
-    xn = x / top
-    log_xn = np.log(xn)
+    """The weibull fit's (spread, solved, params) per row: its profile
+    equation for the shape, on x / max(x) so powers stay bounded, solved by
+    :func:`_increasing_root` from the shape a weibull of log-spread
+    ``spread_log`` has."""
+    top = x.max(axis=1, keepdims=True)
+    log_xn = np.log(x / top)
     mean_log = _row_sums(log_xn, sizes) / sizes
 
     def profile(c, rows):
@@ -892,16 +742,20 @@ def _block_weibull(x: np.ndarray, sizes: np.ndarray, spread_log: np.ndarray):
         mean = s_wl / s_w
         return mean - 1.0 / c - mean_log[rows], s_wll / s_w - mean * mean + 1.0 / (c * c)
 
-    start = math.pi / math.sqrt(6.0) / spread_log
-    solved, c = _increasing_root(profile, start, *_WEIBULL_BRACKET, spread_log > 0)
-    return solved, c, None, (_row_sums(np.exp(c[:, None] * log_xn), sizes) / sizes) ** (1.0 / c) * top[:, 0]
+    spread = spread_log > 0
+    solved, c = _increasing_root(profile, math.pi / math.sqrt(6.0) / spread_log, *_WEIBULL_BRACKET, spread)
+    scale = (_row_sums(np.exp(c[:, None] * log_xn), sizes) / sizes) ** (1.0 / c) * top[:, 0]
+    return spread, solved, {"shape": c, "scale": scale}
 
 
 def _block_logistic(x: np.ndarray, sizes: np.ndarray, mean: np.ndarray, std: np.ndarray):
-    """``_fit_logistic``'s (solved, shape, loc, scale) per row, step for step."""
+    """The logistic fit's (spread, solved, params) per row: Newton steps on
+    both score equations from the moments' loc and scale, each step halved
+    while it would take the scale to 0 or below."""
     loc, scale = mean.copy(), std * math.sqrt(3.0) / math.pi
+    spread = scale > 0
     solved = np.zeros(scale.size, dtype=bool)
-    rows = np.flatnonzero(scale > 0)
+    rows = np.flatnonzero(spread)
     for _ in range(_MAX_ITER):
         if rows.size == 0:
             break
@@ -929,15 +783,20 @@ def _block_logistic(x: np.ndarray, sizes: np.ndarray, mean: np.ndarray, std: np.
         )
         solved[rows[done & ~singular]] = True
         rows = rows[~(done | singular)]
-    return solved, None, loc, scale
+    return spread, solved, {"loc": loc, "scale": scale}
 
 
 def _block_gumbel(x: np.ndarray, sizes: np.ndarray, std: np.ndarray):
-    """``_fit_gumbel``'s (solved, shape, loc, scale) per row, its scale equation
-    solved by :func:`_increasing_root` instead of brentq, from the scale a
-    gumbel of standard deviation ``std`` has."""
-    spread = _row_sums(x - x[:, :1], sizes) / sizes
-    u = (x - x[:, :1]) / spread[:, None]
+    """The gumbel fit's (spread, solved, params) per row. The ML scale
+    solves beta = mean - sum(x w) / sum(w) with w = exp(-(x - min) / beta);
+    in units of spread = mean - min, with u = (x - min) / spread, that is
+    g(b) = b - 1 + sum(u w) / sum(w) = 0, w = exp(-u / b) <= 1. g is
+    increasing, negative as b -> 0 and nonnegative at b = 1, so
+    _GUMBEL_BRACKET holds the root at any price scale; :func:`_increasing_root`
+    solves it from the scale a gumbel of standard deviation ``std`` has."""
+    d = x - x.min(axis=1, keepdims=True)
+    spread = _row_sums(d, sizes) / sizes
+    u = d / spread[:, None]
 
     def profile(b, rows):
         w = np.exp(-u[rows] / b[:, None])
@@ -948,72 +807,79 @@ def _block_gumbel(x: np.ndarray, sizes: np.ndarray, std: np.ndarray):
 
     solved, b = _increasing_root(profile, std * math.sqrt(6.0) / math.pi / spread, *_GUMBEL_BRACKET, spread > 0)
     beta = spread * b
-    w = np.exp(-(x - x[:, :1]) / beta[:, None])
-    return solved, None, x[:, 0] - beta * np.log(_row_sums(w, sizes) / sizes), beta
+    loc = x.min(axis=1) - beta * np.log(_row_sums(np.exp(-d / beta[:, None]), sizes) / sizes)
+    return spread > 0, solved, {"loc": loc, "scale": beta}
 
 
 class ParametricRows:
     """The parametric fits of the rows of ``samples``, a (rows, k) matrix
-    whose row i holds a sample sorted ascending in its first ``sizes[i]``
-    entries (what lies past them is ignored), held as arrays of per-row
-    fields instead of one ``FitReport`` per row.
+    whose row i holds a sample in its first ``sizes[i]`` entries, in any
+    order (what lies past them is ignored), held as arrays of per-row
+    fields; :func:`fit_parametric` is its one-row case.
 
-    Every family is fitted to every row at once: normal, lognormal and
-    exponential in closed form, gamma and logistic by their fitters' own
+    Every family is fitted to every row at once by maximum likelihood:
+    normal, lognormal and exponential in closed form, gamma and logistic by
     Newton steps, weibull and gumbel by :func:`_increasing_root` on their
-    fitters' equations. Each sum is the one ``np.add.reduce`` gives the row
+    profile equations. Each sum is the one ``np.add.reduce`` gives the row
     alone (:func:`_row_sums`), so no row's fit depends on the rows beside
-    it. Each row is scored by the family table's logpdf kernels, as
-    :func:`fit_parametric` scores it, and ``family`` is its BIC winner, an
-    index into FAMILIES. Nothing here imports ``scipy.optimize``.
+    it. Per family (in FAMILIES order) and row, ``params`` holds the named
+    parameters, ``loglik`` the log-likelihood by the family table's logpdf
+    kernel, ``bic`` the BIC and ``skip`` 0, or the code of the reason in
+    SKIP_REASONS that the family is skipped. ``family`` is each row's BIC
+    winner among ``families``, an index into FAMILIES, and ``density(i)``
+    builds row i's winner.
 
-    A row is ``deferred`` where the block cannot vouch for the winner the
-    scalar fit picks: fewer than 2 prices, any family skipped, unsolved or
-    scored a non-finite likelihood, two best BICs within _BIC_TIE of each
-    other, or a winner with no mass above zero. ``effective_low`` and
-    ``cdf`` give the winner's values, with the truncation at zero, on every
-    other row, and 0 on a deferred one. A fit has no ``feature_scale``, and
-    its ``cdf`` builds no (rows, points, k) matrix (``dense_cdf``)."""
+    A row is ``deferred`` where it has no fit: fewer than 2 prices, every
+    family skipped, or a winner with no mass above zero, which
+    ``ParametricDensity`` refuses. ``effective_low`` and ``cdf`` give the
+    winner's values, with the truncation at zero, on every other row, and 0
+    on a deferred one. A fit has no ``feature_scale``, and its ``cdf``
+    builds no (rows, points, k) matrix (``dense_cdf``)."""
 
     dense_cdf = False
     feature_scale = None
 
-    def __init__(self, samples: np.ndarray, sizes: np.ndarray):
-        sizes = np.asarray(sizes)
-        x = np.where(np.arange(samples.shape[1]) < sizes[:, None], samples, samples[:, :1])
-        self.sample_min = x[:, 0]
+    def __init__(self, samples: np.ndarray, sizes: np.ndarray, families: tuple[str, ...] = FAMILIES):
+        self.sizes = sizes = np.asarray(sizes)
+        inside = np.arange(samples.shape[1]) < sizes[:, None]
+        self.sample_min = np.where(inside, samples, np.inf).min(axis=1)
+        x = np.where(inside, samples, self.sample_min[:, None])
+        log_n = np.array([math.log(n) for n in sizes.tolist()])
+        self.params, loglik, skip = [], [], []
         with np.errstate(all="ignore"):
-            fits = self._fit_families(x, sizes)
-            bics, fitted = [], []
-            for name, (solved, shape, loc, scale) in zip(FAMILIES, fits):
-                shapes = () if shape is None else (shape[:, None],)
-                at = 0.0 if loc is None else loc[:, None]
-                logpdf = _FAMILIES[name][3]
-                loglik = _row_sums(logpdf((x - at) / scale[:, None], *shapes) - np.log(scale)[:, None], sizes)
-                valid = (scale > 0) & (loc is None or loc == loc) & (shape is None or shape > 0)
-                fitted.append(solved & valid & np.isfinite(loglik))
-                bics.append((1 + len(shapes) + (loc is not None)) * np.log(sizes) - 2.0 * loglik)
-            bic = np.where(fitted, bics, np.inf)
-            self.family = np.argmin(bic, axis=0)
-            best, second = np.sort(bic, axis=0)[:2]
-            self.deferred = (sizes < 2) | ~np.all(fitted, axis=0) | (
-                second - best <= _BIC_TIE * np.maximum(np.abs(best), np.abs(second))
-            )
-            self._winners(fits)
+            for name, (spread, solved, params) in zip(FAMILIES, self._fit_families(x, sizes)):
+                shapes, loc, scale = _FAMILIES[name][0](params)
+                shapes, scale = tuple(a[:, None] for a in shapes), scale[:, None]
+                loc = loc if isinstance(loc, float) else loc[:, None]
+                valid = (scale > 0) & (loc == loc)
+                for a in shapes:
+                    valid &= a > 0
+                sums = _row_sums(_FAMILIES[name][2]((x - loc) / scale, *shapes) - np.log(scale), sizes)
+                fitted = solved & valid[:, 0] & np.isfinite(sums)
+                self.params.append(params)
+                loglik.append(sums)
+                skip.append(np.where(fitted, 0, np.where(spread, np.where(solved, 3, 2), 1)))
+            self.loglik, self.skip = np.array(loglik), np.array(skip)
+            self.bic = np.array([len(p) for p in self.params])[:, None] * log_n - 2.0 * self.loglik
+            chosen = (self.skip == 0) & np.array([name in families for name in FAMILIES])[:, None]
+            self.family = np.argmin(np.where(chosen, self.bic, np.inf), axis=0)
+            self.deferred = (sizes < 2) | ~chosen.any(axis=0)
+            self._winners()
 
     @staticmethod
     def _fit_families(x: np.ndarray, sizes: np.ndarray) -> list[tuple]:
-        """Each family's (solved, shape, loc, scale) per row, in FAMILIES
-        order; shape is None for a family without one, loc None for one
-        whose loc is 0."""
+        """Each family's (spread, solved, params) per row, in FAMILIES
+        order: whether the row has the spread the family needs, whether its
+        equations are solved, and its named parameters."""
         logs = np.log(x)
         mean, mean_log = _row_sums(np.array([x, logs]), sizes) / sizes
         d, e = x - mean[:, None], logs - mean_log[:, None]
         std, std_log = np.sqrt(_row_sums(np.array([d * d, e * e]), sizes) / sizes)
+        every = np.ones(mean.size, dtype=bool)
         fits = {
-            "normal": (std > 0, None, mean, std),
-            "lognormal": (std_log > 0, std_log, None, np.exp(mean_log)),
-            "exponential": (np.ones(mean.size, dtype=bool), None, None, mean),
+            "normal": (std > 0, std > 0, {"loc": mean, "scale": std}),
+            "lognormal": (std_log > 0, std_log > 0, {"mu": mean_log, "sigma": std_log}),
+            "exponential": (every, every, {"scale": mean}),
             "gamma": _block_gamma(mean, mean_log),
             "weibull": _block_weibull(x, sizes, std_log),
             "logistic": _block_logistic(x, sizes, mean, std),
@@ -1021,23 +887,34 @@ class ParametricRows:
         }
         return [fits[name] for name in FAMILIES]
 
-    def _winners(self, fits: list[tuple]) -> None:
+    def params_of(self, family: int, i: int) -> dict[str, float]:
+        """Family ``family``'s named parameters on row i, as floats."""
+        return {key: float(values[i]) for key, values in self.params[family].items()}
+
+    def density(self, i: int) -> ParametricDensity:
+        """Row i's winner as a ``ParametricDensity``: the one
+        :func:`fit_parametric` gives the row alone, bit for bit."""
+        family = int(self.family[i])
+        return ParametricDensity(FAMILIES[family], self.params_of(family, i), float(self.sample_min[i]),
+                                 int(self.sizes[i]))
+
+    def _winners(self) -> None:
         """Each row's winning (shape, loc, scale) and mass below zero, where
-        none is 0, and ``_groups``: each family's undeferred rows, with its
-        table row and whether it has a shape. A winner with no mass above
-        zero defers its row, as ``ParametricDensity`` refuses it."""
+        none is 0, and ``_groups``: each winning family's undeferred rows,
+        with its table row and whether it has a shape. A winner with no mass
+        above zero defers its row, as ``ParametricDensity`` refuses it."""
         count = self.family.size
         self.shape, self.loc, self.scale, self._below_zero = (np.zeros(count) for _ in range(4))
         groups = []
-        for index, (name, (_, shape, loc, scale)) in enumerate(zip(FAMILIES, fits)):
+        for index in np.unique(self.family[~self.deferred]).tolist():
+            table = _FAMILIES[FAMILIES[index]]
             rows = np.flatnonzero((self.family == index) & ~self.deferred)
-            self.shape[rows] = 0.0 if shape is None else shape[rows]
-            self.loc[rows] = 0.0 if loc is None else loc[rows]
-            self.scale[rows] = scale[rows]
-            group = (rows, _FAMILIES[name], shape is not None)
+            shapes, self.loc[rows], self.scale[rows] = table[0]({k: v[rows] for k, v in self.params[index].items()})
+            self.shape[rows] = shapes[0] if shapes else 0.0
+            group = (rows, table, bool(shapes))
             shapes, at, width = self._standard(group)
-            below = group[1][5]((0.0 - at) / width, *shapes)
-            self._below_zero[rows] = np.where(group[1][2] * width + at >= 0.0, 0.0, below)[:, 0]
+            below = table[4]((0.0 - at) / width, *shapes)
+            self._below_zero[rows] = np.where(table[1] * width + at >= 0.0, 0.0, below)[:, 0]
             groups.append(group)
         self.deferred |= ~(self._below_zero < 1.0 - 1e-300)
         self._mass_above_zero = 1.0 - self._below_zero
@@ -1057,7 +934,7 @@ class ParametricRows:
             for group in self._groups:
                 shapes, at, width = self._standard(group)
                 level = np.full((group[0].size, 1), TAIL_MASS)
-                low[group[0]] = (group[1][6](level, *shapes) * width + at)[:, 0]
+                low[group[0]] = (group[1][5](level, *shapes) * width + at)[:, 0]
         return np.where(low > 0.0, low, 0.0)
 
     def cdf(self, y: np.ndarray) -> np.ndarray:
@@ -1067,7 +944,7 @@ class ParametricRows:
             for group in self._groups:
                 rows = group[0]
                 shapes, at, width = self._standard(group)
-                raw = group[1][5]((y[rows] - at) / width, *shapes)
+                raw = group[1][4]((y[rows] - at) / width, *shapes)
                 out[rows] = (raw - self._below_zero[rows, None]) / self._mass_above_zero[rows, None]
         return _above_zero(y, np.minimum(np.maximum(out, 0.0), 1.0))
 

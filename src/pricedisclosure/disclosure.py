@@ -32,23 +32,23 @@ nor the winner. It still counts as evaluated in ``subsets_evaluated``. A
 block's rows are bounded together, once the screen meets the first of
 them: padded into one matrix whatever their sizes, they go to
 ``search.lower_bounds``, which fits them at once under either estimator
-(``density.KernelRows`` or ``density.ParametricRows``), with no scalar
-fit. So a row is fitted only when it is integrated, and no bound is
-cached: a later block that meets the row again bounds it again. The one
-exception is a parametric row the block fit defers: the loop bounds it
-from its scalar fit when it reaches it, and hands that fit to its
-evaluation. Pooled sets and ``evaluate_subset`` pass no threshold and are
-never screened.
+(``density.KernelRows`` or ``density.ParametricRows``). A row that passes
+the screen is integrated from the density that fit holds for it, the one
+``fit_estimator`` gives the row alone, with no second fit. No bound or fit
+is cached: a later block that meets the row again fits it again. A row
+with no bound is fitted alone: the first row of a selection, a row the
+block fit defers (fewer than 2 prices, no family fits, or no mass above
+zero), pooled sets and ``evaluate_subset``, which pass no threshold and
+are never screened.
 
 A failing candidate aborts the whole run: its error is re-raised, as the
 same type, naming the method and the candidate's size and prices; a
 ``NumericalError`` keeps its error estimate. Skipping it could return a
 subset that is not the method's answer. A screened candidate is not
 integrated, so an integral that would fail on it does not abort the run:
-the bound proves it could not have been the answer. Nor is a screened
-candidate fitted, except a deferred one: its scalar fit gives its bound,
-so a fit that fails aborts whether or not the row would have been
-screened.
+the bound proves it could not have been the answer. A deferred row has no
+bound, so it is never screened: its fit, and with it the run, fails
+whatever its cost would have been.
 
 Results are deterministic: the randomized strategy derives iteration i's
 draws from (seed, i) via a counter-based generator, so any budget's run is
@@ -70,15 +70,13 @@ import numpy as np
 from .data import PriceList, format_cents
 from .density import _check_estimator, fit_estimator
 from .errors import InfeasibleError, NumericalError, PriceDisclosureError, ValidationError
-from .search import CriticalCost, _check_n, critical_cost, critical_cost_lower_bound, lower_bounds
+from .search import CriticalCost, _check_n, critical_cost, lower_bounds
 
 BRUTE_FORCE_GUARD = 5_000_000
 
 METHODS = ("brute_force", "monte_carlo", "interval", "minimal", "full")
 
-# Cents-multiset evaluations repeat across strategies and trials. The bound
-# is in entries, not bytes: interval selection on 400 prices left 463 MB
-# (ROADMAP item 6).
+# Cents-multiset evaluations repeat across strategies and trials.
 _CACHE_SIZE = 200_000
 
 # Candidates are generated in blocks whose boolean masks take at most this
@@ -121,37 +119,43 @@ class DisclosureResult:
     trace_subsets: tuple[PriceList, ...] = ()
 
 
-# The fit of the last row bounded or evaluated: a deferred row that passes
-# the screen is evaluated next, from the same fit. Every other row is fitted
-# here once, by its evaluation.
-@functools.lru_cache(maxsize=1)
-def _fit_cents(cents: tuple[int, ...], estimator: str):
-    return fit_estimator(np.asarray(cents, dtype=float) / 100.0, estimator)
+class _Fit:
+    """How ``_evaluate_cents`` gets a row's density: ``build()``, from the
+    block fit that bounded the row, or ``fit_estimator`` of the row alone
+    where ``build`` is None. It rides beside the cache's key, not in it, as
+    every ``_Fit`` is equal to every other, and the evaluation empties it,
+    so the cache keeps no fit alive."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build=None):
+        self.build = build
+
+    def __eq__(self, other):
+        return isinstance(other, _Fit)
+
+    def __hash__(self):
+        return 0
+
+    def density(self, cents: tuple[int, ...], estimator: str):
+        build, self.build = self.build, None
+        return build() if build else fit_estimator(np.asarray(cents, dtype=float) / 100.0, estimator)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _evaluate_cents(cents: tuple[int, ...], n_new: int, estimator: str) -> CriticalCost:
-    return critical_cost(_fit_cents(cents, estimator), min(cents) / 100.0, n_new)
+def _evaluate_cents(cents: tuple[int, ...], n_new: int, estimator: str, fit: _Fit) -> CriticalCost:
+    return critical_cost(fit.density(cents, estimator), min(cents) / 100.0, n_new)
 
 
-def _lower_bounds(keys: list[tuple[int, ...]], n_new: int, estimator: str) -> list[float]:
-    """The screen's lower bound of every row of sorted cents, with no scalar
-    fit: ``search.lower_bounds`` over the rows padded to the longest. NaN
-    for a deferred parametric row, which ``_deferred_bound`` bounds when the
-    screen reaches it."""
+def _lower_bounds(keys: list[tuple[int, ...]], n_new: int, estimator: str):
+    """The screen's lower bound of every row of sorted cents, NaN for a row
+    with no fit, and ``density(i)``, row i's density from the same fit:
+    ``search.lower_bounds`` over the rows padded to the longest."""
     sizes = np.array([len(key) for key in keys])
     padded = np.zeros((len(keys), sizes.max()))
     padded[np.arange(sizes.max()) < sizes[:, None]] = np.fromiter(itertools.chain.from_iterable(keys), float)
-    return lower_bounds(padded / 100.0, sizes, n_new, estimator).tolist()
-
-
-def _deferred_bound(bound: float, key: tuple[int, ...], n_new: int, estimator: str) -> float:
-    """``bound``, or for a row the block fit deferred (NaN), the bound of
-    its scalar fit, which ``_fit_cents`` keeps for its evaluation. A fit
-    that fails raises here, as its evaluation would."""
-    if not math.isnan(bound):
-        return bound
-    return critical_cost_lower_bound(_fit_cents(key, estimator), key[0] / 100.0, n_new)
+    bounds, density = lower_bounds(padded / 100.0, sizes, n_new, estimator)
+    return bounds.tolist(), density
 
 
 def _screen_limit(threshold: float) -> float:
@@ -162,7 +166,6 @@ def _screen_limit(threshold: float) -> float:
 
 def clear_evaluation_cache() -> None:
     _evaluate_cents.cache_clear()
-    _fit_cents.cache_clear()
 
 
 def evaluate_block(rows, n_new: int, estimator: str, what: str,
@@ -177,10 +180,11 @@ def evaluate_block(rows, n_new: int, estimator: str, what: str,
     evaluated and its entry is None. The threshold falls to every evaluated
     row's cost. Without one, every row is evaluated. The bounds come from
     one ``_lower_bounds`` call, for the first row the screen meets with a
-    finite threshold above 0 and every row after it, and a deferred row's
-    from ``_deferred_bound`` when the screen reaches it. A block whose first
-    row sets the only threshold it meets, such as Monte Carlo's incumbent,
-    or that meets a threshold of 0, computes no bound."""
+    finite threshold above 0 and every row after it, and a row with a bound
+    is evaluated from the density of the fit that bounded it. A block whose
+    first row sets the only threshold it meets, such as Monte Carlo's
+    incumbent, or that meets a threshold of 0, computes no bound. A row with
+    no bound is fitted alone; so is a row the fit defers, whose fit raises."""
     n_new = _check_n(n_new)
     _check_estimator(estimator)
     keys = [tuple(sorted(row)) for row in rows]
@@ -189,15 +193,15 @@ def evaluate_block(rows, n_new: int, estimator: str, what: str,
     costs = []
     for i, key in enumerate(keys):
         if bounds is None and 0.0 < limit < math.inf:
-            bounds, first = _lower_bounds(keys[i:], n_new, estimator), i
+            (bounds, density), first = _lower_bounds(keys[i:], n_new, estimator), i
+        bound = math.nan if bounds is None else bounds[i - first]
         try:
             # No cost is below 0, so nothing beats a threshold of 0.
-            if limit < math.inf and (
-                limit <= 0.0 or _screen_limit(limit) < _deferred_bound(bounds[i - first], key, n_new, estimator)
-            ):
+            if limit < math.inf and (limit <= 0.0 or _screen_limit(limit) < bound):
                 costs.append(None)
                 continue
-            cost = _evaluate_cents(key, n_new, estimator)
+            fit = _Fit(None if math.isnan(bound) else functools.partial(density, i - first))
+            cost = _evaluate_cents(key, n_new, estimator, fit)
         except PriceDisclosureError as exc:
             listed = " ".join(map(format_cents, key))
             message = f"{what} of {len(key)} prices ({listed}) failed: {exc}"

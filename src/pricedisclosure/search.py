@@ -201,7 +201,7 @@ def critical_cost_lower_bound(density: Density, q: float, n_new: int) -> float:
     Riemann sum, sum (e[i+1] - e[i]) g(e[i]), is at most its integral in
     exact arithmetic (Davis & Rabinowitz 1984). The edges are
     :func:`screen_edges` at the density's feature scale. :func:`lower_bounds`
-    gives the same bound for many rows at once, without a scalar fit.
+    gives the same bound for many rows at once, from one fit of them all.
     """
     n = _check_n(n_new)
     q = _check_q(density, q)
@@ -212,32 +212,40 @@ def critical_cost_lower_bound(density: Density, q: float, n_new: int) -> float:
     return float(_left_riemann_sum(edges, _log_sf(density, edges[:-1]), n))
 
 
-def lower_bounds(samples: np.ndarray, sizes: np.ndarray, n_new: int, estimator: str) -> np.ndarray:
+def lower_bounds(samples: np.ndarray, sizes: np.ndarray, n_new: int, estimator: str):
     """:func:`critical_cost_lower_bound` of the ``estimator`` fit of each
     row of ``samples`` (rows, k), sorted ascending in its first ``sizes``
     entries, at q its minimum, with the rows fitted at once by
-    :func:`density.estimator_rows`; NaN where a row is deferred. A KDE
-    row's bound has the fitted KDE's bits while that KDE's 16-point cdf is
-    one dense block, a parametric row's agrees within its block fit's
-    tolerance. Each chunk's largest matrix, a KDE cdf's (rows, edges, k)
-    terms or a parametric fit's (rows, k) samples, holds at most
-    ``KDE_BLOCK_DOUBLES`` doubles, at least one row; chunks run over the
-    rows in order of size, each cut to its longest row. Every step is per
-    row, so a row's bound has the same bits alone or among any rows.
+    :func:`density.estimator_rows`; NaN where a row is deferred, which has
+    no fit. Returns the bounds and ``density``: ``density(i)`` is row i's
+    fitted density from the same fit, the one ``fit_estimator`` gives the
+    row alone, bit for bit. A KDE row's bound has that density's bits while
+    its 16-point cdf is one dense block. Each chunk's largest matrix, a KDE
+    cdf's (rows, edges, k) terms or a parametric fit's (rows, k) samples,
+    holds at most ``KDE_BLOCK_DOUBLES`` doubles, at least one row; chunks
+    run over the rows in order of size, each cut to its longest row, as
+    views of ``samples`` where its rows are in that order already, else of
+    a copy, which ``density`` keeps with every chunk's fit. Every step is
+    per row, so a row's bound has the same bits alone or among any rows.
     """
     n = _check_n(n_new)
     fit = estimator_rows(estimator)
-    bounds = np.empty(len(samples))
-    step = max(1, KDE_BLOCK_DOUBLES // (samples.shape[1] * (SCREEN_CUTS.size if fit.dense_cdf else 1)))
     order = np.argsort(sizes, kind="stable")
+    if np.any(np.diff(sizes) < 0):  # else each chunk is a view of ``samples``
+        samples, sizes = samples[order], sizes[order]
+    bounds = np.empty(len(samples))
+    chunks = []
+    step = max(1, KDE_BLOCK_DOUBLES // (samples.shape[1] * (SCREEN_CUTS.size if fit.dense_cdf else 1)))
     for lo in range(0, len(samples), step):
-        at = order[lo : lo + step]
-        rows = fit(samples[at, : sizes[at[-1]]], sizes[at])
+        at = slice(lo, lo + step)
+        rows = fit(samples[at, : sizes[at][-1]], sizes[at])
         low, q = rows.effective_low[:, None], rows.sample_min[:, None]
         edges = screen_edges(low, q, rows.feature_scale)
         sums = _left_riemann_sum(edges, _log_sf(rows, edges[:, :-1]), n)
-        bounds[at] = np.where(rows.deferred, np.nan, np.where(q[:, 0] > low[:, 0], sums, 0.0))
-    return bounds
+        bounds[order[at]] = np.where(rows.deferred, np.nan, np.where(q[:, 0] > low[:, 0], sums, 0.0))
+        chunks.append(rows)
+    rank = np.argsort(order)
+    return bounds, lambda i: chunks[rank[i] // step].density(rank[i] % step)
 
 
 def critical_cost(density: Density, q: float, n_new: int) -> CriticalCost:

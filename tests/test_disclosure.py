@@ -10,9 +10,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pricedisclosure import disclosure
+from pricedisclosure import disclosure, search
 from pricedisclosure.data import BUILTIN_MANIFESTS, PriceEntry, PriceList, builtin_dataset
-from pricedisclosure.density import fit_estimator
+from pricedisclosure.density import FAMILIES, ParametricRows, fit_estimator
 from pricedisclosure.disclosure import (
     DisclosureConstraints,
     brute_force_disclose,
@@ -24,7 +24,7 @@ from pricedisclosure.disclosure import (
     minimal_disclose,
     monte_carlo_disclose,
 )
-from pricedisclosure.errors import InfeasibleError, NumericalError, ValidationError
+from pricedisclosure.errors import FitError, InfeasibleError, NumericalError, ValidationError
 from pricedisclosure.search import (
     CriticalCost,
     critical_cost,
@@ -340,9 +340,9 @@ def test_each_distinct_candidate_is_one_cache_miss_and_nothing_more(monkeypatch)
     cached = disclosure._evaluate_cents
     looked_up = []
 
-    def lookup(cents, n_new, estimator):
+    def lookup(cents, n_new, estimator, fit):
         looked_up.append(cents)
-        return cached(cents, n_new, estimator)
+        return cached(cents, n_new, estimator, fit)
 
     lookup.cache_clear = cached.cache_clear
     monkeypatch.setattr(disclosure, "_evaluate_cents", lookup)
@@ -361,7 +361,7 @@ def test_each_distinct_candidate_is_one_cache_miss_and_nothing_more(monkeypatch)
         for candidate in candidates:
             key = tuple(sorted(int(cents[i]) for i in candidate))
             if key == upcoming:
-                best = min(best, cached(key, 5, "kde").value)
+                best = min(best, cached(key, 5, "kde", disclosure._Fit()).value)
                 upcoming = next(passed, None)
                 continue
             values = np.array(key, dtype=float) / 100.0
@@ -379,7 +379,7 @@ def test_each_distinct_candidate_is_one_cache_miss_and_nothing_more(monkeypatch)
 # against a plain enumeration of its candidates in the documented order.
 
 
-def stub_cost(cents, n_new, estimator):
+def stub_cost(cents, n_new, estimator, fit=None):
     return SimpleNamespace(value=float((sum(cents) // 7 + 3 * len(cents)) % 5))
 
 
@@ -508,7 +508,7 @@ def test_failing_candidate_aborts_and_is_named(monkeypatch):
     # Both methods meet (100, 300, 420) first; the error must name it.
     bad = {(100, 300, 420), (100, 420, 555)}
 
-    def evaluate(cents, n_new, estimator):
+    def evaluate(cents, n_new, estimator, fit):
         if cents in bad:
             raise NumericalError("integral forms disagree", error_estimate=0.25)
         return stub_cost(cents, n_new, estimator)
@@ -536,8 +536,9 @@ def stub_bound(cents, n_new, estimator):
 
 
 def stub_bounds(bound):
-    """A stand-in for ``_lower_bounds`` that bounds each row by ``bound``."""
-    return lambda keys, n_new, estimator: [bound(key, n_new, estimator) for key in keys]
+    """A stand-in for ``_lower_bounds`` that bounds each row by ``bound``
+    and fits none, for an evaluation stub that builds no density."""
+    return lambda keys, n_new, estimator: ([bound(key, n_new, estimator) for key in keys], lambda i: None)
 
 
 @pytest.mark.parametrize("block_bytes", [None, 1, 30])
@@ -546,7 +547,7 @@ def test_pipeline_with_a_stub_screen_matches_reference_enumeration(monkeypatch, 
     n, seed, rho, max_size = case
     evaluated = []
 
-    def evaluate(cents, n_new, estimator):
+    def evaluate(cents, n_new, estimator, fit):
         evaluated.append(cents)
         return stub_cost(cents, n_new, estimator)
 
@@ -590,12 +591,12 @@ def test_screened_candidate_that_would_fail_does_not_abort(monkeypatch):
     def cost(cents):
         return SimpleNamespace(value=1.0 + sum(cents) // 7 % 4)
 
-    def evaluate(cents, n_new, estimator):
+    def evaluate(cents, n_new, estimator, fit):
         if cents == bad:
             raise NumericalError("integral forms disagree", error_estimate=0.25)
         return cost(cents)
 
-    def dear(cents, n_new, estimator):
+    def dear(cents, n_new, estimator, fit):
         return SimpleNamespace(value=9.0) if cents == bad else cost(cents)
 
     # The bound proves that the failing candidate cannot improve: it is not
@@ -620,41 +621,36 @@ def test_screened_candidate_that_would_fail_does_not_abort(monkeypatch):
 
 @pytest.mark.parametrize("estimator", ["kde", "parametric"])
 def test_a_selection_fits_only_the_rows_it_integrates_or_defers(monkeypatch, estimator):
-    # The screen bounds a row with no scalar fit, so across selections that
-    # share the cache, a row screened out in one selection and let through
-    # in a later one is fitted once, when it is integrated. The exception
-    # is a parametric row the block fit defers: its scalar fit gives its
-    # bound, and its integral right after reuses that fit. Three equal
-    # cheapest prices make deferred rows: no family but the exponential
-    # fits a row of three equal prices.
-    events, row_of = [], {}
-    fit, cost, bound, block = (disclosure.fit_estimator, disclosure.critical_cost,
-                               disclosure.critical_cost_lower_bound, disclosure.evaluate_block)
-    screened = set()
+    # A row the screen bounds is integrated from the block fit that bounded
+    # it, so a selection calls fit_estimator only for a row it integrates
+    # with no bound: its first, whose cost is the first threshold. Three
+    # equal cheapest prices make rows on which only the exponential fits,
+    # and the block fit fits them too: no row is deferred. Across
+    # selections that share the cache, a row screened out in one selection
+    # and let through in a later one is integrated once, when it is let
+    # through, from the fit that bounded it there.
+    cached, fit, block = disclosure._evaluate_cents, disclosure.fit_estimator, disclosure.evaluate_block
+    lookups, fitted, screened = [], [], set()
+
+    def lookup(cents, n_new, estimator, handed):
+        bounded, misses = handed.build is not None, cached.cache_info().misses
+        cost = cached(cents, n_new, estimator, handed)
+        lookups.append((cents, bounded, cached.cache_info().misses > misses))
+        return cost
 
     def counted_fit(values, estimator):
-        density = fit(values, estimator)
-        row_of[density] = tuple(values)
-        events.append(("fit", row_of[density]))
-        return density
-
-    def counted_cost(density, q, n_new):
-        events.append(("cost", row_of[density]))
-        return cost(density, q, n_new)
-
-    def counted_bound(density, q, n_new):
-        events.append(("bound", row_of[density]))
-        return bound(density, q, n_new)
+        fitted.append(tuple(int(c) for c in np.round(np.asarray(values) * 100.0)))
+        return fit(values, estimator)
 
     def counted_block(rows, n_new, estimator, what, threshold=None):
         rows = list(rows)
         costs = block(rows, n_new, estimator, what, threshold)
-        screened.update(tuple(np.array(row) / 100.0) for row, c in zip(rows, costs) if c is None)
+        screened.update(tuple(sorted(row)) for row, c in zip(rows, costs) if c is None)
         return costs
 
+    lookup.cache_clear = cached.cache_clear
+    monkeypatch.setattr(disclosure, "_evaluate_cents", lookup)
     monkeypatch.setattr(disclosure, "fit_estimator", counted_fit)
-    monkeypatch.setattr(disclosure, "critical_cost", counted_cost)
-    monkeypatch.setattr(disclosure, "critical_cost_lower_bound", counted_bound)
     monkeypatch.setattr(disclosure, "evaluate_block", counted_block)
     cents = np.sort(seeded_prices(10, seed=3).cents_array())
     prices = make_prices([int(c) for c in np.concatenate([cents[:1].repeat(3), cents[3:]])])
@@ -662,20 +658,112 @@ def test_a_selection_fits_only_the_rows_it_integrates_or_defers(monkeypatch, est
     considered, screened_before, readmitted = 0, set(), set()
     for method in ("brute_force", "minimal", "interval", "monte_carlo"):
         screened_before |= screened
-        start = len(events)
+        start = len(lookups)
         considered += disclose(prices, method, RHO3, 5, estimator, budget=60, seed=2).subsets_evaluated
-        # Screened earlier, integrated now, and fitted only now.
-        readmitted |= screened_before & {row for kind, row in events[start:] if kind == "cost"}
-    uses = [event for event in events if event[0] != "fit"]
-    reused = [j > 0 and kind == "cost" and uses[j - 1] == ("bound", row) for j, (kind, row) in enumerate(uses)]
-    expected = [row for (kind, row), again in zip(uses, reused) if not again]
-    integrated = [row for kind, row in uses if kind == "cost"]
-    assert [row for kind, row in events if kind == "fit"] == expected
-    assert len(set(integrated)) == len(integrated) < considered
+        mine = lookups[start:]
+        assert [bounded for _, bounded, _ in mine] == [False] + [True] * (len(mine) - 1), method
+        # Screened earlier, integrated now.
+        readmitted |= screened_before & {cents for cents, _, missed in mine if missed}
+    integrated = [cents for cents, _, missed in lookups if missed]
+    assert fitted == [cents for cents, bounded, missed in lookups if missed and not bounded]
+    assert len(fitted) <= 4 and len(set(integrated)) == len(integrated) < considered
     assert readmitted
-    deferred = {row for kind, row in uses if kind == "bound"}
-    assert (len(deferred) > 0) == (estimator == "parametric")
-    assert all(row[0] == row[-1] for row in deferred)
+
+
+def _fields(density):
+    """A density's attributes, arrays as bytes and floats in hex, so == is
+    bitwise."""
+    def bits(v):
+        if isinstance(v, np.ndarray):
+            return v.dtype.str, v.shape, v.tobytes()
+        if isinstance(v, (tuple, list)):
+            return tuple(map(bits, v))
+        if isinstance(v, dict):
+            return {k: bits(x) for k, x in v.items()}
+        return float(v).hex() if isinstance(v, float) else v
+
+    return type(density), bits(vars(density))
+
+
+@pytest.mark.parametrize("one_row_chunks", [False, True], ids=["block", "one_row_chunks"])
+@pytest.mark.parametrize("estimator", ["kde", "parametric"])
+def test_every_integrated_row_has_the_density_and_cost_of_its_fit_alone(monkeypatch, estimator, one_row_chunks):
+    # Every row a selection integrates, whether bounded in a block, in a
+    # chunk of one row, or evaluated alone (each selection's first row and
+    # evaluate_subset), gets the density fit_estimator gives the row alone
+    # and the cost that density gives, bit for bit: on mouse's 133 prices
+    # (past numpy's 128-value pairwise split), on bundled subsets and on
+    # tie-heavy lists.
+    if one_row_chunks:
+        monkeypatch.setattr(search, "KDE_BLOCK_DOUBLES", 1)
+    cached, cost = disclosure._evaluate_cents, disclosure.critical_cost
+    seen, looking_up = [], []
+
+    def lookup(cents, n_new, estimator, handed):
+        looking_up[:] = [(cents, handed.build is not None)]
+        return cached(cents, n_new, estimator, handed)
+
+    def recorded_cost(density, q, n_new):
+        result = cost(density, q, n_new)
+        seen.append((*looking_up[0], density, q, n_new, result))
+        return result
+
+    lookup.cache_clear = cached.cache_clear
+    monkeypatch.setattr(disclosure, "_evaluate_cents", lookup)
+    monkeypatch.setattr(disclosure, "critical_cost", recorded_cost)
+    rng = np.random.default_rng(17)
+    mouse = builtin_dataset("mouse")
+    ties = make_prices([int(c) for c in _tie_heavy_cents(rng, 24)])
+    clear_evaluation_cache()
+    disclose(mouse, "interval", DisclosureConstraints(rho=125), 18, estimator)
+    disclose(mouse, "minimal", DisclosureConstraints(rho=120), 18, estimator)
+    for name in ("printer", "camera"):
+        disclose(builtin_dataset(name), "monte_carlo", DisclosureConstraints(rho=10), 18, estimator,
+                 budget=40, seed=3)
+    for method in ("interval", "minimal"):
+        disclose(ties, method, DisclosureConstraints(rho=3), 18, estimator)
+    evaluate_subset(ties, 18, estimator)
+    # Rows of 129-133 mouse prices in descending cost: under a finite
+    # threshold every one is bounded in the block, and none is screened.
+    ordered = np.sort(mouse.cents_array())
+    big = [ordered[-k:].tolist() for k in range(129, 134)]
+    big.sort(key=lambda row: -critical_cost(fit_estimator(np.array(row) / 100.0, estimator), row[0] / 100.0, 18).value)
+    assert None not in disclosure.evaluate_block(big, 18, estimator, "row", 1e9)
+    assert {bounded for _, bounded, *_ in seen} == {False, True}
+    assert max(len(cents) for cents, bounded, *_ in seen if bounded) > 128
+    for cents, bounded, density, q, n_new, result in seen:
+        alone = fit_estimator(np.array(cents, dtype=float) / 100.0, estimator)
+        assert _fields(density) == _fields(alone), (cents, bounded)
+        assert repr(result) == repr(critical_cost(alone, q, n_new)), (cents, bounded)
+
+
+def test_a_row_with_no_fit_still_aborts_and_is_named(monkeypatch):
+    # A row the block fit defers has no bound, so it is not screened: it is
+    # fitted alone, and the fit's error names it, in a block as alone.
+    good = [100, 250, 300, 420]
+    with pytest.raises(ValidationError) as info:
+        disclosure.evaluate_block([good, [100]], 4, "parametric", "row", math.inf)
+    assert str(info.value) == "row of 1 prices (1.00) failed: parametric fitting needs at least 2 observations"
+    # A winner with no mass above zero: on rows of 3 prices every family
+    # but the gumbel is unsolved, and the gumbel sits a million below zero.
+    fit_families = ParametricRows._fit_families
+
+    def far_below(x, sizes):
+        fits = fit_families(x, sizes)
+        three = sizes == 3
+        for f, (spread, solved, params) in enumerate(fits):
+            if FAMILIES[f] == "gumbel":
+                params = {"loc": np.where(three, -1e6, params["loc"]), "scale": np.where(three, 1.0, params["scale"])}
+            else:
+                solved = solved & ~three
+            fits[f] = (spread, solved, params)
+        return fits
+
+    monkeypatch.setattr(ParametricRows, "_fit_families", staticmethod(far_below))
+    for rows in ([good, [100, 250, 300]], [[100, 250, 300]]):
+        with pytest.raises(FitError) as info:
+            disclosure.evaluate_block(rows, 4, "parametric", "row", math.inf)
+        assert str(info.value) == "row of 3 prices (1.00 2.50 3.00) failed: gumbel: no probability mass above zero"
 
 
 def test_evaluate_block_without_a_threshold_evaluates_every_row():
@@ -725,10 +813,9 @@ def test_lower_bound_never_exceeds_the_cost_beyond_the_screen_margin():
             for j in rng.choice(len(candidates), size=min(10, len(candidates)), replace=False):
                 keys.add(tuple(sorted(listed.entries[i].cents for i in candidates[j])))
     # The bounds also come as the screen takes them: every key in one block,
-    # with no scalar fit, and a parametric row the block fit defers (NaN)
-    # bounded by its scalar fit, which the first bound covers.
+    # from one fit of them all, which gives a deferred row (NaN) no bound.
     keys = sorted(keys)
-    block = {(estimator, n_new): disclosure._lower_bounds(keys, n_new, estimator)
+    block = {(estimator, n_new): disclosure._lower_bounds(keys, n_new, estimator)[0]
              for estimator in ("kde", "parametric") for n_new in (1, 18, 1000)}
     checked = failed = 0
     for i, key in enumerate(keys):

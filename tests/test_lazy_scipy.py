@@ -1,7 +1,8 @@
-"""No command imports scipy.stats, and scipy.optimize loads on the first
-parametric fit, never for the KDE. The pytest process has imported both
-already, so each run check starts a fresh interpreter; a static check keeps
-the package's sources off scipy.stats and scipy's private kernels."""
+"""No command, under either estimator, imports scipy.stats or
+scipy.optimize: the parametric fit solves its own equations. The pytest
+process has imported both already, so each run check starts a fresh
+interpreter; a static check keeps the package's sources off both modules
+and scipy's private kernels."""
 
 import ast
 import json
@@ -54,7 +55,7 @@ def test_kde_commands_never_import_scipy_stats_or_optimize():
         "import": [],
         "critical-cost": [0, []],
         "disclose": [0, []],
-        "fit": [0, ["scipy.optimize"]],
+        "fit": [0, []],
     }
 
 
@@ -82,14 +83,13 @@ def test_parametric_commands_never_import_scipy_stats(tmp_path):
     """)
     assert seen == {
         "import": [],
-        **{name: [0, ["scipy.optimize"]] for name in ("fit", "critical-cost", "disclose", "simulate")},
+        **{name: [0, []] for name in ("fit", "critical-cost", "disclose", "simulate")},
     }
 
 
 def test_block_fit_and_bound_never_import_scipy_optimize():
-    # The screen's block fit solves its own equations: a block of
-    # parametric rows is fitted and bounded with scipy.optimize unloaded,
-    # so no row reaches the scalar fitters and their brentq.
+    # The block fit solves its own equations: a block of parametric rows
+    # is fitted and bounded with scipy.optimize unloaded.
     seen = run_fresh("""
         import numpy as np
         from pricedisclosure.density import ParametricRows
@@ -99,14 +99,14 @@ def test_block_fit_and_bound_never_import_scipy_optimize():
         sizes = rng.integers(2, 31, 40)
         samples = np.sort(rng.lognormal(5.0, 0.3, (40, 30)), axis=1)
         deferred = ParametricRows(samples, sizes).deferred
-        bounds = lower_bounds(samples, sizes, 18, "parametric")
+        bounds, _ = lower_bounds(samples, sizes, 18, "parametric")
         print(json.dumps({"loaded": loaded(), "deferred": int(deferred.sum()),
                           "bounded": int(np.isfinite(bounds).sum())}))
     """)
     assert seen == {"loaded": [], "deferred": 0, "bounded": 40}
 
 
-def test_first_parametric_fit_loads_scipy_and_matches_the_next():
+def test_first_parametric_fit_matches_the_next_and_loads_no_scipy_module():
     seen = run_fresh("""
         import numpy as np
         from pricedisclosure.density import FAMILIES, fit_parametric
@@ -135,7 +135,7 @@ def test_first_parametric_fit_loads_scipy_and_matches_the_next():
         print(json.dumps(seen))
     """)
     assert seen["before"] == []
-    assert seen["after"] == ["scipy.optimize"]
+    assert seen["after"] == []
     assert seen["first"] == seen["second"]
     for fitted in seen["first"]:
         assert [c[0] for c in fitted["candidates"]] == seen["families"]
@@ -144,8 +144,9 @@ def test_first_parametric_fit_loads_scipy_and_matches_the_next():
 
 
 def test_sources_import_no_scipy_stats_and_name_no_private_scipy_kernel():
-    # The families' kernels are the package's own: no module imports
-    # scipy.stats, and none names a private method of scipy's distributions.
+    # The families' kernels and solvers are the package's own: no module
+    # imports scipy.stats or scipy.optimize, and none names a private method
+    # of scipy's distributions.
     private = re.compile(r"\._(pdf|cdf|ppf|logpdf|argcheck)\b|_support_mask")
     sources = sorted((SRC / "pricedisclosure").rglob("*.py"))
     assert sources
@@ -159,4 +160,5 @@ def test_sources_import_no_scipy_stats_and_name_no_private_scipy_kernel():
                 modules = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module or ""]
             else:
                 continue
-            assert not any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in modules), (path, node.lineno)
+            for banned in ("scipy.stats", "scipy.optimize"):
+                assert not any(m == banned or m.startswith(banned + ".") for m in modules), (path, node.lineno)

@@ -428,6 +428,11 @@ def full(rows):
     return np.full(len(rows), rows.shape[1])
 
 
+def bounds(samples, sizes, n_new, estimator):
+    """The bounds of :func:`lower_bounds`, without its densities."""
+    return lower_bounds(samples, sizes, n_new, estimator)[0]
+
+
 def test_block_bounds_match_the_fitted_bound_alone_or_in_any_block(monkeypatch):
     # lower_bounds needs no KDE fit: its bound is critical_cost_lower_bound
     # of the fitted KDE to within 1e-12 (here bit for bit, while the fitted
@@ -438,34 +443,35 @@ def test_block_bounds_match_the_fitted_bound_alone_or_in_any_block(monkeypatch):
     for k in (1, 2, 5, 9, 17, 30, 3000):
         rows = _screen_rows(rng, k, count=4 if k > 100 else 12)
         for n in (1, 18, 1000):
-            block = lower_bounds(rows, full(rows), n, "kde")
+            block = bounds(rows, full(rows), n, "kde")
             for i, row in enumerate(rows):
                 scalar = critical_cost_lower_bound(fit_kde(row), row[0], n)
                 assert abs(block[i] - scalar) <= 1e-12 * scalar, (k, n, row)
-                assert lower_bounds(rows[i : i + 1], full(rows)[i : i + 1], n, "kde")[0] == block[i]
+                assert bounds(rows[i : i + 1], full(rows)[i : i + 1], n, "kde")[0] == block[i]
             order = rng.permutation(len(rows))
-            assert np.array_equal(lower_bounds(rows[order], full(rows), n, "kde"), block[order])
+            assert np.array_equal(bounds(rows[order], full(rows), n, "kde"), block[order])
             with monkeypatch.context() as m:
                 m.setattr(search, "KDE_BLOCK_DOUBLES", 1)  # one row per chunk
-                assert np.array_equal(lower_bounds(rows, full(rows), n, "kde"), block)
+                assert np.array_equal(bounds(rows, full(rows), n, "kde"), block)
     # Equal prices whose mean rounds off them: a bandwidth of 1e-17.
     rows = np.full((2, 13), 0.1)
     density = fit_kde(rows[0])
     assert density.bandwidth < 1e-16
-    assert np.array_equal(lower_bounds(rows, full(rows), 18, "kde"), [critical_cost_lower_bound(density, 0.1, 18)] * 2)
+    assert np.array_equal(bounds(rows, full(rows), 18, "kde"), [critical_cost_lower_bound(density, 0.1, 18)] * 2)
     # With q at the low end every clipped panel has width 0, so the sum is 0.
     edges = search.screen_edges(np.array([[0.1]]), np.array([[0.1]]), np.array([[1e-20]]))
     assert edges.shape == (1, 17) and np.all(edges == 0.1)
     with pytest.raises(ValidationError):
-        lower_bounds(rows, full(rows), 0, "kde")
+        bounds(rows, full(rows), 0, "kde")
 
 
 def test_parametric_block_bounds_match_the_fitted_bound_alone_or_in_any_block(monkeypatch):
-    # lower_bounds fits no parametric row alone: a row the block fit does
-    # not defer has the bound of fit_parametric's density to within 1e-9
-    # relative, a deferred row NaN, and a row's bits do not depend on the
-    # rows beside it, their order or the chunking. Sizes are mixed in one
-    # padded block, as a Monte Carlo block holds them.
+    # lower_bounds fits no parametric row alone: the block fit is
+    # fit_parametric's, so a row's bound is the bound of fit_parametric's
+    # density bit for bit, a deferred row's NaN, and a row's bits do not
+    # depend on the rows beside it, their order or the chunking. Sizes are
+    # mixed in one padded block, as a Monte Carlo block holds them. Only a
+    # one-price row is deferred: all equal prices still fit the exponential.
     rng = np.random.default_rng(9)
     rows = [row for k in (1, 2, 3, 9, 17, 30) for row in _screen_rows(rng, k)]
     sizes = np.array([row.size for row in rows])
@@ -473,25 +479,24 @@ def test_parametric_block_bounds_match_the_fitted_bound_alone_or_in_any_block(mo
     for i, row in enumerate(rows):
         samples[i, : row.size] = row
     deferred = ParametricRows(samples, sizes).deferred
-    flat = np.array([row[0] == row[-1] for row in rows])  # one price, or all equal: no spread
-    assert np.all(deferred[flat]) and deferred[~flat].sum() <= 0.1 * (~flat).sum()
+    assert np.array_equal(deferred, sizes < 2)
+    assert any(row[0] == row[-1] for row in rows if row.size > 1)
     for n in (1, 18, 1000):
-        block = lower_bounds(samples, sizes, n, "parametric")
+        block = bounds(samples, sizes, n, "parametric")
         assert np.array_equal(np.isnan(block), deferred)
         for i, row in enumerate(rows):
             if n == 18:
-                alone = lower_bounds(samples[i : i + 1], sizes[i : i + 1], n, "parametric")
+                alone = bounds(samples[i : i + 1], sizes[i : i + 1], n, "parametric")
                 assert np.array_equal(alone, block[i : i + 1], equal_nan=True)
             if not deferred[i]:
-                scalar = critical_cost_lower_bound(fit_parametric(row).density, row[0], n)
-                assert abs(block[i] - scalar) <= 1e-9 * scalar, (n, row)
+                assert block[i] == critical_cost_lower_bound(fit_parametric(row).density, row[0], n), (n, row)
         order = rng.permutation(len(rows))
-        assert np.array_equal(lower_bounds(samples[order], sizes[order], n, "parametric"), block[order], equal_nan=True)
+        assert np.array_equal(bounds(samples[order], sizes[order], n, "parametric"), block[order], equal_nan=True)
         with monkeypatch.context() as m:
             m.setattr(search, "KDE_BLOCK_DOUBLES", 1)  # one row per chunk
-            assert np.array_equal(lower_bounds(samples, sizes, n, "parametric"), block, equal_nan=True)
+            assert np.array_equal(bounds(samples, sizes, n, "parametric"), block, equal_nan=True)
     with pytest.raises(ValidationError):
-        lower_bounds(samples, sizes, 0, "parametric")
+        bounds(samples, sizes, 0, "parametric")
 
 
 def test_kde_block_bounds_of_mixed_sizes_match_the_fitted_bound_bitwise(monkeypatch):
@@ -517,15 +522,15 @@ def test_kde_block_bounds_of_mixed_sizes_match_the_fitted_bound_bitwise(monkeypa
         assert kde.bandwidth[i] == fitted.bandwidth and kde.sample_min[i] == fitted.sample_min, row
         assert kde._below_zero[i] == fitted._below_zero and low[i] == fitted.effective_low, row
     for n in (1, 18, 1000):
-        block = lower_bounds(samples, sizes, n, "kde")
+        block = bounds(samples, sizes, n, "kde")
         for i, row in enumerate(rows):
             assert block[i] == critical_cost_lower_bound(fit_kde(row), row[0], n), (n, row)
-            assert lower_bounds(samples[i : i + 1], sizes[i : i + 1], n, "kde")[0] == block[i]
+            assert bounds(samples[i : i + 1], sizes[i : i + 1], n, "kde")[0] == block[i]
         order = rng.permutation(len(rows))
-        assert np.array_equal(lower_bounds(samples[order], sizes[order], n, "kde"), block[order])
+        assert np.array_equal(bounds(samples[order], sizes[order], n, "kde"), block[order])
         with monkeypatch.context() as m:
             m.setattr(search, "KDE_BLOCK_DOUBLES", 1)  # one row per chunk
-            assert np.array_equal(lower_bounds(samples, sizes, n, "kde"), block)
+            assert np.array_equal(bounds(samples, sizes, n, "kde"), block)
 
 
 def test_block_bounds_keep_the_kernel_pass_within_its_budget():
@@ -534,7 +539,7 @@ def test_block_bounds_keep_the_kernel_pass_within_its_budget():
     rows = np.sort(np.random.default_rng(5).uniform(50.0, 500.0, size=(600, 400)), axis=1)
     tracemalloc.start()
     try:
-        lower_bounds(rows, full(rows), 18, "kde")
+        bounds(rows, full(rows), 18, "kde")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -174,10 +174,10 @@ def test_failing_pooled_set_aborts_and_is_named(printer_cfg, monkeypatch):
     # Only a pooled set is longer than the initial list, so only it fails.
     evaluate = disclosure._evaluate_cents
 
-    def failing(cents, n_new, estimator):
+    def failing(cents, n_new, estimator, fit):
         if len(cents) > printer_cfg.initial_set_size_n:
             raise NumericalError("integral forms disagree", error_estimate=0.25)
-        return evaluate(cents, n_new, estimator)
+        return evaluate(cents, n_new, estimator, fit)
 
     monkeypatch.setattr(disclosure, "_evaluate_cents", failing)
     with pytest.raises(NumericalError) as info:
