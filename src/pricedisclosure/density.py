@@ -736,9 +736,10 @@ def _block_weibull(x: np.ndarray, sizes: np.ndarray, spread_log: np.ndarray):
     mean_log = _row_sums(log_xn, sizes) / sizes
 
     def profile(c, rows):
-        w = np.exp(c[:, None] * log_xn[rows])
-        wl = w * log_xn[rows]
-        s_w, s_wl, s_wll = _row_sums(np.array([w, wl, wl * log_xn[rows]]), sizes[rows])
+        logs = log_xn[rows]
+        w = np.exp(c[:, None] * logs)
+        wl = w * logs
+        s_w, s_wl, s_wll = _row_sums(np.array([w, wl, wl * logs]), sizes[rows])
         mean = s_wl / s_w
         return mean - 1.0 / c - mean_log[rows], s_wll / s_w - mean * mean + 1.0 / (c * c)
 
@@ -799,9 +800,10 @@ def _block_gumbel(x: np.ndarray, sizes: np.ndarray, std: np.ndarray):
     u = d / spread[:, None]
 
     def profile(b, rows):
-        w = np.exp(-u[rows] / b[:, None])
-        uw = u[rows] * w
-        s_w, s_uw, s_uuw = _row_sums(np.array([w, uw, uw * u[rows]]), sizes[rows])
+        ur = u[rows]
+        w = np.exp(-ur / b[:, None])
+        uw = ur * w
+        s_w, s_uw, s_uuw = _row_sums(np.array([w, uw, uw * ur]), sizes[rows])
         mean = s_uw / s_w
         return b - 1.0 + mean, 1.0 + (s_uuw / s_w - mean * mean) / (b * b)
 
@@ -845,21 +847,22 @@ class ParametricRows:
         self.sample_min = np.where(inside, samples, np.inf).min(axis=1)
         x = np.where(inside, samples, self.sample_min[:, None])
         log_n = np.array([math.log(n) for n in sizes.tolist()])
-        self.params, loglik, skip = [], [], []
+        terms, valid = [], []
         with np.errstate(all="ignore"):
-            for name, (spread, solved, params) in zip(FAMILIES, self._fit_families(x, sizes)):
+            spread, solved, self.params = zip(*self._fit_families(x, sizes))
+            for name, params in zip(FAMILIES, self.params):
                 shapes, loc, scale = _FAMILIES[name][0](params)
                 shapes, scale = tuple(a[:, None] for a in shapes), scale[:, None]
                 loc = loc if isinstance(loc, float) else loc[:, None]
-                valid = (scale > 0) & (loc == loc)
+                ok = (scale > 0) & (loc == loc)
                 for a in shapes:
-                    valid &= a > 0
-                sums = _row_sums(_FAMILIES[name][2]((x - loc) / scale, *shapes) - np.log(scale), sizes)
-                fitted = solved & valid[:, 0] & np.isfinite(sums)
-                self.params.append(params)
-                loglik.append(sums)
-                skip.append(np.where(fitted, 0, np.where(spread, np.where(solved, 3, 2), 1)))
-            self.loglik, self.skip = np.array(loglik), np.array(skip)
+                    ok &= a > 0
+                terms.append(_FAMILIES[name][2]((x - loc) / scale, *shapes) - np.log(scale))
+                valid.append(ok[:, 0])
+            self.loglik = _row_sums(np.array(terms), sizes)
+            solved = np.array(solved)
+            fitted = solved & np.array(valid) & np.isfinite(self.loglik)
+            self.skip = np.where(fitted, 0, np.where(np.array(spread), np.where(solved, 3, 2), 1))
             self.bic = np.array([len(p) for p in self.params])[:, None] * log_n - 2.0 * self.loglik
             chosen = (self.skip == 0) & np.array([name in families for name in FAMILIES])[:, None]
             self.family = np.argmin(np.where(chosen, self.bic, np.inf), axis=0)

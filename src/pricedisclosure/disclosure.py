@@ -29,17 +29,19 @@ threshold, plus a margin no smaller than the quadrature's tolerance, or any
 row once the threshold is 0, cannot cost less, so it is not integrated,
 looked up or counted as a cache miss, and it can be neither a trace entry
 nor the winner. It still counts as evaluated in ``subsets_evaluated``. A
-block's rows are bounded together, once the screen meets the first of
-them: padded into one matrix whatever their sizes, they go to
+block's rows are bounded together, the first included: padded into one
+matrix whatever their sizes, they go to
 ``search.lower_bounds``, which fits them at once under either estimator
 (``density.KernelRows`` or ``density.ParametricRows``). A row that passes
 the screen is integrated from the density that fit holds for it, the one
 ``fit_estimator`` gives the row alone, with no second fit. No bound or fit
-is cached: a later block that meets the row again fits it again. A row
-with no bound is fitted alone: the first row of a selection, a row the
-block fit defers (fewer than 2 prices, no family fits, or no mass above
-zero), pooled sets and ``evaluate_subset``, which pass no threshold and
-are never screened.
+is cached: a later block that meets the row again fits it again. A block
+of two or more rows is bounded before any cost sets a threshold, so a
+selection's first row is integrated from the block fit too. A row with no
+bound is fitted alone: a one-row block (Monte Carlo's incumbent, ``full``
+and ``evaluate_subset``), a row the block fit defers (fewer than 2
+prices, no family fits, or no mass above zero) and pooled sets, which
+pass no threshold and are never screened.
 
 A failing candidate aborts the whole run: its error is re-raised, as the
 same type, naming the method and the candidate's size and prices; a
@@ -178,29 +180,31 @@ def evaluate_block(rows, n_new: int, estimator: str, what: str,
     ``critical_cost_lower_bound`` is above ``_screen_limit(threshold)``, or
     the threshold is 0, it cannot cost less than the threshold, so it is not
     evaluated and its entry is None. The threshold falls to every evaluated
-    row's cost. Without one, every row is evaluated. The bounds come from
-    one ``_lower_bounds`` call, for the first row the screen meets with a
-    finite threshold above 0 and every row after it, and a row with a bound
-    is evaluated from the density of the fit that bounded it. A block whose
-    first row sets the only threshold it meets, such as Monte Carlo's
-    incumbent, or that meets a threshold of 0, computes no bound. A row with
-    no bound is fitted alone; so is a row the fit defers, whose fit raises."""
+    row's cost. Without one, every row is evaluated. The bounds of every
+    row, the first included, come from one ``_lower_bounds`` call whenever
+    a threshold above 0 is given, ``inf`` included, unless the block is one
+    row under ``inf``, which nothing can screen; a row with a bound is
+    evaluated from the density of the fit that bounded it, so the first row
+    of an interval, minimal or brute-force selection is too. A row with no
+    bound is fitted alone: a one-row block under ``inf`` (Monte Carlo's
+    incumbent, ``full`` and ``evaluate_subset``), a block with no threshold
+    or one of 0, and a row the fit defers, whose fit raises."""
     n_new = _check_n(n_new)
     _check_estimator(estimator)
     keys = [tuple(sorted(row)) for row in rows]
     limit = math.inf if threshold is None else threshold
-    bounds, first = None, 0
+    if threshold is not None and 0.0 < threshold and (threshold < math.inf or len(keys) > 1):
+        bounds, density = _lower_bounds(keys, n_new, estimator)
+    else:
+        bounds = [math.nan] * len(keys)
     costs = []
-    for i, key in enumerate(keys):
-        if bounds is None and 0.0 < limit < math.inf:
-            (bounds, density), first = _lower_bounds(keys[i:], n_new, estimator), i
-        bound = math.nan if bounds is None else bounds[i - first]
+    for i, (key, bound) in enumerate(zip(keys, bounds)):
         try:
             # No cost is below 0, so nothing beats a threshold of 0.
             if limit < math.inf and (limit <= 0.0 or _screen_limit(limit) < bound):
                 costs.append(None)
                 continue
-            fit = _Fit(None if math.isnan(bound) else functools.partial(density, i - first))
+            fit = _Fit(None if math.isnan(bound) else functools.partial(density, i))
             cost = _evaluate_cents(key, n_new, estimator, fit)
         except PriceDisclosureError as exc:
             listed = " ".join(map(format_cents, key))

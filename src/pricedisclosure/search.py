@@ -40,7 +40,9 @@ TAIL_CUTS = np.array([8.0, 5.5, 4.0, 3.0, 2.25, 1.5, 0.75])
 # (see screen_edges): 16 cuts in geometric steps from TAIL_SIGMAS, the KDE's
 # tail, so its first cut is low itself, to 1/8, which puts 15 of the 16 left
 # edges within a few bandwidths of q, where the dual integrand rises. A
-# density without a feature scale gets SCREEN_PANELS even panels instead.
+# density without a feature scale gets SCREEN_PANELS even cuts and the 16
+# SCREEN_CUTS at the scale that makes the first of them low itself, so its
+# edges grade toward q too and refine the even ones.
 SCREEN_CUTS = np.geomspace(TAIL_SIGMAS, 0.125, 16)
 SCREEN_PANELS = 16
 
@@ -166,19 +168,24 @@ def tail_edges(low: float, q: float, scale: float) -> np.ndarray:
 
 def screen_edges(low, q, scale) -> np.ndarray:
     """The lower bound's edges on ``[low, q]``: a cut ``t * scale`` below
-    ``q`` for each ``t`` in SCREEN_CUTS, clipped at ``low``, then ``q``; or,
-    where ``scale`` is None, SCREEN_PANELS even panels from ``low`` to
-    ``q``. ``q`` is an array with a trailing axis of length 1, and ``low``
-    and ``scale`` broadcast against it, so columns of arguments give rows of
-    edges. When ``q`` is the KDE's sample minimum, the first cut is its
-    ``effective_low``, bit for bit; a cut clipped at ``low`` makes a panel
-    of width 0. Where the first cut lies above ``low`` (``q`` above the
-    sample minimum) the panels leave out ``[low, first cut]``; a left sum
-    would weigh that panel by g(low), and a KDE's cdf at its effective low
-    is 0 or at most ndtr(-TAIL_SIGMAS) = 1.8e-33, so the sum is the one
-    with that panel to rounding."""
+    ``q`` for each ``t`` in SCREEN_CUTS, clipped at ``low``, then ``q``.
+    Where ``scale`` is None (a density without a feature scale), the cuts
+    are SCREEN_PANELS even cuts from ``low`` and SCREEN_CUTS at the scale
+    ``(q - low) / TAIL_SIGMAS``, sorted together: the graded cuts refine the
+    even grid, so the left sum is never below the even grid's, and put most
+    edges near ``q``, where the dual integrand rises. ``q`` is an array with
+    a trailing axis of length 1, and ``low`` and ``scale`` broadcast against
+    it, so columns of arguments give rows of edges. When ``q`` is the KDE's
+    sample minimum, the first cut is its ``effective_low``, bit for bit; a
+    cut clipped at ``low`` makes a panel of width 0. Where the first cut
+    lies above ``low`` (``q`` above the sample minimum) the panels leave out
+    ``[low, first cut]``; a left sum would weigh that panel by g(low), and a
+    KDE's cdf at its effective low is 0 or at most ndtr(-TAIL_SIGMAS) =
+    1.8e-33, so the sum is the one with that panel to rounding."""
     if scale is None:
-        cuts = np.arange(SCREEN_PANELS) * ((q - low) / SCREEN_PANELS) + low
+        even = np.arange(SCREEN_PANELS) * ((q - low) / SCREEN_PANELS) + low
+        graded = np.maximum(q - SCREEN_CUTS * ((q - low) / TAIL_SIGMAS), low)
+        cuts = np.sort(np.concatenate([even, graded], axis=-1), axis=-1)
     else:
         cuts = np.maximum(q - SCREEN_CUTS * scale, low)
     return np.concatenate([cuts, q], axis=-1)
@@ -200,8 +207,11 @@ def critical_cost_lower_bound(density: Density, q: float, n_new: int) -> float:
     nondecreasing in y, so on any edges in ``[effective_low, q]`` its left
     Riemann sum, sum (e[i+1] - e[i]) g(e[i]), is at most its integral in
     exact arithmetic (Davis & Rabinowitz 1984). The edges are
-    :func:`screen_edges` at the density's feature scale. :func:`lower_bounds`
-    gives the same bound for many rows at once, from one fit of them all.
+    :func:`screen_edges` at the density's feature scale: 16 graded toward
+    ``q`` for a KDE, and for a density without one 32, the even grid of
+    SCREEN_PANELS panels refined by cuts graded toward ``q``, so the sum is
+    never below the even grid's. :func:`lower_bounds` gives the same bound
+    for many rows at once, from one fit of them all.
     """
     n = _check_n(n_new)
     q = _check_q(density, q)

@@ -478,6 +478,17 @@ def test_closed_stdout_exits_1_quietly():
     assert (done.returncode, done.stderr) == (1, b"")
 
 
+def test_python_m_package_runs_the_cli(capsys):
+    # From a checkout, with src on PYTHONPATH, ``python -m pricedisclosure``
+    # prints what cli.main prints.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["counts", "--n", "5", "--rho", "1"]
+    done = subprocess.run([sys.executable, "-m", "pricedisclosure", *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv) == (0, "16\n", "")
+
+
 def test_main_calls_in_one_process_each_print_what_they_print_alone(capsys, small_csv):
     # Every main call in a process parses with one parser: an option one
     # call gives must not reach a later call that omits it.

@@ -24,7 +24,13 @@ from pricedisclosure.disclosure import (
     minimal_disclose,
     monte_carlo_disclose,
 )
-from pricedisclosure.errors import FitError, InfeasibleError, NumericalError, ValidationError
+from pricedisclosure.errors import (
+    FitError,
+    InfeasibleError,
+    NumericalError,
+    PriceDisclosureError,
+    ValidationError,
+)
 from pricedisclosure.search import (
     CriticalCost,
     critical_cost,
@@ -621,9 +627,11 @@ def test_screened_candidate_that_would_fail_does_not_abort(monkeypatch):
 
 @pytest.mark.parametrize("estimator", ["kde", "parametric"])
 def test_a_selection_fits_only_the_rows_it_integrates_or_defers(monkeypatch, estimator):
-    # A row the screen bounds is integrated from the block fit that bounded
-    # it, so a selection calls fit_estimator only for a row it integrates
-    # with no bound: its first, whose cost is the first threshold. Three
+    # A block of two or more rows is bounded from its first row, and a row
+    # the screen bounds is integrated from the block fit that bounded it:
+    # every lookup of brute force, minimal and interval is bounded, and the
+    # only row a selection looks up with no bound, and the only one it fits
+    # alone, is Monte Carlo's incumbent, a block of one row. Three
     # equal cheapest prices make rows on which only the exponential fits,
     # and the block fit fits them too: no row is deferred. Across
     # selections that share the cache, a row screened out in one selection
@@ -661,13 +669,20 @@ def test_a_selection_fits_only_the_rows_it_integrates_or_defers(monkeypatch, est
         start = len(lookups)
         considered += disclose(prices, method, RHO3, 5, estimator, budget=60, seed=2).subsets_evaluated
         mine = lookups[start:]
-        assert [bounded for _, bounded, _ in mine] == [False] + [True] * (len(mine) - 1), method
+        alone = [False] if method == "monte_carlo" else []
+        assert [bounded for _, bounded, _ in mine] == alone + [True] * (len(mine) - len(alone)), method
         # Screened earlier, integrated now.
         readmitted |= screened_before & {cents for cents, _, missed in mine if missed}
     integrated = [cents for cents, _, missed in lookups if missed]
     assert fitted == [cents for cents, bounded, missed in lookups if missed and not bounded]
-    assert len(fitted) <= 4 and len(set(integrated)) == len(integrated) < considered
+    assert len(set(integrated)) == len(integrated) < considered
     assert readmitted
+    # Minimal integrated the full set first, so Monte Carlo's incumbent was
+    # a cache hit; from a cold cache it is the one row fitted alone.
+    clear_evaluation_cache()
+    start = len(lookups)
+    disclose(prices, "monte_carlo", RHO3, 5, estimator, budget=60, seed=2)
+    assert fitted == [lookups[start][0]] == [tuple(sorted(prices.cents_array().tolist()))]
 
 
 def _fields(density):
@@ -835,3 +850,87 @@ def test_lower_bound_never_exceeds_the_cost_beyond_the_screen_margin():
                 checked += 1
     assert checked >= 1500 and failed <= 0.1 * checked
     assert time.perf_counter() - t0 < 120.0
+
+
+# Nine prices on which some parametric integrals do not converge.
+NINE_PRICES = [89, 95, 470, 1688, 4838, 5860, 10642, 24174, 35043]
+
+
+def test_graded_parametric_screen_refines_the_even_grid(monkeypatch):
+    # A parametric fit's screen edges are the even grid refined by cuts
+    # graded toward q, so on bundled subsets, tie-heavy lists and the nine
+    # prices, at n_new 1, 18 and 1000, every bound is at least the even
+    # grid's and at most the cost, each to within the screen's margin. The
+    # running best falls only at improvements, which are never screened, so
+    # a selection replayed under both rules integrates, under the graded
+    # edges, a subset of the rows it integrates under the even grid, and
+    # gives the same answer or the same error.
+    graded = search.screen_edges
+
+    def even(low, q, scale):
+        """The rule the graded cuts refine: SCREEN_PANELS even panels alone
+        for a density without a feature scale."""
+        if scale is not None:
+            return graded(low, q, scale)
+        cuts = np.arange(search.SCREEN_PANELS) * ((q - low) / search.SCREEN_PANELS) + low
+        return np.concatenate([cuts, q], axis=-1)
+
+    rng = np.random.default_rng(23)
+    lists = [np.array(NINE_PRICES)]
+    lists += [rng.choice(builtin_dataset(name).cents_array(), size=30, replace=False) for name in sorted(BUILTIN_MANIFESTS)]
+    lists += [_tie_heavy_cents(rng, 30) for _ in range(2)]
+    keys = {tuple(sorted(NINE_PRICES))}
+    for cents in lists:
+        for _ in range(12):
+            row = rng.choice(cents, size=int(rng.integers(2, cents.size + 1)), replace=False)
+            keys.add(tuple(sorted(int(c) for c in row)))
+    keys = sorted(keys)
+    checked = 0
+    for n_new in (1, 18, 1000):
+        refined = disclosure._lower_bounds(keys, n_new, "parametric")[0]
+        with monkeypatch.context() as m:
+            m.setattr(search, "screen_edges", even)
+            coarse = disclosure._lower_bounds(keys, n_new, "parametric")[0]
+        for key, new, old in zip(keys, refined, coarse):
+            assert old <= disclosure._screen_limit(new), (key, n_new, new, old)
+            values = np.array(key, dtype=float) / 100.0
+            try:
+                value = critical_cost(fit_estimator(values, "parametric"), values[0], n_new).value
+            except NumericalError:
+                continue
+            assert new <= disclosure._screen_limit(value), (key, n_new, new, value)
+            checked += 1
+    assert checked >= 0.8 * 3 * len(keys)
+
+    cached = disclosure._evaluate_cents
+
+    def replay(prices, method, rho, n_new, rule):
+        integrated = set()
+
+        def lookup(cents, n_new, estimator, fit):
+            integrated.add(cents)
+            return cached(cents, n_new, estimator, fit)
+
+        lookup.cache_clear = cached.cache_clear
+        with monkeypatch.context() as m:
+            m.setattr(disclosure, "_evaluate_cents", lookup)
+            m.setattr(search, "screen_edges", rule)
+            clear_evaluation_cache()
+            try:
+                result = disclose(prices, method, DisclosureConstraints(rho=rho), n_new, "parametric",
+                                  budget=60, seed=3)
+            except PriceDisclosureError as exc:
+                return integrated, str(exc)
+        return integrated, (result.subset, result.trace, repr(result.critical_cost))
+
+    fewer = 0
+    for cents in lists:
+        prices = make_prices([int(c) for c in cents])
+        rho = min(10, len(prices) // 3)
+        for method in ("interval", "monte_carlo"):
+            for n_new in (1, 18, 1000):
+                before, expected = replay(prices, method, rho, n_new, even)
+                after, result = replay(prices, method, rho, n_new, graded)
+                assert after <= before and result == expected, (cents, method, n_new)
+                fewer += len(before) - len(after)
+    assert fewer > 0

@@ -375,12 +375,20 @@ def test_graded_start_agrees_with_the_even_start():
 
 
 def test_lower_bound_is_a_left_riemann_sum_of_the_dual_integrand():
-    # Uniform on [0, 1] has no feature scale: 16 even panels on [0, q]. At
-    # n = 1 the integrand is y, whose left sum is q**2 / 2 * (1 - 1/16).
+    # Uniform on [0, 1] has no feature scale: its edges are the 16 even cuts
+    # of [0, q] and the 16 SCREEN_CUTS at scale q / TAIL_SIGMAS, sorted
+    # together. At n = 1 the integrand is y, so the refined sum is at least
+    # the even grid's, q**2 / 2 * (1 - 1/16), and at most the integral.
     for q in (0.25, 0.5, 1.0):
-        assert critical_cost_lower_bound(UNIT, q, 1) == pytest.approx(q * q / 2 * 15 / 16, rel=1e-14)
+        even = np.arange(16) * (q / 16)
+        graded = np.maximum(q - SCREEN_CUTS * (q / TAIL_SIGMAS), 0.0)
+        edges = np.append(np.sort(np.concatenate([even, graded])), q)
+        assert edges.size == 33 and edges[0] == 0.0
         for n in (1, 5, 1000):
-            assert critical_cost_lower_bound(UNIT, q, n) <= uniform_closed_form(q, n)
+            bound = critical_cost_lower_bound(UNIT, q, n)
+            assert bound == pytest.approx(np.diff(edges) @ -np.expm1(n * np.log1p(-edges[:-1])), rel=1e-14)
+            assert bound <= uniform_closed_form(q, n)
+        assert critical_cost_lower_bound(UNIT, q, 1) >= q * q / 2 * 15 / 16
     assert critical_cost_lower_bound(UNIT, 0.0, 5) == 0.0
     # A KDE's first cut, 12 bandwidths below its minimum, is its effective
     # low, so the cdf is sampled at 16 left edges graded toward q.
