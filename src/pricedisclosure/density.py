@@ -23,7 +23,7 @@ and ndtr(-12) = 1.8e-33 for the cdf's.
 There is one parametric fitter, ``ParametricRows``, which fits every
 family to many samples at once, and ``fit_parametric`` is its one-row
 case. It reduces with ``np.add.reduce``, the ufunc behind ``np.sum``,
-``np.mean`` and ``np.std``, row by row (``_row_sums``): the same bits
+``np.mean`` and ``np.std``, masked to each row (``_row_sums``): the same bits
 without the wrappers' per-call cost. One table row per family holds the
 map from its fitted parameters to its standard form's (shape args, loc,
 scale), the lower end of its standard support and its standardized
@@ -229,39 +229,11 @@ def _row_sums(a: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """``np.add.reduce`` of each row of ``a`` (..., rows, k) over its first
     ``sizes`` entries, bit for bit, whatever lies past them or beside it.
 
-    When every row is full on a contiguous last axis, numpy's own reduce
-    sums each row pairwise, as it sums the row alone. Otherwise its grouping
-    is repeated: m <= 128 values one by one when m < 8; otherwise into 8
-    accumulators over the first m - m % 8 values, joined as ((r0 + r1) +
-    (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and then the rest one by one. Past
-    128 values it adds the sums of the two halves, the first rounded down
-    to a multiple of 8. Each step runs on all rows at once, a row with
-    nothing to add in it adding 0."""
-    k = a.shape[-1]
-    if a.strides[-1] == a.itemsize and sizes.min() == k:  # no row is longer than k
-        return np.add.reduce(a, axis=-1)
-    split = sizes > 128
-    if split.any():
-        half = sizes // 2 - sizes // 2 % 8
-        shift = np.minimum(np.where(split, half, 0)[:, None] + np.arange(k), k - 1)
-        second = np.take_along_axis(a, np.broadcast_to(shift, a.shape), axis=-1)
-        return _row_sums(a, np.where(split, half, sizes)) + _row_sums(second, np.where(split, sizes - half, 0))
-    paired = np.where(sizes >= 8, sizes - sizes % 8, 0)
-    width = k - k % 8  # no row has more paired values
-    total = np.zeros(a.shape[:-1])
-    if width:
-        lanes = np.where(np.arange(width) < paired[:, None], a[..., :width], 0.0)
-        r = lanes[..., :8]
-        for start in range(8, width, 8):
-            r = r + lanes[..., start : start + 8]
-        r = r[..., 0::2] + r[..., 1::2]
-        r = r[..., 0::2] + r[..., 1::2]
-        total = r[..., 0] + r[..., 1]
-    at = paired[:, None] + np.arange(7)
-    rest = np.where(at < sizes[:, None], a[..., np.arange(sizes.size)[:, None], np.minimum(at, k - 1)], 0.0)
-    for j in range(7):
-        total = total + rest[..., j]
-    return total
+    A masked reduce starts each row at the identity 0, as a lone reduce
+    does, and calls the add loop once per run of unmasked values. A row's
+    first ``sizes`` entries are one run, so the loop sums them pairwise as
+    it sums the row alone, its split past 128 values included."""
+    return np.add.reduce(a, axis=-1, where=np.arange(a.shape[-1]) < sizes[:, None])
 
 
 def silverman_bandwidths(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -43,14 +43,18 @@ and ``evaluate_subset``), a row the block fit defers (fewer than 2
 prices, no family fits, or no mass above zero) and pooled sets, which
 pass no threshold and are never screened.
 
-A failing candidate aborts the whole run: its error is re-raised, as the
-same type, naming the method and the candidate's size and prices; a
-``NumericalError`` keeps its error estimate. Skipping it could return a
-subset that is not the method's answer. A screened candidate is not
-integrated, so an integral that would fail on it does not abort the run:
-the bound proves it could not have been the answer. A deferred row has no
-bound, so it is never screened: its fit, and with it the run, fails
-whatever its cost would have been.
+A failing candidate aborts the whole run if one worker would have
+integrated it: its error is re-raised, as the same type, naming the method
+and the candidate's size and prices; a ``NumericalError`` keeps its error
+estimate. Skipping it could return a subset that is not the method's
+answer. A screened candidate's bound proves it could not have been the
+answer, so an integral that would fail on it does not abort the run; a
+deferred row has no bound and is never screened. Each worker's share of a
+block starts from the same best cost, so it may integrate rows that one
+worker would screen. So under a threshold ``evaluate_block`` records a
+failing row and goes on, and ``_select`` raises the earliest one that the
+best of the threshold and the known costs before it does not screen: that
+is one worker's best there, as a row one worker screens costs more.
 
 Results are deterministic: the randomized strategy derives iteration i's
 draws from (seed, i) via a counter-based generator, so any budget's run is
@@ -166,29 +170,42 @@ def _screen_limit(threshold: float) -> float:
     return threshold * (1.0 + 1e-6) + 1e-8
 
 
+def _screened(limit: float, bound: float) -> bool:
+    """Whether a row with lower bound ``bound`` (NaN for none) is screened
+    out at best cost ``limit``; no cost is below 0, so nothing beats 0."""
+    return limit < math.inf and (limit <= 0.0 or _screen_limit(limit) < bound)
+
+
+@dataclass(frozen=True)
+class _Failure:
+    """A row that failed under a threshold: its bound (NaN for none) and its
+    error. Its value, NaN, stays out of ``_select``'s running minimum."""
+
+    bound: float
+    error: PriceDisclosureError
+    value = math.nan
+
+
 def clear_evaluation_cache() -> None:
     _evaluate_cents.cache_clear()
 
 
 def evaluate_block(rows, n_new: int, estimator: str, what: str,
-                   threshold: float | None = None) -> list[CriticalCost | None]:
+                   threshold: float | None = None) -> list[CriticalCost | _Failure | None]:
     """Critical cost of each row of prices in cents, in order: a density fit
     to the row, at q its minimum, memoized by the sorted cents. ``n_new`` and
     ``estimator`` are checked before any row; a failing row is named ``what``.
 
-    With a ``threshold``, each row is screened first: when its
-    ``critical_cost_lower_bound`` is above ``_screen_limit(threshold)``, or
-    the threshold is 0, it cannot cost less than the threshold, so it is not
-    evaluated and its entry is None. The threshold falls to every evaluated
-    row's cost. Without one, every row is evaluated. The bounds of every
-    row, the first included, come from one ``_lower_bounds`` call whenever
-    a threshold above 0 is given, ``inf`` included, unless the block is one
-    row under ``inf``, which nothing can screen; a row with a bound is
-    evaluated from the density of the fit that bounded it, so the first row
-    of an interval, minimal or brute-force selection is too. A row with no
-    bound is fitted alone: a one-row block under ``inf`` (Monte Carlo's
-    incumbent, ``full`` and ``evaluate_subset``), a block with no threshold
-    or one of 0, and a row the fit defers, whose fit raises."""
+    With a ``threshold``, a row that ``_screened`` rules out at it cannot
+    cost less, so it is not evaluated and its entry is None; the threshold
+    falls to every evaluated row's cost, and a failing row's entry is a
+    ``_Failure`` for ``_select`` to judge. Without one, every row is
+    evaluated and a failing row raises at once. The bounds come from one
+    ``_lower_bounds`` call whenever a threshold above 0 is given, ``inf``
+    included, unless the block is one row under ``inf``, which nothing can
+    screen. A row with a bound is evaluated from the density of the fit
+    that bounded it, and any other row is fitted alone (see the module
+    doc); a row the fit defers has no bound, and its fit raises."""
     n_new = _check_n(n_new)
     _check_estimator(estimator)
     keys = [tuple(sorted(row)) for row in rows]
@@ -199,18 +216,21 @@ def evaluate_block(rows, n_new: int, estimator: str, what: str,
         bounds = [math.nan] * len(keys)
     costs = []
     for i, (key, bound) in enumerate(zip(keys, bounds)):
+        if _screened(limit, bound):
+            costs.append(None)
+            continue
         try:
-            # No cost is below 0, so nothing beats a threshold of 0.
-            if limit < math.inf and (limit <= 0.0 or _screen_limit(limit) < bound):
-                costs.append(None)
-                continue
             fit = _Fit(None if math.isnan(bound) else functools.partial(density, i))
             cost = _evaluate_cents(key, n_new, estimator, fit)
         except PriceDisclosureError as exc:
             listed = " ".join(map(format_cents, key))
             message = f"{what} of {len(key)} prices ({listed}) failed: {exc}"
             estimate = (exc.error_estimate,) if isinstance(exc, NumericalError) else ()
-            raise type(exc)(message, *estimate) from exc
+            error = type(exc)(message, *estimate)
+            if threshold is None:
+                raise error from exc
+            costs.append(_Failure(bound, error))
+            continue
         costs.append(cost)
         if threshold is not None:
             limit = min(limit, cost.value)
@@ -225,9 +245,10 @@ def evaluate_subset(subset: PriceList, n_new: int, estimator: str = "kde") -> Cr
 def _block_costs(what: str, cents: np.ndarray, n_new: int, estimator: str, block, threshold: float):
     """Cost value and ``CriticalCost`` of every candidate row of ``block``,
     a mask over ``cents``; a row screened out at ``threshold`` has value inf
-    and no ``CriticalCost``. Each distinct row goes to ``evaluate_block``
-    once, in order of first appearance: Monte Carlo on a short list draws
-    almost nothing but repeats."""
+    and no ``CriticalCost``, a failed row value NaN and its ``_Failure``.
+    Each distinct row goes to ``evaluate_block`` once, in order of first
+    appearance: Monte Carlo on a short list draws almost nothing but
+    repeats."""
     packed = np.packbits(block, axis=1)
     # One item per packed row: np.unique(axis=0) gives the same answer at
     # several times the fixed cost per block. A row of at most 8 bytes is
@@ -264,7 +285,11 @@ def _select(method, prices, blocks, n_new, estimator, *, incumbent=False, worker
             shares = np.array_split(block, min(workers, len(block)))
             outcomes = (pool.map if pool else map)(evaluate, shares, itertools.repeat(best))
             values, costs = map(np.concatenate, zip(*outcomes))
-            running = np.minimum.accumulate(np.concatenate(([best], values)))
+            running = np.fmin.accumulate(np.concatenate(([best], values)))
+            # A failed row aborts the run iff one worker would have integrated it.
+            for j in np.flatnonzero(np.isnan(values)):
+                if not _screened(running[j], costs[j].bound):
+                    raise costs[j].error
             for j in np.flatnonzero(running[1:] < running[:-1]):
                 trace.append((rows + (not incumbent) + int(j), float(running[j + 1])))
                 trace_subsets.append(prices.subset(order[block[j]]))

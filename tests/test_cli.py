@@ -396,6 +396,23 @@ def test_simulate_csv(capsys, small_csv, tmp_path):
     assert {r[7] for r in rows[1:]} == {"5"}
 
 
+def test_brute_force_prints_the_same_bytes_at_every_worker_count(capsys, tmp_path):
+    # Some parametric integrals on these nine prices do not converge. One
+    # worker screens every such candidate; a share of a block, starting
+    # from the block's best cost, may integrate one, which must not abort.
+    cents = [89, 95, 470, 1688, 4838, 5860, 10642, 24174, 35043]
+    path = tmp_path / "nine.csv"
+    write_prices(PriceList("nine", tuple(PriceEntry("s", c) for c in cents)), path)
+    for estimator in ("kde", "parametric"):
+        for n_new in ("1", "18"):
+            argv = ["disclose", "--data", str(path), "--method", "brute", "--rho", "3", "--n-new", n_new,
+                    "--estimator", estimator]
+            serial = run(capsys, *argv)
+            assert serial[0] == 0, (estimator, n_new, serial)
+            for workers in ("2", "3", "4"):
+                assert run(capsys, *argv, "--workers", workers) == serial, (estimator, n_new, workers)
+
+
 def test_simulate_pools_every_set_in_worker_processes(capsys, small_csv, tmp_path):
     # Pooled sets are evaluated in full, never screened, whatever the
     # worker count.

@@ -650,6 +650,51 @@ def test_row_sums_equal_one_row_reduce_bitwise():
                     assert sums[j, i] == np.add.reduce(a[j, i].copy()), (k, block.strides)
 
 
+def test_row_sums_keep_each_rows_lone_bits_in_every_layout():
+    # A masked reduce runs numpy's add loop once over each row's first
+    # ``sizes`` entries. Checked bit for bit, the sign of a zero included,
+    # against np.add.reduce of each row alone, read from the same view: on
+    # signed zeros, on sizes around numpy's 128-value split, on blocks past
+    # numpy's 8192-element buffer, on the (points, rows, k) layout of
+    # KernelRows._kernel_mean and on strided chunks of a wider matrix, as
+    # search.lower_bounds slices them.
+    rng = np.random.default_rng(37)
+
+    def check(a, sizes):
+        sums = _row_sums(a, sizes)
+        for at in np.ndindex(a.shape[:-1]):
+            assert float(sums[at]).hex() == float(np.add.reduce(a[at][: sizes[at[-1]]])).hex(), (a.shape, at)
+
+    def signed(*shape):
+        return rng.lognormal(0.0, 3.0, shape) * rng.choice([-1.0, 1.0], shape)
+
+    zeros = np.where(rng.random((40, 24)) < 0.5, -0.0, 0.0)
+    zeros[:8] = -0.0
+    zeros[8:16, :3] = [1.5, -1.5, -0.0]
+    sizes = rng.integers(1, 25, 40)
+    zeros[np.arange(24) >= sizes[:, None]] = np.nan
+    check(zeros, sizes)
+
+    split = signed(2, 34, 140)
+    sizes = np.tile(np.arange(120, 137), 2)
+    split[:, np.arange(140) >= sizes[:, None]] = np.nan
+    check(split, sizes)
+
+    check(signed(3, 40, 300), rng.integers(1, 301, 40))
+    check(signed(3, 10000), np.array([8191, 8192, 10000]))
+
+    samples = np.sort(rng.lognormal(5.0, 0.5, (30, 60)), axis=1)
+    sizes = rng.integers(1, 61, 30)
+    y = rng.uniform(50.0, 300.0, (30, 16))
+    check(special.ndtr((y.T[..., None] - samples) / rng.uniform(1.0, 20.0, 30)[:, None]), sizes)
+
+    wide = signed(64, 200)
+    for lo, k in ((0, 129), (17, 8), (40, 150)):
+        chunk = wide[lo : lo + 20, :k]
+        assert chunk.strides[0] == wide.strides[0]
+        check(chunk, rng.integers(1, k + 1, chunk.shape[0]))
+
+
 def test_increasing_root_solves_only_roots_inside_its_bracket():
     # Newton steps on t - root over (0.01, 1): a root outside, even just
     # outside, is not solved, though its iterates end at the near end; a

@@ -1,5 +1,6 @@
 """Subset-selection strategies: oracle, Monte-Carlo, interval, minimal."""
 
+import concurrent.futures
 import itertools
 import math
 import pickle
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from pricedisclosure import disclosure, search
-from pricedisclosure.data import BUILTIN_MANIFESTS, PriceEntry, PriceList, builtin_dataset
+from pricedisclosure.data import BUILTIN_MANIFESTS, PriceEntry, PriceList, builtin_dataset, format_cents
 from pricedisclosure.density import FAMILIES, ParametricRows, fit_estimator
 from pricedisclosure.disclosure import (
     DisclosureConstraints,
@@ -191,6 +192,59 @@ def test_brute_force_worker_invariance():
     assert serial.trace_subsets == parallel.trace_subsets
     assert serial.trace_subsets[-1] == serial.subset
     assert serial.trace[-1][1] == serial.critical_cost.value
+
+
+def test_a_failure_aborts_at_every_worker_count_iff_one_worker_integrates_it(monkeypatch):
+    # A stubbed integral fails on one candidate. Each worker's share starts
+    # from the same best cost, so shares integrate rows one worker screens:
+    # a failure on such a row leaves the answer as it is, and a failure on
+    # a row one worker integrates aborts with one message at every worker
+    # count. Shares run as threads, so the stub reaches them whatever the
+    # pool's start method.
+    monkeypatch.setattr(disclosure, "ProcessPoolExecutor", concurrent.futures.ThreadPoolExecutor)
+    prices, cached = seeded_prices(10, 0), disclosure._evaluate_cents
+
+    def stub(failing, integrated):
+        def lookup(cents, n_new, estimator, fit):
+            integrated.append(cents)
+            if cents == failing:
+                raise NumericalError("stub did not converge", 0.5)
+            return cached(cents, n_new, estimator, fit)
+
+        lookup.cache_clear = cached.cache_clear
+        return lookup
+
+    def run(workers, failing=None):
+        integrated = []
+        with monkeypatch.context() as m:
+            m.setattr(disclosure, "_evaluate_cents", stub(failing, integrated))
+            clear_evaluation_cache()
+            try:
+                result = brute_force_disclose(prices, RHO3, 18, "kde", workers)
+            except NumericalError as exc:
+                return integrated, (str(exc), exc.error_estimate)
+        return integrated, (result.subset, result.trace, repr(result.critical_cost))
+
+    alone, expected = run(1)
+    shared = set(run(3)[0])
+    screened = sorted(shared - set(alone))
+    assert len(screened) >= 10 and set(alone) <= shared
+    for failing in screened:
+        assert all(run(workers, failing)[1] == expected for workers in (1, 2, 3, 4)), failing
+    for failing in (alone[0], alone[len(alone) // 2], alone[-1]):
+        listed = " ".join(map(format_cents, failing))
+        error = (f"brute_force candidate of {len(failing)} prices ({listed}) failed: stub did not converge", 0.5)
+        assert all(run(workers, failing)[1] == error for workers in (1, 2, 3, 4)), failing
+
+    # With no threshold, as for pooled sets, the first failing row raises at
+    # once and the rows after it are not evaluated.
+    rows = [prices.cents_array()[:k].tolist() for k in (3, 4, 5)]
+    integrated = []
+    monkeypatch.setattr(disclosure, "_evaluate_cents", stub(tuple(rows[1]), integrated))
+    clear_evaluation_cache()
+    with pytest.raises(NumericalError, match=r"^pooled set of 4 prices \(.*\) failed: stub did not converge$"):
+        disclosure.evaluate_block(rows, 18, "kde", "pooled set")
+    assert integrated == [tuple(rows[0]), tuple(rows[1])]
 
 
 def test_brute_force_input_order_invariance():
@@ -755,9 +809,17 @@ def test_every_integrated_row_has_the_density_and_cost_of_its_fit_alone(monkeypa
 def test_a_row_with_no_fit_still_aborts_and_is_named(monkeypatch):
     # A row the block fit defers has no bound, so it is not screened: it is
     # fitted alone, and the fit's error names it, in a block as alone.
+    # Under a threshold the error is recorded with the row's bound, which
+    # is NaN, so _select raises it at any running best above 0.
+    def evaluate(rows):
+        costs = disclosure.evaluate_block(rows, 4, "parametric", "row", math.inf)
+        (failure,) = [cost for cost in costs if isinstance(cost, disclosure._Failure)]
+        assert math.isnan(failure.bound)
+        raise failure.error
+
     good = [100, 250, 300, 420]
     with pytest.raises(ValidationError) as info:
-        disclosure.evaluate_block([good, [100]], 4, "parametric", "row", math.inf)
+        evaluate([good, [100]])
     assert str(info.value) == "row of 1 prices (1.00) failed: parametric fitting needs at least 2 observations"
     # A winner with no mass above zero: on rows of 3 prices every family
     # but the gumbel is unsolved, and the gumbel sits a million below zero.
@@ -777,7 +839,7 @@ def test_a_row_with_no_fit_still_aborts_and_is_named(monkeypatch):
     monkeypatch.setattr(ParametricRows, "_fit_families", staticmethod(far_below))
     for rows in ([good, [100, 250, 300]], [[100, 250, 300]]):
         with pytest.raises(FitError) as info:
-            disclosure.evaluate_block(rows, 4, "parametric", "row", math.inf)
+            evaluate(rows)
         assert str(info.value) == "row of 3 prices (1.00 2.50 3.00) failed: gumbel: no probability mass above zero"
 
 
