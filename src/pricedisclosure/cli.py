@@ -27,7 +27,7 @@ from .data import builtin_dataset, format_cents, load_prices
 from .density import ESTIMATORS, fit_estimator, fit_kde, fit_parametric
 from .disclosure import METHODS, DisclosureConstraints, clear_evaluation_cache, disclose, monte_carlo_disclose
 from .errors import PriceDisclosureError, ValidationError
-from .search import critical_cost, interval_subset_count, minimal_subset_count, subset_count
+from .search import _integral_forms, critical_cost, interval_subset_count, minimal_subset_count, subset_count
 from .simulator import MarketConfig, simulate_kth_position
 
 class UsageError(Exception):
@@ -197,16 +197,16 @@ def _cmd_critical_cost(args: argparse.Namespace) -> int:
     points = _cost_points(args)
     prices = _load_data(args)
     density = fit_estimator(prices.values(), args.method)
+    qs, ns = zip(*points)
+    # The points share one integral per run of them; each is then checked
+    # on its own, one critical_cost call per point.
+    costs = [critical_cost(density, q, n, forms) for q, n, forms in zip(qs, ns, _integral_forms(density, qs, ns))]
     if args.sweep is None:
-        cost = critical_cost(density, *points[0])
-        print(f"critical_cost: {cost.value!r}", file=args.out)
-        print(f"error_estimate: {cost.integration_error_estimate!r}", file=args.out)
+        print(f"critical_cost: {costs[0].value!r}", file=args.out)
+        print(f"error_estimate: {costs[0].integration_error_estimate!r}", file=args.out)
         return 0
     swept = 0 if args.sweep == "q" else 1
-    rows = []
-    for point in points:
-        cost = critical_cost(density, *point)
-        rows.append((point[swept], cost.value, cost.integration_error_estimate))
+    rows = [(point[swept], cost.value, cost.integration_error_estimate) for point, cost in zip(points, costs)]
     _write_csv(args.out, (("q", "n_new")[swept], "critical_cost", "error_estimate"), rows)
     return 0
 

@@ -173,11 +173,12 @@ def load_prices(path: str | Path) -> PriceList:
                         f"row 1: expected header {','.join(CSV_HEADER)!r}"
                     )
                 continue
-            if not row or all(not c.strip() for c in row):
+            if not "".join(row).strip():
                 continue
             if len(row) != 3:
                 raise ParseError(f"row {line_no}: expected 3 columns, got {len(row)}")
-            pid, source, price_text = (c.strip() for c in row)
+            pid, source, price_text = row
+            pid, source, price_text = pid.strip(), source.strip(), price_text.strip()
             if not pid or not source:
                 raise ParseError(f"row {line_no}: empty product_id or source")
             if product_id is None:

@@ -16,7 +16,8 @@ ones elsewhere.
 An integrand may also return several rows at once, shape ``(m, k)`` for
 ``k`` abscissae: every row is integrated over the same abscissae, and a
 panel is accepted only when all rows have converged on it. Integrals that
-share their expensive ingredients then cost one pass instead of ``m``.
+share their expensive ingredients then cost one pass instead of ``m``, and
+each row may have its own tolerance.
 """
 
 from __future__ import annotations
@@ -29,12 +30,22 @@ from .errors import NumericalError, ValidationError
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
+# Absolute tolerance of an integral, and of each row of one.
+TOL = 1e-8
+
 # Most panels one refinement level may hold. Panels that cannot meet their
 # budget double every level, so without a cap an integrand that never
-# converges asks for millions of abscissae before max_depth stops it. Outside
-# the tests of this module, the largest worklist the test suite and the
-# benchmark workloads reach is 32 panels, critical_cost's largest starting
-# count: no refinement level has held more. The cap leaves 625 times that.
+# converges asks for millions of abscissae before max_depth stops it. A lone
+# critical_cost integral starts from at most 32 panels; a KDE sweep
+# integrated together starts from more, one segment per q, in runs that
+# search._runs cuts before their rows times 15 starting abscissae pass
+# KDE_BLOCK_DOUBLES. Outside the tests of this module, the largest starting
+# worklist the test suite reaches is 52 panels, a sweep over 8 q values of
+# one bundled list in one run, and a 2001-point sweep of q on the printer
+# list starts its 69 runs from at most 36. The benchmark workloads start
+# from at most 32 and hold no level above 32. The largest level, 2424
+# panels, is a parametric integral that fails at max_depth; the cap leaves
+# 8 times that.
 MAX_PANELS = 20_000
 
 # The 15 Kronrod nodes on [-1, 1] in ascending order and their weights; the
@@ -91,7 +102,7 @@ def adaptive_gauss_kronrod(
     a: float,
     b: float,
     *,
-    tol: float = 1e-8,
+    tol: float | np.ndarray = TOL,
     max_depth: int = 40,
     panels: int | np.ndarray = 1,
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
@@ -104,8 +115,8 @@ def adaptive_gauss_kronrod(
     ``panels`` is the start, like ``np.histogram``'s ``bins``: a count of
     equal panels, or an increasing array of edges from ``a`` to ``b`` (a
     repeated edge makes an empty panel). Each starting panel has the budget
-    ``tol / panels``, ``panels`` being the count; a panel that misses its
-    budget is halved, and so is the budget.
+    ``tol / panels`` in each row, ``panels`` being the count; a panel that
+    misses its budget in any row is halved, and so are the budgets.
     Integrands whose mass sits in a narrow bump can look identically zero
     to one coarse panel, so a caller that knows the width of its
     integrand's features starts with panels no wider than a few of them,
@@ -135,7 +146,7 @@ def adaptive_gauss_kronrod(
         sign = -1.0
 
     # The worklist: each panel's ends. Panels of one level share their
-    # depth, hence one budget.
+    # depth, hence one budget (per row, for a column of tolerances).
     if edges is None:
         edges = _linspace(a, b, panels)
     lo, hi = edges[:-1], edges[1:]

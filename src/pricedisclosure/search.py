@@ -4,16 +4,21 @@ Given the best price found so far (q) and the number of genuinely new
 prices one more query would surface (N), the searcher weighs the query fee
 against the expected saving from the minimum of N fresh draws. The
 critical cost is that expected saving; the searcher stops once the fee
-reaches it. ``critical_cost_lower_bound`` bounds it from one ``cdf`` call,
-and ``lower_bounds`` does so for a padded block of samples under either
+reaches it. ``critical_cost`` integrates one point; a critical-cost sweep
+integrates many points of one density in one pass per run of them, whose
+forms ``critical_cost`` then checks point by point.
+``critical_cost_lower_bound`` bounds it from one ``cdf`` call, and
+``lower_bounds`` does so for a padded block of samples under either
 estimator, by the same edges.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -21,7 +26,7 @@ from scipy import special
 from .data import PriceList
 from .density import KDE_BLOCK_DOUBLES, TAIL_SIGMAS, Density, estimator_rows, pointwise
 from .errors import NumericalError, ValidationError
-from .quadrature import adaptive_gauss_kronrod
+from .quadrature import TOL, _linspace, adaptive_gauss_kronrod
 
 # Two integral forms of the expected saving must agree this closely.
 AGREEMENT_TOL_ABS = 1e-6
@@ -125,10 +130,20 @@ def _min_order(density: Density, n: int, y, weight=1.0):
     at large n to swamp small values and keep quadrature panels from ever
     meeting tol; the log form keeps the relative accuracy of cdf itself.
     """
-    f = density.pdf(y)
-    log_sf = _log_sf(density, y)
-    sf_rest = np.exp((n - 1) * log_sf) if n > 1 else np.ones_like(log_sf)
-    return -np.expm1(n * log_sf), weight * n * f * sf_rest
+    return _order_terms(density.pdf(y), _log_sf(density, y), n, weight, n > 1)
+
+
+def _order_terms(f, log_sf, n, weight, powered):
+    """:func:`_min_order`'s two terms from the pdf ``f`` and ``log_sf`` at
+    the abscissae; ``n`` is an int, or a column of them giving a row each.
+    ``powered`` is whether n > 1, in every row: the factor ``sf**(n - 1)``
+    is taken only then, since with n = 1 it is 1 also where sf is 0 and
+    ``(n - 1) * log_sf`` would be NaN."""
+    dual = -np.expm1(n * log_sf)
+    direct = weight * n * f
+    if powered:
+        direct *= np.exp((n - 1) * log_sf)
+    return dual, direct
 
 
 @pointwise
@@ -258,59 +273,217 @@ def lower_bounds(samples: np.ndarray, sizes: np.ndarray, n_new: int, estimator: 
     return bounds, lambda i: chunks[rank[i] // step].density(rank[i] % step)
 
 
-def critical_cost(density: Density, q: float, n_new: int) -> CriticalCost:
+class _Forms(NamedTuple):
+    """One point's two integral forms of the expected saving, from the pass
+    that integrated them: the dual, over the minimum-order cdf, and the
+    direct, over (q - y) times the minimum-order density, with the sum of
+    their error estimates. ``panels`` and ``graded`` describe the point's
+    own integral, over ``[effective_low, q]`` from ``panels`` starting
+    panels, graded toward q or not, for a failure to name."""
+
+    q: float
+    n_new: int
+    dual: float
+    direct: float
+    error_estimate: float
+    panels: int
+    graded: bool
+
+
+def _first_start(density: Density, low: float, q: float, least: int, most: int) -> tuple[int | np.ndarray, bool]:
+    """The starting panels on ``[low, q]`` for points at ``q`` whose draws
+    run from ``least`` to ``most``, and whether they are graded toward q. A
+    lone point starts from :func:`starting_panels` even panels, or for a
+    tail integral, with ``q`` at or below the sample's minimum, from
+    :func:`tail_edges`, unless its draws are expected to pile up at the
+    lower bound; points that disagree start from the union of both."""
+    scale = density.feature_scale
+    panels = starting_panels(q - low, scale)
+    if scale is None or q > density.sample_min:
+        return panels, False
+    # A tail integral: every kernel sits at or above q and puts at most
+    # Phi(-(q - low) / scale) of its mass below low. While n times that is
+    # at most one draw expected below low, the minimum-order mass rises
+    # toward q; past it, the mass can pile up at low, and the even start
+    # stays. The test is monotone in n, so least and most decide it.
+    tail = special.ndtr(-(q - low) / scale)
+    if least * tail > 1.0:
+        return panels, False
+    edges = tail_edges(low, q, scale)
+    if most * tail <= 1.0:
+        return edges, True
+    return np.union1d(edges, _linspace(low, q, panels)), True
+
+
+def _count(start: int | np.ndarray) -> int:
+    return start if isinstance(start, int) else start.size - 1
+
+
+def _runs(density: Density, low: float, points: list[tuple]):
+    """Cut ``points`` (q, n_new, ...), ascending and above ``low``, into the
+    runs one integral each takes, and lay out each run's starting panels.
+    Yields (begin, end, layout), the layout (start, own, graded): ``start``
+    a panel count or the edges on ``[low, the run's largest q]``, ``own``
+    the starting panels below each of the run's q, and ``graded`` whether
+    the first segment is graded toward q.
+
+    ``[low, q_1]``, up to the run's least q, starts as a lone point there
+    does (:func:`_first_start`); each further ``[q_(i-1), q_i]`` from
+    :func:`starting_panels` of its own width, so every q is an edge. A run
+    grows while its two rows per point times 15 starting abscissae stay
+    within ``KDE_BLOCK_DOUBLES``, so a long sweep's rows stay as small as a
+    block of KDE sums, and while its draws stay all above 1 or all 1, so
+    that the factor ``sf**(n - 1)`` is taken by every row or none. Without
+    a feature scale every segment starts from MAX_STARTING_PANELS whatever
+    its width, and points at different q would share no abscissae: a run
+    then holds the points of one q.
+    """
+    scale = density.feature_scale
+    begin = 0
+    while begin < len(points):
+        q0, n0 = points[begin][:2]
+        first, graded = _first_start(density, low, q0, n0, n0)
+        own, segments = [_count(first)], []
+        end = begin + 1
+        while end < len(points):
+            (q, n), last = points[end][:2], points[end - 1][0]
+            if (n > 1) != (n0 > 1) or (q > q0 and scale is None):
+                break
+            if q == q0:  # the points at q0 come first, n ascending
+                grown = _first_start(density, low, q0, n0, n)
+                panels = _count(grown[0])
+            else:
+                count = starting_panels(q - last, scale) if q > last else 0
+                panels = own[-1] + count
+            if 30 * (end + 1 - begin) * panels > KDE_BLOCK_DOUBLES:
+                break
+            if q == q0:
+                (first, graded), own = grown, [panels] * (end + 1 - begin)
+            else:
+                if count:
+                    segments.append(_linspace(last, q, count)[1:])
+                own.append(panels)
+            end += 1
+        if segments:
+            first = np.concatenate([_linspace(low, q0, first) if isinstance(first, int) else first, *segments])
+        yield begin, end, (first, own, graded)
+        begin = end
+
+
+def _integrate(density: Density, low: float, qs: tuple[float, ...], ns: tuple[int, ...],
+               start: int | np.ndarray, own: list[int], graded: bool) -> list[_Forms]:
+    """Both forms at each point of a run (:func:`_runs`) in one pass; see
+    :func:`_integral_forms`."""
+    m, top, panels = len(qs), qs[-1], own[-1]
+    # q and n per row as columns. A lone point keeps scalars and an
+    # integrand of one q needs no mask, so a lone point's integrand makes
+    # the numpy calls it always made.
+    masked = own[0] != panels
+    q_col = np.array(qs)[:, None] if masked else top
+    n_col = np.array(ns)[:, None] if m > 1 else ns[0]
+    powered = ns[0] > 1
+    # A point spanning own[i] of the P starting panels takes tol * P / own[i],
+    # so each of its panels has the budget tol / own[i] it has alone.
+    tol = np.tile(TOL * (panels / np.array(own)), 2)[:, None] if masked else TOL
+
+    def rows(y: np.ndarray) -> np.ndarray:
+        dual, direct = _order_terms(density.pdf(y), _log_sf(density, y), n_col, q_col - y, powered)
+        if masked:  # nodes are interior, so a panel lies wholly below or above each q
+            below = y < q_col
+            dual, direct = np.where(below, dual, 0.0), np.where(below, direct, 0.0)
+        return np.vstack((dual, direct))
+
+    try:
+        values, errors = adaptive_gauss_kronrod(rows, low, top, tol=tol, panels=start)
+    except NumericalError as exc:
+        points = "; ".join(f"q={q}, n_new={n}" for q, n in zip(qs, ns))
+        raise NumericalError(
+            f"{exc}; {points}, interval [{low}, {top}], {panels} starting panels"
+            f"{' graded toward q' if graded else ''}, {density!r}",
+            error_estimate=exc.error_estimate,
+        ) from exc
+    v, e = values.tolist(), errors.tolist()
+    return [_Forms(q, n, v[i], v[m + i], e[i] + e[m + i], own[i], graded)
+            for i, (q, n) in enumerate(zip(qs, ns))]
+
+
+def _integral_forms(density: Density, q, n_new) -> list[_Forms]:
+    """Both integral forms of the expected saving at each point of the
+    equal-length sequences ``q`` and ``n_new``, in their order: a
+    critical-cost sweep, with the density's pdf and cdf evaluated once per
+    abscissa of a pass.
+
+    A point at or below the density's effective lower bound, below which its
+    mass is under double eps, has forms 0. The others are integrated by
+    ascending q, in runs of consecutive points (:func:`_runs`), each run in
+    one adaptive Gauss-Kronrod pass over ``[effective_low, its largest q]``.
+    Its integrand gives each point two rows, ``1 - sf**n`` and
+    ``(q - y) n f sf**(n - 1)``, both 0 above the point's q. A point that
+    spans ``P_i`` of the run's ``P`` starting panels integrates to
+    ``tol * P / P_i``, so each of its panels has the budget it has alone, and
+    its error estimate sums its own panels. One point, or points at one q (a
+    sweep of n), start as a lone point does. A failing pass raises
+    :class:`NumericalError` naming each of its points (q, n_new), the
+    interval, the starting panel count and whether it was graded, and the
+    density.
+    """
+    if len(q) != len(n_new):
+        raise ValidationError(f"need one n_new per q, got {len(n_new)} for {len(q)}")
+    points = sorted((_check_q(density, x), _check_n(n), i) for i, (x, n) in enumerate(zip(q, n_new)))
+    low = density.effective_low
+    zero = bisect.bisect_right(points, (low, math.inf))  # the points at or below low
+    forms = [None] * len(points)
+    for x, n, i in points[:zero]:
+        forms[i] = _Forms(x, n, 0.0, 0.0, 0.0, 0, False)
+    points = points[zero:]
+    for begin, end, layout in _runs(density, low, points):
+        qs, ns, index = zip(*points[begin:end])
+        for i, point in zip(index, _integrate(density, low, qs, ns, *layout)):
+            forms[i] = point
+    return forms
+
+
+def critical_cost(density: Density, q: float, n_new: int, forms: _Forms | None = None) -> CriticalCost:
     """Expected saving from one more query given best price ``q``.
 
     Integrates, in one adaptive Gauss-Kronrod pass over shared abscissae,
     the expectation of (q - y) against the minimum-order density and its
     integration-by-parts twin (the integrated minimum-order cdf), so the
-    density's pdf and cdf are evaluated once per abscissa. The domain runs
-    from the density's effective lower bound, below which its mass is under
-    double eps, to ``q``; the starting panel count follows the ratio of
-    that width to the density's feature scale (:func:`starting_panels`). A
-    tail integral, with ``q`` at or below the sample's minimum as in every
-    disclosure evaluation, starts instead from panels graded toward ``q``
-    (:func:`tail_edges`), unless the draws are expected to pile up at the
-    lower bound. The two forms must agree within max(1e-6, 1e-4 * value);
-    the twin, whose integrand is smoother, is returned. A failure raises
-    :class:`NumericalError` naming q, n_new, the interval, the starting
-    panel count and whether it was graded, and the density.
+    density's pdf and cdf are evaluated once per abscissa: the one-point
+    run of :func:`_integral_forms`, from the density's effective lower
+    bound to ``q``, starting from panels no wider than twice its feature
+    scale, or for a tail integral (``q`` at or below the sample's minimum,
+    as in every disclosure evaluation) from panels graded toward ``q``.
+    ``forms`` is instead this point's entry of ``_integral_forms`` over a
+    sweep that holds it, which this call only checks; it is there so that a
+    sweep still makes one call here per point, as the benchmark's trace
+    counts them. The two forms must agree within max(1e-6, 1e-4 * value);
+    the twin, whose integrand is smoother, is returned. A disagreement
+    raises :class:`NumericalError` naming q, n_new, the interval, the
+    starting panel count and whether it was graded, and the density; so
+    does a failing integral.
     """
-    n = _check_n(n_new)
-    q = _check_q(density, q)
-    low = density.effective_low
-    if q <= low:
-        return CriticalCost(0.0, q, n, 0.0)
-    scale = density.feature_scale
-    start = panels = starting_panels(q - low, scale)
-    graded = ""
-    # A tail integral: every kernel sits at or above q and puts at most
-    # Phi(-(q - low) / scale) of its mass below low. While n times that is at
-    # most one draw expected below low, the minimum-order mass rises toward
-    # q; past it, the mass can pile up at low, and the even start stays.
-    if scale is not None and q <= density.sample_min and n * special.ndtr(-(q - low) / scale) <= 1.0:
-        start = tail_edges(low, q, scale)
-        panels, graded = start.size - 1, " graded toward q"
-
-    def both_forms(y: np.ndarray) -> np.ndarray:
-        return np.stack(_min_order(density, n, y, weight=q - y))
-
-    def context() -> str:
-        return f"q={q}, n_new={n}, interval [{low}, {q}], {panels} starting panels{graded}, {density!r}"
-
-    try:
-        values, errors = adaptive_gauss_kronrod(both_forms, low, q, panels=start)
-    except NumericalError as exc:
-        raise NumericalError(f"{exc}; {context()}", error_estimate=exc.error_estimate) from exc
-    dual, direct = float(values[0]), float(values[1])
+    if forms is None:
+        n = _check_n(n_new)
+        q = _check_q(density, q)
+        low = density.effective_low
+        if q <= low:
+            return CriticalCost(0.0, q, n, 0.0)
+        start, graded = _first_start(density, low, q, n, n)
+        (forms,) = _integrate(density, low, (q,), (n,), start, [_count(start)], graded)
+    elif (forms.q, forms.n_new) != (q, n_new):
+        raise ValidationError(f"forms of q={forms.q}, n_new={forms.n_new} given for q={q}, n_new={n_new}")
+    q, dual, direct = forms.q, forms.dual, forms.direct
     gap = abs(dual - direct)
     if gap > max(AGREEMENT_TOL_ABS, AGREEMENT_TOL_REL * abs(dual)):
         raise NumericalError(
-            f"integral forms disagree: {dual} vs {direct} (gap {gap}); {context()}",
+            f"integral forms disagree: {dual} vs {direct} (gap {gap}); q={q}, n_new={forms.n_new}, "
+            f"interval [{density.effective_low}, {q}], {forms.panels} starting panels"
+            f"{' graded toward q' if forms.graded else ''}, {density!r}",
             error_estimate=gap,
         )
     value = min(max(dual, 0.0), q)
-    return CriticalCost(value, q, n, float(errors[0] + errors[1]))
+    return CriticalCost(value, q, forms.n_new, forms.error_estimate)
 
 
 def decide(state: SearcherState, cost: CriticalCost) -> Decision:

@@ -8,6 +8,8 @@ import re
 import shlex
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from pricedisclosure import cli, disclosure
 from pricedisclosure.cli import main
 from pricedisclosure.data import PriceEntry, PriceList, builtin_dataset, load_prices, write_prices
-from pricedisclosure.density import fit_kde, fit_parametric
+from pricedisclosure.density import KernelDensity, fit_kde, fit_parametric
 from pricedisclosure.disclosure import DisclosureConstraints, clear_evaluation_cache, monte_carlo_disclose
 from pricedisclosure.search import critical_cost
 from pricedisclosure.simulator import MarketConfig
@@ -239,6 +241,57 @@ def test_critical_cost_sweep_csv(capsys, small_csv, tmp_path):
     values = [float(r[1]) for r in rows[1:]]
     assert [int(r[0]) for r in rows[1:]] == [2, 4, 6, 8, 10]
     assert all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
+
+
+def test_sweeps_print_what_each_point_costs_alone(capsys, small_csv):
+    density = fit_kde(load_prices(small_csv).values())
+    base = ["critical-cost", "--data", small_csv, "--method", "kde"]
+    for argv, point, count in (
+        (["--sweep", "q", "--n-new", "5", "--from", "80", "--to", "200", "--step", "7.5"], lambda x: (float(x), 5), 17),
+        (["--sweep", "n", "--q", "140", "--from", "1", "--to", "1001", "--step", "100"], lambda x: (140.0, int(x)), 11),
+    ):
+        code, out, _ = run(capsys, *base, *argv)
+        rows = list(csv.reader(out.splitlines()))[1:]
+        assert (code, len(rows)) == (0, count)
+        for x, value, error in rows:
+            want = critical_cost(density, *point(x)).value
+            assert abs(float(value) - want) <= max(1e-11, 1e-10 * want), (argv, x, value, want)
+            assert 0.0 <= float(error) <= 2e-8
+
+
+def test_a_failing_sweep_names_every_point(capsys, small_csv, monkeypatch):
+    monkeypatch.setattr(KernelDensity, "pdf", lambda self, y: np.full(np.shape(y), np.nan))
+    code, out, err = run(capsys, "critical-cost", "--data", small_csv, "--sweep", "n", "--q", "140",
+                         "--from", "2", "--to", "6", "--step", "2")
+    assert (code, out) == (1, "")
+    assert "not finite" in err and "q=140.0, n_new=2; q=140.0, n_new=4; q=140.0, n_new=6, interval [" in err
+
+
+def test_a_long_sweep_stays_small_and_quick(capsys):
+    """A sweep of q over 2001 points 0.01 apart on the bundled printer list
+    prints every row, each within max(1e-11, 1e-10 * value) of
+    critical_cost at its point alone (every 50th checked) with an error
+    estimate of at most 2e-8, holding at most 4 MB of traced memory.
+    Runtime cap: 3 s under tracemalloc (about 0.4 s on a 2-vCPU host,
+    where integrating each point alone took 3.8 s)."""
+    argv = ["critical-cost", "--builtin", "printer", "--method", "kde", "--sweep", "q", "--n-new", "18",
+            "--from", "297", "--to", "317", "--step", "0.01"]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert (code, len(rows)) == (0, 2001) and float(rows[-1][0]) == pytest.approx(317.0)
+    assert peak < 4_000_000 and elapsed < 3.0, (peak, elapsed)
+    density = fit_kde(builtin_dataset("printer").values())
+    for q, value, error in rows[::50]:
+        want = critical_cost(density, float(q), 18).value
+        assert abs(float(value) - want) <= max(1e-11, 1e-10 * want), (q, value, want)
+        assert float(error) <= 2e-8
 
 
 def test_sweep_q_keeps_its_end_point_at_five_digit_prices(capsys, tmp_path):
@@ -614,14 +667,14 @@ def readme_examples():
 
 
 def test_readme_cli_examples(capsys):
-    examples = {argv[0]: (argv, lines) for argv, lines in readme_examples()}
-    assert {"critical-cost", "disclose", "counts"} <= set(examples)
-    for command in ("critical-cost", "disclose", "counts"):
-        argv, expected = examples[command]
+    commands = ("critical-cost", "disclose", "counts")
+    examples = [(argv, lines) for argv, lines in readme_examples() if argv[0] in commands]
+    assert {argv[0] for argv, _ in examples} == set(commands)
+    for argv, expected in examples:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         got = out.splitlines()
-        assert len(got) == len(expected), command
+        assert len(got) == len(expected), argv
         for line, want in zip(got, expected):
             if want.endswith(" ..."):
                 assert line.startswith(want[:-3]), (line, want)

@@ -105,6 +105,27 @@ def test_vector_integrand_refines_until_every_row_converges():
     assert abs(rows[1] - 2.0 / 3.0) < 1e-7
 
 
+def test_each_row_meets_its_own_tolerance():
+    # Row 1, a cubic, is exact on any panel, so row 0's tolerance alone
+    # decides the refinement: its column entry 1e-4, not row 1's 1e-9,
+    # gives the panels and bits of row 0 integrated alone at 1e-4; a
+    # scalar 1e-9 holds both rows to it and refines further.
+    sizes = []
+
+    def counted(f):
+        return lambda y: sizes.append(y.size) or f(y)
+
+    rows, errs = adaptive_gauss_kronrod(counted(lambda y: np.stack([np.sqrt(y), y**3])), 0.0, 1.0,
+                                        tol=np.array([[1e-4], [1e-9]]))
+    shared, sizes[:] = list(sizes), []
+    alone = adaptive_gauss_kronrod(counted(np.sqrt), 0.0, 1.0, tol=1e-4)
+    assert (rows[0], errs[0]) == alone and shared == sizes
+    assert abs(rows[1] - 0.25) < 1e-15 and errs[1] <= 1e-9
+    sizes[:] = []
+    adaptive_gauss_kronrod(counted(lambda y: np.stack([np.sqrt(y), y**3])), 0.0, 1.0, tol=1e-9)
+    assert len(sizes) > len(shared)
+
+
 def test_one_panel_is_exact_to_degree_23():
     # K15 integrates polynomials to degree 23 exactly and G7 to degree 13,
     # so on one panel the error estimate |K15 - G7| vanishes to degree 13.

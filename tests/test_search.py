@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from pricedisclosure.data import BUILTIN_MANIFESTS, PriceEntry, PriceList, builtin_dataset
 from pricedisclosure.density import (
@@ -19,7 +19,7 @@ from pricedisclosure.density import (
 )
 from pricedisclosure.errors import NumericalError, ValidationError
 from pricedisclosure import search
-from pricedisclosure.quadrature import adaptive_gauss_kronrod
+from pricedisclosure.quadrature import TOL, adaptive_gauss_kronrod
 from pricedisclosure.search import (
     SCREEN_CUTS,
     TAIL_CUTS,
@@ -372,6 +372,188 @@ def test_graded_start_agrees_with_the_even_start():
             assert abs(graded - even) <= rel * max(1.0, even), (x, n, graded, even)
             compared += 1
     assert compared >= 0.95 * sum(len(ns) for _, ns in cases)
+
+
+def _lone_cost(density, q, n):
+    """critical_cost's value and error estimate by the one-point integral
+    as written before points shared a pass: the same start, and both forms
+    from the parent's arithmetic."""
+    low, scale = density.effective_low, density.feature_scale
+    if q <= low:
+        return 0.0, 0.0
+    start = starting_panels(q - low, scale)
+    if scale is not None and q <= density.sample_min and n * special.ndtr(-(q - low) / scale) <= 1.0:
+        start = tail_edges(low, q, scale)
+
+    def both_forms(y):
+        f = density.pdf(y)
+        with np.errstate(divide="ignore"):
+            log_sf = np.log1p(-density.cdf(y))
+        sf_rest = np.exp((n - 1) * log_sf) if n > 1 else np.ones_like(log_sf)
+        return np.stack([-np.expm1(n * log_sf), (q - y) * n * f * sf_rest])
+
+    values, errors = adaptive_gauss_kronrod(both_forms, low, q, panels=start)
+    return min(max(float(values[0]), 0.0), q), float(errors[0] + errors[1])
+
+
+def test_a_lone_point_keeps_its_bits():
+    cases = [(x, (1, 13, 18, 1000)) for x in _bundled_subsets(per_list=10)]
+    rng = np.random.default_rng(4)
+    cases += [(_tie_heavy(rng) * scale, (1, 18, 100000)) for scale in (1e-2, 1.0, 1e3) for _ in range(5)]
+    for x, ns in cases:
+        for estimator in ("kde", "parametric"):
+            density = fit_estimator(x, estimator)
+            for q in (float(x.min()), float(np.median(x)), 0.5 * density.effective_low):
+                for n in ns:
+                    cost = critical_cost(density, q, n)
+                    assert (cost.value, cost.integration_error_estimate) == _lone_cost(density, q, n), (x, q, n)
+
+
+def _camera_5000():
+    """The 5000-price list test_windowed_sweep_matches_the_one_block_oracle
+    (tests/test_density.py) builds: a smoothed bootstrap of the bundled
+    camera list in whole cents, as the benchmark builds its lists."""
+    rng = np.random.default_rng(41)
+    base = builtin_dataset("camera").values()
+    q75, q25 = np.percentile(base, [75.0, 25.0])
+    h = 0.9 * min(float(np.std(base, ddof=1)), float(q75 - q25) / 1.34) * base.size ** (-0.2)
+    draws = rng.choice(base, size=5000) + rng.normal(0.0, h, size=5000)
+    return np.sort(np.maximum(np.rint(draws * 100.0), 1.0)) / 100.0
+
+
+def _swept(density, qs, ns):
+    """critical_cost at each point from one _integral_forms pass, as the CLI
+    sweeps."""
+    return [critical_cost(density, q, n, forms) for q, n, forms in zip(qs, ns, search._integral_forms(density, qs, ns))]
+
+
+@pytest.mark.parametrize("estimator", ["kde", "parametric"])
+def test_a_sweep_equals_its_points_integrated_alone(estimator):
+    # q below the effective low (cost 0), 2 scales above it, where for the
+    # KDE n_new 1 and 18 start graded and 1000 and 1e5 evenly, at the
+    # sample's minimum (graded), above it, and 10 scales above its maximum,
+    # where the KDE's cdf is 1 and only the n_new = 1 rows keep the density;
+    # each row of q and each column of n is one sweep, and all the points,
+    # shuffled, one more. A parametric fit has no feature scale, so each
+    # of its runs holds one q and a point of a sweep of q keeps its bits.
+    lists = {name: builtin_dataset(name).values() for name in sorted(BUILTIN_MANIFESTS)}
+    lists["printer x100"] = builtin_dataset("printer").values() * 100
+    lists["camera bootstrap"] = _camera_5000()
+    ns = (1, 18, 1000, 100000)
+    rng = np.random.default_rng(7)
+    for name, x in lists.items():
+        density = fit_estimator(x, estimator)
+        low = density.effective_low
+        h = density.bandwidth if estimator == "kde" else (density.sample_min - low) / 8
+        qs = [0.5 * low, low + 2 * h, density.sample_min, density.sample_min + 0.5 * h,
+              density.sample_min + 3 * h, float(np.percentile(x, 25)), float(np.median(x)), x.max() + 10 * h]
+        if estimator == "kde":
+            starts = {n: search._first_start(density, low, qs[1], n, n)[1] for n in ns}
+            assert starts == {1: True, 18: True, 1000: False, 100000: False}, name
+        points = [(q, n) for q in qs for n in ns]
+        alone = {point: critical_cost(density, *point) for point in points}
+        sweeps = [[(q, n) for q in qs] for n in ns] + [[(q, n) for n in ns] for q in qs]
+        sweeps.append([points[i] for i in rng.permutation(len(points))])
+        for k, sweep in enumerate(sweeps):
+            for point, cost in zip(sweep, _swept(density, *zip(*sweep))):
+                want = alone[point]
+                assert abs(cost.value - want.value) <= max(1e-11, 1e-10 * want.value), (name, point, cost, want)
+                assert (cost.q, cost.n_new) == point and cost.integration_error_estimate <= 2e-8
+                if estimator == "parametric" and k < len(ns):
+                    assert cost == want, (name, point)
+        assert alone[(qs[0], 18)].value == 0.0
+
+
+def test_a_sweep_of_n_has_the_bits_of_its_points_alone():
+    # The oracle test's sweep of n, and one at the sample's minimum, where
+    # every point starts graded: one integral, each row converging where
+    # its point alone does.
+    x = _camera_5000()
+    density = fit_kde(x)
+    n_lo = max(1, expected_new_prices(builtin_dataset("camera").values().size / 5, 0.12) - 8)
+    ns = [n_lo + 4 * k for k in range(5)]
+    for q in (float(x[1250]), density.sample_min):
+        got = _swept(density, [q] * 5, ns)
+        assert got == [critical_cost(density, q, n) for n in ns]
+
+
+def test_a_failing_sweep_names_every_point():
+    d = fit_kde([297.0] * 10 + [297.01] * 10)
+    d.pdf = lambda y: np.full(np.shape(y), np.nan)
+    qs, ns = [297.01, 297.0, 297.005], [18, 5, 18]
+    with pytest.raises(NumericalError) as info:
+        search._integral_forms(d, qs, ns)
+    message = str(info.value)
+    low = d.effective_low
+    for part in ("not finite", "q=297.0, n_new=5; q=297.005, n_new=18; q=297.01, n_new=18, ",
+                 f"interval [{low}, 297.01]", "starting panels graded toward q", "n=20",
+                 f"bandwidth={d.bandwidth!r}"):
+        assert part in message, part
+    with pytest.raises(ValidationError, match="one n_new per q"):
+        search._integral_forms(d, qs, ns[:2])
+    with pytest.raises(ValidationError):
+        search._integral_forms(d, [297.0, -1.0], [18, 18])
+    (forms,) = search._integral_forms(fit_kde([297.0] * 10 + [297.01] * 10), [297.0], [5])
+    with pytest.raises(ValidationError, match="forms of q=297.0, n_new=5 given for q=297.0, n_new=18"):
+        critical_cost(d, 297.0, 18, forms)
+
+
+def test_a_swept_point_keeps_the_budget_it_has_alone(monkeypatch):
+    # Three q 10 bandwidths apart: each point's rows integrate to tol times
+    # the starting panels over those below its q, so each panel of its own
+    # has the budget tol / (its panels) of a lone integral.
+    density = fit_kde(builtin_dataset("printer").values())
+    h = density.bandwidth
+    qs, ns = [310.0 + 10 * h, 310.0, 310.0 + 20 * h], [18, 5, 18]
+    seen = {}
+    real = search.adaptive_gauss_kronrod
+
+    def recording(f, a, b, **kwargs):
+        seen.update(kwargs)
+        return real(f, a, b, **kwargs)
+
+    monkeypatch.setattr(search, "adaptive_gauss_kronrod", recording)
+    forms = search._integral_forms(density, qs, ns)
+    panels = seen["panels"].size - 1
+    order = np.argsort(qs)
+    assert seen["tol"].shape == (6, 1) and panels == max(f.panels for f in forms)
+    assert [forms[i].panels for i in order] == sorted(f.panels for f in forms) and forms[1].panels < panels
+    for row, i in enumerate(np.tile(order, 2)):
+        assert seen["tol"][row, 0] / panels == pytest.approx(TOL / forms[i].panels, rel=1e-15)
+    assert np.isin(qs, seen["panels"]).all()
+
+
+def test_a_long_sweep_integrates_in_runs_within_the_block_budget(monkeypatch):
+    # 2701 points 0.01 apart on the printer list, the first 700 below the
+    # sample's minimum, where runs start graded toward their first q, and
+    # 2000 values of n 3 bandwidths above the effective low, where the
+    # graded start of the least gives way to the union of both starts:
+    # several runs each, each starting from at most KDE_BLOCK_DOUBLES
+    # (row, abscissa) values, and every 37th point agrees with its point
+    # alone.
+    density = fit_kde(builtin_dataset("printer").values())
+    low = density.effective_low
+    q = low + 3 * density.bandwidth
+    sweeps = [(list(np.arange(290.0, 317.005, 0.01)), [18] * 2701), ([q] * 2000, list(range(2, 40002, 20)))]
+    assert search._first_start(density, low, q, 2, 2)[1] and not search._first_start(density, low, q, 2000, 2000)[1]
+    starts = []
+    real = search.adaptive_gauss_kronrod
+
+    def recording(f, a, b, **kwargs):
+        panels = kwargs["panels"]
+        rows = f(np.array([0.5 * (a + b)])).shape[0]
+        starts.append((panels if np.ndim(panels) == 0 else panels.size - 1) * rows * 15)
+        return real(f, a, b, **kwargs)
+
+    for qs, ns in sweeps:
+        monkeypatch.setattr(search, "adaptive_gauss_kronrod", recording)
+        got = _swept(density, qs, ns)
+        assert len(starts) > 1 and max(starts) <= KDE_BLOCK_DOUBLES
+        starts.clear()
+        monkeypatch.undo()
+        for i in range(0, len(qs), 37):
+            want = critical_cost(density, qs[i], ns[i]).value
+            assert abs(got[i].value - want) <= max(1e-11, 1e-10 * want), (qs[i], got[i], want)
 
 
 def test_lower_bound_is_a_left_riemann_sum_of_the_dual_integrand():
