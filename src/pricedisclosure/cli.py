@@ -249,7 +249,7 @@ def _cmd_disclose(args: argparse.Namespace) -> int:
             print(f"calibrated budget: {budget} (deadline-based, nondeterministic)")
         print(f"seed: {args.seed}")
     result = _disclose(args, prices, method, constraints, budget)
-    disclosed = " ".join(format_cents(e.cents) for e in result.subset.entries)
+    disclosed = " ".join(map(format_cents, result.subset.cents_array().tolist()))
     print(f"method: {result.method}")
     print(f"disclosed ({len(result.subset)} prices): {disclosed}")
     print(f"critical_cost: {result.critical_cost.value!r}")

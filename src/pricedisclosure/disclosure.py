@@ -239,7 +239,7 @@ def evaluate_block(rows, n_new: int, estimator: str, what: str,
 
 def evaluate_subset(subset: PriceList, n_new: int, estimator: str = "kde") -> CriticalCost:
     """Critical cost of a disclosed set; ``evaluate_block`` on one row."""
-    return evaluate_block([[e.cents for e in subset.entries]], n_new, estimator, "subset")[0]
+    return evaluate_block([subset.cents_array().tolist()], n_new, estimator, "subset")[0]
 
 
 def _block_costs(what: str, cents: np.ndarray, n_new: int, estimator: str, block, threshold: float):

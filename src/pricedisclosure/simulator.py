@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PriceEntry, PriceList
+from .data import PriceList
 from .density import Density, equal_mass_prices, quantile_array
 from .disclosure import (
     DisclosureConstraints,
@@ -116,8 +116,8 @@ def _trial_rng(base_seed: int, *path: int) -> np.random.Generator:
 
 def _rounded_list(cfg: MarketConfig, source: str, prices: np.ndarray) -> PriceList:
     """Float prices rounded half up to whole cents, at least one cent."""
-    entries = tuple(PriceEntry(source, max(1, int(np.floor(p * 100.0 + 0.5)))) for p in prices)
-    return PriceList(cfg.product_id, entries)
+    cents = np.maximum(1, np.floor(prices * 100.0 + 0.5).astype(np.int64))
+    return PriceList.from_columns(cfg.product_id, cents, (source,) * len(cents))
 
 
 def generate_initial_prices(cfg: MarketConfig) -> PriceList:
@@ -141,8 +141,8 @@ def _trial_worker(cfg, position_k, n_new, subsets, trial, budgets) -> dict[str, 
     """One trial's pooled costs per method: a 1-tuple for each disclosed
     subset and one Monte Carlo cost per budget, if any."""
     # The cents of the k-1 competitor listings the searcher has already queried.
-    drawn = [e.cents for j in range(position_k - 1)
-             for e in draw_csa_listing(cfg, _trial_rng(cfg.base_seed, trial, _ROLE_CSA_DRAWS, j)).entries]
+    drawn = [c for j in range(position_k - 1)
+             for c in draw_csa_listing(cfg, _trial_rng(cfg.base_seed, trial, _ROLE_CSA_DRAWS, j)).cents_array().tolist()]
     chosen = list(subsets.values())
     if budgets:
         # One run to the largest budget. Each budget's run is its prefix, so
@@ -151,7 +151,7 @@ def _trial_worker(cfg, position_k, n_new, subsets, trial, budgets) -> dict[str, 
         constraints = DisclosureConstraints(rho=cfg.rho)
         res = monte_carlo_disclose(subsets["full"], constraints, n_new, max(budgets), seed, cfg.estimator)
         chosen += [res.trace_subsets[sum(i <= b for i, _ in res.trace) - 1] for b in budgets]
-    pooled = ([e.cents for e in subset.entries] + drawn for subset in chosen)
+    pooled = (subset.cents_array().tolist() + drawn for subset in chosen)
     costs = [cost.value for cost in evaluate_block(pooled, n_new, cfg.estimator, "pooled set")]
     out = {method: (cost,) for method, cost in zip(subsets, costs)}
     if budgets:

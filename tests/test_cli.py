@@ -208,6 +208,42 @@ def test_computation_errors_exit_1(capsys, small_csv):
     assert "no such file" in err
 
 
+def _faulty_csv(row: str) -> str:
+    """A price list whose row 3 is ``row``, between good rows."""
+    return f"product_id,source,price\nw,s,2.00\n{row}\nw,s,3.00\n"
+
+
+MALFORMED_CSV = [
+    ("product,source,price\nw,s,1.00\n", "row 1: expected header 'product_id,source,price'"),
+    ("product_id,source,price\n\n,,\n", "empty dataset"),
+    (_faulty_csv("w,s"), "row 3: expected 3 columns, got 2"),
+    (_faulty_csv("w,s,1.00,x"), "row 3: expected 3 columns, got 4"),
+    (_faulty_csv(" ,s,1.00"), "row 3: empty product_id or source"),
+    (_faulty_csv("w,,1.00"), "row 3: empty product_id or source"),
+    (_faulty_csv("v,s,1.00"), "row 3: mixed products 'w' and 'v'"),
+    (_faulty_csv("w,s,NaN"), "row 3: unparseable price 'NaN'"),
+    (_faulty_csv("w,s,Infinity"), "row 3: unparseable price 'Infinity'"),
+    (_faulty_csv("w,s,"), "row 3: unparseable price ''"),
+    (_faulty_csv("w,s,1.999"), "row 3: price '1.999' has more than two decimal places"),
+    (_faulty_csv("w,s,0"), "row 3: price must be positive, got '0'"),
+    (_faulty_csv("w,s,0.00"), "row 3: price must be positive, got '0.00'"),
+    (_faulty_csv("w,s,-1.50"), "row 3: price must be positive, got '-1.50'"),
+    (_faulty_csv("w,s,1e30"), "row 3: price must be at most 92233720368547758.07, got '1e30'"),
+    (_faulty_csv("w,s,99999999999999999.99"),
+     "row 3: price must be at most 92233720368547758.07, got '99999999999999999.99'"),
+    (_faulty_csv("w,s,1e999999"), "row 3: price must be at most 92233720368547758.07, got '1e999999'"),
+]
+
+
+@pytest.mark.parametrize("text,message", MALFORMED_CSV)
+def test_malformed_csv_error_lines(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["fit", "--data", str(path), "--method", "kde"],
+                 ["critical-cost", "--data", str(path), "--q", "1", "--n-new", "2"]):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
+
+
 def test_critical_cost_single(capsys, small_csv, tmp_path):
     code, out, _ = run(
         capsys, "critical-cost", "--data", small_csv, "--q", "120", "--n-new", "6"

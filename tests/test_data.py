@@ -1,10 +1,13 @@
 """Price-list parsing, bundled datasets, and synthesis."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from pricedisclosure.data import (
     BUILTIN_MANIFESTS,
+    MAX_CENTS,
     PriceEntry,
     PriceList,
     builtin_dataset,
@@ -40,6 +43,53 @@ def test_parse_price_nonpositive(bad):
         parse_price(bad)
 
 
+# What the loader accepts beyond the form write_prices writes, and what it
+# rejects; docs/formats.md lists both sets under "Price dataset CSV".
+ACCEPTED = [
+    ("5", 500), ("5.5", 550), ("+5.00", 500), (" 5.00 ", 500), ("1e2", 10000),
+    ("1_000.00", 100000), ("\u0663.00", 300), ("0.01", 1), ("92233720368547758.07", MAX_CENTS),
+]
+REJECTED = [
+    ("NaN", ParseError, "unparseable price 'NaN'"),
+    ("Infinity", ParseError, "unparseable price 'Infinity'"),
+    ("1.999", ParseError, "price '1.999' has more than two decimal places"),
+    ("0", ValidationError, "price must be positive, got '0'"),
+    ("0.00", ValidationError, "price must be positive, got '0.00'"),
+    ("-1.50", ValidationError, "price must be positive, got '-1.50'"),
+    ("", ParseError, "unparseable price ''"),
+    ("92233720368547758.08", ValidationError,
+     "price must be at most 92233720368547758.07, got '92233720368547758.08'"),
+    ("99999999999999999.99", ValidationError,
+     "price must be at most 92233720368547758.07, got '99999999999999999.99'"),
+    ("1e30", ValidationError, "price must be at most 92233720368547758.07, got '1e30'"),
+    # Past decimal's default exponent range once scaled to cents.
+    ("1e999999", ValidationError, "price must be at most 92233720368547758.07, got '1e999999'"),
+    ("-1e999999", ValidationError, "price must be positive, got '-1e999999'"),
+]
+
+
+def _one_row_csv(tmp_path, price):
+    path = tmp_path / "one.csv"
+    path.write_text(f'product_id,source,price\np,s,"{price}"\n', encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("text,cents", ACCEPTED)
+def test_accepted_price_forms(tmp_path, text, cents):
+    assert parse_price(text) == cents
+    assert load_prices(_one_row_csv(tmp_path, text)) == PriceList("p", (PriceEntry("s", cents),))
+
+
+@pytest.mark.parametrize("text,error,message", REJECTED)
+def test_rejected_price_forms(tmp_path, text, error, message):
+    with pytest.raises(error) as info:
+        parse_price(text)
+    assert type(info.value) is error and str(info.value) == message
+    with pytest.raises(error) as info:
+        load_prices(_one_row_csv(tmp_path, text))
+    assert type(info.value) is error and str(info.value) == f"row 2: {message}"
+
+
 def test_format_cents_round_trip():
     for cents in (1, 99, 100, 29700, 123456):
         assert parse_price(format_cents(cents)) == cents
@@ -63,6 +113,46 @@ def test_price_list_accessors():
     assert [entries[i].cents for i in prices.ascending_order()] == [100, 200, 300]
     sub = prices.subset([1, 2])
     assert [e.cents for e in sub.entries] == [100, 200]
+
+
+def test_column_constructor_equals_the_entries_one():
+    entries = (PriceEntry("a", 300), PriceEntry("b", 100), PriceEntry("a", 200))
+    prices = PriceList("x", entries)
+    columns = PriceList.from_columns("x", [300, 100, 200], ["a", "b", "a"])
+    assert columns == prices and hash(columns) == hash(prices)
+    assert hash(prices) == hash(("x", entries))
+    assert columns.entries == entries and columns.sources == ("a", "b", "a")
+    assert repr(columns) == (
+        "PriceList(product_id='x', entries=(PriceEntry(source='a', cents=300), "
+        "PriceEntry(source='b', cents=100), PriceEntry(source='a', cents=200)))"
+    )
+    assert columns != PriceList("y", entries)
+    assert columns != PriceList("x", entries[::-1])
+    assert columns != PriceList("x", (PriceEntry("c", 300),) + entries[1:])
+    for again in (pickle.loads(pickle.dumps(columns)), prices.subset([0, 1, 2])):
+        assert again == prices and again.entries == entries
+
+
+def test_cents_column_is_read_only_and_the_list_immutable():
+    source = np.array([300, 100], dtype=np.int64)
+    prices = PriceList.from_columns("x", source, ["a", "b"])
+    source[0] = 1
+    assert prices.cents_array().tolist() == [300, 100]
+    with pytest.raises(ValueError):
+        prices.cents_array()[0] = 5
+    with pytest.raises(AttributeError):
+        prices.product_id = "y"
+    with pytest.raises(AttributeError):
+        prices.sources = ()
+
+
+def test_column_constructor_validation():
+    with pytest.raises(ValidationError, match="must not be empty"):
+        PriceList.from_columns("x", [], [])
+    with pytest.raises(ValidationError, match="one source per price"):
+        PriceList.from_columns("x", [100, 200], ["a"])
+    with pytest.raises(ValidationError, match=r"positive, got 0.00 from 'b'"):
+        PriceList.from_columns("x", [100, 0, -5], ["a", "b", "c"])
 
 
 def test_ascending_order_is_stable_for_ties():
