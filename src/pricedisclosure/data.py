@@ -54,7 +54,8 @@ def parse_price(text: str) -> int:
         # Too large for decimal to scale: no cents can hold it, whatever
         # its decimals, so only its sign is checked below.
         cents = value.to_integral_value()
-    if cents != cents.to_integral_value():
+    # A nonzero value too small for decimal to scale rounds to 0 cents.
+    if cents != cents.to_integral_value() or (value and not cents):
         raise ParseError(f"price {text!r} has more than two decimal places")
     if value <= 0:
         raise ValidationError(f"price must be positive, got {text!r}")
@@ -230,6 +231,9 @@ _STRICT_PRICE = re.compile(_PRICE)
 _STRICT_PRICES = re.compile(f"{_PRICE}(?:\n{_PRICE})*")
 
 
+# A byte that is not UTF-8, as the surrogateescape error handler reads it.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
 # Rows held at once while loading: bounds the loader's memory, not its work.
 _CHUNK_ROWS = 1024
 
@@ -242,20 +246,21 @@ def load_prices(path: str | Path) -> PriceList:
     product, cents, sources = None, [], []
     # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8"
     # exports put first.
-    with path.open("r", encoding="utf-8-sig", newline="") as handle:
+    with path.open("r", encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is not None and [c.strip() for c in header] != list(CSV_HEADER):
+            _check_text(1, header)
             raise ParseError(f"row 1: expected header {','.join(CSV_HEADER)!r}")
         line_no = 2
         while True:
             rows: list[list[str]] = []
             try:
                 rows.extend(itertools.islice(reader, _CHUNK_ROWS))
-            except (csv.Error, UnicodeDecodeError):
+            except csv.Error as exc:
                 # A bad row read before the failure is reported first.
                 _columns(rows, line_no, product)
-                raise
+                raise ParseError(f"row {line_no + len(rows)}: {exc}") from None
             if not rows:
                 break
             product, chunk_cents, chunk_sources = _columns(rows, line_no, product)
@@ -296,6 +301,8 @@ def _columns(rows: list[list[str]], line_no: int, product: str | None):
         flagged += [i for i, pid in enumerate(pids) if not pid or pid != product]
     if "" in sources:
         flagged += [i for i, source in enumerate(sources) if not source]
+    if not (product.isascii() and "".join(sources).isascii()):
+        flagged += [i for i, row in enumerate(body) if _UNDECODED.search("".join(row))]
     cents = _strict_cents(texts)
     flagged += np.flatnonzero(cents == 0).tolist()
     keep = np.ones(len(rows), dtype=bool)
@@ -320,11 +327,19 @@ def _strict_cents(texts: list[str]) -> np.ndarray:
     return np.fromstring(joined.replace(".", ""), dtype=np.int64, sep="\n")
 
 
+def _check_text(line_no: int, row: list[str]) -> None:
+    """Raise if ``row`` holds a byte that is not UTF-8, naming the first."""
+    undecoded = _UNDECODED.search("".join(row))
+    if undecoded:
+        raise ParseError(f"row {line_no}: byte {ord(undecoded[0]) - 0xDC00:#04x} is not UTF-8")
+
+
 def _checked_row(line_no: int, row: list[str], product_id: str) -> int | None:
     """One row's checks, in order: None if blank, else its cents; raises
     the error of the first check it fails, naming ``row line_no``."""
     if not "".join(row).strip():
         return None
+    _check_text(line_no, row)
     if len(row) != 3:
         raise ParseError(f"row {line_no}: expected 3 columns, got {len(row)}")
     pid, source, price_text = (c.strip() for c in row)

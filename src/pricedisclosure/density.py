@@ -438,7 +438,8 @@ class ParametricDensity(Density):
         self._mass_above_zero = 1.0 - below
 
     def __repr__(self) -> str:
-        return f"ParametricDensity(family={self.family!r}, n={self.sample_size})"
+        params = "".join(f", {name}={float(value)!r}" for name, value in self.params.items())
+        return f"ParametricDensity(family={self.family!r}{params}, n={self.sample_size})"
 
     def _level(self, p: float) -> float:
         """The untruncated family's quantile at level ``p`` in (0, 1)."""

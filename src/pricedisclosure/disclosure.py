@@ -20,28 +20,26 @@ stays bounded however many candidates a method has. Every method keeps the
 first strict minimum in its candidate order, which is the last entry of
 its trace of improvements.
 
-Every evaluation goes through ``evaluate_block``, which looks up each row
-of cents, in order, in a cache keyed by the sorted cents; a block's
-repeated rows are folded before they reach it. ``_select`` passes the best
-cost so far as a threshold, and ``evaluate_block`` first screens each row
-by its ``critical_cost_lower_bound``: a row whose bound is above the
-threshold, plus a margin no smaller than the quadrature's tolerance, or any
-row once the threshold is 0, cannot cost less, so it is not integrated,
-looked up or counted as a cache miss, and it can be neither a trace entry
-nor the winner. It still counts as evaluated in ``subsets_evaluated``. A
-block's rows are bounded together, the first included: padded into one
-matrix whatever their sizes, they go to
-``search.lower_bounds``, which fits them at once under either estimator
-(``density.KernelRows`` or ``density.ParametricRows``). A row that passes
-the screen is integrated from the density that fit holds for it, the one
-``fit_estimator`` gives the row alone, with no second fit. No bound or fit
-is cached: a later block that meets the row again fits it again. A block
-of two or more rows is bounded before any cost sets a threshold, so a
-selection's first row is integrated from the block fit too. A row with no
-bound is fitted alone: a one-row block (Monte Carlo's incumbent, ``full``
-and ``evaluate_subset``), a row the block fit defers (fewer than 2
-prices, no family fits, or no mass above zero) and pooled sets, which
-pass no threshold and are never screened.
+Every evaluation goes through ``evaluate_block``. Its block is an int64
+matrix whose row i holds a candidate's cents, ascending, in its first
+``sizes[i]`` entries, then zeros (``padded_cents``): for a mask block's
+distinct rows, one compress of the ascending cents. ``_select`` passes the
+best cost so far as a threshold, and ``search.lower_bounds`` fits the
+block's rows at once under either estimator (``density.KernelRows`` or
+``density.ParametricRows``) and bounds each by its
+``critical_cost_lower_bound``. A row whose bound is above the threshold,
+plus a margin no smaller than the quadrature's tolerance, or any row once
+the threshold is 0, cannot cost less: it is not integrated, looked up or
+even made a Python key, and it can be neither a trace entry nor the
+winner, yet it counts in ``subsets_evaluated``. A row that passes is
+looked up by its cents as a tuple and integrated from the density the
+block fit holds for it, the one ``fit_estimator`` gives the row alone. No
+bound or fit is cached. A block of two or more rows is bounded before any
+cost sets a threshold, so a selection's first row is integrated from the
+block fit too. A row with no bound is fitted alone: a one-row block
+(Monte Carlo's incumbent, ``full`` and ``evaluate_subset``), a row the
+block fit defers (fewer than 2 prices, no family fits, or no mass above
+zero) and pooled sets, which pass no threshold.
 
 A failing candidate aborts the whole run if one worker would have
 integrated it: its error is re-raised, as the same type, naming the method
@@ -153,17 +151,6 @@ def _evaluate_cents(cents: tuple[int, ...], n_new: int, estimator: str, fit: _Fi
     return critical_cost(fit.density(cents, estimator), min(cents) / 100.0, n_new)
 
 
-def _lower_bounds(keys: list[tuple[int, ...]], n_new: int, estimator: str):
-    """The screen's lower bound of every row of sorted cents, NaN for a row
-    with no fit, and ``density(i)``, row i's density from the same fit:
-    ``search.lower_bounds`` over the rows padded to the longest."""
-    sizes = np.array([len(key) for key in keys])
-    padded = np.zeros((len(keys), sizes.max()))
-    padded[np.arange(sizes.max()) < sizes[:, None]] = np.fromiter(itertools.chain.from_iterable(keys), float)
-    bounds, density = lower_bounds(padded / 100.0, sizes, n_new, estimator)
-    return bounds.tolist(), density
-
-
 def _screen_limit(threshold: float) -> float:
     """The largest lower bound that does not screen a row out at ``threshold``.
     The absolute part is the quadrature's tol, so a near-tie is evaluated."""
@@ -190,35 +177,39 @@ def clear_evaluation_cache() -> None:
     _evaluate_cents.cache_clear()
 
 
-def evaluate_block(rows, n_new: int, estimator: str, what: str,
-                   threshold: float | None = None) -> list[CriticalCost | _Failure | None]:
-    """Critical cost of each row of prices in cents, in order: a density fit
-    to the row, at q its minimum, memoized by the sorted cents. ``n_new`` and
-    ``estimator`` are checked before any row; a failing row is named ``what``.
+def padded_cents(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The int64 block whose row i holds the next ``sizes[i]`` of
+    ``values``, then zeros to the longest row."""
+    block = np.zeros((sizes.size, sizes.max()), dtype=np.int64)
+    block[np.arange(sizes.max()) < sizes[:, None]] = values
+    return block
 
-    With a ``threshold``, a row that ``_screened`` rules out at it cannot
-    cost less, so it is not evaluated and its entry is None; the threshold
-    falls to every evaluated row's cost, and a failing row's entry is a
-    ``_Failure`` for ``_select`` to judge. Without one, every row is
-    evaluated and a failing row raises at once. The bounds come from one
-    ``_lower_bounds`` call whenever a threshold above 0 is given, ``inf``
-    included, unless the block is one row under ``inf``, which nothing can
-    screen. A row with a bound is evaluated from the density of the fit
-    that bounded it, and any other row is fitted alone (see the module
-    doc); a row the fit defers has no bound, and its fit raises."""
+
+def evaluate_block(cents: np.ndarray, sizes: np.ndarray, n_new: int, estimator: str, what: str,
+                   threshold: float | None = None) -> list[CriticalCost | _Failure | None]:
+    """Critical cost of each row of the block ``cents`` with ``sizes`` (see
+    the module doc), in order: a density fit to the row, at q its minimum,
+    memoized by its cents. ``n_new`` and ``estimator`` are checked before
+    any row; a failing row is named ``what``. With a ``threshold``, a row
+    ``_screened`` out at it gets None, the threshold falls to every
+    evaluated row's cost, and a failing row gets a ``_Failure`` for
+    ``_select`` to judge. Without one, every row is evaluated and a failing
+    row raises at once. The block is bounded by one ``lower_bounds`` call
+    under any threshold above 0, ``inf`` included, unless it is one row
+    under ``inf``, which nothing can screen. A row the fit defers has no
+    bound, and its fit alone raises."""
     n_new = _check_n(n_new)
     _check_estimator(estimator)
-    keys = [tuple(sorted(row)) for row in rows]
     limit = math.inf if threshold is None else threshold
-    if threshold is not None and 0.0 < threshold and (threshold < math.inf or len(keys) > 1):
-        bounds, density = _lower_bounds(keys, n_new, estimator)
-    else:
-        bounds = [math.nan] * len(keys)
+    bounds = np.full(len(sizes), math.nan)
+    if threshold is not None and 0.0 < threshold and (threshold < math.inf or len(sizes) > 1):
+        bounds, density = lower_bounds(cents / 100.0, sizes, n_new, estimator)
     costs = []
-    for i, (key, bound) in enumerate(zip(keys, bounds)):
+    for i, bound in enumerate(bounds.tolist()):
         if _screened(limit, bound):
             costs.append(None)
             continue
+        key = tuple(cents[i, : sizes[i]].tolist())
         try:
             fit = _Fit(None if math.isnan(bound) else functools.partial(density, i))
             cost = _evaluate_cents(key, n_new, estimator, fit)
@@ -239,16 +230,17 @@ def evaluate_block(rows, n_new: int, estimator: str, what: str,
 
 def evaluate_subset(subset: PriceList, n_new: int, estimator: str = "kde") -> CriticalCost:
     """Critical cost of a disclosed set; ``evaluate_block`` on one row."""
-    return evaluate_block([subset.cents_array().tolist()], n_new, estimator, "subset")[0]
+    sizes = np.array([len(subset)])
+    return evaluate_block(padded_cents(np.sort(subset.cents_array()), sizes), sizes, n_new, estimator, "subset")[0]
 
 
 def _block_costs(what: str, cents: np.ndarray, n_new: int, estimator: str, block, threshold: float):
     """Cost value and ``CriticalCost`` of every candidate row of ``block``,
-    a mask over ``cents``; a row screened out at ``threshold`` has value inf
-    and no ``CriticalCost``, a failed row value NaN and its ``_Failure``.
-    Each distinct row goes to ``evaluate_block`` once, in order of first
-    appearance: Monte Carlo on a short list draws almost nothing but
-    repeats."""
+    a mask over ``cents``, ascending; a row screened out at ``threshold``
+    has value inf and no ``CriticalCost``, a failed row value NaN and its
+    ``_Failure``. Each distinct row goes to ``evaluate_block`` once, in
+    order of first appearance: Monte Carlo on a short list draws almost
+    nothing but repeats."""
     packed = np.packbits(block, axis=1)
     # One item per packed row: np.unique(axis=0) gives the same answer at
     # several times the fixed cost per block. A row of at most 8 bytes is
@@ -261,10 +253,11 @@ def _block_costs(what: str, cents: np.ndarray, n_new: int, estimator: str, block
         rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
     appearance = np.argsort(first)
+    unique = block[first[appearance]]
+    sizes = unique.sum(axis=1)
     costs = np.empty(first.size, dtype=object)
-    costs[appearance] = evaluate_block(
-        (cents[row].tolist() for row in block[first[appearance]]), n_new, estimator, what, threshold
-    )
+    costs[appearance] = evaluate_block(padded_cents(np.broadcast_to(cents, unique.shape)[unique], sizes), sizes,
+                                       n_new, estimator, what, threshold)
     values = np.array([math.inf if cost is None else cost.value for cost in costs])
     return values[inverse], costs[inverse]
 

@@ -446,31 +446,19 @@ def _integral_forms(density: Density, q, n_new) -> list[_Forms]:
 def critical_cost(density: Density, q: float, n_new: int, forms: _Forms | None = None) -> CriticalCost:
     """Expected saving from one more query given best price ``q``.
 
-    Integrates, in one adaptive Gauss-Kronrod pass over shared abscissae,
-    the expectation of (q - y) against the minimum-order density and its
-    integration-by-parts twin (the integrated minimum-order cdf), so the
-    density's pdf and cdf are evaluated once per abscissa: the one-point
-    run of :func:`_integral_forms`, from the density's effective lower
-    bound to ``q``, starting from panels no wider than twice its feature
-    scale, or for a tail integral (``q`` at or below the sample's minimum,
-    as in every disclosure evaluation) from panels graded toward ``q``.
-    ``forms`` is instead this point's entry of ``_integral_forms`` over a
-    sweep that holds it, which this call only checks; it is there so that a
-    sweep still makes one call here per point, as the benchmark's trace
-    counts them. The two forms must agree within max(1e-6, 1e-4 * value);
-    the twin, whose integrand is smoother, is returned. A disagreement
-    raises :class:`NumericalError` naming q, n_new, the interval, the
-    starting panel count and whether it was graded, and the density; so
-    does a failing integral.
+    Integrates the expectation of (q - y) against the minimum-order density
+    and its integration-by-parts twin (the integrated minimum-order cdf) as
+    the one-point sweep of :func:`_integral_forms`. ``forms`` is instead
+    this point's entry of a sweep that holds it, which this call only
+    checks; it is there so that a sweep still makes one call here per
+    point, as the benchmark's trace counts them. The two forms must agree
+    within max(1e-6, 1e-4 * value); the twin, whose integrand is smoother,
+    is returned. A disagreement raises :class:`NumericalError` naming q,
+    n_new, the interval, the starting panel count and whether it was
+    graded, and the density; so does a failing integral.
     """
     if forms is None:
-        n = _check_n(n_new)
-        q = _check_q(density, q)
-        low = density.effective_low
-        if q <= low:
-            return CriticalCost(0.0, q, n, 0.0)
-        start, graded = _first_start(density, low, q, n, n)
-        (forms,) = _integrate(density, low, (q,), (n,), start, [_count(start)], graded)
+        (forms,) = _integral_forms(density, (q,), (n_new,))
     elif (forms.q, forms.n_new) != (q, n_new):
         raise ValidationError(f"forms of q={forms.q}, n_new={forms.n_new} given for q={q}, n_new={n_new}")
     q, dual, direct = forms.q, forms.dual, forms.direct

@@ -30,6 +30,7 @@ from .disclosure import (
     disclose,
     evaluate_block,
     monte_carlo_disclose,
+    padded_cents,
 )
 from .errors import ValidationError
 from .search import expected_new_prices
@@ -141,8 +142,8 @@ def _trial_worker(cfg, position_k, n_new, subsets, trial, budgets) -> dict[str, 
     """One trial's pooled costs per method: a 1-tuple for each disclosed
     subset and one Monte Carlo cost per budget, if any."""
     # The cents of the k-1 competitor listings the searcher has already queried.
-    drawn = [c for j in range(position_k - 1)
-             for c in draw_csa_listing(cfg, _trial_rng(cfg.base_seed, trial, _ROLE_CSA_DRAWS, j)).cents_array().tolist()]
+    drawn = [draw_csa_listing(cfg, _trial_rng(cfg.base_seed, trial, _ROLE_CSA_DRAWS, j)).cents_array()
+             for j in range(position_k - 1)]
     chosen = list(subsets.values())
     if budgets:
         # One run to the largest budget. Each budget's run is its prefix, so
@@ -151,11 +152,12 @@ def _trial_worker(cfg, position_k, n_new, subsets, trial, budgets) -> dict[str, 
         constraints = DisclosureConstraints(rho=cfg.rho)
         res = monte_carlo_disclose(subsets["full"], constraints, n_new, max(budgets), seed, cfg.estimator)
         chosen += [res.trace_subsets[sum(i <= b for i, _ in res.trace) - 1] for b in budgets]
-    pooled = (subset.cents_array().tolist() + drawn for subset in chosen)
-    costs = [cost.value for cost in evaluate_block(pooled, n_new, cfg.estimator, "pooled set")]
-    out = {method: (cost,) for method, cost in zip(subsets, costs)}
+    pooled = [np.sort(np.concatenate([subset.cents_array(), *drawn])) for subset in chosen]
+    sizes = np.array([row.size for row in pooled])
+    costs = evaluate_block(padded_cents(np.concatenate(pooled), sizes), sizes, n_new, cfg.estimator, "pooled set")
+    out = {method: (cost.value,) for method, cost in zip(subsets, costs)}
     if budgets:
-        out["monte_carlo"] = tuple(costs[len(subsets):])
+        out["monte_carlo"] = tuple(cost.value for cost in costs[len(subsets):])
     return out
 
 

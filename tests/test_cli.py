@@ -232,13 +232,16 @@ MALFORMED_CSV = [
     (_faulty_csv("w,s,99999999999999999.99"),
      "row 3: price must be at most 92233720368547758.07, got '99999999999999999.99'"),
     (_faulty_csv("w,s,1e999999"), "row 3: price must be at most 92233720368547758.07, got '1e999999'"),
+    (_faulty_csv("w,s,1e-1000100"), "row 3: price '1e-1000100' has more than two decimal places"),
+    (_faulty_csv("w,caf\xe9,1.00").encode("latin-1"), "row 3: byte 0xe9 is not UTF-8"),
+    (_faulty_csv('w,s,"' + "9" * 131073 + '"'), "row 3: field larger than field limit (131072)"),
 ]
 
 
 @pytest.mark.parametrize("text,message", MALFORMED_CSV)
 def test_malformed_csv_error_lines(capsys, tmp_path, text, message):
     path = tmp_path / "bad.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     for argv in (["fit", "--data", str(path), "--method", "kde"],
                  ["critical-cost", "--data", str(path), "--q", "1", "--n-new", "2"]):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
@@ -500,6 +503,27 @@ def test_brute_force_prints_the_same_bytes_at_every_worker_count(capsys, tmp_pat
             assert serial[0] == 0, (estimator, n_new, serial)
             for workers in ("2", "3", "4"):
                 assert run(capsys, *argv, "--workers", workers) == serial, (estimator, n_new, workers)
+
+
+def test_a_failing_parametric_integral_names_the_fitted_parameters(capsys, tmp_path):
+    # On the nine prices the parametric critical cost at q 0.89 and n_new 1
+    # does not converge; the error names the fitted family's parameters.
+    cents = [89, 95, 470, 1688, 4838, 5860, 10642, 24174, 35043]
+    path = tmp_path / "nine.csv"
+    write_prices(PriceList("nine", tuple(PriceEntry("s", c) for c in cents)), path)
+    fit = fit_parametric(np.array(cents) / 100.0)
+    assert fit.best_family == "gamma"
+    params = fit.density.params
+    density = f"ParametricDensity(family='gamma', shape={params['shape']!r}, scale={params['scale']!r}, n=9)"
+    assert repr(fit.density) == density
+    code, out, err = run(capsys, "critical-cost", "--data", str(path), "--method", "parametric",
+                         "--q", "0.89", "--n-new", "1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: adaptive Gauss-Kronrod did not converge at depth 40: 2 panels pending (max_depth 40, "
+        f"MAX_PANELS 20000); q=0.89, n_new=1, interval [{fit.density.effective_low!r}, 0.89], "
+        f"32 starting panels, {density}\n"
+    )
 
 
 def test_simulate_pools_every_set_in_worker_processes(capsys, small_csv, tmp_path):

@@ -62,6 +62,20 @@ def sorted_cents(result):
     return tuple(sorted(e.cents for e in result.subset.entries))
 
 
+def block_of(rows):
+    """Rows of cents as ``evaluate_block`` takes them: each sorted, padded
+    into one int64 block, and their sizes."""
+    rows = [np.sort(np.asarray(row, dtype=np.int64)) for row in rows]
+    sizes = np.array([row.size for row in rows])
+    return disclosure.padded_cents(np.concatenate(rows), sizes), sizes
+
+
+def bounds_of(keys, n_new, estimator):
+    """The bounds ``evaluate_block`` screens ``keys`` by, one block."""
+    cents, sizes = block_of(keys)
+    return disclosure.lower_bounds(cents / 100.0, sizes, n_new, estimator)[0]
+
+
 def test_constraints_validation():
     with pytest.raises(ValidationError):
         DisclosureConstraints(rho=0)
@@ -243,7 +257,7 @@ def test_a_failure_aborts_at_every_worker_count_iff_one_worker_integrates_it(mon
     monkeypatch.setattr(disclosure, "_evaluate_cents", stub(tuple(rows[1]), integrated))
     clear_evaluation_cache()
     with pytest.raises(NumericalError, match=r"^pooled set of 4 prices \(.*\) failed: stub did not converge$"):
-        disclosure.evaluate_block(rows, 18, "kde", "pooled set")
+        disclosure.evaluate_block(*block_of(rows), 18, "kde", "pooled set")
     assert integrated == [tuple(rows[0]), tuple(rows[1])]
 
 
@@ -596,9 +610,15 @@ def stub_bound(cents, n_new, estimator):
 
 
 def stub_bounds(bound):
-    """A stand-in for ``_lower_bounds`` that bounds each row by ``bound``
-    and fits none, for an evaluation stub that builds no density."""
-    return lambda keys, n_new, estimator: ([bound(key, n_new, estimator) for key in keys], lambda i: None)
+    """A stand-in for ``search.lower_bounds`` in ``disclosure`` that bounds
+    each row by ``bound`` of its cents and fits none, for an evaluation stub
+    that builds no density."""
+    def bounds(samples, sizes, n_new, estimator):
+        cents = np.round(samples * 100.0).astype(np.int64)
+        keys = [tuple(row[:k].tolist()) for row, k in zip(cents, sizes)]
+        return np.array([bound(key, n_new, estimator) for key in keys]), lambda i: None
+
+    return bounds
 
 
 @pytest.mark.parametrize("block_bytes", [None, 1, 30])
@@ -612,7 +632,7 @@ def test_pipeline_with_a_stub_screen_matches_reference_enumeration(monkeypatch, 
         return stub_cost(cents, n_new, estimator)
 
     monkeypatch.setattr(disclosure, "_evaluate_cents", evaluate)
-    monkeypatch.setattr(disclosure, "_lower_bounds", stub_bounds(stub_bound))
+    monkeypatch.setattr(disclosure, "lower_bounds", stub_bounds(stub_bound))
     if block_bytes is not None:
         monkeypatch.setattr(disclosure, "MASK_BLOCK_BYTES", block_bytes)
     prices = stub_prices(n, seed)
@@ -636,10 +656,10 @@ def test_pipeline_with_a_stub_screen_matches_reference_enumeration(monkeypatch, 
         assert result.critical_cost.value == trace[-1][1], method
         # The screen drops candidates that a bound of 0 lets through.
         counts[0] += len(evaluated)
-        monkeypatch.setattr(disclosure, "_lower_bounds", stub_bounds(lambda cents, n_new, estimator: 0.0))
+        monkeypatch.setattr(disclosure, "lower_bounds", stub_bounds(lambda cents, n_new, estimator: 0.0))
         evaluated.clear()
         assert disclose(prices, method, constraints, 5, budget=budget, seed=seed).trace == trace
-        monkeypatch.setattr(disclosure, "_lower_bounds", stub_bounds(stub_bound))
+        monkeypatch.setattr(disclosure, "lower_bounds", stub_bounds(stub_bound))
         counts[1] += len(evaluated)
     assert counts[0] <= counts[1]
 
@@ -662,7 +682,7 @@ def test_screened_candidate_that_would_fail_does_not_abort(monkeypatch):
     # The bound proves that the failing candidate cannot improve: it is not
     # integrated, and the answer is the one it would give at any cost above
     # its bound.
-    monkeypatch.setattr(disclosure, "_lower_bounds",
+    monkeypatch.setattr(disclosure, "lower_bounds",
                         stub_bounds(lambda cents, n_new, estimator: 9.0 if cents == bad else 0.0))
     for method in ("interval", "brute_force"):
         monkeypatch.setattr(disclosure, "_evaluate_cents", dear)
@@ -671,7 +691,7 @@ def test_screened_candidate_that_would_fail_does_not_abort(monkeypatch):
         result = disclose(prices, method, RHO3, 4)
         assert (result.subset, result.trace) == (expected.subset, expected.trace), method
     # Unscreened, it still aborts the run and is named.
-    monkeypatch.setattr(disclosure, "_lower_bounds", stub_bounds(lambda cents, n_new, estimator: 0.0))
+    monkeypatch.setattr(disclosure, "lower_bounds", stub_bounds(lambda cents, n_new, estimator: 0.0))
     for method in ("interval", "brute_force"):
         with pytest.raises(NumericalError) as info:
             disclose(prices, method, RHO3, 4)
@@ -704,10 +724,9 @@ def test_a_selection_fits_only_the_rows_it_integrates_or_defers(monkeypatch, est
         fitted.append(tuple(int(c) for c in np.round(np.asarray(values) * 100.0)))
         return fit(values, estimator)
 
-    def counted_block(rows, n_new, estimator, what, threshold=None):
-        rows = list(rows)
-        costs = block(rows, n_new, estimator, what, threshold)
-        screened.update(tuple(sorted(row)) for row, c in zip(rows, costs) if c is None)
+    def counted_block(cents, sizes, n_new, estimator, what, threshold=None):
+        costs = block(cents, sizes, n_new, estimator, what, threshold)
+        screened.update(tuple(row[:k].tolist()) for row, k, c in zip(cents, sizes, costs) if c is None)
         return costs
 
     lookup.cache_clear = cached.cache_clear
@@ -797,7 +816,7 @@ def test_every_integrated_row_has_the_density_and_cost_of_its_fit_alone(monkeypa
     ordered = np.sort(mouse.cents_array())
     big = [ordered[-k:].tolist() for k in range(129, 134)]
     big.sort(key=lambda row: -critical_cost(fit_estimator(np.array(row) / 100.0, estimator), row[0] / 100.0, 18).value)
-    assert None not in disclosure.evaluate_block(big, 18, estimator, "row", 1e9)
+    assert None not in disclosure.evaluate_block(*block_of(big), 18, estimator, "row", 1e9)
     assert {bounded for _, bounded, *_ in seen} == {False, True}
     assert max(len(cents) for cents, bounded, *_ in seen if bounded) > 128
     for cents, bounded, density, q, n_new, result in seen:
@@ -812,7 +831,7 @@ def test_a_row_with_no_fit_still_aborts_and_is_named(monkeypatch):
     # Under a threshold the error is recorded with the row's bound, which
     # is NaN, so _select raises it at any running best above 0.
     def evaluate(rows):
-        costs = disclosure.evaluate_block(rows, 4, "parametric", "row", math.inf)
+        costs = disclosure.evaluate_block(*block_of(rows), 4, "parametric", "row", math.inf)
         (failure,) = [cost for cost in costs if isinstance(cost, disclosure._Failure)]
         assert math.isnan(failure.bound)
         raise failure.error
@@ -852,12 +871,52 @@ def test_evaluate_block_without_a_threshold_evaluates_every_row():
     rows = sorted(([cents[0], *rest] for rest in itertools.combinations(cents[1:], 3)),
                   key=lambda row: evaluate_subset(make_prices(row), 5).value)
     clear_evaluation_cache()
-    costs = disclosure.evaluate_block(rows, 5, "kde", "row")
+    costs = disclosure.evaluate_block(*block_of(rows), 5, "kde", "row")
     assert all(isinstance(cost, CriticalCost) for cost in costs)
     assert [cost.value for cost in costs] == [evaluate_subset(make_prices(row), 5).value for row in rows]
-    screened = disclosure.evaluate_block(rows, 5, "kde", "row", math.inf)
+    screened = disclosure.evaluate_block(*block_of(rows), 5, "kde", "row", math.inf)
     assert screened[0] == costs[0] and screened.count(None) > len(rows) // 2
     assert isinstance(evaluate_subset(make_prices(rows[-1]), 5), CriticalCost)
+
+
+def test_the_screen_takes_each_candidate_as_sorted_padded_cents(monkeypatch):
+    # Every block the screen bounds holds a mask block's distinct rows, in
+    # order of first appearance: row i is np.sort of that candidate's
+    # cents, then zeros, and the sizes are the mask row sums. Over
+    # interval, minimal, brute force and Monte Carlo blocks, on a list of
+    # distinct prices and a tie-heavy one, with sizes mixed in a block and
+    # rows that Monte Carlo repeats.
+    calls, seen = [], []
+    block_costs, bounds = disclosure._block_costs, disclosure.lower_bounds
+
+    def recorded_costs(what, cents, n_new, estimator, block, threshold):
+        calls.append((what, cents, block))
+        return block_costs(what, cents, n_new, estimator, block, threshold)
+
+    def recorded_bounds(samples, sizes, n_new, estimator):
+        seen.append((*calls[-1], samples, sizes))
+        return bounds(samples, sizes, n_new, estimator)
+
+    monkeypatch.setattr(disclosure, "_block_costs", recorded_costs)
+    monkeypatch.setattr(disclosure, "lower_bounds", recorded_bounds)
+    ties = make_prices([int(c) for c in _tie_heavy_cents(np.random.default_rng(4), 12)])
+    for prices in (SMALL, ties):
+        for method in ("interval", "minimal", "brute_force", "monte_carlo"):
+            clear_evaluation_cache()
+            disclose(prices, method, RHO3, 5, budget=200, seed=1)
+    methods, mixed, repeated = set(), 0, 0
+    for what, cents, block, samples, sizes in seen:
+        unique = list({row.tobytes(): row for row in block}.values())
+        assert np.array_equal(sizes, [row.sum() for row in unique]), what
+        expected = np.zeros((len(unique), sizes.max()), dtype=np.int64)
+        for i, row in enumerate(unique):
+            expected[i, : sizes[i]] = np.sort(cents[row])
+        assert samples.dtype == np.float64 and np.array_equal(samples, expected / 100.0), what
+        methods.add(what)
+        mixed += np.unique(sizes).size > 1
+        repeated += len(unique) < len(block)
+    assert methods == {f"{method} candidate" for method in ("interval", "minimal", "brute_force", "monte_carlo")}
+    assert mixed and repeated
 
 
 def _tie_heavy_cents(rng, size):
@@ -892,7 +951,7 @@ def test_lower_bound_never_exceeds_the_cost_beyond_the_screen_margin():
     # The bounds also come as the screen takes them: every key in one block,
     # from one fit of them all, which gives a deferred row (NaN) no bound.
     keys = sorted(keys)
-    block = {(estimator, n_new): disclosure._lower_bounds(keys, n_new, estimator)[0]
+    block = {(estimator, n_new): bounds_of(keys, n_new, estimator)
              for estimator in ("kde", "parametric") for n_new in (1, 18, 1000)}
     checked = failed = 0
     for i, key in enumerate(keys):
@@ -949,10 +1008,10 @@ def test_graded_parametric_screen_refines_the_even_grid(monkeypatch):
     keys = sorted(keys)
     checked = 0
     for n_new in (1, 18, 1000):
-        refined = disclosure._lower_bounds(keys, n_new, "parametric")[0]
+        refined = bounds_of(keys, n_new, "parametric")
         with monkeypatch.context() as m:
             m.setattr(search, "screen_edges", even)
-            coarse = disclosure._lower_bounds(keys, n_new, "parametric")[0]
+            coarse = bounds_of(keys, n_new, "parametric")
         for key, new, old in zip(keys, refined, coarse):
             assert old <= disclosure._screen_limit(new), (key, n_new, new, old)
             values = np.array(key, dtype=float) / 100.0

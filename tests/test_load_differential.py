@@ -4,9 +4,13 @@
 in turn and its price parsed with ``Decimal``. ``load_prices`` checks the
 rows as whole columns and sends only flagged rows through the same
 checks. On every file of the corpus both must return an equal
-``PriceList`` or raise the same error type and message. The one planned
-difference is a price too large for int64 cents, which ``load_prices``
-rejects at its row and on which the reference crashes.
+``PriceList`` or raise the same error type and message. The planned
+differences are files that ``load_prices`` rejects at a row, as
+``PLANNED`` states, where the reference fails otherwise: a price too large
+for int64 cents or a field past the csv module's limit, on which the
+reference crashes; a byte that is not UTF-8, on which it crashes at the
+decode, wherever that falls; and a price so small that decimal scales it
+to 0 cents, which the reference loads as 0 and rejects with no row.
 """
 
 import csv
@@ -76,6 +80,16 @@ LOOSE_VALID = ("5", "5.5", "+5.00", "1e2", "1_000.00", "٣.00", "007.10", "12345
                "92233720368547758.07")
 REJECTED_PRICES = ("NaN", "Infinity", "1.999", "0", "0.00", "-1.50", "", "abc", "1.2.3")
 OVERFLOWING = ("99999999999999999.99", "1e30", "92233720368547758.08", "1e999999")
+UNDERFLOWING = ("1e-1000100",)
+
+# Each planned difference: the error load_prices raises, a part of its
+# message after "row N: ", and the reference's error type.
+PLANNED = {
+    "overflow": (ValidationError, "must be at most 92233720368547758.07", ArithmeticError),
+    "underflow": (ParseError, "has more than two decimal places", ValidationError),
+    "not UTF-8": (ParseError, "is not UTF-8", UnicodeDecodeError),
+    "field limit": (ParseError, "field larger than field limit (131072)", csv.Error),
+}
 SOURCES = ("PriceGrabber", "Nextag", "Bizrate", "Amazon", "Shopper")
 
 
@@ -142,55 +156,60 @@ BAD_KINDS = ("two columns", "four columns", "empty product_id", "empty source", 
 
 
 def corpus(seed: int = 30):
-    """(name, bytes, overflow) for each file; ``overflow`` marks the
-    planned difference."""
+    """(name, bytes, planned) for each file; ``planned`` names its planned
+    difference, if any, in ``PLANNED``."""
     rng = np.random.default_rng(seed)
     sizes = [1, 2, 3, 5000] + [int(s) for s in np.unique(np.geomspace(4, 4999, 16).astype(int))]
     for size in sizes:
         rows = _valid_rows(rng, size)
         style = {"crlf": bool(rng.random() < 0.4), "bom": bool(rng.random() < 0.3)}
-        yield f"valid-{size}", _render(rng, rows, **style), False
+        yield f"valid-{size}", _render(rng, rows, **style), None
         bad = [(kind, None) for kind in BAD_KINDS] + [("price", p) for p in REJECTED_PRICES]
         for kind, value in bad:
-            yield f"{kind} {value!r} in {size}", _render(rng, _inject(rng, rows, kind, value), **style), False
+            yield f"{kind} {value!r} in {size}", _render(rng, _inject(rng, rows, kind, value), **style), None
         for value in OVERFLOWING:
-            yield f"overflow {value!r} in {size}", _render(rng, _inject(rng, rows, "price", value), **style), True
+            yield f"overflow {value!r} in {size}", _render(rng, _inject(rng, rows, "price", value), **style), "overflow"
+        for value in UNDERFLOWING:
+            yield f"underflow {value!r} in {size}", _render(rng, _inject(rng, rows, "price", value), **style), "underflow"
         # Two faults: the one in the earlier row wins.
         if size > 2:
             kinds = rng.choice(len(bad), size=2, replace=False)
             twice = rows
             for k in kinds:
                 twice = _inject(rng, twice, *bad[k])
-            yield f"two faults in {size}", _render(rng, twice, **style), False
+            yield f"two faults in {size}", _render(rng, twice, **style), None
     header = ",".join(CSV_HEADER) + "\n"
-    yield "empty file", b"", False
-    yield "header only", header.encode(), False
-    yield "blank rows only", (header + "\n  \n,,\n").encode(), False
-    yield "bad header", b"product,source,price\np,s,1.00\n", False
-    yield "blank header", b"\nproduct_id,source,price\np,s,1.00\n", False
-    yield "blank before the first row", (header + "\n,,\np,s,1.00\nq,s,2.00\n").encode(), False
-    yield "first row short", (header + "p,s\np,s,1.00\n").encode(), False
-    yield "first row without a product", (header + ",s,1.00\n,s,2.00\n").encode(), False
-    yield "newline inside a price", (header + 'p,s,"1.00\n2.00"\np,s,3.00\n').encode(), False
+    yield "empty file", b"", None
+    yield "header only", header.encode(), None
+    yield "blank rows only", (header + "\n  \n,,\n").encode(), None
+    yield "bad header", b"product,source,price\np,s,1.00\n", None
+    yield "blank header", b"\nproduct_id,source,price\np,s,1.00\n", None
+    yield "blank before the first row", (header + "\n,,\np,s,1.00\nq,s,2.00\n").encode(), None
+    yield "first row short", (header + "p,s\np,s,1.00\n").encode(), None
+    yield "first row without a product", (header + ",s,1.00\n,s,2.00\n").encode(), None
+    yield "newline inside a price", (header + 'p,s,"1.00\n2.00"\np,s,3.00\n').encode(), None
     good = "".join(f"p,s,{i + 1}.00\n" for i in range(3000))
     # The loader holds 1024 rows at once: faults and the first data row
     # on either side of a boundary.
     blanks = "\n" * 1100 + " ,\n" * 1000
-    yield "blank rows past a chunk", (header + blanks + "p,s,1.00\n" + good).encode(), False
-    yield "product set in a blank chunk", (header + blanks + "p,s,1.00\nq,s,1.00\n").encode(), False
+    yield "blank rows past a chunk", (header + blanks + "p,s,1.00\n" + good).encode(), None
+    yield "product set in a blank chunk", (header + blanks + "p,s,1.00\nq,s,1.00\n").encode(), None
     for at in (1022, 1023, 1024, 2047, 2048):
         lines = good.splitlines(keepends=True)
         for fault in ("p,s,1.999\n", "q,s,1.00\n", "p,s\n", "p,s,7\n", "\n"):
             faulty = "".join(lines[:at]) + fault + "".join(lines[at:])
-            yield f"{fault!r} at body row {at}", (header + faulty).encode(), False
-    yield "bad row before a bad byte", (header + "p,s,oops\n" + good).encode() + b"\xff\n", False
+            yield f"{fault!r} at body row {at}", (header + faulty).encode(), None
+    yield "bad row before a bad byte", (header + "p,s,oops\n" + good).encode() + b"\xff\n", None
     # Past the first 8 KiB that are decoded at once, within 1024 rows.
     near = "".join(good.splitlines(keepends=True)[:900])
-    yield "bad row before a near bad byte", (header + "p,s,oops\n" + near).encode() + b"\xff\n", False
-    yield "bad byte first", b"\xff" + header.encode(), False
-    yield "bad byte after good rows", (header + good).encode() + b"\xff\n", False
+    yield "bad row before a near bad byte", (header + "p,s,oops\n" + near).encode() + b"\xff\n", None
+    yield "bad byte first", b"\xff" + header.encode(), "not UTF-8"
+    yield "bad byte after good rows", (header + good).encode() + b"\xff\n", "not UTF-8"
+    yield "Latin-1 source", (header + good + "p,caf\xe9,1.00\n" + good).encode("latin-1"), "not UTF-8"
+    yield "Latin-1 source before a bad row", (header + "p,caf\xe9,1.00\np,s,0\n").encode("latin-1"), "not UTF-8"
     huge = '"' + "9" * 200_000 + '"'
-    yield "bad row before a huge field", (header + "p,s,0\n" + good + f"p,s,{huge}\n").encode(), False
+    yield "bad row before a huge field", (header + "p,s,0\n" + good + f"p,s,{huge}\n").encode(), None
+    yield "huge field after good rows", (header + good + f"p,s,{huge}\n" + good).encode(), "field limit"
 
 
 def _outcome(load, path):
@@ -202,19 +221,20 @@ def _outcome(load, path):
 
 def test_column_loader_matches_the_row_loop(tmp_path):
     files = 0
-    for name, data, overflow in corpus():
+    for name, data, planned in corpus():
         path = tmp_path / "prices.csv"
         path.write_bytes(data)
         got, got_error = _outcome(load_prices, path)
         want, want_error = _outcome(reference_load, path)
         files += 1
-        if overflow:
-            assert isinstance(got_error, ValidationError), name
-            assert str(got_error).startswith("row ") and "must be at most 92233720368547758.07" in str(got_error), name
-            # The reference crashes instead: an OverflowError from the int64
+        if planned:
+            error, message, reference = PLANNED[planned]
+            assert type(got_error) is error, (name, got_error)
+            assert str(got_error).startswith("row ") and message in str(got_error), (name, got_error)
+            # The overflowing reference raises OverflowError from the int64
             # column, or decimal.Overflow where scaling to cents leaves
             # decimal's exponent range.
-            assert isinstance(want_error, ArithmeticError), name
+            assert isinstance(want_error, reference), (name, want_error)
             continue
         assert type(got_error) is type(want_error), (name, got_error, want_error)
         assert str(got_error) == str(want_error), name
