@@ -38,7 +38,10 @@ one mask.
 mixed sizes at once, padded into one matrix; ``estimator_rows`` picks the
 class, and both expose ``sample_min``, ``effective_low``,
 ``feature_scale``, ``deferred`` and ``cdf`` per row, and ``density(i)``,
-row i's fitted density. Their sums are those ``np.add.reduce`` gives each
+row i's fitted density. ``cdf`` is what the screen bounds with: a
+parametric row's cdf, and a KDE row's lower bound on its cdf from its
+first ``SCREEN_WINDOW`` sorted samples, of which ``KernelDensity.screen_cdf``
+is the one-row call. Their sums are those ``np.add.reduce`` gives each
 row alone, so a row's fit has the same bits alone or among any rows: a
 KDE row's bandwidth is a ``KernelDensity``'s (``silverman_bandwidth`` is
 the one-row call of the same rule), and ``density(i)`` is, bit for bit,
@@ -89,6 +92,11 @@ KDE_BLOCK_DOUBLES = 2**15
 # sample_min - TAIL_SIGMAS * h; for a parametric fit, its TAIL_MASS quantile.
 TAIL_SIGMAS = 12.0
 TAIL_MASS = float(special.ndtr(-TAIL_SIGMAS))
+
+# The screen's KDE cdf (``KernelRows.cdf``, ``KernelDensity.screen_cdf``)
+# sums only each row's first SCREEN_WINDOW sorted samples: at or below a
+# row's minimum they carry most of its cdf, and the rest only add to it.
+SCREEN_WINDOW = 8
 
 _TAIL_TOL = 1e-6  # equal_mass_prices' top level is at most 1 - _TAIL_TOL
 
@@ -152,6 +160,11 @@ class Density:
 
     def cdf(self, y):
         raise NotImplementedError
+
+    def screen_cdf(self, y: np.ndarray) -> np.ndarray:
+        """A lower bound on the cdf at ``y`` (rows, m), for the screen: the
+        cdf itself, unless an estimator has a cheaper one."""
+        return self.cdf(y)
 
     def _quantile_hint(self) -> float:
         """A price scale likely to bracket most of the mass."""
@@ -277,6 +290,29 @@ def _truncated_cdf(raw, below_zero, mass_above_zero, y):
     return np.where(y > 0.0, np.minimum(np.maximum(cdf, 0.0), 1.0), 0.0)
 
 
+def _kernel_cdf_mean(sample: np.ndarray, sizes: np.ndarray, bandwidth: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each row's untruncated kernel cdf at its row of ``y`` (rows, m),
+    summed over the row's first ``sizes`` entries of ``sample`` (rows, w)
+    and divided by ``sizes``: summed as (m, rows, w), the layout
+    :func:`_row_sums` takes, so a row's mean has the same bits alone or
+    among any rows."""
+    z = (y.T[..., None] - sample) / bandwidth[:, None]
+    return (_row_sums(special.ndtr(z), sizes) / sizes).T
+
+
+def _screen_cdf(sorted_sample: np.ndarray, sizes: np.ndarray, bandwidth: np.ndarray,
+                below_zero: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The screen's lower bound on the truncated cdf of each row's KDE at
+    that row of ``y`` (rows, m): the kernel mean over the row's first
+    SCREEN_WINDOW samples of ``sorted_sample``, sorted ascending, still
+    divided by the row's full size, less the full row's mass below zero,
+    ``below_zero``, the fitted KDE's own. Every dropped term is a kernel
+    cdf, at least 0, so the mean is at most the dense one and the cdf at
+    most the KDE's, in exact arithmetic."""
+    raw = _kernel_cdf_mean(sorted_sample[:, :SCREEN_WINDOW], sizes, bandwidth, y)
+    return _truncated_cdf(raw, below_zero[:, None], 1.0 - below_zero[:, None], y)
+
+
 class KernelDensity(Density):
     """Gaussian KDE truncated at zero with global renormalization."""
 
@@ -351,6 +387,13 @@ class KernelDensity(Density):
         raw = self._kernel_mean(y, special.ndtr, 1.0)
         return _truncated_cdf(raw, self._below_zero, self._mass_above_zero, y)
 
+    def screen_cdf(self, y: np.ndarray) -> np.ndarray:
+        """:meth:`KernelRows.cdf` of this KDE as a one-row block at ``y``
+        (1, m), bit for bit: a lower bound on the cdf from the first
+        SCREEN_WINDOW sorted samples."""
+        return _screen_cdf(self._sorted[None], np.array([self.sample.size]), np.array([self.bandwidth]),
+                           np.array([self._below_zero]), y)
+
     def _quantile_hint(self) -> float:
         return float(self.sample.max() + 10.0 * self.bandwidth)
 
@@ -361,13 +404,13 @@ class KernelRows:
     ``sizes[i]`` entries (what lies past them is ignored), as arrays of
     per-row fields. ``bandwidth``, ``sample_min`` and the mass below zero
     are a ``KernelDensity``'s of the row, bit for bit, while its size is at
-    most ``KDE_BLOCK_DOUBLES``. ``cdf`` sums each row densely: the fitted
-    KDE's one-block bits where that is dense, the same value to rounding
-    where it is windowed. No row is ``deferred``, and ``density(i)`` builds
-    row i's KDE. ``cdf`` of m points per row builds (rows, m, k) doubles
-    (``dense_cdf``); the caller bounds it."""
+    most ``KDE_BLOCK_DOUBLES``. ``cdf`` is the screen's lower bound on each
+    row's cdf, the windowed sum of :func:`_screen_cdf`: the fitted KDE's
+    ``screen_cdf``, bit for bit. No row is ``deferred``, and ``density(i)``
+    builds row i's KDE. ``cdf`` of m points per row builds (rows, m,
+    ``cdf_window``) doubles; the caller bounds it."""
 
-    dense_cdf = True
+    cdf_window = SCREEN_WINDOW
 
     def __init__(self, samples: np.ndarray, sizes: np.ndarray):
         self.sample = samples
@@ -375,14 +418,7 @@ class KernelRows:
         self.bandwidth = silverman_bandwidths(samples, self.sizes)
         self.sample_min = samples[:, 0]
         self.deferred = np.zeros(len(samples), dtype=bool)
-        self._below_zero = self._kernel_mean(np.zeros((len(samples), 1)))[:, 0]
-        self._mass_above_zero = 1.0 - self._below_zero
-
-    def _kernel_mean(self, y: np.ndarray) -> np.ndarray:
-        """Each row's untruncated kernel cdf mean at its row of ``y`` (rows,
-        m), summed as (m, rows, k), the layout :func:`_row_sums` takes."""
-        z = (y.T[..., None] - self.sample) / self.bandwidth[:, None]
-        return (_row_sums(special.ndtr(z), self.sizes) / self.sizes).T
+        self._below_zero = _kernel_cdf_mean(samples, self.sizes, self.bandwidth, np.zeros((len(samples), 1)))[:, 0]
 
     @property
     def feature_scale(self) -> np.ndarray:
@@ -400,8 +436,9 @@ class KernelRows:
         return KernelDensity(self.sample[i, : self.sizes[i]], bandwidth=self.bandwidth[i])
 
     def cdf(self, y: np.ndarray) -> np.ndarray:
-        """The truncated cdf of each row's KDE at that row of ``y`` (rows, m)."""
-        return _truncated_cdf(self._kernel_mean(y), self._below_zero[:, None], self._mass_above_zero[:, None], y)
+        """The screen's lower bound on each row's truncated KDE cdf at that
+        row of ``y`` (rows, m), from the row's first SCREEN_WINDOW samples."""
+        return _screen_cdf(self.sample, self.sizes, self.bandwidth, self._below_zero, y)
 
 
 class ParametricDensity(Density):
@@ -809,9 +846,9 @@ class ParametricRows:
     ``ParametricDensity`` refuses. ``effective_low`` and ``cdf`` give the
     winner's values, with the truncation at zero, on every other row, and 0
     on a deferred one. A fit has no ``feature_scale``, and its ``cdf``
-    builds no (rows, points, k) matrix (``dense_cdf``)."""
+    reads no sample (``cdf_window``)."""
 
-    dense_cdf = False
+    cdf_window = 0
     feature_scale = None
 
     def __init__(self, samples: np.ndarray, sizes: np.ndarray, families: tuple[str, ...] = FAMILIES):

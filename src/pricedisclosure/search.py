@@ -7,7 +7,7 @@ critical cost is that expected saving; the searcher stops once the fee
 reaches it. ``critical_cost`` integrates one point; a critical-cost sweep
 integrates many points of one density in one pass per run of them, whose
 forms ``critical_cost`` then checks point by point.
-``critical_cost_lower_bound`` bounds it from one ``cdf`` call, and
+``critical_cost_lower_bound`` bounds it from one ``screen_cdf`` call, and
 ``lower_bounds`` does so for a padded block of samples under either
 estimator, by the same edges.
 """
@@ -42,12 +42,21 @@ MAX_STARTING_PANELS = 32
 TAIL_CUTS = np.array([8.0, 5.5, 4.0, 3.0, 2.25, 1.5, 0.75])
 
 # Where critical_cost_lower_bound cuts [low, q], in feature scales below q
-# (see screen_edges): 16 cuts in geometric steps from TAIL_SIGMAS, the KDE's
-# tail, so its first cut is low itself, to 1/8, which puts 15 of the 16 left
-# edges within a few bandwidths of q, where the dual integrand rises. A
-# density without a feature scale gets SCREEN_PANELS even cuts and the 16
-# SCREEN_CUTS at the scale that makes the first of them low itself, so its
-# edges grade toward q too and refine the even ones.
+# (see screen_edges). A KDE gets KDE_SCREEN_CUTS: 32 cuts in geometric steps
+# from TAIL_SIGMAS, its tail, so its first cut is low itself, to 1/16, which
+# puts most left edges within a few bandwidths of q, where the dual
+# integrand rises. Its cdf there sums only SCREEN_WINDOW samples a row
+# (density.KernelRows.cdf), so an edge costs a few kernel terms against an
+# integral's thousands. On subsets of the bundled lists at n_new 18 the left
+# sum is a median 0.91 of the cost (0.86 on 16 edges to 1/8 over every
+# sample). On the benchmark's KDE selections at seed 3 it integrates 22-27%
+# fewer candidates than those 16 dense edges; 64 edges integrate 16-23%
+# fewer again, and a window of 16 1-3% fewer, each for twice the kernel
+# terms, while a window of 4 integrates 11-30% more. A density without a
+# feature scale gets SCREEN_PANELS even cuts and the 16 SCREEN_CUTS at the
+# scale that makes the first of them low itself, so its edges grade toward q
+# too and refine the even ones.
+KDE_SCREEN_CUTS = np.geomspace(TAIL_SIGMAS, 1 / 16, 32)
 SCREEN_CUTS = np.geomspace(TAIL_SIGMAS, 0.125, 16)
 SCREEN_PANELS = 16
 
@@ -183,7 +192,7 @@ def tail_edges(low: float, q: float, scale: float) -> np.ndarray:
 
 def screen_edges(low, q, scale) -> np.ndarray:
     """The lower bound's edges on ``[low, q]``: a cut ``t * scale`` below
-    ``q`` for each ``t`` in SCREEN_CUTS, clipped at ``low``, then ``q``.
+    ``q`` for each ``t`` in KDE_SCREEN_CUTS, clipped at ``low``, then ``q``.
     Where ``scale`` is None (a density without a feature scale), the cuts
     are SCREEN_PANELS even cuts from ``low`` and SCREEN_CUTS at the scale
     ``(q - low) / TAIL_SIGMAS``, sorted together: the graded cuts refine the
@@ -202,39 +211,44 @@ def screen_edges(low, q, scale) -> np.ndarray:
         graded = np.maximum(q - SCREEN_CUTS * ((q - low) / TAIL_SIGMAS), low)
         cuts = np.sort(np.concatenate([even, graded], axis=-1), axis=-1)
     else:
-        cuts = np.maximum(q - SCREEN_CUTS * scale, low)
+        cuts = np.maximum(q - KDE_SCREEN_CUTS * scale, low)
     return np.concatenate([cuts, q], axis=-1)
 
 
-def _left_riemann_sum(edges: np.ndarray, log_sf: np.ndarray, n: int):
+def _left_riemann_sum(edges: np.ndarray, cdf: np.ndarray, n: int):
     """sum (e[i+1] - e[i]) g(e[i]) along the last axis, for the dual
-    integrand g = 1 - sf**n from ``log_sf`` = log(sf) at the left edges
-    (the log form of ``_min_order``). A row's sum is the pairwise sum
-    ``np.add.reduce`` gives one row, whatever rows lie beside it."""
+    integrand g = 1 - sf**n from the ``cdf`` at the left edges, through
+    log(sf) (the log form of ``_min_order``). A row's sum is the pairwise
+    sum ``np.add.reduce`` gives one row, whatever rows lie beside it."""
+    with np.errstate(divide="ignore"):
+        log_sf = np.log1p(-cdf)
     return np.add.reduce(np.diff(edges) * -np.expm1(n * log_sf), axis=-1)
 
 
 def critical_cost_lower_bound(density: Density, q: float, n_new: int) -> float:
     """A lower bound on ``critical_cost(density, q, n_new).value`` from one
-    ``cdf`` call, with no pdf and no quadrature.
+    ``screen_cdf`` call, with no pdf and no quadrature.
 
     The dual integrand, the minimum-order cdf g(y) = 1 - sf(y)**n, is
     nondecreasing in y, so on any edges in ``[effective_low, q]`` its left
     Riemann sum, sum (e[i+1] - e[i]) g(e[i]), is at most its integral in
-    exact arithmetic (Davis & Rabinowitz 1984). The edges are
-    :func:`screen_edges` at the density's feature scale: 16 graded toward
-    ``q`` for a KDE, and for a density without one 32, the even grid of
+    exact arithmetic (Davis & Rabinowitz 1984), and less with any lower
+    bound on the cdf in place of the cdf. The edges are :func:`screen_edges`
+    at the density's feature scale: 32 graded toward ``q`` for a KDE, whose
+    ``screen_cdf`` sums each kernel over its first SCREEN_WINDOW sorted
+    samples only, and for a density without one 32, the even grid of
     SCREEN_PANELS panels refined by cuts graded toward ``q``, so the sum is
-    never below the even grid's. :func:`lower_bounds` gives the same bound
-    for many rows at once, from one fit of them all.
+    never below the even grid's, from the cdf itself. :func:`lower_bounds`
+    gives the same bound, bit for bit, for many rows at once, from one fit
+    of them all.
     """
     n = _check_n(n_new)
     q = _check_q(density, q)
     low = density.effective_low
     if q <= low:
         return 0.0
-    edges = screen_edges(low, np.array([q]), density.feature_scale)
-    return float(_left_riemann_sum(edges, _log_sf(density, edges[:-1]), n))
+    edges = screen_edges(low, np.array([[q]]), density.feature_scale)
+    return float(_left_riemann_sum(edges, density.screen_cdf(edges[:, :-1]), n)[0])
 
 
 def lower_bounds(samples: np.ndarray, sizes: np.ndarray, n_new: int, estimator: str):
@@ -244,10 +258,10 @@ def lower_bounds(samples: np.ndarray, sizes: np.ndarray, n_new: int, estimator: 
     :func:`density.estimator_rows`; NaN where a row is deferred, which has
     no fit. Returns the bounds and ``density``: ``density(i)`` is row i's
     fitted density from the same fit, the one ``fit_estimator`` gives the
-    row alone, bit for bit. A KDE row's bound has that density's bits while
-    its 16-point cdf is one dense block. Each chunk's largest matrix, a KDE
-    cdf's (rows, edges, k) terms or a parametric fit's (rows, k) samples,
-    holds at most ``KDE_BLOCK_DOUBLES`` doubles, at least one row; chunks
+    row alone, bit for bit, and a row's bound is that density's. Each
+    chunk's largest matrix, its (rows, k) samples or a KDE cdf's (rows,
+    edges, window) terms (``cdf_window``), holds at most
+    ``KDE_BLOCK_DOUBLES`` doubles, at least one row; chunks
     run over the rows in order of size, each cut to its longest row, as
     views of ``samples`` where its rows are in that order already, else of
     a copy, which ``density`` keeps with every chunk's fit. Every step is
@@ -260,13 +274,14 @@ def lower_bounds(samples: np.ndarray, sizes: np.ndarray, n_new: int, estimator: 
         samples, sizes = samples[order], sizes[order]
     bounds = np.empty(len(samples))
     chunks = []
-    step = max(1, KDE_BLOCK_DOUBLES // (samples.shape[1] * (SCREEN_CUTS.size if fit.dense_cdf else 1)))
+    k = samples.shape[1]
+    step = max(1, KDE_BLOCK_DOUBLES // max(k, KDE_SCREEN_CUTS.size * min(k, fit.cdf_window)))
     for lo in range(0, len(samples), step):
         at = slice(lo, lo + step)
         rows = fit(samples[at, : sizes[at][-1]], sizes[at])
         low, q = rows.effective_low[:, None], rows.sample_min[:, None]
         edges = screen_edges(low, q, rows.feature_scale)
-        sums = _left_riemann_sum(edges, _log_sf(rows, edges[:, :-1]), n)
+        sums = _left_riemann_sum(edges, rows.cdf(edges[:, :-1]), n)
         bounds[order[at]] = np.where(rows.deferred, np.nan, np.where(q[:, 0] > low[:, 0], sums, 0.0))
         chunks.append(rows)
     rank = np.argsort(order)
@@ -422,15 +437,22 @@ def _integral_forms(density: Density, q, n_new) -> list[_Forms]:
     spans ``P_i`` of the run's ``P`` starting panels integrates to
     ``tol * P / P_i``, so each of its panels has the budget it has alone, and
     its error estimate sums its own panels. One point, or points at one q (a
-    sweep of n), start as a lone point does. A failing pass raises
-    :class:`NumericalError` naming each of its points (q, n_new), the
-    interval, the starting panel count and whether it was graded, and the
-    density.
+    sweep of n), start as a lone point does; one point goes straight to its
+    start (:func:`_first_start`) and pass, the run :func:`_runs` would make
+    of it. A failing pass raises :class:`NumericalError` naming each of its
+    points (q, n_new), the interval, the starting panel count and whether
+    it was graded, and the density.
     """
     if len(q) != len(n_new):
         raise ValidationError(f"need one n_new per q, got {len(n_new)} for {len(q)}")
-    points = sorted((_check_q(density, x), _check_n(n), i) for i, (x, n) in enumerate(zip(q, n_new)))
     low = density.effective_low
+    if len(q) == 1:
+        x, n = _check_q(density, q[0]), _check_n(n_new[0])
+        if x <= low:
+            return [_Forms(x, n, 0.0, 0.0, 0.0, 0, False)]
+        start, graded = _first_start(density, low, x, n, n)
+        return _integrate(density, low, (x,), (n,), start, [_count(start)], graded)
+    points = sorted((_check_q(density, x), _check_n(n), i) for i, (x, n) in enumerate(zip(q, n_new)))
     zero = bisect.bisect_right(points, (low, math.inf))  # the points at or below low
     forms = [None] * len(points)
     for x, n, i in points[:zero]:

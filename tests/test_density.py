@@ -656,7 +656,7 @@ def test_row_sums_keep_each_rows_lone_bits_in_every_layout():
     # against np.add.reduce of each row alone, read from the same view: on
     # signed zeros, on sizes around numpy's 128-value split, on blocks past
     # numpy's 8192-element buffer, on the (points, rows, k) layout of
-    # KernelRows._kernel_mean and on strided chunks of a wider matrix, as
+    # density._kernel_cdf_mean and on strided chunks of a wider matrix, as
     # search.lower_bounds slices them.
     rng = np.random.default_rng(37)
 

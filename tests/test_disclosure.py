@@ -528,8 +528,12 @@ PIPELINE_CASES = [
 @pytest.mark.parametrize("block_bytes", [None, 1, 30])
 @pytest.mark.parametrize("case", PIPELINE_CASES)
 def test_pipeline_matches_reference_enumeration(monkeypatch, case, block_bytes):
+    # The stub's costs are not the fitted densities', so the real screen's
+    # bounds would say nothing about them: every row is bounded by 0, and
+    # the test checks the selection loop alone.
     n, seed, rho, max_size = case
     monkeypatch.setattr(disclosure, "_evaluate_cents", stub_cost)
+    monkeypatch.setattr(disclosure, "lower_bounds", stub_bounds(lambda cents, n_new, estimator: 0.0))
     if block_bytes is not None:
         monkeypatch.setattr(disclosure, "MASK_BLOCK_BYTES", block_bytes)
     prices = stub_prices(n, seed)

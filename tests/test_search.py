@@ -9,6 +9,7 @@ from scipy import integrate, special
 from pricedisclosure.data import BUILTIN_MANIFESTS, PriceEntry, PriceList, builtin_dataset
 from pricedisclosure.density import (
     KDE_BLOCK_DOUBLES,
+    SCREEN_WINDOW,
     TAIL_SIGMAS,
     KernelRows,
     ParametricRows,
@@ -18,9 +19,10 @@ from pricedisclosure.density import (
     fit_parametric,
 )
 from pricedisclosure.errors import NumericalError, ValidationError
-from pricedisclosure import search
+from pricedisclosure import disclosure, search
 from pricedisclosure.quadrature import TOL, adaptive_gauss_kronrod
 from pricedisclosure.search import (
+    KDE_SCREEN_CUTS,
     SCREEN_CUTS,
     TAIL_CUTS,
     CriticalCost,
@@ -573,21 +575,26 @@ def test_lower_bound_is_a_left_riemann_sum_of_the_dual_integrand():
         assert critical_cost_lower_bound(UNIT, q, 1) >= q * q / 2 * 15 / 16
     assert critical_cost_lower_bound(UNIT, 0.0, 5) == 0.0
     # A KDE's first cut, 12 bandwidths below its minimum, is its effective
-    # low, so the cdf is sampled at 16 left edges graded toward q.
+    # low, so the screen's cdf, and never the dense one, is sampled at 32
+    # left edges graded toward q, down to a sixteenth of a bandwidth.
     density = fit_kde([100.0, 102.0, 105.0, 108.0, 112.0])
     calls = []
-    cdf = density.cdf
-    density.cdf = lambda y: calls.append(np.size(y)) or cdf(y)
+    cdf, screen_cdf = density.cdf, density.screen_cdf
+    density.cdf = lambda y: calls.append(("cdf", np.shape(y))) or cdf(y)
+    density.screen_cdf = lambda y: calls.append(("screen_cdf", np.shape(y))) or screen_cdf(y)
     bound = critical_cost_lower_bound(density, 100.0, 18)
-    assert calls == [16] and SCREEN_CUTS[0] == TAIL_SIGMAS == 12.0 and SCREEN_CUTS[-1] == 0.125
+    assert calls == [("screen_cdf", (1, 32))]
+    assert KDE_SCREEN_CUTS.size == 32 and KDE_SCREEN_CUTS[0] == TAIL_SIGMAS == 12.0 and KDE_SCREEN_CUTS[-1] == 1 / 16
     value = critical_cost(density, 100.0, 18).value
     assert 0.8 * value <= bound <= value
     # Above the minimum the first cut lies above the effective low and the
     # edges start there. The panel left out, [low, first cut], would add
-    # g(low), about 0, per unit width: the sum is the one with it.
+    # g(low), about 0, per unit width: the sum is the one with it. Five
+    # prices lie within the screen's window, so its cdf is the KDE's to
+    # rounding.
     low, h = density.effective_low, density.bandwidth
     for q in (100.5, 104.0, 110.0):
-        cuts = q - SCREEN_CUTS * h
+        cuts = q - KDE_SCREEN_CUTS * h
         edges = search.screen_edges(low, np.array([q]), h)
         assert edges[0] == cuts[0] > low and np.array_equal(edges, np.append(cuts, q))
         with_low = np.concatenate([[low], cuts, [q]])
@@ -650,7 +657,7 @@ def test_block_bounds_match_the_fitted_bound_alone_or_in_any_block(monkeypatch):
     assert np.array_equal(bounds(rows, full(rows), 18, "kde"), [critical_cost_lower_bound(density, 0.1, 18)] * 2)
     # With q at the low end every clipped panel has width 0, so the sum is 0.
     edges = search.screen_edges(np.array([[0.1]]), np.array([[0.1]]), np.array([[1e-20]]))
-    assert edges.shape == (1, 17) and np.all(edges == 0.1)
+    assert edges.shape == (1, 33) and np.all(edges == 0.1)
     with pytest.raises(ValidationError):
         bounds(rows, full(rows), 0, "kde")
 
@@ -693,8 +700,8 @@ def test_kde_block_bounds_of_mixed_sizes_match_the_fitted_bound_bitwise(monkeypa
     # One padded block of KDE rows of sizes 1-133 (one-price rows, tie-heavy
     # rows, mouse's 133 prices past numpy's 128-value split), NaN past each
     # row's end: every row's fields are its KernelDensity's, bit for bit,
-    # and its bound is the fitted KDE's bound, whose 16-point cdf is one
-    # dense block at every size here, alone, permuted or one row per chunk.
+    # and its bound is the fitted KDE's bound, whose screen_cdf is the same
+    # windowed sum as a one-row block, alone, permuted or one row per chunk.
     rng = np.random.default_rng(13)
     rows = [np.array([x]) for x in (0.29, 12.5, 599.99)]
     rows += [np.sort(_tie_heavy(rng, int(k))) for k in rng.integers(2, 60, 12)]
@@ -721,6 +728,52 @@ def test_kde_block_bounds_of_mixed_sizes_match_the_fitted_bound_bitwise(monkeypa
         with monkeypatch.context() as m:
             m.setattr(search, "KDE_BLOCK_DOUBLES", 1)  # one row per chunk
             assert np.array_equal(bounds(samples, sizes, n, "kde"), block)
+
+
+def test_windowed_kde_bound_is_sound_and_has_one_set_of_bits():
+    # The screen's KDE cdf sums each row's first SCREEN_WINDOW sorted
+    # samples, divided by the row's size, and takes off the whole row's mass
+    # below zero. On bundled, tie-heavy and 400-price lists, some with mass
+    # below zero past the window, at n_new 1, 18 and 1000, the bound is that
+    # left sum, at most the same edges' sum from the dense cdf and at most
+    # the integrated cost, with the same bits alone as in one padded block
+    # of mixed sizes.
+    rng = np.random.default_rng(32)
+    mouse = builtin_dataset("mouse").values()
+    rows = [rng.choice(builtin_dataset(name).values(), size=k) for name in sorted(BUILTIN_MANIFESTS) for k in (6, 30)]
+    rows += [_tie_heavy(rng, k) for k in (3, 12, 30)]
+    rows += [rng.uniform(0.5, 40.0, size=k) for k in (9, 30, 400)]
+    rows += [rng.choice(mouse, 400) + rng.integers(0, 500, 400) / 100.0 for _ in range(2)]
+    rows = [np.sort(row) for row in rows]
+    sizes = np.array([row.size for row in rows])
+    samples = np.zeros((len(rows), sizes.max()))
+    for i, row in enumerate(rows):
+        samples[i, : row.size] = row
+    eps = np.finfo(float).eps
+    past_window = 0
+    for n in (1, 18, 1000):
+        block = bounds(samples, sizes, n, "kde")
+        for i, row in enumerate(rows):
+            density = fit_kde(row)
+            lone = critical_cost_lower_bound(density, row[0], n)
+            assert lone == block[i], (n, row.size, lone, block[i])
+            low, h, q = density.effective_low, density.bandwidth, row[0]
+            edges = search.screen_edges(low, np.array([q]), h)[:-1]
+            window = row[:SCREEN_WINDOW]
+            raw = special.ndtr((edges[:, None] - window) / h).sum(axis=1) / row.size
+            below = density._below_zero
+            cdf = np.clip((raw - below) / (1.0 - below), 0.0, 1.0)
+            width = np.diff(search.screen_edges(low, np.array([q]), h))
+            windowed = width @ -np.expm1(n * np.log1p(-cdf))
+            dense = width @ -np.expm1(n * np.log1p(-density.cdf(edges)))
+            assert lone == pytest.approx(windowed, rel=1e-12, abs=1e-300), (n, row.size, lone, windowed)
+            assert lone <= dense * (1.0 + 8 * eps), (n, row.size, lone, dense)
+            value = critical_cost(density, q, n).value
+            assert 0.0 <= lone <= disclosure._screen_limit(value), (n, row.size, lone, value)
+            if row.size > SCREEN_WINDOW:
+                shift = below - special.ndtr(-window / h).sum() / row.size
+                past_window += shift > 1e-6 * below and lone > 0.0
+    assert past_window >= 3
 
 
 def test_block_bounds_keep_the_kernel_pass_within_its_budget():
