@@ -43,7 +43,7 @@ sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 from perfbench.inputs import WORKLOADS  # noqa: E402
 from perfbench.workloads import build  # noqa: E402
 from pricedisclosure import cli, disclosure  # noqa: E402
-from pricedisclosure.data import BUILTIN_MANIFESTS, PriceEntry, PriceList, builtin_dataset, write_prices  # noqa: E402
+from pricedisclosure.data import BUILTIN_MANIFESTS, PriceList, builtin_dataset, write_prices  # noqa: E402
 from pricedisclosure.density import ESTIMATORS  # noqa: E402
 
 
@@ -64,7 +64,7 @@ def main(seeds: list[int]) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "printer_x100.csv")
         printer = builtin_dataset("printer")
-        write_prices(PriceList("printer", tuple(PriceEntry(e.source, 100 * e.cents) for e in printer.entries)), path)
+        write_prices(PriceList("printer", 100 * printer.cents_array(), printer.sources), path)
         sweep = ["critical-cost", "--data", path, "--method", "kde", "--sweep"]
         for argv in (sweep + ["q", "--n-new", "18", "--from", "29700", "--to", "29701.5", "--step", "0.25"],
                      sweep + ["n", "--q", "31000", "--from", "2", "--to", "22", "--step", "4"]):
@@ -78,7 +78,8 @@ def main(seeds: list[int]) -> None:
         for argv in calls:
             print(json.dumps(run(None, "workers", argv)).replace(tmp, "<tmp>"), flush=True)
         ties = str(Path(tmp) / "tie_heavy.csv")
-        write_prices(PriceList("ties", tuple(PriceEntry(f"s{i}", 29700 + (0, 1, 250)[i % 3]) for i in range(24))), ties)
+        write_prices(PriceList("ties", [29700 + (0, 1, 250)[i % 3] for i in range(24)],
+                               [f"s{i}" for i in range(24)]), ties)
         methods = [["--method", method] for method in ("interval", "minimal")]
         calls = [["disclose", "--builtin", "mouse", *method, *rest, "--n-new", "18"]
                  for rest in (["--rho", "1"], ["--rho", "2", "--estimator", "parametric"]) for method in methods]

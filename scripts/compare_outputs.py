@@ -4,10 +4,14 @@ change that is exact to rounding rather than bitwise.
 A byte-identical line passes. Another line passes only if its seed,
 workload, argv and exit code are equal, its stdout and stderr are equal
 once every printed number is taken out, and each number lies within
-max(1e-11, 1e-10 * |base value|) of the base run's. One summary row is
-printed per (workload, command), the command being the subcommand and
-its ``--method``: how many lines moved, and the largest absolute and
-relative move of a number. The exit code is 1 if any line fails:
+max(1e-11, 1e-10 * |base value|) of the base run's. A quadrature error
+estimate (the number on an ``error_estimate:`` line, or in a CSV
+``error_estimate`` column) is instead held to its documented bound: the
+new value lies in [0, 2e-8]. One summary row is printed per (workload,
+command), the command being the subcommand and its ``--method``: how
+many lines moved, the largest absolute and relative move of a number
+other than an estimate, and the largest absolute move of an estimate.
+The exit code is 1 if any line fails:
 
     python3 scripts/compare_outputs.py base.jsonl new.jsonl
 """
@@ -19,6 +23,9 @@ from collections import defaultdict
 
 ABS_TOL = 1e-11
 REL_TOL = 1e-10
+# The bound docs/formats.md gives every printed error estimate.
+ESTIMATE_BOUND = 2e-8
+ESTIMATE = "error_estimate"
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -30,22 +37,47 @@ def command(argv: list[str]) -> str:
     return argv[0]
 
 
-def moves(base: dict, new: dict) -> list[tuple[float, float]] | None:
+def estimates(text: str) -> list[bool]:
+    """For each number in ``text``, in order, whether it is an error
+    estimate: the number on an ``error_estimate:`` line, or a field under
+    a CSV header's ``error_estimate`` column."""
+    flags, column = [], None
+    for line in text.split("\n"):
+        fields = line.split(",")
+        if line.startswith(f"{ESTIMATE}:"):
+            flags += [True] * len(NUMBER.findall(line))
+            continue
+        if ESTIMATE in fields:
+            column = fields.index(ESTIMATE)
+        for j, field in enumerate(fields):
+            flags += [j == column] * len(NUMBER.findall(field))
+    return flags
+
+
+def moves(base: dict, new: dict) -> tuple[list[tuple[float, float]], list[float]] | None:
     """Each printed number's absolute move from ``base`` to ``new``, and
-    its move relative to a nonzero base value (0 for a zero one), or None
-    when the lines differ in anything but numbers within tolerance."""
+    its move relative to a nonzero base value (0 for a zero one), then
+    each error estimate's absolute move; or None when the lines differ in
+    anything but numbers within tolerance and estimates within bound."""
     if any(base[key] != new[key] for key in ("seed", "workload", "argv", "code")):
         return None
-    found = []
+    found, estimate_moves = [], []
     for key in ("stdout", "stderr"):
         if NUMBER.split(base[key]) != NUMBER.split(new[key]):
             return None
-        for a, b in zip(map(float, NUMBER.findall(base[key])), map(float, NUMBER.findall(new[key]))):
+        pairs = zip(map(float, NUMBER.findall(base[key])), map(float, NUMBER.findall(new[key])),
+                    estimates(base[key]))
+        for a, b, is_estimate in pairs:
             move = abs(b - a)
+            if is_estimate:
+                if not 0.0 <= b <= ESTIMATE_BOUND:
+                    return None
+                estimate_moves.append(move)
+                continue
             if not move <= max(ABS_TOL, REL_TOL * abs(a)):
                 return None
             found.append((move, move / abs(a) if a else 0.0))
-    return found
+    return found, estimate_moves
 
 
 def compare(base_lines: list[str], new_lines: list[str]) -> tuple[list[str], list[str]]:
@@ -53,7 +85,8 @@ def compare(base_lines: list[str], new_lines: list[str]) -> tuple[list[str], lis
     failures = []
     if len(base_lines) != len(new_lines):
         failures.append(f"{len(base_lines)} base lines against {len(new_lines)} new lines")
-    groups = defaultdict(lambda: [0, 0, 0.0, 0.0])  # lines, moved, largest abs, largest rel
+    # lines, moved, largest abs, largest rel, largest estimate move
+    groups = defaultdict(lambda: [0, 0, 0.0, 0.0, 0.0])
     for number, (a, b) in enumerate(zip(base_lines, new_lines), 1):
         base = json.loads(a)
         group = groups[base["workload"], command(base["argv"])]
@@ -65,12 +98,16 @@ def compare(base_lines: list[str], new_lines: list[str]) -> tuple[list[str], lis
         if found is None:
             failures.append(f"line {number}: {' '.join(base['argv'])}")
             continue
-        for move, rel in found:
+        values, estimate_moves = found
+        for move, rel in values:
             group[2] = max(group[2], move)
             group[3] = max(group[3], rel)
-    rows = [f"{'workload':<20} {'command':<32} {'lines':>5} {'moved':>5} {'max_abs':>9} {'max_rel':>9}"]
-    for (workload, cmd), (lines, moved, largest, rel) in groups.items():
-        rows.append(f"{workload:<20} {cmd:<32} {lines:>5} {moved:>5} {largest:>9.2e} {rel:>9.2e}")
+        group[4] = max([group[4], *estimate_moves])
+    rows = [f"{'workload':<20} {'command':<32} {'lines':>5} {'moved':>5} {'max_abs':>9} {'max_rel':>9} "
+            f"{'max_est':>9}"]
+    for (workload, cmd), (lines, moved, largest, rel, estimate) in groups.items():
+        rows.append(f"{workload:<20} {cmd:<32} {lines:>5} {moved:>5} {largest:>9.2e} {rel:>9.2e} "
+                    f"{estimate:>9.2e}")
     return rows, failures
 
 

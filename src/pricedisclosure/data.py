@@ -64,40 +64,19 @@ def parse_price(text: str) -> int:
     return int(cents)
 
 
-@dataclass(frozen=True)
-class PriceEntry:
-    source: str
-    cents: int
-
-    @property
-    def price(self) -> float:
-        return self.cents / 100.0
-
-
 class PriceList:
     """A product's seller prices, immutable once constructed.
 
-    The state is three columns: ``product_id``, a read-only int64 array of
-    cents and a tuple of sources, one per price. ``PriceList(product_id,
-    entries)`` builds it from ``PriceEntry`` objects and ``from_columns``
-    from the columns; ``entries`` rebuilds the objects on first use.
+    ``PriceList(product_id, cents, sources)`` is the list of ``cents[i]``
+    from ``sources[i]``. It holds a read-only int64 copy of ``cents`` and
+    a tuple of the sources.
     """
 
-    __slots__ = ("product_id", "sources", "_cents", "_entries")
+    __slots__ = ("product_id", "sources", "_cents")
 
-    def __init__(self, product_id: str, entries):
-        entries = tuple(entries)
-        cents = np.array([e.cents for e in entries], dtype=np.int64)
-        self._set(product_id, cents, tuple(e.source for e in entries))
-
-    @classmethod
-    def from_columns(cls, product_id: str, cents, sources) -> PriceList:
-        """The list of ``cents[i]`` from ``sources[i]``; holds a copy of ``cents``."""
-        prices = cls.__new__(cls)
-        prices._set(product_id, np.array(cents, dtype=np.int64), tuple(sources))
-        return prices
-
-    def _set(self, product_id: str, cents: np.ndarray, sources: tuple[str, ...]) -> None:
+    def __init__(self, product_id: str, cents, sources):
+        cents = np.array(cents, dtype=np.int64)
+        sources = tuple(sources)
         if cents.ndim != 1 or len(sources) != cents.size:
             raise ValidationError(
                 f"price list needs one source per price, got {len(sources)} for {cents.size}"
@@ -114,20 +93,12 @@ class PriceList:
         object.__setattr__(self, "product_id", product_id)
         object.__setattr__(self, "sources", sources)
         object.__setattr__(self, "_cents", cents)
-        object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"PriceList is immutable; cannot set {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"PriceList is immutable; cannot delete {name!r}")
-
-    @property
-    def entries(self) -> tuple[PriceEntry, ...]:
-        if self._entries is None:
-            entries = tuple(map(PriceEntry, self.sources, self._cents.tolist()))
-            object.__setattr__(self, "_entries", entries)
-        return self._entries
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -136,15 +107,14 @@ class PriceList:
                 and np.array_equal(self._cents, other._cents))
 
     def __hash__(self) -> int:
-        # A PriceEntry hashes as its (source, cents) tuple, so this is the
-        # hash of (product_id, entries) without building the entries.
-        return hash((self.product_id, tuple(zip(self.sources, self._cents.tolist()))))
+        return hash((self.product_id, self.sources, self._cents.tobytes()))
 
     def __reduce__(self):
-        return PriceList.from_columns, (self.product_id, self._cents, self.sources)
+        return PriceList, (self.product_id, self._cents, self.sources)
 
     def __repr__(self) -> str:
-        return f"PriceList(product_id={self.product_id!r}, entries={self.entries!r})"
+        return (f"PriceList(product_id={self.product_id!r}, "
+                f"cents={self._cents.tolist()!r}, sources={self.sources!r})")
 
     def __len__(self) -> int:
         return self._cents.size
@@ -175,7 +145,7 @@ class PriceList:
 
     def subset(self, indices) -> PriceList:
         indices = np.asarray(indices, dtype=np.intp)
-        return PriceList.from_columns(
+        return PriceList(
             self.product_id, self._cents[indices], [self.sources[i] for i in indices.tolist()]
         )
 
@@ -269,7 +239,7 @@ def load_prices(path: str | Path) -> PriceList:
             line_no += len(rows)
     if product is None:
         raise ValidationError("empty dataset")
-    return PriceList.from_columns(product, np.concatenate(cents), sources)
+    return PriceList(product, np.concatenate(cents), sources)
 
 
 def _columns(rows: list[list[str]], line_no: int, product: str | None):
@@ -403,8 +373,8 @@ def verify_manifest(prices: PriceList, manifest: DatasetManifest) -> None:
 def synthesize(product: str, seed: int = SYNTHETIC_SEED) -> PriceList:
     """Regenerate a bundled synthetic dataset.
 
-    One entry carries the stated minimum exactly (placed in the first
-    source); every other price is the minimum plus a lognormal offset of at
+    The first price, from the first source, is the stated minimum
+    exactly; every other price is the minimum plus a lognormal offset of at
     least 0.50, rounded to cents. Deterministic given ``seed``.
     """
     manifest = BUILTIN_MANIFESTS.get(product)
@@ -420,14 +390,7 @@ def synthesize(product: str, seed: int = SYNTHETIC_SEED) -> PriceList:
         rng.lognormal(mean=np.log(median), sigma=sigma, size=total - 1), 0.5
     )
     other_cents = min_cents + np.round(offsets * 100.0).astype(np.int64)
-    entries: list[PriceEntry] = []
-    cursor = 0
-    for source_pos, (source, count) in enumerate(manifest.per_source_counts.items()):
-        take = count
-        if source_pos == 0:
-            entries.append(PriceEntry(source, min_cents))
-            take -= 1
-        for cents in other_cents[cursor : cursor + take]:
-            entries.append(PriceEntry(source, int(cents)))
-        cursor += take
-    return PriceList(product, tuple(entries))
+    cents = np.concatenate([[min_cents], other_cents])
+    sources = [source for source, count in manifest.per_source_counts.items()
+               for _ in range(count)]
+    return PriceList(product, cents, sources)

@@ -118,7 +118,7 @@ def _trial_rng(base_seed: int, *path: int) -> np.random.Generator:
 def _rounded_list(cfg: MarketConfig, source: str, prices: np.ndarray) -> PriceList:
     """Float prices rounded half up to whole cents, at least one cent."""
     cents = np.maximum(1, np.floor(prices * 100.0 + 0.5).astype(np.int64))
-    return PriceList.from_columns(cfg.product_id, cents, (source,) * len(cents))
+    return PriceList(cfg.product_id, cents, (source,) * len(cents))
 
 
 def generate_initial_prices(cfg: MarketConfig) -> PriceList:

@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import binomtest
 
 from pricedisclosure.cli import main
-from pricedisclosure.data import PriceEntry, PriceList, builtin_dataset
+from pricedisclosure.data import PriceList, builtin_dataset
 from pricedisclosure.density import UniformDensity, fit_kde
 from pricedisclosure.disclosure import (
     DisclosureConstraints,
@@ -199,7 +199,7 @@ def _random_instance(seed, n):
     cents = np.unique((rng.lognormal(0.0, 0.3, n * 3) * 25000).astype(int))
     rng.shuffle(cents)
     picked = sorted(int(c) for c in cents[:n])
-    return PriceList("inst", tuple(PriceEntry("s", c) for c in picked))
+    return PriceList("inst", picked, ["s"] * n)
 
 
 def test_criterion_06_oracle_equivalence(capfd):
@@ -360,7 +360,7 @@ def test_cli_seed_flag_reproducibility(capfd, tmp_path):
     cents = sorted(int(c) for c in rng.integers(5000, 9000, size=10))
     from pricedisclosure.data import write_prices
 
-    write_prices(PriceList("w", tuple(PriceEntry("s", c) for c in cents)), data)
+    write_prices(PriceList("w", cents, ["s"] * len(cents)), data)
     argv = [
         "disclose", "--data", str(data), "--method", "mc", "--rho", "4",
         "--n-new", "6", "--budget", "50", "--seed", "12",

@@ -17,7 +17,7 @@ import pytest
 
 from pricedisclosure import cli, disclosure
 from pricedisclosure.cli import main
-from pricedisclosure.data import PriceEntry, PriceList, builtin_dataset, load_prices, write_prices
+from pricedisclosure.data import PriceList, builtin_dataset, load_prices, write_prices
 from pricedisclosure.density import KernelDensity, fit_kde, fit_parametric
 from pricedisclosure.disclosure import DisclosureConstraints, clear_evaluation_cache, monte_carlo_disclose
 from pricedisclosure.search import critical_cost
@@ -28,7 +28,7 @@ from pricedisclosure.simulator import MarketConfig
 def small_csv(tmp_path_factory):
     rng = np.random.default_rng(31)
     cents = sorted(int(c) for c in rng.integers(10000, 30000, size=12))
-    prices = PriceList("widget", tuple(PriceEntry("s", c) for c in cents))
+    prices = PriceList("widget", cents, ["s"] * len(cents))
     path = tmp_path_factory.mktemp("data") / "widget.csv"
     write_prices(prices, path)
     return str(path)
@@ -338,7 +338,7 @@ def test_sweep_q_keeps_its_end_point_at_five_digit_prices(capsys, tmp_path):
     # and the last point of the grid was lost.
     printer = builtin_dataset("printer")
     path = tmp_path / "printer100.csv"
-    write_prices(PriceList("printer", tuple(PriceEntry(e.source, 100 * e.cents) for e in printer.entries)), path)
+    write_prices(PriceList("printer", 100 * printer.cents_array(), printer.sources), path)
     argv = ["critical-cost", "--data", str(path), "--sweep", "q", "--n-new", "18", "--step", "0.25"]
     for start, stop in (("29700", "29701.5"), ("30123.17", "30124.67")):
         code, out, _ = run(capsys, *argv, "--from", start, "--to", stop)
@@ -494,7 +494,7 @@ def test_brute_force_prints_the_same_bytes_at_every_worker_count(capsys, tmp_pat
     # from the block's best cost, may integrate one, which must not abort.
     cents = [89, 95, 470, 1688, 4838, 5860, 10642, 24174, 35043]
     path = tmp_path / "nine.csv"
-    write_prices(PriceList("nine", tuple(PriceEntry("s", c) for c in cents)), path)
+    write_prices(PriceList("nine", cents, ["s"] * len(cents)), path)
     for estimator in ("kde", "parametric"):
         for n_new in ("1", "18"):
             argv = ["disclose", "--data", str(path), "--method", "brute", "--rho", "3", "--n-new", n_new,
@@ -510,7 +510,7 @@ def test_a_failing_parametric_integral_names_the_fitted_parameters(capsys, tmp_p
     # does not converge; the error names the fitted family's parameters.
     cents = [89, 95, 470, 1688, 4838, 5860, 10642, 24174, 35043]
     path = tmp_path / "nine.csv"
-    write_prices(PriceList("nine", tuple(PriceEntry("s", c) for c in cents)), path)
+    write_prices(PriceList("nine", cents, ["s"] * len(cents)), path)
     fit = fit_parametric(np.array(cents) / 100.0)
     assert fit.best_family == "gamma"
     params = fit.density.params

@@ -32,10 +32,40 @@ def test_identical_and_rounding_moves_pass(tmp_path, capsys):
     code, out = _run(tmp_path, base, new, capsys)
     assert code == 0 and "FAIL" not in out
     rows = {tuple(row.split()[:3]): row.split()[3:] for row in out.splitlines()[1:]}
-    assert rows["fit", "fit", "--method"] == ["parametric", "1", "0", "0.00e+00", "0.00e+00"]
+    assert rows["fit", "fit", "--method"] == ["parametric", "1", "0", "0.00e+00", "0.00e+00", "0.00e+00"]
     moved = rows["sweep_large", "critical-cost", "--method"]
     assert moved[:3] == ["kde", "1", "1"]
-    assert float(moved[3]) == 5e-12 and 0.0 < float(moved[4]) < 1e-13
+    assert float(moved[3]) == 5e-12 and 0.0 < float(moved[4]) < 1e-13 and float(moved[5]) == 0.0
+
+
+def test_error_estimates_are_held_to_their_bound_and_reported_apart(tmp_path, capsys):
+    # An estimate may move anywhere within [0, 2e-8]; its move is reported
+    # in its own column, not in the value columns.
+    base = [_line("critical_cost: 12.5\nerror_estimate: 1e-13\n"),
+            _line("q,critical_cost,error_estimate\n297.0,12.5,1e-13\n300.0,0.0,0.0\n",
+                  argv=("critical-cost", "--method", "parametric"))]
+    new = [_line("critical_cost: 12.5\nerror_estimate: 4e-13\n"),
+           _line("q,critical_cost,error_estimate\n297.0,12.5,4e-13\n300.0,0.0,2e-08\n",
+                 argv=("critical-cost", "--method", "parametric"))]
+    code, out = _run(tmp_path, base, new, capsys)
+    assert code == 0 and "FAIL" not in out
+    rows = {tuple(row.split()[:4]): row.split()[4:] for row in out.splitlines()[1:]}
+    assert rows["sweep_large", "critical-cost", "--method", "kde"] == ["1", "1", "0.00e+00", "0.00e+00", "3.00e-13"]
+    assert rows["sweep_large", "critical-cost", "--method", "parametric"][4] == "2.00e-08"
+
+
+def test_estimates_past_their_bound_and_values_past_tolerance_fail(tmp_path, capsys):
+    header = "q,critical_cost,error_estimate\n"
+    for base, new in (
+        ("critical_cost: 12.5\nerror_estimate: 1e-13\n", "critical_cost: 12.5\nerror_estimate: 3e-08\n"),
+        (header + "297.0,12.5,1e-13\n", header + "297.0,12.5,3e-08\n"),
+        (header + "297.0,12.5,1e-13\n", header + "297.0,12.5,-1e-13\n"),
+        # 1e-9 relative: past the 1e-10 value tolerance, next to an estimate.
+        ("critical_cost: 12.5\nerror_estimate: 1e-13\n", "critical_cost: 12.5000000125\nerror_estimate: 1e-13\n"),
+        (header + "297.0,12.5,1e-13\n", header + "297.0,12.5000000125,1e-13\n"),
+    ):
+        code, out = _run(tmp_path, [_line(base)], [_line(new)], capsys)
+        assert code == 1 and "FAIL line 1: critical-cost --method kde" in out, new
 
 
 def test_text_code_count_and_large_moves_fail(tmp_path, capsys):

@@ -1,14 +1,15 @@
 """Price-list parsing, bundled datasets, and synthesis."""
 
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pricedisclosure import data
 from pricedisclosure.data import (
     BUILTIN_MANIFESTS,
     MAX_CENTS,
-    PriceEntry,
     PriceList,
     builtin_dataset,
     format_cents,
@@ -77,7 +78,7 @@ def _one_row_csv(tmp_path, price):
 @pytest.mark.parametrize("text,cents", ACCEPTED)
 def test_accepted_price_forms(tmp_path, text, cents):
     assert parse_price(text) == cents
-    assert load_prices(_one_row_csv(tmp_path, text)) == PriceList("p", (PriceEntry("s", cents),))
+    assert load_prices(_one_row_csv(tmp_path, text)) == PriceList("p", [cents], ["s"])
 
 
 @pytest.mark.parametrize("text,error,message", REJECTED)
@@ -95,47 +96,38 @@ def test_format_cents_round_trip():
         assert parse_price(format_cents(cents)) == cents
 
 
-def test_price_list_validation():
-    with pytest.raises(ValidationError):
-        PriceList("x", ())
-    with pytest.raises(ValidationError):
-        PriceList("x", (PriceEntry("s", 0),))
-
-
 def test_price_list_accessors():
-    entries = (PriceEntry("a", 300), PriceEntry("b", 100), PriceEntry("a", 200))
-    prices = PriceList("x", entries)
+    prices = PriceList("x", [300, 100, 200], ["a", "b", "a"])
+    assert prices.product_id == "x" and prices.sources == ("a", "b", "a")
+    assert len(prices) == 3
     assert prices.min_cents == 100
     assert prices.min_index == 1
     assert prices.min_price == 1.0
     assert list(prices.cents_array()) == [300, 100, 200]
+    assert prices.values().tolist() == [3.0, 1.0, 2.0]
     assert prices.per_source_counts() == {"a": 2, "b": 1}
-    assert [entries[i].cents for i in prices.ascending_order()] == [100, 200, 300]
+    assert prices.cents_array()[prices.ascending_order()].tolist() == [100, 200, 300]
     sub = prices.subset([1, 2])
-    assert [e.cents for e in sub.entries] == [100, 200]
+    assert sub.cents_array().tolist() == [100, 200] and sub.sources == ("b", "a")
 
 
-def test_column_constructor_equals_the_entries_one():
-    entries = (PriceEntry("a", 300), PriceEntry("b", 100), PriceEntry("a", 200))
-    prices = PriceList("x", entries)
-    columns = PriceList.from_columns("x", [300, 100, 200], ["a", "b", "a"])
-    assert columns == prices and hash(columns) == hash(prices)
-    assert hash(prices) == hash(("x", entries))
-    assert columns.entries == entries and columns.sources == ("a", "b", "a")
-    assert repr(columns) == (
-        "PriceList(product_id='x', entries=(PriceEntry(source='a', cents=300), "
-        "PriceEntry(source='b', cents=100), PriceEntry(source='a', cents=200)))"
-    )
-    assert columns != PriceList("y", entries)
-    assert columns != PriceList("x", entries[::-1])
-    assert columns != PriceList("x", (PriceEntry("c", 300),) + entries[1:])
-    for again in (pickle.loads(pickle.dumps(columns)), prices.subset([0, 1, 2])):
-        assert again == prices and again.entries == entries
+def test_price_lists_compare_hash_pickle_and_print_as_their_columns():
+    prices = PriceList("x", [300, 100, 200], ["a", "b", "a"])
+    same = PriceList("x", np.array([300, 100, 200]), ("a", "b", "a"))
+    assert same == prices and hash(same) == hash(prices)
+    assert repr(prices) == "PriceList(product_id='x', cents=[300, 100, 200], sources=('a', 'b', 'a'))"
+    assert prices != PriceList("y", [300, 100, 200], ["a", "b", "a"])
+    assert prices != PriceList("x", [200, 100, 300], ["a", "b", "a"])
+    assert prices != PriceList("x", [300, 100, 200], ["c", "b", "a"])
+    for again in (pickle.loads(pickle.dumps(prices)), prices.subset([0, 1, 2])):
+        assert again == prices and hash(again) == hash(prices)
+        assert again.cents_array().tolist() == [300, 100, 200]
+        assert again.sources == ("a", "b", "a")
 
 
 def test_cents_column_is_read_only_and_the_list_immutable():
     source = np.array([300, 100], dtype=np.int64)
-    prices = PriceList.from_columns("x", source, ["a", "b"])
+    prices = PriceList("x", source, ["a", "b"])
     source[0] = 1
     assert prices.cents_array().tolist() == [300, 100]
     with pytest.raises(ValueError):
@@ -146,18 +138,20 @@ def test_cents_column_is_read_only_and_the_list_immutable():
         prices.sources = ()
 
 
-def test_column_constructor_validation():
+def test_price_list_validation():
     with pytest.raises(ValidationError, match="must not be empty"):
-        PriceList.from_columns("x", [], [])
+        PriceList("x", [], [])
+    with pytest.raises(ValidationError, match=r"positive, got 0.00 from 's'"):
+        PriceList("x", [0], ["s"])
     with pytest.raises(ValidationError, match="one source per price"):
-        PriceList.from_columns("x", [100, 200], ["a"])
+        PriceList("x", [100, 200], ["a"])
     with pytest.raises(ValidationError, match=r"positive, got 0.00 from 'b'"):
-        PriceList.from_columns("x", [100, 0, -5], ["a", "b", "c"])
+        PriceList("x", [100, 0, -5], ["a", "b", "c"])
 
 
 def test_ascending_order_is_stable_for_ties():
-    entries = (PriceEntry("a", 100), PriceEntry("b", 100), PriceEntry("c", 50))
-    assert list(PriceList("x", entries).ascending_order()) == [2, 0, 1]
+    prices = PriceList("x", [100, 100, 50], ["a", "b", "c"])
+    assert list(prices.ascending_order()) == [2, 0, 1]
 
 
 def test_load_write_round_trip(tmp_path):
@@ -213,10 +207,9 @@ def test_builtin_env_override(tmp_path, monkeypatch):
     # Override files must still satisfy the product manifest, so perturb
     # one non-minimum price and keep counts and the minimum intact.
     bundled = builtin_dataset("printer")
-    entries = list(bundled.entries)
-    victim = max(range(len(entries)), key=lambda i: entries[i].cents)
-    entries[victim] = PriceEntry(entries[victim].source, entries[victim].cents + 1)
-    custom = PriceList("printer", tuple(entries))
+    cents = bundled.cents_array().copy()
+    cents[np.argmax(cents)] += 1
+    custom = PriceList("printer", cents, bundled.sources)
     write_prices(custom, tmp_path / "printer.csv")
     monkeypatch.setenv("DISCLOSE_DATA_DIR", str(tmp_path))
     assert builtin_dataset("printer") == custom
@@ -224,7 +217,7 @@ def test_builtin_env_override(tmp_path, monkeypatch):
 
 
 def test_builtin_env_override_rejects_manifest_mismatch(tmp_path, monkeypatch):
-    custom = PriceList("printer", (PriceEntry("s", 29700), PriceEntry("s", 29800)))
+    custom = PriceList("printer", [29700, 29800], ["s", "s"])
     write_prices(custom, tmp_path / "printer.csv")
     monkeypatch.setenv("DISCLOSE_DATA_DIR", str(tmp_path))
     with pytest.raises(ValidationError):
@@ -233,11 +226,20 @@ def test_builtin_env_override_rejects_manifest_mismatch(tmp_path, monkeypatch):
 
 def test_synthesize_is_deterministic_and_matches_bundle():
     for name in BUILTIN_MANIFESTS:
-        assert synthesize(name).entries == builtin_dataset(name).entries
+        assert synthesize(name) == builtin_dataset(name)
         assert synthesize(name) == synthesize(name)
+
+
+def test_synthesized_datasets_write_the_bundled_bytes(tmp_path):
+    datasets = Path(data.__file__).parent / "datasets"
+    for name in BUILTIN_MANIFESTS:
+        written = tmp_path / f"{name}.csv"
+        write_prices(synthesize(name), written)
+        assert written.read_bytes() == (datasets / f"{name}.csv").read_bytes(), name
 
 
 def test_synthesized_minimum_placement():
     prices = synthesize("printer")
-    assert prices.entries[0].cents == prices.min_cents
+    assert prices.cents_array()[0] == prices.min_cents
+    assert prices.sources[0] == next(iter(BUILTIN_MANIFESTS["printer"].per_source_counts))
     assert np.sum(prices.cents_array() == prices.min_cents) == 1

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pricedisclosure import disclosure, search
-from pricedisclosure.data import BUILTIN_MANIFESTS, PriceEntry, PriceList, builtin_dataset, format_cents
+from pricedisclosure.data import BUILTIN_MANIFESTS, PriceList, builtin_dataset, format_cents
 from pricedisclosure.density import FAMILIES, ParametricRows, fit_estimator
 from pricedisclosure.disclosure import (
     DisclosureConstraints,
@@ -42,7 +42,7 @@ from pricedisclosure.search import (
 
 
 def make_prices(cents, product="x"):
-    return PriceList(product, tuple(PriceEntry("s", c) for c in cents))
+    return PriceList(product, cents, ["s"] * len(cents))
 
 
 def seeded_prices(n, seed, scale=20000):
@@ -59,7 +59,7 @@ RHO3 = DisclosureConstraints(rho=3)
 
 
 def sorted_cents(result):
-    return tuple(sorted(e.cents for e in result.subset.entries))
+    return tuple(sorted(result.subset.cents_array().tolist()))
 
 
 def block_of(rows):
@@ -93,7 +93,7 @@ def test_evaluate_subset_is_pure_and_cached():
     assert a.value == b.value
     # A recomputation after clearing the cache carries the same bits, and an
     # unsorted list is evaluated as its sorted prices.
-    cents = np.random.default_rng(7).permutation([e.cents for e in SMALL.entries])
+    cents = np.random.default_rng(7).permutation(SMALL.cents_array())
     shuffled = make_prices([int(c) for c in cents])
     for estimator in ("kde", "parametric"):
         for prices in (SMALL, shuffled):
@@ -167,7 +167,7 @@ def test_every_result_contains_minimum_and_respects_rho():
     prices = seeded_prices(10, seed=77)
     for method in ("brute_force", "interval", "minimal", "full"):
         res = disclose(prices, method, RHO3, 5, budget=50, seed=3)
-        assert prices.min_cents in {e.cents for e in res.subset.entries}
+        assert prices.min_cents in res.subset.cents_array()
         assert len(res.subset) >= RHO3.rho
         fresh = evaluate_subset(res.subset, 5)
         assert fresh.value == pytest.approx(res.critical_cost.value, abs=1e-12)
@@ -460,16 +460,16 @@ def stub_cost(cents, n_new, estimator, fit=None):
 def stub_prices(n, seed):
     rng = np.random.default_rng(seed)
     cents = rng.choice([300, 301, 450, 452, 460, 500, 777, 1000], size=n)
-    return PriceList("p", tuple(PriceEntry(f"s{i}", int(c)) for i, c in enumerate(cents)))
+    return PriceList("p", cents, [f"s{i}" for i in range(n)])
 
 
 def reference_select(prices, candidates, incumbent=False):
-    """(entries, trace, entries at each trace entry, count) of the first
-    strict minimum; entries sorted by (cents, index)."""
+    """(subset, trace, subset at each trace entry, count) of the first
+    strict minimum; each subset's prices sorted by (cents, index)."""
     cents = prices.cents_array()
 
-    def entries(indices):
-        return tuple(prices.entries[i] for i in sorted(indices, key=lambda i: (cents[i], i)))
+    def subset(indices):
+        return prices.subset(sorted(indices, key=lambda i: (cents[i], i)))
 
     best_cost, best, trace, improved_to = None, None, [], []
     for position, indices in enumerate(candidates):
@@ -477,8 +477,8 @@ def reference_select(prices, candidates, incumbent=False):
         if best_cost is None or cost < best_cost:
             best_cost, best = cost, indices
             trace.append((position + (not incumbent), cost))
-            improved_to.append(entries(indices))
-    return entries(best), tuple(trace), tuple(improved_to), len(candidates) - incumbent
+            improved_to.append(subset(indices))
+    return subset(best), tuple(trace), tuple(improved_to), len(candidates) - incumbent
 
 
 def reference_candidates(prices, method, rho, cap, budget=0, seed=0):
@@ -545,15 +545,15 @@ def test_pipeline_matches_reference_enumeration(monkeypatch, case, block_bytes):
         budget = 300 if n < 64 else 40
         result = disclose(prices, method, constraints, 5, budget=budget, seed=seed)
         candidates = reference_candidates(prices, method, rho, n if method == "full" else cap, budget, seed)
-        entries, trace, improved_to, count = reference_select(
+        subset, trace, improved_to, count = reference_select(
             prices, candidates, incumbent=method == "monte_carlo"
         )
-        assert result.subset.entries == entries, method
+        assert result.subset == subset, method
         assert result.trace == trace, method
-        assert tuple(s.entries for s in result.trace_subsets) == improved_to, method
+        assert tuple(result.trace_subsets) == improved_to, method
         assert result.subsets_evaluated == count, method
         assert result.critical_cost.value == stub_cost(
-            tuple(sorted(e.cents for e in entries)), 5, "kde").value
+            tuple(sorted(subset.cents_array().tolist())), 5, "kde").value
 
 
 def test_interval_memory_stays_bounded(monkeypatch):
@@ -650,12 +650,12 @@ def test_pipeline_with_a_stub_screen_matches_reference_enumeration(monkeypatch, 
         evaluated.clear()
         result = disclose(prices, method, constraints, 5, budget=budget, seed=seed)
         candidates = reference_candidates(prices, method, rho, n if method == "full" else cap, budget, seed)
-        entries, trace, improved_to, count = reference_select(
+        subset, trace, improved_to, count = reference_select(
             prices, candidates, incumbent=method == "monte_carlo"
         )
-        assert result.subset.entries == entries, method
+        assert result.subset == subset, method
         assert result.trace == trace, method
-        assert tuple(s.entries for s in result.trace_subsets) == improved_to, method
+        assert tuple(result.trace_subsets) == improved_to, method
         assert result.subsets_evaluated == count, method
         assert result.critical_cost.value == trace[-1][1], method
         # The screen drops candidates that a bound of 0 lets through.
@@ -951,7 +951,7 @@ def test_lower_bound_never_exceeds_the_cost_beyond_the_screen_margin():
             n = len(listed)
             candidates = reference_candidates(listed, method, min(10, n - 1), n, budget=40, seed=1)
             for j in rng.choice(len(candidates), size=min(10, len(candidates)), replace=False):
-                keys.add(tuple(sorted(listed.entries[i].cents for i in candidates[j])))
+                keys.add(tuple(sorted(listed.cents_array()[list(candidates[j])].tolist())))
     # The bounds also come as the screen takes them: every key in one block,
     # from one fit of them all, which gives a deferred row (NaN) no bound.
     keys = sorted(keys)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pricedisclosure.data import CSV_HEADER, PriceEntry, PriceList, load_prices
+from pricedisclosure.data import CSV_HEADER, PriceList, load_prices
 from pricedisclosure.errors import DatasetNotFoundError, ParseError, ValidationError
 
 
@@ -43,7 +43,8 @@ def reference_load(path) -> PriceList:
     path = Path(path)
     if not path.exists():
         raise DatasetNotFoundError(f"no such file: {path}")
-    entries: list[PriceEntry] = []
+    cents_column: list[int] = []
+    sources: list[str] = []
     product_id: str | None = None
     with path.open("r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
@@ -68,11 +69,12 @@ def reference_load(path) -> PriceList:
                 cents = reference_parse_price(price_text)
             except (ParseError, ValidationError) as exc:
                 raise type(exc)(f"row {line_no}: {exc}") from None
-            entries.append(PriceEntry(source, cents))
-    if not entries:
+            cents_column.append(cents)
+            sources.append(source)
+    if not cents_column:
         raise ValidationError("empty dataset")
     assert product_id is not None
-    return PriceList(product_id, tuple(entries))
+    return PriceList(product_id, cents_column, sources)
 
 
 # Prices that parse but are not in the strict form write_prices writes.
@@ -241,11 +243,12 @@ def test_column_loader_matches_the_row_loop(tmp_path):
         if want is None:
             continue
         assert got == want, name
-        assert got.entries == want.entries, name
+        assert got.sources == want.sources, name
         assert got.cents_array().dtype == np.int64 and np.array_equal(got.cents_array(), want.cents_array()), name
         assert list(got.per_source_counts().items()) == list(want.per_source_counts().items()), name
         assert hash(got) == hash(want), name
         again = pickle.loads(pickle.dumps(got))
-        assert again == got and again.entries == got.entries and hash(again) == hash(got), name
+        assert again == got and again.sources == got.sources and hash(again) == hash(got), name
+        assert np.array_equal(again.cents_array(), got.cents_array()), name
     assert files > 250
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from pricedisclosure.data import BUILTIN_MANIFESTS, PriceEntry, PriceList, builtin_dataset
+from pricedisclosure.data import BUILTIN_MANIFESTS, PriceList, builtin_dataset
 from pricedisclosure.density import (
     KDE_BLOCK_DOUBLES,
     SCREEN_WINDOW,
@@ -129,7 +129,7 @@ def test_critical_cost_fields_validated():
 
 
 def _state(cents, cost):
-    prices = PriceList("x", tuple(PriceEntry("s", c) for c in cents))
+    prices = PriceList("x", cents, ["s"] * len(cents))
     return SearcherState.from_prices(prices, query_cost=cost, expected_new_count=5)
 
 
@@ -141,7 +141,7 @@ def test_decide_rule_with_boundary():
 
 
 def test_searcher_state_minimum_consistency():
-    prices = PriceList("x", (PriceEntry("s", 500), PriceEntry("s", 700)))
+    prices = PriceList("x", [500, 700], ["s", "s"])
     with pytest.raises(ValidationError):
         SearcherState(
             best_price_q=7.0, observed_prices=prices, query_cost=1.0, expected_new_count=3
@@ -708,7 +708,9 @@ def test_kde_block_bounds_of_mixed_sizes_match_the_fitted_bound_bitwise(monkeypa
     rows += [row for k in (2, 7, 8, 9, 16, 30, 64, 129) for row in _screen_rows(rng, k, count=4)]
     rows.append(np.sort(builtin_dataset("mouse").values()))
     sizes = np.array([row.size for row in rows])
-    assert sizes.min() == 1 and sizes.max() == 133 and 16 * 133 <= KDE_BLOCK_DOUBLES
+    assert sizes.min() == 1 and sizes.max() == 133
+    # lower_bounds' chunk of 133-sample rows holds them all: one block.
+    assert len(rows) <= KDE_BLOCK_DOUBLES // max(133, KDE_SCREEN_CUTS.size * SCREEN_WINDOW)
     samples = np.full((len(rows), sizes.max()), np.nan)
     for i, row in enumerate(rows):
         samples[i, : row.size] = row

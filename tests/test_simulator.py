@@ -109,7 +109,7 @@ def test_draw_csa_listing_deterministic(printer_cfg):
     assert a == b
     assert a != c
     assert len(a) == 18
-    assert all(e.cents >= 1 for e in a.entries)
+    assert a.cents_array().min() >= 1
 
 
 def test_first_position_reports(printer_cfg):
@@ -164,7 +164,11 @@ def test_kth_position_pools_draws(printer_cfg):
         initial, DisclosureConstraints(rho=10), 18, "kde"
     ).subset
     drawn = draw_csa_listing(printer_cfg, _trial_rng(17, 0, _ROLE_CSA_DRAWS, 0))
-    pooled = PriceList("printer", disclosed.entries + drawn.entries)
+    pooled = PriceList(
+        "printer",
+        np.concatenate([disclosed.cents_array(), drawn.cents_array()]),
+        disclosed.sources + drawn.sources,
+    )
     assert report.trial_costs[0][0] == pytest.approx(
         evaluate_subset(pooled, 18).value, abs=1e-12
     )
