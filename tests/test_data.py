@@ -140,9 +140,14 @@ def test_cents_column_is_read_only_and_the_list_immutable():
 
 def test_price_list_validation():
     with pytest.raises(ValidationError, match="must not be empty"):
-        PriceList("x", [], [])
+        PriceList("x", (), ())
     with pytest.raises(ValidationError, match=r"positive, got 0.00 from 's'"):
         PriceList("x", [0], ["s"])
+
+
+def test_column_constructor_validation():
+    with pytest.raises(ValidationError, match="must not be empty"):
+        PriceList("x", [], [])
     with pytest.raises(ValidationError, match="one source per price"):
         PriceList("x", [100, 200], ["a"])
     with pytest.raises(ValidationError, match=r"positive, got 0.00 from 'b'"):
